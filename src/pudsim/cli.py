@@ -21,6 +21,7 @@ from .dram import SimraGroupMap, SubarrayLayout
 from .disturbance import sample_thresholds
 from .errors import AddressError, ConfigError, PudsimError
 from .harness import (
+    NO_FLIP,
     BisectionConfig,
     Experiment,
     SweepGrid,
@@ -29,7 +30,7 @@ from .harness import (
 )
 from .mitigation import TrrConfig
 from .patterns import PatternSpec, events_to_trace
-from .perf import evaluate_mixes, make_mixes
+from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, write_csv
 from .trreval import make_rh_setup, make_simra_setup, run_bypass
@@ -172,7 +173,7 @@ def cmd_attack(args) -> int:
     row = {
         "pattern": cfg.pattern,
         "victim": args.victim,
-        "hcfirst": "no-flip" if hc is None else hc,
+        "hcfirst": NO_FLIP if hc is None else hc,
         "seed": cfg.seed,
     }
     write_csv(Path(cfg.out_dir) / "attack.csv",
@@ -228,12 +229,18 @@ def cmd_mitigation_eval(args) -> int:
     _write_manifest(cfg)
     mixes = make_mixes(cfg.perf_mixes, cfg.seed)
     periods = (args.period,) if args.period else cfg.periods()
-    rows = evaluate_mixes(mixes, periods=periods,
+    variants = default_variants()
+    if args.variant:
+        if args.variant not in variants:
+            raise ConfigError(
+                f"unknown variant {args.variant!r}; expected one of {sorted(variants)}"
+            )
+        # the baseline is needed for the overhead, the rest is not
+        variants = {k: v for k, v in variants.items() if k in ("none", args.variant)}
+    rows = evaluate_mixes(mixes, periods=periods, variants=variants,
                           target_reqs=cfg.perf_target_reqs)
     if args.variant:
         rows = [r for r in rows if r["mitigation"] == args.variant]
-        if not rows:
-            raise ConfigError(f"no rows for variant {args.variant!r}")
     paths = emit_report(rows, "perf", cfg.out_dir)
     for r in rows[:10]:
         print(f"mix {r['mix_id']} period {r['period_ns']}ns {r['mitigation']}: "

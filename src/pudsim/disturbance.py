@@ -12,11 +12,11 @@ fraction reaches 1; further bits on the same row need 5% more each.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .dram import KIND_COMRA, KIND_RH, KIND_SIMRA, SubarrayLayout
 from .errors import CalibrationError, ConfigError
@@ -228,7 +228,7 @@ def _fit_sigma(lo: float, mean: float, n: int) -> float:
     if math.isclose(lo, mean):
         return 0.0
     spread = math.log(mean / lo)
-    z = norm.ppf(1.0 / (n + 1))  # negative
+    z = statistics.NormalDist().inv_cdf(1.0 / (n + 1))  # negative
     sigma = z + math.sqrt(z * z + 2.0 * spread)
     if not sigma > 0:
         raise CalibrationError(f"cannot fit spread min={lo} mean={mean} n={n}")

@@ -327,6 +327,9 @@ def random_layout_and_groups(
 # Sweeps
 
 
+# `hcfirst` of a cell that did not flip within the search budget
+NO_FLIP = "noflip"
+
 RESULT_COLUMNS = (
     "pattern", "kind", "N", "dp_aggr", "dp_victim", "temp_c",
     "t_aggon_ns", "gap_ns", "region", "row", "hcfirst", "flips", "seed",
@@ -342,7 +345,7 @@ class ExperimentResult:
         self.rows.append({c: kw.get(c, "") for c in RESULT_COLUMNS})
 
     def hcfirst_values(self) -> list[int]:
-        return [r["hcfirst"] for r in self.rows if r["hcfirst"] != "noflip"]
+        return [r["hcfirst"] for r in self.rows if r["hcfirst"] != NO_FLIP]
 
     def aggregate(self) -> dict:
         vals = self.hcfirst_values()
@@ -362,7 +365,7 @@ class ExperimentResult:
         first-flip count across the sweep."""
         best: dict[int, tuple[int, int]] = {}
         for r in self.rows:
-            if r["hcfirst"] == "noflip" or r["dp_aggr"] == "":
+            if r["hcfirst"] == NO_FLIP or r["dp_aggr"] == "":
                 continue
             row, hc = r["row"], r["hcfirst"]
             if row not in best or hc < best[row][0]:
@@ -376,7 +379,7 @@ class ExperimentResult:
         for r in self.rows:
             out = dict(r)
             if out["hcfirst"] is None:
-                out["hcfirst"] = "noflip"
+                out["hcfirst"] = NO_FLIP
             w.writerow(out)
         return buf.getvalue()
 
@@ -496,7 +499,7 @@ def _sweep_cell(
             gap_ns=gap if gap is not None else "",
             region=classify_region(victim, layout.extent(victim)),
             row=victim,
-            hcfirst=hc if hc is not None else "noflip",
+            hcfirst=hc if hc is not None else NO_FLIP,
             flips=flips,
             seed=seed,
         )

@@ -3,12 +3,22 @@
 Cores are closed-loop: a fixed compute gap, then one blocking memory
 request.  Four conventional cores draw from three synthetic trace
 families (stream / random / row-local); a fifth core issues one 32-row
-group op plus one copy cycle every `period_ns`.  Banks are served
-FR-FCFS with a cap of 4 consecutive row hits.  Conventional cores share
-rank 0; the PuD core sits alone on rank 1, so each of its ops pays the
-bus turnaround once (it always follows rank-0 traffic) and conventional
-timing stays independent of PuD intensity.  PRAC counter state lives
-per bank and RFM service blocks the bank it refreshes.
+group op plus one copy cycle every `period_ns`.
+
+Every core owns a private bank: conventional core i bank i of rank 0,
+the PuD core bank 7 of rank 1.  No two cores contend for a bank, so each
+core runs on its own timeline: its row hits and misses, its PRAC counter
+updates and the RFMs that block its bank follow from its own trace
+alone.  Each PuD op pays the bus turnaround once, because it always
+follows rank-0 traffic.
+
+A run with conventional cores ends when the last of them completes its
+`target_reqs`-th request.  The PuD core is served until then: its ops
+and RFMs are those whose scheduling key (start, ready, core id) sorts
+before the key of that final request.  Without conventional cores it
+runs `target_reqs` ops.  Conventional timelines do not depend on the PuD
+period, so `evaluate_mixes` simulates them once per mitigation variant
+and only the PuD core once per period.
 """
 
 from __future__ import annotations
@@ -17,18 +27,19 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .disturbance import COMRA, RH, SIMRA
+from .dram import TimingParams
 from .errors import ConfigError, PudsimError
 from .mitigation import MitigationConfig, PracConfig, PracState
 from .rng import stable_hash
 
-T_RC = 49.5
 T_HIT = 15.0
 RANK_TURNAROUND = 2.0
-BANKS_PER_RANK = 8
-CONV_BANKS = 7  # banks 0..6 of each rank serve conventional traffic
-PUD_BANK = (1, 7)  # the PuD core owns rank 1, bank 7
+CONV_BANKS = 7  # banks 0..6 of rank 0, one per conventional core
 
-CORE_KINDS = ("stream", "random", "rowlocal", "pud")
+CORE_KINDS = ("stream", "random", "rowlocal")
+
+# the model runs at nominal interface timing
+_TIMING = TimingParams()
 
 
 @dataclass(frozen=True)
@@ -37,20 +48,16 @@ class CoreSpec:
     gap_ns: float = 50.0
     instr_per_req: int = 100
     locality: float = 0.5  # rowlocal: probability of staying on the open row
-    footprint: int = 64  # rows touched per bank
+    footprint: int = 64  # rows touched in the core's bank
     row_base: int = 0
-    period_ns: float = 1000.0  # pud only
-    bank: Optional[int] = None  # pin to a bank (default: one bank per core)
 
     def __post_init__(self):
         if self.kind not in CORE_KINDS:
             raise ConfigError(f"unknown core kind {self.kind!r}")
-        if self.gap_ns < 0 or self.period_ns <= 0:
-            raise ConfigError("gaps and periods must be positive")
+        if self.gap_ns < 0:
+            raise ConfigError("gaps must be non-negative")
         if not 0.0 <= self.locality <= 1.0:
             raise ConfigError("locality must be in [0, 1]")
-        if self.bank is not None and not 0 <= self.bank < CONV_BANKS:
-            raise ConfigError(f"bank must be in [0, {CONV_BANKS})")
 
 
 @dataclass(frozen=True)
@@ -87,48 +94,18 @@ def make_mixes(count: int, seed: int) -> list[Mix]:
     return mixes
 
 
-def _address(spec: CoreSpec, core_id: int, seed: int, i: int, prev: tuple[int, int]):
-    """Deterministic (rank, bank, row) for request i of a core.
-
-    Each conventional core owns one rank-0 bank unless pinned, so its
-    hit/miss sequence — and therefore its per-row activation counts —
-    depend only on its own trace, never on how requests interleave with
-    other cores."""
-    h = stable_hash(seed, core_id, i)
-    rank = 0
-    bank = spec.bank if spec.bank is not None else core_id % CONV_BANKS
+def _row(spec: CoreSpec, core_id: int, seed: int, i: int, prev: Optional[int]) -> int:
+    """Deterministic row of request i of a core, in its private bank;
+    `prev` is the row of request i - 1."""
     if spec.kind == "stream":
-        row = spec.row_base + (i // 8) % spec.footprint
-        return rank, bank, row
+        return spec.row_base + (i // 8) % spec.footprint
+    h = stable_hash(seed, core_id, i)
     if spec.kind == "random":
-        return rank, bank, spec.row_base + (h >> 8) % spec.footprint
+        return spec.row_base + (h >> 8) % spec.footprint
     # rowlocal: sticky row with a locality knob
     if prev is not None and (h % 1000) < int(spec.locality * 1000):
-        return rank, bank, prev[1]
-    return rank, bank, spec.row_base + (h >> 12) % spec.footprint
-
-
-@dataclass
-class _BankSim:
-    free: float = 0.0
-    open_row: int = -1
-    hit_run: int = 0
-    prac: Optional[PracState] = None
-
-
-@dataclass
-class _CoreSim:
-    spec: CoreSpec
-    core_id: int
-    seed: int
-    ready: float = 0.0
-    idx: int = 0
-    completed: int = 0
-    done_at: Optional[float] = None
-    prev_addr: Optional[tuple[int, int]] = None
-    pending: Optional[tuple[int, int, int]] = None  # rank, bank, row
-    first_done: Optional[float] = None
-    last_done: Optional[float] = None
+        return prev
+    return spec.row_base + (h >> 12) % spec.footprint
 
 
 @dataclass
@@ -137,6 +114,9 @@ class PerfResult:
     backoffs: int
     rfm_count: int
     end_time: float
+    # scheduling key (start, ready, core id) of the last conventional
+    # request; the PuD core is served while its own key sorts before it
+    stop_key: Optional[tuple[float, float, int]] = None
 
 
 def weighted_speedup(shared: dict[int, float], alone: dict[int, float]) -> float:
@@ -153,7 +133,130 @@ def weighted_speedup(shared: dict[int, float], alone: dict[int, float]) -> float
 # group and copy rows the PuD core drives (inside its own bank)
 _PUD_SIMRA_ROWS = tuple(range(0, 32))
 _PUD_COMRA_ROWS = (64, 66)
-_PUD_OP_TIME = 2 * 3.0 + 36.0 + 13.5 + (2 * 36.0 + 7.5 + 13.5)
+_ROWS = 4096
+_WATCHDOG_NS = 5e9
+
+
+def _watchdog(t0: float, watchdog_ns: float) -> None:
+    if t0 > watchdog_ns:
+        raise PudsimError("perf watchdog: no forward progress")
+
+
+def _prac(mitigation: MitigationConfig, rows: int) -> Optional[PracState]:
+    """Fresh PRAC counters for one bank, or None when PRAC is off."""
+    if mitigation.prac is None:
+        return None
+    return PracState(replace(mitigation.prac), rows=rows, t_rc=_TIMING.t_rc)
+
+
+def _rfm(prac: PracState, mitigation: MitigationConfig) -> float:
+    """Service one RFM; returns how long it blocks the bank."""
+    refreshed = prac.rfm()
+    if mitigation.rfm_latency_ns is not None:
+        return mitigation.rfm_latency_ns
+    return _TIMING.t_rc * max(1, len(refreshed))
+
+
+def _conventional(
+    spec: CoreSpec,
+    core_id: int,
+    seed: int,
+    mitigation: MitigationConfig,
+    target_reqs: int,
+    rows: int,
+    watchdog_ns: float,
+) -> tuple[float, int, int, float, tuple[float, float, int]]:
+    """One conventional core's timeline: its rate, back-offs, RFMs, the
+    completion time and the scheduling key of its final request."""
+    prac = _prac(mitigation, rows)
+    t_rc = _TIMING.t_rc
+    core_seed = stable_hash(seed, core_id)
+    ready = free = 0.0
+    open_row = -1
+    row = None
+    rfms = completed = 0
+    while True:
+        row = _row(spec, core_id, core_seed, completed, row)
+        start = max(ready, free)
+        # a pending RFM blocks the bank before the request is served
+        while prac is not None and prac.backoff_pending:
+            free = start + _rfm(prac, mitigation)
+            rfms += 1
+            start = max(ready, free)
+        _watchdog(start, watchdog_ns)
+        if row == open_row:
+            done = start + T_HIT
+        else:
+            done = start + t_rc
+            open_row = row
+            if prac is not None:
+                # counter update hides in the precharge slot for
+                # single-row activations; no extra service time
+                prac.on_op(RH, (row,))
+        completed += 1
+        if completed >= target_reqs:
+            break
+        free = done
+        ready = done + spec.gap_ns
+    rate = completed * spec.instr_per_req / done
+    backoffs = prac.backoffs if prac is not None else 0
+    return rate, backoffs, rfms, done, (start, ready, core_id)
+
+
+def _with_pud(
+    conv: PerfResult,
+    mitigation: MitigationConfig,
+    period_ns: float,
+    target_reqs: int,
+    rows: int = _ROWS,
+    watchdog_ns: float = _WATCHDOG_NS,
+) -> PerfResult:
+    """Add the PuD core's timeline to a run of the conventional cores
+    (`conv`, which has no PuD core); returns the combined run."""
+    prac = _prac(mitigation, rows)
+    pud_id = len(conv.shared_rates)
+    op_time = _TIMING.pud_op_ns() + RANK_TURNAROUND
+    ready = free = 0.0
+    first = last = 0.0
+    rfms = completed = 0
+    while True:
+        start = max(ready, free)
+        if conv.stop_key is None:
+            if completed >= target_reqs:
+                break
+        elif (start, ready, pud_id) > conv.stop_key:
+            break
+        _watchdog(start, watchdog_ns)
+        if prac is not None and prac.backoff_pending:
+            free = start + _rfm(prac, mitigation)
+            rfms += 1
+            continue
+        service = op_time
+        if prac is not None:
+            u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
+            u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
+            service += u1.latency + u2.latency
+        done = start + service
+        completed += 1
+        if completed == 1:
+            first = done
+        last = done
+        ready = max(done, start + period_ns)
+        free = done
+    end = max(conv.end_time, last)
+    if completed >= 2 and last > first:
+        # rate over whole inter-completion periods: exact for a
+        # periodic core, free of end-of-run partial-period noise
+        rate = (completed - 1) / (last - first)
+    else:
+        rate = completed / end if end > 0 else 0.0
+    return PerfResult(
+        shared_rates={**conv.shared_rates, pud_id: rate},
+        backoffs=conv.backoffs + (prac.backoffs if prac is not None else 0),
+        rfm_count=conv.rfm_count + rfms,
+        end_time=end,
+        stop_key=conv.stop_key,
+    )
 
 
 def run_mix(
@@ -162,156 +265,28 @@ def run_mix(
     period_ns: Optional[float],
     seed: int,
     target_reqs: int = 2000,
-    rows: int = 4096,
-    watchdog_ns: float = 5e9,
+    rows: int = _ROWS,
+    watchdog_ns: float = _WATCHDOG_NS,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
     free-runs and is measured by rate."""
-    cores = [
-        _CoreSim(spec=s, core_id=i, seed=stable_hash(seed, i))
-        for i, s in enumerate(conv_cores)
+    if len(conv_cores) > CONV_BANKS:
+        raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
+    lines = [
+        _conventional(spec, i, seed, mitigation, target_reqs, rows, watchdog_ns)
+        for i, spec in enumerate(conv_cores)
     ]
-    pud: Optional[_CoreSim] = None
-    if period_ns is not None:
-        pud = _CoreSim(
-            spec=CoreSpec(kind="pud", period_ns=period_ns),
-            core_id=len(cores),
-            seed=stable_hash(seed, 99),
-        )
-        cores.append(pud)
-    banks: dict[tuple[int, int], _BankSim] = {}
-    for r in range(2):
-        for b in range(BANKS_PER_RANK):
-            prac = None
-            if mitigation.prac is not None:
-                prac = PracState(replace(mitigation.prac), rows=rows, t_rc=T_RC)
-            banks[(r, b)] = _BankSim(prac=prac)
-    rfms = 0
-
-    def fetch(c: _CoreSim):
-        if c.spec.kind == "pud":
-            c.pending = (*PUD_BANK, 0)
-            return
-        rank, bank, row = _address(c.spec, c.core_id, c.seed, c.idx, c.prev_addr)
-        c.prev_addr = (bank, row)
-        c.pending = (rank, bank, row)
-
-    for c in cores:
-        fetch(c)
-
-    conv = [c for c in cores if c.spec.kind != "pud"]
-
-    def finished() -> bool:
-        if conv:
-            return all(c.done_at is not None for c in conv)
-        return pud is not None and pud.completed >= target_reqs
-
-    t_end = 0.0
-    while not finished():
-        # earliest issuable request
-        best_key = None
-        best_bank = None
-        for c in cores:
-            if c.pending is None:
-                continue
-            b = banks[c.pending[:2]]
-            start = max(c.ready, b.free)
-            key = (start, c.ready, c.core_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_bank = c.pending[:2]
-        if best_key is None:
-            break
-        t0 = best_key[0]
-        if t0 > watchdog_ns:
-            raise PudsimError("perf watchdog: no forward progress")
-        bank = banks[best_bank]
-        # pending RFM blocks the bank before anything else is served
-        if bank.prac is not None and bank.prac.backoff_pending:
-            refreshed = bank.prac.rfm()
-            rfms += 1
-            latency = mitigation.rfm_latency_ns
-            if latency is None:
-                latency = T_RC * max(1, len(refreshed))
-            bank.free = max(bank.free, t0) + latency
-            continue
-        # FR-FCFS + cap within this bank among requests issuable at t0
-        cands = [
-            c
-            for c in cores
-            if c.pending is not None
-            and c.pending[:2] == best_bank
-            and max(c.ready, bank.free) == t0
-        ]
-        hits = [c for c in cands if c.pending[2] == bank.open_row]
-        if hits and bank.hit_run < 4:
-            chosen = min(hits, key=lambda c: (c.ready, c.core_id))
-        else:
-            chosen = min(cands, key=lambda c: (c.ready, c.core_id))
-        start = t0
-        if chosen.spec.kind == "pud":
-            # the PuD rank's command pays the bus turnaround
-            service = _PUD_OP_TIME + RANK_TURNAROUND
-            if bank.prac is not None:
-                u1 = bank.prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
-                u2 = bank.prac.on_op(COMRA, _PUD_COMRA_ROWS)
-                service += u1.latency + u2.latency
-            bank.open_row = -1
-            bank.hit_run = 0
-            done = start + service
-            chosen.completed += 1
-            chosen.idx += 1
-            if chosen.first_done is None:
-                chosen.first_done = done
-            chosen.last_done = done
-            chosen.ready = max(done, start + chosen.spec.period_ns)
-            bank.free = done
-            chosen.pending = None
-            fetch(chosen)
-        else:
-            row = chosen.pending[2]
-            hit = row == bank.open_row
-            if hit:
-                service = T_HIT
-                bank.hit_run += 1
-            else:
-                service = T_RC
-                bank.hit_run = 0
-                bank.open_row = row
-                if bank.prac is not None:
-                    # counter update hides in the precharge slot for
-                    # single-row activations; no extra service time
-                    bank.prac.on_op(RH, (row,))
-            done = start + service
-            bank.free = done
-            chosen.completed += 1
-            chosen.idx += 1
-            chosen.ready = done + chosen.spec.gap_ns
-            chosen.pending = None
-            if chosen.completed >= target_reqs:
-                chosen.done_at = done
-            else:
-                fetch(chosen)
-        t_end = max(t_end, done)
-
-    backoffs = sum(b.prac.backoffs for b in banks.values() if b.prac is not None)
-    rates: dict[int, float] = {}
-    for c in cores:
-        if c.spec.kind == "pud":
-            # rate over whole inter-completion periods: exact for a
-            # periodic core, free of end-of-run partial-period noise
-            if c.completed >= 2 and c.last_done > c.first_done:
-                rates[c.core_id] = (c.completed - 1) / (c.last_done - c.first_done)
-            else:
-                rates[c.core_id] = c.completed / t_end if t_end > 0 else 0.0
-        else:
-            rates[c.core_id] = (
-                c.completed * c.spec.instr_per_req / c.done_at if c.done_at else 0.0
-            )
-    return PerfResult(
-        shared_rates=rates, backoffs=backoffs, rfm_count=rfms, end_time=t_end
+    res = PerfResult(
+        shared_rates={i: line[0] for i, line in enumerate(lines)},
+        backoffs=sum(line[1] for line in lines),
+        rfm_count=sum(line[2] for line in lines),
+        end_time=max((line[3] for line in lines), default=0.0),
+        stop_key=max((line[4] for line in lines), default=None),
     )
+    if period_ns is not None:
+        res = _with_pud(res, mitigation, period_ns, target_reqs, rows, watchdog_ns)
+    return res
 
 
 PERF_COLUMNS = (
@@ -341,29 +316,28 @@ def evaluate_mixes(
 ) -> list[dict]:
     """Sweep mixes x periods x variants; overhead is relative to the
     unmitigated run of the same mix and period.  Alone-run baselines use
-    the unmitigated configuration."""
+    the unmitigated configuration: a conventional core on its private
+    bank runs at its alone speed, so the unmitigated run gives them."""
     variants = variants or default_variants()
     if "none" not in variants:
         raise ConfigError("variants must include the unmitigated baseline 'none'")
+    if variants["none"].prac is not None:
+        raise ConfigError("the baseline variant 'none' must be unmitigated")
     out = []
     for mix in mixes:
-        # alone rates, unmitigated
-        alone: dict[int, float] = {}
-        for i, spec in enumerate(mix.cores):
-            r = run_mix((spec,), MitigationConfig(), None, mix.seed, target_reqs)
-            alone[i] = r.shared_rates[0]
-        alone_pud: dict[float, float] = {}
+        # conventional timelines do not depend on the PuD period
+        conv = {
+            name: run_mix(mix.cores, mit, None, mix.seed, target_reqs)
+            for name, mit in variants.items()
+        }
+        alone = dict(conv["none"].shared_rates)
         for period in periods:
             r = run_mix((), MitigationConfig(), period, mix.seed, target_reqs)
-            alone_pud[period] = r.shared_rates[0]
-        for period in periods:
+            alone[len(mix.cores)] = r.shared_rates[0]
             ws_by_variant: dict[str, tuple[float, PerfResult]] = {}
             for name, mit in variants.items():
-                res = run_mix(mix.cores, mit, period, mix.seed, target_reqs)
-                a = dict(alone)
-                a[len(mix.cores)] = alone_pud[period]
-                ws = weighted_speedup(res.shared_rates, a)
-                ws_by_variant[name] = (ws, res)
+                res = _with_pud(conv[name], mit, period, target_reqs)
+                ws_by_variant[name] = (weighted_speedup(res.shared_rates, alone), res)
             ws_base = ws_by_variant["none"][0]
             for name, (ws, res) in ws_by_variant.items():
                 overhead = 100.0 * (1.0 - ws / ws_base) if ws_base > 0 else 0.0

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError, ShapeError
-from .harness import RESULT_COLUMNS
+from .harness import NO_FLIP, RESULT_COLUMNS
 from .perf import PERF_COLUMNS
 
 REPORT_KINDS = ("characterize", "trr-eval", "perf")
@@ -40,7 +40,7 @@ def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[dict]) -> Pat
 
 
 def _hc_reports(rows: list[dict], out_dir: Path) -> list[Path]:
-    measured = [r for r in rows if r.get("hcfirst") not in (None, "", "no-flip")]
+    measured = [r for r in rows if r.get("hcfirst") not in (None, "", NO_FLIP)]
     dist = []
     for kind in sorted({r["kind"] for r in measured}):
         vals = sorted(

@@ -32,6 +32,7 @@ from pudsim.dram import (
     SubarrayLayout,
 )
 from pudsim.harness import (
+    NO_FLIP,
     BisectionConfig,
     Experiment,
     SweepGrid,
@@ -327,7 +328,7 @@ def test_criterion_10a_temperature_trend():
     )
     by_temp: dict[float, list[int]] = {}
     for r in result.rows:
-        if r["hcfirst"] not in (None, "no-flip"):
+        if r["hcfirst"] not in (None, NO_FLIP):
             by_temp.setdefault(r["temp_c"], []).append(int(r["hcfirst"]))
     ratio = (sum(by_temp[50.0]) / len(by_temp[50.0])) / (
         sum(by_temp[80.0]) / len(by_temp[80.0])

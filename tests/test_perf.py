@@ -48,15 +48,108 @@ def test_run_mix_is_deterministic():
 
 
 def test_isolated_cores_run_near_alone_speed():
-    """Dedicated banks: sharing costs only bus turnarounds, so WS ~ n."""
-    cores = make_mixes(1, seed=0)[0].cores
-    alone = {
-        i: run_mix((c,), MitigationConfig(), None, seed=5, target_reqs=400).shared_rates[0]
-        for i, c in enumerate(cores)
-    }
-    shared = run_mix(cores, MitigationConfig(), None, seed=5, target_reqs=400)
-    ws = weighted_speedup(shared.shared_rates, alone)
-    assert ws == pytest.approx(4.0, abs=0.2)
+    """Private banks: an unmitigated core runs exactly at its alone speed,
+    so the unmitigated weighted speedup of a five-core mix is exactly 5."""
+    rows = evaluate_mixes(make_mixes(3, seed=0), target_reqs=400)
+    none = [r for r in rows if r["mitigation"] == "none"]
+    assert len(none) == 15
+    assert all(r["weighted_speedup"] == 5.0 for r in none)
+
+
+# (mix, variant, period) -> (repr(shared_rates), backoffs, rfm_count) of
+# make_mixes(3, seed=11) at target_reqs=400, recorded from the global
+# FR-FCFS scheduler that the per-core timelines replaced
+_RUN_MIX_REFERENCE = {
+    (0, "none", 125.0): (
+        "{0: 0.6116769122549469, 1: 1.2460476924754296, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.006644518272425249}",
+        0, 0,
+    ),
+    (0, "none", 4000.0): (
+        "{0: 0.6116769122549469, 1: 1.2460476924754296, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.00025}",
+        0, 0,
+    ),
+    (0, "prac-po-naive", 125.0): (
+        "{0: 0.5980950672109332, 1: 1.1874545427557852, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.001802791341825953}",
+        23, 254,
+    ),
+    (0, "prac-po-naive", 4000.0): (
+        "{0: 0.5980950672109332, 1: 1.1874545427557852, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.00025}",
+        17, 36,
+    ),
+    (0, "prac-po-wc", 125.0): (
+        "{0: 0.6116769122549469, 1: 1.2460476924754296, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.001916055095621995}",
+        8, 228,
+    ),
+    (0, "prac-po-wc", 4000.0): (
+        "{0: 0.6116769122549469, 1: 1.2460476924754296, 2: 0.4765649200562347, 3: 0.9909575126966431, 4: 0.00025}",
+        1, 20,
+    ),
+    (1, "none", 125.0): (
+        "{0: 0.8682533997547184, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.006644518272425249}",
+        0, 0,
+    ),
+    (1, "none", 4000.0): (
+        "{0: 0.8682533997547184, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.00025}",
+        0, 0,
+    ),
+    (1, "prac-po-naive", 125.0): (
+        "{0: 0.824827301783689, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.0019007155635062613}",
+        19, 192,
+    ),
+    (1, "prac-po-naive", 4000.0): (
+        "{0: 0.824827301783689, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.00025}",
+        13, 13,
+    ),
+    (1, "prac-po-wc", 125.0): (
+        "{0: 0.8682533997547184, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.0019627894702117835}",
+        6, 179,
+    ),
+    (1, "prac-po-wc", 4000.0): (
+        "{0: 0.8682533997547184, 1: 0.6200108501898783, 2: 1.4248058702001851, 3: 0.9068444081706681, 4: 0.00025}",
+        0, 0,
+    ),
+    (2, "none", 125.0): (
+        "{0: 0.9734847102057703, 1: 0.591108254087883, 2: 1.160833478437518, 3: 0.4611057315442431, 4: 0.006644518272425249}",
+        0, 0,
+    ),
+    (2, "none", 4000.0): (
+        "{0: 0.9734847102057703, 1: 0.591108254087883, 2: 1.160833478437518, 3: 0.4611057315442431, 4: 0.00025}",
+        0, 0,
+    ),
+    (2, "prac-po-naive", 125.0): (
+        "{0: 0.9641923081558617, 1: 0.5710573841288876, 2: 1.160833478437518, 3: 0.4488128899061981, 4: 0.0018541192933356656}",
+        34, 280,
+    ),
+    (2, "prac-po-naive", 4000.0): (
+        "{0: 0.9641923081558617, 1: 0.5710573841288876, 2: 1.160833478437518, 3: 0.4488128899061981, 4: 0.0002309908931840362}",
+        27, 60,
+    ),
+    (2, "prac-po-wc", 125.0): (
+        "{0: 0.9734847102057703, 1: 0.591108254087883, 2: 1.160833478437518, 3: 0.4611057315442431, 4: 0.001916055095621995}",
+        8, 242,
+    ),
+    (2, "prac-po-wc", 4000.0): (
+        "{0: 0.9734847102057703, 1: 0.591108254087883, 2: 1.160833478437518, 3: 0.4611057315442431, 4: 0.00023205221174764322}",
+        1, 32,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RUN_MIX_REFERENCE))
+def test_run_mix_matches_reference_values(key):
+    mix_id, variant, period = key
+    mix = make_mixes(3, seed=11)[mix_id]
+    res = run_mix(mix.cores, default_variants()[variant], period, mix.seed,
+                  target_reqs=400)
+    assert (repr(res.shared_rates), res.backoffs, res.rfm_count) == (
+        _RUN_MIX_REFERENCE[key]
+    )
+
+
+def test_run_mix_rejects_more_cores_than_banks():
+    cores = tuple(CoreSpec(kind="stream", row_base=i * 256) for i in range(8))
+    with pytest.raises(ConfigError):
+        run_mix(cores, MitigationConfig(), None, seed=1, target_reqs=10)
 
 
 def test_benign_rowlocal_traffic_sees_negligible_prac_cost():
@@ -96,6 +189,13 @@ def test_variants_must_include_baseline():
             make_mixes(1, seed=1),
             periods=(1000.0,),
             variants={"trr": MitigationConfig()},
+        )
+    # the baseline doubles as the alone run, so it must be unmitigated
+    with pytest.raises(ConfigError):
+        evaluate_mixes(
+            make_mixes(1, seed=1),
+            periods=(1000.0,),
+            variants={"none": default_variants()["prac-po-wc"]},
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from pudsim.cli import main
 from pudsim.errors import ConfigError, ShapeError
-from pudsim.harness import RESULT_COLUMNS
+from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.patterns import parse_trace
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
 
@@ -25,7 +25,7 @@ def _result_row(kind, row, hc, **over):
         "region": "Middle",
         "row": row,
         "hcfirst": hc,
-        "flips": 0 if hc in (None, "no-flip") else 1,
+        "flips": 0 if hc in (None, NO_FLIP) else 1,
         "seed": 0,
     }
     base.update(over)
@@ -54,7 +54,7 @@ def test_characterize_report_shapes(tmp_path):
     rows = [
         _result_row("rowhammer", 10, 500),
         _result_row("rowhammer", 11, 300),
-        _result_row("rowhammer", 12, "no-flip"),
+        _result_row("rowhammer", 12, NO_FLIP),
         _result_row("simra", 20, 40),
     ]
     paths = emit_report(rows, "characterize", tmp_path)
@@ -164,3 +164,38 @@ def test_cli_characterize_deterministic(tmp_path):
     assert main(["characterize", "--config", str(cfg), "--seed", "3"]) == 0
     second = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
     assert first and first == second
+
+
+def test_cli_characterize_survives_cells_without_flip(tmp_path):
+    # nanya_c_8gb has no SiMRA thresholds, so no SiMRA cell ever flips
+    cfg = _cfg_file(tmp_path, profile="nanya_c_8gb", **{"geometry.rows": 64})
+    assert main(["characterize", "--config", str(cfg), "--kinds", "simra"]) == 0
+    out = tmp_path / "out"
+    with open(out / "results.csv", newline="") as fh:
+        results = list(csv.DictReader(fh))
+    assert results and all(r["hcfirst"] == NO_FLIP for r in results)
+    with open(out / "hc_minima.csv", newline="") as fh:
+        assert [r for r in csv.DictReader(fh) if r["kind"] == "simra"] == []
+
+
+def test_cli_mitigation_eval_runs_only_the_requested_variant(tmp_path, monkeypatch):
+    from pudsim import perf
+
+    labels = []
+    real = perf.run_mix
+
+    def spy(conv_cores, mitigation, *a, **k):
+        labels.append(mitigation.label)
+        return real(conv_cores, mitigation, *a, **k)
+
+    monkeypatch.setattr(perf, "run_mix", spy)
+    cfg = _cfg_file(tmp_path, **{"perf.mixes": 1, "perf.target_reqs": 100,
+                                 "perf.periods": "1000"})
+    assert main(["mitigation-eval", "--config", str(cfg),
+                 "--variant", "prac-po-wc"]) == 0
+    with open(tmp_path / "out" / "perf.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["mitigation"] for r in rows] == ["prac-po-wc"]
+    assert set(labels) == {"none", "prac-po-wc"}
+    assert main(["mitigation-eval", "--config", str(cfg),
+                 "--variant", "prac-po-bogus"]) == 1
