@@ -67,15 +67,6 @@ class TimingParams:
     def refs_per_refw(self) -> int:
         return max(1, int(self.t_refw // self.t_refi))
 
-    def pud_op_ns(self, act_gap: float = 3.0, pre_act_gap: float = 7.5) -> float:
-        """Bank time of one PuD step: a group activation (two violated
-        `act_gap`s, then tRAS and tRP) followed by one copy cycle (tRAS,
-        a violated `pre_act_gap`, tRAS and tRP).  The default gaps are
-        the nominal ones of `PatternSpec`."""
-        group = 2 * act_gap + self.t_ras + self.t_rp
-        copy = 2 * self.t_ras + pre_act_gap + self.t_rp
-        return group + copy
-
 
 @dataclass(frozen=True)
 class Geometry:

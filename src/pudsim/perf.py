@@ -30,6 +30,7 @@ from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError, PudsimError
 from .mitigation import MitigationConfig, PracConfig, PracState
+from .patterns import PatternSpec
 from .rng import stable_hash
 
 T_HIT = 15.0
@@ -40,6 +41,13 @@ CORE_KINDS = ("stream", "random", "rowlocal")
 
 # the model runs at nominal interface timing
 _TIMING = TimingParams()
+# one PuD op at PatternSpec's nominal gaps: a group activation (two
+# violated ACT gaps, tRAS, tRP), then one copy cycle (tRAS, a violated
+# PRE->ACT gap, tRAS, tRP)
+_PUD_OP_NS = (
+    2 * PatternSpec.act_gap + _TIMING.t_ras + _TIMING.t_rp
+    + (2 * _TIMING.t_ras + PatternSpec.pre_act_gap + _TIMING.t_rp)
+)
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ def _with_pud(
     (`conv`, which has no PuD core); returns the combined run."""
     prac = _prac(mitigation, rows)
     pud_id = len(conv.shared_rates)
-    op_time = _TIMING.pud_op_ns() + RANK_TURNAROUND
+    op_time = _PUD_OP_NS + RANK_TURNAROUND
     ready = free = 0.0
     first = last = 0.0
     rfms = completed = 0
@@ -323,6 +331,11 @@ def evaluate_mixes(
         raise ConfigError("variants must include the unmitigated baseline 'none'")
     if variants["none"].prac is not None:
         raise ConfigError("the baseline variant 'none' must be unmitigated")
+    # the PuD core alone reads no seed, so its rate depends only on the period
+    pud_alone = {
+        period: run_mix((), MitigationConfig(), period, 0, target_reqs).shared_rates[0]
+        for period in periods
+    }
     out = []
     for mix in mixes:
         # conventional timelines do not depend on the PuD period
@@ -332,8 +345,7 @@ def evaluate_mixes(
         }
         alone = dict(conv["none"].shared_rates)
         for period in periods:
-            r = run_mix((), MitigationConfig(), period, mix.seed, target_reqs)
-            alone[len(mix.cores)] = r.shared_rates[0]
+            alone[len(mix.cores)] = pud_alone[period]
             ws_by_variant: dict[str, tuple[float, PerfResult]] = {}
             for name, mit in variants.items():
                 res = _with_pud(conv[name], mit, period, target_reqs)
