@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import RunConfig, dumps_config, load_config
 from .dram import SimraGroupMap, SubarrayLayout
 from .disturbance import sample_thresholds
-from .errors import AddressError, ConfigError, PudsimError
+from .errors import ConfigError, PudsimError
 from .harness import (
     NO_FLIP,
     BisectionConfig,
@@ -162,7 +162,7 @@ def cmd_attack(args) -> int:
     _write_manifest(cfg)
     profile, layout, groups = _chip(cfg)
     if not 0 <= args.victim < layout.rows:
-        raise AddressError(f"victim {args.victim} outside bank of {layout.rows} rows")
+        raise ConfigError(f"victim {args.victim} outside bank of {layout.rows} rows")
     exp = Experiment(
         profile, layout, groups, timing=cfg.timing(), seed=cfg.seed,
         temp_c=cfg.temp_c, dp_aggr=cfg.dp_aggr,

@@ -183,8 +183,3 @@ def dumps_config(cfg: RunConfig) -> str:
         else:
             values[key] = repr(v) if isinstance(v, float) else str(v)
     return keyval.dumps(values)
-
-
-def write_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(cfg))

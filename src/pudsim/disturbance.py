@@ -18,7 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dram import KIND_COMRA, KIND_RH, KIND_SIMRA, SubarrayLayout
+from .dram import (
+    KIND_COMRA,
+    KIND_RH,
+    KIND_SIMRA,
+    CopyEffect,
+    GroupOverwrite,
+    HammerEffect,
+    RefreshEffect,
+    SubarrayLayout,
+)
 from .errors import CalibrationError, ConfigError
 from .rng import stable_hash, substream
 
@@ -257,12 +266,27 @@ def _sample_hc(lo: float, mean: float, n: int, rng: np.random.Generator) -> np.n
 @dataclass
 class ThresholdSet:
     """Per-row, per-kind flip thresholds in effective units, plus each
-    row's deterministic weakest bit position."""
+    row's deterministic weakest bit position.
+
+    The arrays must not change once the set is in use: `theta_list`
+    keeps a copy of each.
+    """
 
     theta: dict[str, np.ndarray]
     weak_bit: np.ndarray
     seed: int
     row_bits: int = 64
+    _theta_lists: dict[str, list[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def theta_list(self, kind: str) -> Optional[list[float]]:
+        """`theta[kind]` as a Python list, for fast reads of single rows;
+        built on first use, None when the kind has no thresholds."""
+        rows = self._theta_lists.get(kind)
+        if rows is None and kind in self.theta:
+            rows = self._theta_lists[kind] = self.theta[kind].tolist()
+        return rows
 
     def hc(self, kind: str, profile: ChipProfile) -> np.ndarray:
         """Thresholds converted back to calibration hammer counts."""
@@ -325,21 +349,11 @@ class DisturbanceState:
     flips: list[Bitflip] = field(default_factory=list)
     skipped_victims: int = 0
 
-    def restore(self, row: int) -> None:
-        self.damage.pop(row, None)
-        self.flipped.pop(row, None)
-
     def reset(self) -> None:
         self.damage.clear()
         self.flipped.clear()
         self.flips.clear()
         self.skipped_victims = 0
-
-
-def _victims_of(aggressor: int, max_d: int, rows: int):
-    for d in range(1, max_d + 1):
-        for v in (aggressor - d, aggressor + d):
-            yield v, d
 
 
 def accumulate(
@@ -352,61 +366,64 @@ def accumulate(
 ) -> list[Bitflip]:
     """Fold a batch of analog effects into the damage state; returns the
     bitflips they caused (also appended to state.flips)."""
-    from .dram import CopyEffect, GroupOverwrite, HammerEffect, RefreshEffect
-
     out: list[Bitflip] = []
     esc = profile.bit_escalation
-    max_d = profile.max_distance
+    # small slack so that exactly reaching the threshold flips despite
+    # accumulated floating-point rounding; bit nf flips at esc**nf * slack
+    slack = 1.0 - 1e-9
+    dists = range(1, profile.max_distance + 1)
+    # (row offset, distance) of each neighbour, nearest first, below first
+    around = [(side * d, d) for d in dists for side in (-1, 1)]
+    rows = state.rows
     damage = state.damage
+    flipped = state.flipped
     for eff in effects:
-        if isinstance(eff, RefreshEffect):
+        if isinstance(eff, (RefreshEffect, GroupOverwrite)):
             for r in eff.rows:
-                state.restore(r)
+                damage.pop(r, None)
+                flipped.pop(r, None)
             continue
         if isinstance(eff, CopyEffect):
-            state.restore(eff.dst)
-            continue
-        if isinstance(eff, GroupOverwrite):
-            for r in eff.rows:
-                state.restore(r)
+            damage.pop(eff.dst, None)
+            flipped.pop(eff.dst, None)
             continue
         if not isinstance(eff, HammerEffect):
             raise ConfigError(f"unknown effect {type(eff).__name__}")
         kind = EFFECT_KIND[eff.kind]
-        theta = thresholds.theta.get(kind)
+        theta = thresholds.theta_list(kind)
         for a in eff.aggressors:
-            state.restore(a)
+            damage.pop(a, None)
+            flipped.pop(a, None)
         if theta is None:
             continue  # kind not expressible on this module
         agg = set(eff.aggressors)
-        hits: dict[int, int] = {}
         if kind == SIMRA:
             # one deposit per op; distance to the nearest group member
+            hits: dict[int, int] = {}
             for a in agg:
-                for v, d in _victims_of(a, max_d, state.rows):
-                    if v in agg:
-                        continue
-                    if v not in hits or d < hits[v]:
+                for offset, d in around:
+                    v = a + offset
+                    if v not in agg and hits.get(v, d + 1) > d:
                         hits[v] = d
             pairs = hits.items()
+            n_factor = profile.simra_n_factor(len(agg))
         else:
-            pairs = []
-            for a in agg:
-                for v, d in _victims_of(a, max_d, state.rows):
-                    if v not in agg:
-                        pairs.append((v, d))
-        n_factor = profile.simra_n_factor(len(agg)) if kind == SIMRA else 1.0
+            pairs = [(a + o, d) for a in agg for o, d in around if a + o not in agg]
+            n_factor = 1.0
+        # units deposited at each distance, before the victim's threshold
+        per_dist = [0.0]
+        for d in dists:
+            per_dist.append(contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor)
         for v, d in pairs:
-            if not 0 <= v < state.rows:
+            if not 0 <= v < rows:
                 state.skipped_victims += 1
                 continue
-            c = contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor
-            f = damage.get(v, 0.0) + c / theta[v]
+            f = damage.get(v, 0.0) + per_dist[d] / theta[v]
             damage[v] = f
-            nf = state.flipped.get(v, 0)
-            # small slack so that exactly reaching the threshold flips
-            # despite accumulated floating-point rounding
-            while f >= esc**nf * (1.0 - 1e-9):
+            if f < slack:
+                continue  # below even the first bit's threshold
+            nf = flipped.get(v, 0)
+            while f >= esc**nf * slack:
                 flip = Bitflip(
                     row=v,
                     bit=int((thresholds.weak_bit[v] + nf) % thresholds.row_bits),
@@ -417,6 +434,6 @@ def accumulate(
                 out.append(flip)
                 nf += 1
             if nf:
-                state.flipped[v] = nf
+                flipped[v] = nf
     state.flips.extend(out)
     return out

@@ -94,25 +94,6 @@ class Geometry:
             raise AddressError(f"bank {bank} outside [0, {self.banks})")
 
 
-@dataclass(frozen=True)
-class DramAddress:
-    channel: int = 0
-    rank: int = 0
-    chip: int = 0
-    bank: int = 0
-    row: int = 0
-    column: int = 0
-
-    def validate(self, geom: Geometry) -> "DramAddress":
-        limits = (geom.channels, geom.ranks, geom.chips, geom.banks, geom.rows, geom.cols)
-        fields_ = (self.channel, self.rank, self.chip, self.bank, self.row, self.column)
-        names = ("channel", "rank", "chip", "bank", "row", "column")
-        for name, value, limit in zip(names, fields_, limits):
-            if not 0 <= value < limit:
-                raise AddressError(f"{name}={value} outside [0, {limit})")
-        return self
-
-
 class RowMapping:
     """Logical (bus) row address <-> physical (array) row translation.
 
@@ -377,8 +358,10 @@ def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
 
 
 @dataclass
-class _OpenRow:
-    row: int
+class _Activation:
+    """The rows one ACT opened: a whole group for a group op."""
+
+    rows: tuple[int, ...]
     opened: float
     mode: str  # 'nominal' | 'copy' | 'simra'
     src: Optional[int] = None  # copy source for 'copy'
@@ -412,7 +395,7 @@ class Bank:
         self.analog = analog or AnalogConfig()
         self.rng = rng or np.random.default_rng(0)
         self.data: dict[int, bytes] = {}
-        self.open: list[_OpenRow] = []
+        self.open: Optional[_Activation] = None
         self.last_pre: Optional[float] = None
         self.last_time: float = float("-inf")
         # last row closed nominally, waiting for context to resolve
@@ -445,8 +428,7 @@ class Bank:
         """Apply one command; returns the analog effects it produced."""
         if cmd.time <= self.last_time:
             raise ProtocolError(f"command at {cmd.time} not after {self.last_time}")
-        handler = getattr(self, f"_cmd_{cmd.kind.lower()}")
-        effects = handler(cmd)
+        effects = self._HANDLERS[cmd.kind](self, cmd)
         self.last_time = cmd.time
         return effects
 
@@ -459,7 +441,7 @@ class Bank:
 
     def _cmd_act(self, cmd: CommandEvent) -> list:
         self.geometry.check_row(cmd.row)
-        if self.open:
+        if self.open is not None:
             raise ProtocolError("ACT while a row is open (PRE first)")
         gap = float("inf") if self.last_pre is None else cmd.time - self.last_pre
         prev = self._pending
@@ -477,7 +459,7 @@ class Bank:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
         out = self._flush_pending()
-        self.open.append(_OpenRow(cmd.row, cmd.time, "nominal"))
+        self.open = _Activation((cmd.row,), cmd.time, "nominal")
         return out
 
     def _act_simra(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
@@ -489,18 +471,19 @@ class Bank:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
             out = self._flush_pending()
-            self.open.append(_OpenRow(cmd.row, cmd.time, "nominal"))
+            self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         # the pending half-activation is part of this op, not its own hammer
         self._pending = None
         rows = sorted(grp)
         if gap1 <= self.analog.partial_gap_max:
-            keep = [r for r in rows if self.rng.random() < self.analog.p_act]
+            p_act = self.analog.p_act
+            draws = self.rng.random(len(rows)).tolist()
+            keep = [r for r, x in zip(rows, draws) if x < p_act]
             if cmd.row not in keep:
                 keep.append(cmd.row)  # the directly addressed row always opens
             rows = sorted(keep)
-        for r in rows:
-            self.open.append(_OpenRow(r, cmd.time, "simra"))
+        self.open = _Activation(tuple(rows), cmd.time, "simra")
         return []
 
     def _act_copy(self, cmd: CommandEvent, prev: tuple[int, float, float], gap: float) -> list:
@@ -512,65 +495,71 @@ class Bank:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
             out = self._flush_pending()
-            self.open.append(_OpenRow(cmd.row, cmd.time, "nominal"))
+            self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         if not self.layout.same_subarray(src, cmd.row):
             # sense amplifiers are per subarray; the destination just
             # activates normally and keeps its own data
             out = self._flush_pending()
-            self.open.append(_OpenRow(cmd.row, cmd.time, "nominal"))
+            self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         self._pending = None
         self.data[cmd.row] = self.row_data(src)
-        self.open.append(_OpenRow(cmd.row, cmd.time, "copy", src=src))
+        self.open = _Activation((cmd.row,), cmd.time, "copy", src=src)
         return [CopyEffect(src, cmd.row, cmd.time)]
 
     def _cmd_pre(self, cmd: CommandEvent) -> list:
-        if not self.open:
+        act = self.open
+        if act is None:
             self.last_pre = cmd.time
             return []
         effects: list = []
-        first = self.open[0]
-        t_on = cmd.time - first.opened
-        if first.mode == "simra":
-            rows = tuple(o.row for o in self.open)
-            if not first.written:
-                maj = majority_overwrite([self.row_data(r) for r in rows], self.analog.tie_bias)
+        t_on = cmd.time - act.opened
+        if act.mode == "simra":
+            rows = act.rows
+            if not act.written:
+                data = self.data
+                contents = [data.get(r, self._fill) for r in rows]
+                maj = contents[0]
+                # the majority of identical rows is that row, at any tie bias
+                if contents.count(maj) != len(contents):
+                    maj = majority_overwrite(contents, self.analog.tie_bias)
                 for r in rows:
-                    self.data[r] = maj
+                    data[r] = maj
             effects.append(GroupOverwrite(rows, cmd.time))
             effects.append(HammerEffect(KIND_SIMRA, rows, t_on, cmd.time))
-        elif first.mode == "copy":
-            effects.append(HammerEffect(KIND_COMRA, (first.src, first.row), t_on, cmd.time))
+        elif act.mode == "copy":
+            effects.append(HammerEffect(KIND_COMRA, (act.src, act.rows[0]), t_on, cmd.time))
         else:
             effects.extend(self._flush_pending())
-            self._pending = (first.row, t_on, cmd.time)
-        self.open = []
+            self._pending = (act.rows[0], t_on, cmd.time)
+        self.open = None
         self.last_pre = cmd.time
         return effects
 
     def _cmd_rd(self, cmd: CommandEvent) -> list:
-        if not any(o.row == cmd.row for o in self.open):
+        if self.open is None or cmd.row not in self.open.rows:
             raise ProtocolError(f"RD from closed row {cmd.row}")
         return []
 
     def _cmd_wr(self, cmd: CommandEvent) -> list:
-        if not self.open:
+        act = self.open
+        if act is None:
             raise ProtocolError("WR with no open row")
         payload = self._pad(cmd.payload or b"")
-        if self.open[0].mode == "simra":
+        if act.mode == "simra":
             # the write drives every open row in the group
-            for o in self.open:
-                self.data[o.row] = payload
-                o.written = True
+            for r in act.rows:
+                self.data[r] = payload
+            act.written = True
             return []
-        if not any(o.row == cmd.row for o in self.open):
+        if cmd.row not in act.rows:
             raise ProtocolError(f"WR to closed row {cmd.row}")
         self.data[cmd.row] = payload
         return []
 
     def _cmd_ref(self, cmd: CommandEvent) -> list:
-        if self.open:
+        if self.open is not None:
             raise ProtocolError("REF requires all rows precharged")
         effects = self._flush_pending()
         per_ref = -(-self.geometry.rows // self.timing.refs_per_refw)  # ceil
@@ -583,7 +572,7 @@ class Bank:
         return effects
 
     def _cmd_rfm(self, cmd: CommandEvent) -> list:
-        if self.open:
+        if self.open is not None:
             raise ProtocolError("RFM requires all rows precharged")
         return self._flush_pending()
 
@@ -593,21 +582,18 @@ class Bank:
 
     def refresh_rows(self, rows: Iterable[int], time: float) -> RefreshEffect:
         """Targeted (mitigation-issued) refresh of specific rows."""
-        if self.open:
+        if self.open is not None:
             raise ProtocolError("targeted refresh requires all rows precharged")
         rows = tuple(sorted(set(rows)))
         for r in rows:
             self.geometry.check_row(r)
         return RefreshEffect(rows, time)
 
-
-def map_row(mapping: RowMapping, logical: int) -> int:
-    return mapping.to_physical(logical)
-
-
-def apply_command(bank: Bank, cmd: CommandEvent) -> list:
-    return bank.apply(cmd)
-
-
-def refresh(bank: Bank, rows: Iterable[int], time: float) -> RefreshEffect:
-    return bank.refresh_rows(rows, time)
+    _HANDLERS = {
+        "ACT": _cmd_act,
+        "PRE": _cmd_pre,
+        "RD": _cmd_rd,
+        "WR": _cmd_wr,
+        "REF": _cmd_ref,
+        "RFM": _cmd_rfm,
+    }

@@ -148,15 +148,18 @@ class Experiment:
         state = DisturbanceState(rows=self.geometry.rows)
         one = _generate(replace(spec, hammers=1), self.timing)
         dt = one.end_time
+        hammer = [(e.time, e.kind, e.bank, e.row, e.payload) for e in one.events]
+        flipped = state.flipped
         for i in range(n):
-            for e in one.events:
-                effects = bank.apply(replace(e, time=e.time + i * dt))
+            shift = i * dt
+            for time, kind, bank_id, row, payload in hammer:
+                effects = bank.apply(CommandEvent(time + shift, kind, bank_id, row, payload))
                 if effects:
                     accumulate(
                         state, effects, self.thresholds, self.profile,
                         temp_c=self.temp_c, dp=self.dp_aggr,
                     )
-            if state.flipped.get(victim):
+            if flipped.get(victim):
                 return True
         return False
 
@@ -359,18 +362,6 @@ class ExperimentResult:
             "p50": vals[len(vals) // 2],
             "max": vals[-1],
         }
-
-    def wcdp_per_row(self) -> dict[int, int]:
-        """Per victim row, the aggressor pattern giving the lowest
-        first-flip count across the sweep."""
-        best: dict[int, tuple[int, int]] = {}
-        for r in self.rows:
-            if r["hcfirst"] == NO_FLIP or r["dp_aggr"] == "":
-                continue
-            row, hc = r["row"], r["hcfirst"]
-            if row not in best or hc < best[row][0]:
-                best[row] = (hc, r["dp_aggr"])
-        return {row: dp for row, (_, dp) in best.items()}
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -44,10 +44,6 @@ def load(path: str | Path) -> dict[str, str]:
     return loads(text, source=str(p))
 
 
-def dump(values: dict[str, str], path: str | Path) -> None:
-    Path(path).write_text(dumps(values))
-
-
 def parse_float(values: dict[str, str], key: str, default: float) -> float:
     if key not in values:
         return default
@@ -64,14 +60,3 @@ def parse_int(values: dict[str, str], key: str, default: int) -> int:
         return int(values[key], 0)
     except ValueError as e:
         raise ConfigError(f"{key}: not an integer: {values[key]!r}") from e
-
-
-def parse_bool(values: dict[str, str], key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    v = values[key].lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {values[key]!r}")

@@ -23,7 +23,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dram import KIND_COMRA, KIND_RH, KIND_SIMRA
 from .disturbance import COMRA, RH, SIMRA
 from .errors import ConfigError
 
@@ -146,16 +145,10 @@ class PracState:
         self.rows = rows
         self.t_rc = t_rc
         self.counters: dict[int, int] = {}
+        self._at_rdt = 0  # counters at or above the back-off threshold
         self.backoff_pending = False
         self.backoffs = 0
         self.rfms = 0
-
-    def _bump(self, row: int, w: int) -> None:
-        c = self.counters.get(row, 0) + w
-        self.counters[row] = c
-        if c >= self.config.rdt and not self.backoff_pending:
-            self.backoff_pending = True
-            self.backoffs += 1
 
     def on_op(self, kind: str, opened: Iterable[int]) -> PracUpdate:
         """Count one completed operation.
@@ -168,15 +161,28 @@ class PracState:
         """
         cfg = self.config
         w = cfg.weights.get(kind, 1) if cfg.weighted else 1
-        rows = sorted(set(opened))
+        rows = set(opened)
         if not rows:
             raise ConfigError("an operation must open at least one row")
+        if min(rows) < 0 or max(rows) >= self.rows:
+            bad = min(r for r in rows if not 0 <= r < self.rows)
+            raise ConfigError(f"row {bad} outside [0, {self.rows})")
+        counters = self.counters
+        rdt = cfg.rdt
         for r in rows:
-            if not 0 <= r < self.rows:
-                raise ConfigError(f"row {r} outside [0, {self.rows})")
-            self._bump(r, w)
+            old = counters.get(r, 0)
+            counters[r] = old + w
+            if old < rdt <= old + w:
+                self._at_rdt += 1
+        if self._at_rdt and not self.backoff_pending:
+            self.backoff_pending = True
+            self.backoffs += 1
         latency = self.t_rc * len(rows) if cfg.mode == "ao" else self.t_rc
         return PracUpdate(latency=latency, backoff=self.backoff_pending)
+
+    def _clear(self, row: int) -> None:
+        if self.counters.pop(row, 0) >= self.config.rdt:
+            self._at_rdt -= 1
 
     def rfm(self) -> tuple[int, ...]:
         """Service one RFM: refresh neighbors of the hottest row and clear
@@ -186,9 +192,9 @@ class PracState:
             self.backoff_pending = False
             return ()
         # highest count; ties broken toward the higher row address
-        target = max(self.counters, key=lambda r: (self.counters[r], r))
-        self.counters.pop(target, None)
-        self.backoff_pending = any(c >= self.config.rdt for c in self.counters.values())
+        _, target = max(zip(self.counters.values(), self.counters.keys()))
+        self._clear(target)
+        self.backoff_pending = self._at_rdt > 0
         return tuple(
             v
             for d in range(1, self.config.reach + 1)
@@ -199,33 +205,8 @@ class PracState:
     def on_refresh(self, rows: Iterable[int]) -> None:
         """Periodic refresh clears the refreshed rows' counters."""
         for r in rows:
-            self.counters.pop(r, None)
-        if self.backoff_pending:
-            self.backoff_pending = any(
-                c >= self.config.rdt for c in self.counters.values()
-            )
-
-
-EFFECT_TO_PRAC_KIND = {KIND_RH: RH, KIND_COMRA: COMRA, KIND_SIMRA: SIMRA}
-
-
-def trr_observe(state: TrrState, row: int) -> TrrState:
-    state.observe_act(row)
-    return state
-
-
-def trr_on_ref(state: TrrState) -> tuple[TrrState, tuple[int, ...]]:
-    return state, state.on_ref()
-
-
-def prac_update(
-    state: PracState, opened: Iterable[int], kind: str
-) -> tuple[PracState, PracUpdate]:
-    return state, state.on_op(kind, opened)
-
-
-def rfm_handle(state: PracState) -> tuple[PracState, tuple[int, ...]]:
-    return state, state.rfm()
+            self._clear(r)
+        self.backoff_pending = self._at_rdt > 0
 
 
 def secure_rdt(

@@ -8,7 +8,7 @@ one complete copy cycle, or one complete multi-activation op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .dram import SIMRA_SIZES, CommandEvent, SimraGroupMap, TimingParams
@@ -141,48 +141,6 @@ def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
         events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE", spec.bank))
         t += 2 * spec.act_gap + t_on + timing.t_rp
     return CommandStream(events, spec.hammers, "simra", t)
-
-
-def gen_combined(
-    spec: PatternSpec,
-    timing: TimingParams,
-    prefix: dict[str, int],
-    rh_budget: int,
-    comra_rows: tuple[int, int],
-    simra_rows: tuple[int, int],
-) -> CommandStream:
-    """Copy-cycle and group-op prefixes followed by activation hammering.
-
-    prefix gives the number of copy cycles / group ops to spend before
-    the rowhammer phase (computed by the caller from first-flip counts).
-    """
-    events: list[CommandEvent] = []
-    t = 0.0
-    n_comra = prefix.get("comra", 0)
-    n_simra = prefix.get("simra", 0)
-    # most effective phase first, the way an attacker would order them
-    if n_simra:
-        s = gen_simra(
-            replace(spec, kind="simra", aggressors=simra_rows, hammers=n_simra), timing
-        )
-        events.extend(s.events)
-        t = s.end_time
-    if n_comra:
-        s = gen_comra(
-            replace(spec, kind="comra", aggressors=comra_rows, hammers=n_comra), timing
-        )
-        events.extend(_shift(s.events, t))
-        t += s.end_time
-    rh = gen_rowhammer(
-        replace(spec, kind="rowhammer", hammers=rh_budget, t_aggon=None), timing
-    )
-    events.extend(_shift(rh.events, t))
-    t += rh.end_time
-    return CommandStream(events, n_comra + n_simra + rh_budget, "combined", t)
-
-
-def _shift(events: list[CommandEvent], dt: float) -> list[CommandEvent]:
-    return [replace(e, time=e.time + dt) for e in events]
 
 
 def iter_nsided(spec: PatternSpec, timing: TimingParams) -> Iterator[CommandEvent]:

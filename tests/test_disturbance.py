@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from pudsim import SubarrayLayout, sample_thresholds
 from pudsim.disturbance import (
     COMRA,
+    EFFECT_KIND,
     REGIONS,
     RH,
     SIMRA,
+    Bitflip,
     ChipProfile,
     DisturbanceState,
     accumulate,
@@ -20,7 +22,15 @@ from pudsim.disturbance import (
     contribution,
     flip_direction,
 )
-from pudsim.dram import KIND_COMRA, KIND_RH, KIND_SIMRA, HammerEffect, RefreshEffect
+from pudsim.dram import (
+    KIND_COMRA,
+    KIND_RH,
+    KIND_SIMRA,
+    CopyEffect,
+    GroupOverwrite,
+    HammerEffect,
+    RefreshEffect,
+)
 from pudsim.errors import ConfigError
 
 
@@ -256,3 +266,136 @@ def test_flip_iff_budget_reaches_threshold(theta, hammers):
         accumulate(state, [hammer(3, time=i + 1), hammer(5, time=i + 1.5)], ts, prof)
     expected = 2 * hammers >= 2 * theta
     assert bool(any(f.row == 4 for f in state.flips)) == expected
+
+
+# -- fast accrual against the straightforward loop -------------------------------
+
+
+def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=None):
+    """The per-victim accrual loop `accumulate` is pinned to: victims
+    enumerated one by one, the contribution recomputed per victim and the
+    thresholds indexed in the numpy arrays."""
+    def restore(row):
+        state.damage.pop(row, None)
+        state.flipped.pop(row, None)
+
+    def victims_of(aggressor):
+        for d in range(1, profile.max_distance + 1):
+            for v in (aggressor - d, aggressor + d):
+                yield v, d
+
+    out = []
+    esc = profile.bit_escalation
+    for eff in effects:
+        if isinstance(eff, RefreshEffect):
+            for r in eff.rows:
+                restore(r)
+            continue
+        if isinstance(eff, CopyEffect):
+            restore(eff.dst)
+            continue
+        if isinstance(eff, GroupOverwrite):
+            for r in eff.rows:
+                restore(r)
+            continue
+        kind = EFFECT_KIND[eff.kind]
+        theta = thresholds.theta.get(kind)
+        for a in eff.aggressors:
+            restore(a)
+        if theta is None:
+            continue
+        agg = set(eff.aggressors)
+        hits = {}
+        if kind == SIMRA:
+            for a in agg:
+                for v, d in victims_of(a):
+                    if v in agg:
+                        continue
+                    if v not in hits or d < hits[v]:
+                        hits[v] = d
+            pairs = hits.items()
+        else:
+            pairs = []
+            for a in agg:
+                for v, d in victims_of(a):
+                    if v not in agg:
+                        pairs.append((v, d))
+        n_factor = profile.simra_n_factor(len(agg)) if kind == SIMRA else 1.0
+        for v, d in pairs:
+            if not 0 <= v < state.rows:
+                state.skipped_victims += 1
+                continue
+            c = contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor
+            f = state.damage.get(v, 0.0) + c / theta[v]
+            state.damage[v] = f
+            nf = state.flipped.get(v, 0)
+            while f >= esc**nf * (1.0 - 1e-9):
+                out.append(Bitflip(
+                    row=v,
+                    bit=int((thresholds.weak_bit[v] + nf) % thresholds.row_bits),
+                    direction=profile.flip_direction.get(kind, "1to0"),
+                    kind=kind,
+                    time=eff.time,
+                ))
+                nf += 1
+            if nf:
+                state.flipped[v] = nf
+    state.flips.extend(out)
+    return out
+
+
+REF_ROWS = 48
+_row = st.integers(min_value=0, max_value=REF_ROWS - 1)
+_time = st.floats(min_value=0.0, max_value=1e6)
+
+
+@st.composite
+def _simra_op(draw):
+    """A group op over an aligned group, or a partial one: any non-empty
+    subset of the group's rows, as the partial window opens them."""
+    n = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    base = draw(st.integers(min_value=0, max_value=REF_ROWS // n - 1)) * n
+    rows = draw(st.lists(st.sampled_from(range(base, base + n)), min_size=1, max_size=n))
+    return HammerEffect(KIND_SIMRA, tuple(rows), draw(st.sampled_from([1.0, 36.0, 500.0])),
+                        draw(_time))
+
+
+_effect = st.one_of(
+    st.builds(HammerEffect, st.just(KIND_RH), st.lists(_row, min_size=1, max_size=3).map(tuple),
+              st.sampled_from([36.0, 144.0, 7800.0]), _time),
+    st.builds(HammerEffect, st.just(KIND_COMRA), st.tuples(_row, _row),
+              st.sampled_from([36.0, 100.0]), _time),
+    _simra_op(),
+    st.builds(RefreshEffect, st.lists(_row, max_size=6).map(tuple), _time),
+    st.builds(GroupOverwrite, st.lists(_row, max_size=6).map(tuple), _time),
+    st.builds(CopyEffect, _row, _row, _time),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_effect, max_size=4), min_size=1, max_size=40),
+    st.sampled_from([RH, COMRA, SIMRA]),
+    st.sampled_from([None, 0x00, 0x55, 0xFF]),
+    st.sampled_from([50.0, 80.0, 95.0]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_accumulate_matches_reference_loop(batches, missing, dp, temp_c, seed):
+    """Damage, flip counts, bitflips and skipped victims equal the
+    reference loop's, in the same order, on mixed effect streams (one
+    kind left inexpressible on the module)."""
+    prof = ChipProfile(
+        name="ref",
+        thresholds={k: v for k, v in {RH: (4.0, 9.0), COMRA: (2.0, 5.0),
+                                      SIMRA: (0.5, 2.0)}.items() if k != missing},
+        max_distance=3,
+    )
+    ts = sample_thresholds(prof, SubarrayLayout.uniform(REF_ROWS, 16), seed)
+    fast, slow = DisturbanceState(rows=REF_ROWS), DisturbanceState(rows=REF_ROWS)
+    for effects in batches:
+        got = accumulate(fast, effects, ts, prof, temp_c=temp_c, dp=dp)
+        assert got == reference_accumulate(slow, effects, ts, prof, temp_c=temp_c, dp=dp)
+        assert list(fast.damage.items()) == list(slow.damage.items())
+        assert list(fast.flipped.items()) == list(slow.flipped.items())
+    assert fast.flips == slow.flips
+    assert fast.skipped_victims == slow.skipped_victims

@@ -29,6 +29,7 @@ from pudsim.errors import (
     ShapeError,
     UndefinedTimingError,
 )
+from pudsim.rng import substream
 
 TIMING = TimingParams()
 
@@ -107,6 +108,13 @@ def test_majority_tie_forced_by_bias():
     rows = [b"\xff", b"\xff", b"\x00", b"\x00"]
     assert majority_overwrite(rows, 0) == b"\x00"
     assert majority_overwrite(rows, 1) == b"\xff"
+
+
+@given(st.binary(min_size=8, max_size=8), st.integers(min_value=1, max_value=32),
+       st.sampled_from([0, 1]))
+def test_majority_of_identical_rows_is_that_row(row, n, bias):
+    # a group op skips the bit count when every member holds the same bytes
+    assert majority_overwrite([row] * n, bias) == row
 
 
 def test_majority_rejects_mixed_widths():
@@ -351,3 +359,18 @@ def test_refresh_rows_targets_exactly_requested(row):
     b = make_bank(rows=64)
     eff = b.refresh_rows([row - 1, row + 1], time=1.0)
     assert set(eff.rows) == {row - 1, row + 1}
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_partial_group_opens_rows_of_scalar_draws(seed):
+    """Inside the partial window each group row opens with probability
+    p_act: the bank's one vector draw picks the rows one scalar draw per
+    row, in row order, would pick."""
+    b = make_bank(groups_n=32)
+    b.rng = substream(seed, "probe.0.32")
+    reference = substream(seed, "probe.0.32")
+    s = Seq(b)
+    group_op(s, 0, 31, gap=1.0)
+    (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
+    keep = [r for r in range(32) if reference.random() < b.analog.p_act]
+    assert op.aggressors == tuple(sorted(set(keep) | {31}))

@@ -12,7 +12,7 @@ from pudsim import (
     SubarrayLayout,
     find_hcfirst,
 )
-from pudsim.disturbance import RH, ChipProfile
+from pudsim.disturbance import RH, SIMRA, ChipProfile
 from pudsim.errors import ConfigError
 from pudsim.harness import (
     ExperimentResult,
@@ -170,3 +170,29 @@ def test_combined_pattern_beats_rowhammer_alone(worstcase, layout, groups):
     rh_only = find_hcfirst(rh_spec, 64, exp, BisectionConfig())
     assert out is not None and rh_only is not None
     assert out["total"] < rh_only
+
+
+# -- stochastic search golden values ---------------------------------------------
+
+# HC_first found by the op-by-op search at a 1.0 ns gap (inside the
+# partial-activation window), per (seed, victim); any change to the
+# replay path's draws or arithmetic moves them
+STOCHASTIC_HCFIRST = {
+    (1, 32): 134, (1, 64): 143, (1, 96): 145,
+    (2, 32): 123, (2, 64): 142, (2, 96): 132,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stochastic_hcfirst_golden_values(seed):
+    prof = ChipProfile(name="g", thresholds={RH: (6700.0, 14800.0), SIMRA: (100.0, 120.0)})
+    layout = SubarrayLayout.uniform(128, 128)
+    exp = Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
+    assert exp.is_stochastic(PatternSpec(kind="simra", aggressors=(31, 31), act_gap=1.0))
+    found = {}
+    for r2 in (31, 63, 95):
+        spec = PatternSpec(kind="simra", aggressors=(r2, r2), n=32, act_gap=1.0)
+        found[(seed, r2 + 1)] = find_hcfirst(
+            spec, r2 + 1, exp, BisectionConfig(repeats=2, cap=2048)
+        )
+    assert found == {k: v for k, v in STOCHASTIC_HCFIRST.items() if k[0] == seed}

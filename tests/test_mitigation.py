@@ -148,8 +148,91 @@ def test_empty_op_rejected():
 
 
 def test_out_of_range_row_rejected():
+    st_ = make_prac()
     with pytest.raises(ConfigError):
-        make_prac().on_op(RH, (999,))
+        st_.on_op(RH, (999,))
+    # every row is checked before any is counted
+    with pytest.raises(ConfigError, match="row 300 outside"):
+        st_.on_op(SIMRA, (999, 5, 300))
+    assert st_.counters == {}
+
+
+class ReferencePrac:
+    """The scan-based counters `PracState` is pinned to: rows sorted on
+    every op, the RFM target and the back-off state found by scanning
+    every counter."""
+
+    def __init__(self, config, rows, t_rc=T_RC):
+        self.config, self.rows, self.t_rc = config, rows, t_rc
+        self.counters = {}
+        self.backoff_pending = False
+        self.backoffs = self.rfms = 0
+
+    def on_op(self, kind, opened):
+        cfg = self.config
+        w = cfg.weights.get(kind, 1) if cfg.weighted else 1
+        rows = sorted(set(opened))
+        for r in rows:
+            c = self.counters.get(r, 0) + w
+            self.counters[r] = c
+            if c >= cfg.rdt and not self.backoff_pending:
+                self.backoff_pending = True
+                self.backoffs += 1
+        latency = self.t_rc * len(rows) if cfg.mode == "ao" else self.t_rc
+        return latency, self.backoff_pending
+
+    def rfm(self):
+        self.rfms += 1
+        if not self.counters:
+            self.backoff_pending = False
+            return ()
+        target = max(self.counters, key=lambda r: (self.counters[r], r))
+        self.counters.pop(target)
+        self.backoff_pending = any(c >= self.config.rdt for c in self.counters.values())
+        return tuple(
+            v
+            for d in range(1, self.config.reach + 1)
+            for v in (target - d, target + d)
+            if 0 <= v < self.rows
+        )
+
+    def on_refresh(self, rows):
+        for r in rows:
+            self.counters.pop(r, None)
+        if self.backoff_pending:
+            self.backoff_pending = any(
+                c >= self.config.rdt for c in self.counters.values()
+            )
+
+
+_prac_step = st.one_of(
+    st.tuples(st.just("op"), st.sampled_from([RH, COMRA, SIMRA]),
+              st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40)),
+    st.tuples(st.just("rfm")),
+    st.tuples(st.just("ref"), st.integers(min_value=0, max_value=63),
+              st.integers(min_value=1, max_value=16)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_prac_step, max_size=80), st.sampled_from(["ao", "po"]),
+       st.integers(min_value=1, max_value=600), st.booleans())
+def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
+    cfg = PracConfig(mode=mode, rdt=rdt, weighted=weighted)
+    fast, slow = PracState(cfg, rows=64), ReferencePrac(cfg, rows=64)
+    for step in steps:
+        if step[0] == "op":
+            upd = fast.on_op(step[1], step[2])
+            assert (upd.latency, upd.backoff) == slow.on_op(step[1], step[2])
+        elif step[0] == "rfm":
+            assert fast.rfm() == slow.rfm()
+        else:
+            rows = range(step[1], min(64, step[1] + step[2]))
+            fast.on_refresh(rows)
+            slow.on_refresh(rows)
+        assert fast.counters == slow.counters
+        assert fast.backoff_pending == slow.backoff_pending
+    assert (fast.backoffs, fast.rfms) == (slow.backoffs, slow.rfms)
 
 
 # -- secure back-off threshold -----------------------------------------------------

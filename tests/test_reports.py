@@ -139,9 +139,21 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("search.tolerance = 0\n")
     assert main(["attack", "--config", str(bad), "--victim", "1"]) == 1
-    # victim outside the bank -> simulation diagnostic, 2
+    # victim outside the bank -> bad input, 1
     cfg = _cfg_file(tmp_path)
-    assert main(["attack", "--config", str(cfg), "--victim", "99999"]) == 2
+    assert main(["attack", "--config", str(cfg), "--victim", "99999"]) == 1
+
+
+@pytest.mark.parametrize("victim", ["-1", "512"])
+def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, victim):
+    cfg = _cfg_file(tmp_path)
+    assert main(["attack", "--config", str(cfg), "--victim", victim]) == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    msg = errors[0].getMessage()
+    assert msg == f"victim {victim} outside bank of 512 rows"
+    assert "simulation diagnostic" not in caplog.text
+    assert not (tmp_path / "out" / "attack.csv").exists()
 
 
 def test_cli_report_reaggregates(tmp_path):
