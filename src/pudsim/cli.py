@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trr-eval", help="bypass schedule with/without TRR")
     common(sp)
-    sp.add_argument("--pattern", default="nsided", choices=["nsided"])
-    sp.add_argument("--n", type=int, default=2, help="aggressors per window")
     sp.add_argument("--technique", default="rh", choices=["rh", "simra"])
     sp.add_argument("--seeds", type=int, default=5)
     sp.add_argument("--windows", type=int, default=8204,
@@ -183,8 +181,9 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _bypass_row(task) -> dict:
-    cfg_d, technique, trr_on, seed, windows = task
+def _bypass_rows(task) -> tuple[dict, dict]:
+    """One seed's rows, TRR off then on, over one chip and threshold set."""
+    cfg_d, technique, seed, windows = task
     cfg = RunConfig(**cfg_d)
     profile, layout, groups = _chip(cfg)
     thresholds = sample_thresholds(profile, layout, seed,
@@ -193,31 +192,35 @@ def _bypass_row(task) -> dict:
         setup = make_simra_setup(groups, cfg.group_n, count=4)
     else:
         setup = make_rh_setup(pairs=4)
-    trr = TrrConfig(sampler_size=cfg.sampler_size) if trr_on else None
-    res = run_bypass(setup, profile, thresholds, layout, trr,
-                     seed=seed, windows=windows, timing=cfg.timing())
-    return {
-        "technique": technique,
-        "trr": int(trr_on),
-        "seed": seed,
-        "bitflips": res.bitflips,
-        "trr_refreshes": res.trr_refreshes,
-    }
+    rows = []
+    for trr_on in (False, True):
+        trr = TrrConfig(sampler_size=cfg.sampler_size) if trr_on else None
+        res = run_bypass(setup, profile, thresholds, layout, trr,
+                         seed=seed, windows=windows, timing=cfg.timing())
+        rows.append({
+            "technique": technique,
+            "trr": int(trr_on),
+            "seed": seed,
+            "bitflips": res.bitflips,
+            "trr_refreshes": res.trr_refreshes,
+        })
+    return rows[0], rows[1]
 
 
 def cmd_trr_eval(args) -> int:
     cfg = _load(args)
     _write_manifest(cfg)
     tasks = [
-        (_asdict(cfg), args.technique, trr_on, cfg.seed + s, args.windows)
-        for trr_on in (False, True)
+        (_asdict(cfg), args.technique, cfg.seed + s, args.windows)
         for s in range(args.seeds)
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bypass_row, tasks))
+            per_seed = list(pool.map(_bypass_rows, tasks))
     else:
-        rows = [_bypass_row(t) for t in tasks]
+        per_seed = [_bypass_rows(t) for t in tasks]
+    # all TRR-off rows first, then all TRR-on rows
+    rows = [off for off, _ in per_seed] + [on for _, on in per_seed]
     paths = emit_report(rows, "trr-eval", cfg.out_dir)
     for p in paths:
         print(p)

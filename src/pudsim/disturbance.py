@@ -29,7 +29,7 @@ from .dram import (
     SubarrayLayout,
 )
 from .errors import CalibrationError, ConfigError
-from .rng import stable_hash, substream
+from .rng import stable_hash_each, substream
 
 # profile-level kind names (effect kinds map onto these)
 RH = "rh"
@@ -293,6 +293,16 @@ class ThresholdSet:
         return self.theta[kind] / profile.units_per_hammer(kind)
 
 
+def _region_mults(profile: ChipProfile, layout: SubarrayLayout) -> np.ndarray:
+    """Per-row region multiplier; bins as `classify_region`."""
+    per_bin = np.array([profile.region_mult[r] for r in REGIONS], dtype=np.float64)
+    mults = np.empty(layout.rows, dtype=np.float64)
+    for start, count in layout.extents:
+        bins = np.minimum(4, np.arange(count) * 5 // count)
+        mults[start : start + count] = per_bin[bins]
+    return mults
+
+
 def sample_thresholds(
     profile: ChipProfile,
     layout: SubarrayLayout,
@@ -300,6 +310,7 @@ def sample_thresholds(
     row_bits: int = 64,
 ) -> ThresholdSet:
     rows = layout.rows
+    mults = _region_mults(profile, layout)
     theta: dict[str, np.ndarray] = {}
     for kind in KINDS:
         if kind not in profile.thresholds:
@@ -308,20 +319,9 @@ def sample_thresholds(
         rng = substream(seed, f"theta.{kind}")
         hc = _sample_hc(lo, mean, rows, rng)
         t = hc * profile.units_per_hammer(kind)
-        mults = np.fromiter(
-            (
-                profile.region_mult[classify_region(r, layout.extent(r))]
-                for r in range(rows)
-            ),
-            dtype=np.float64,
-            count=rows,
-        )
         theta[kind] = np.maximum(t * mults, 1e-9)
-    weak = np.fromiter(
-        (stable_hash(seed, r) % row_bits for r in range(rows)),
-        dtype=np.int64,
-        count=rows,
-    )
+    hashes = stable_hash_each(seed, np.arange(rows))
+    weak = (hashes % np.uint64(row_bits)).astype(np.int64)
     return ThresholdSet(theta=theta, weak_bit=weak, seed=seed, row_bits=row_bits)
 
 

@@ -17,7 +17,7 @@ Each of these sequences also disturbs neighboring rows; the bank emits
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -213,13 +213,18 @@ class SimraGroupMap:
     def __init__(self, layout: SubarrayLayout, table: dict[int, frozenset[int]]):
         self.layout = layout
         clean: dict[int, frozenset[int]] = {}
+        # keys often share one group object: check each object once
+        checked: dict[int, frozenset[int]] = {}
         for r2, rows in table.items():
-            grp = frozenset(int(r) for r in rows)
-            if len(grp) not in SIMRA_SIZES:
-                raise ConfigError(f"group size {len(grp)} not in {SIMRA_SIZES}")
-            sub = layout.subarray_of(r2)
-            if any(layout.subarray_of(r) != sub for r in grp):
-                raise ConfigError("a group may not cross subarray boundaries")
+            grp = checked.get(id(rows))
+            if grp is None:
+                grp = frozenset(int(r) for r in rows)
+                if len(grp) not in SIMRA_SIZES:
+                    raise ConfigError(f"group size {len(grp)} not in {SIMRA_SIZES}")
+                # extents are contiguous, so the end rows decide
+                if layout.subarray_of(min(grp)) != layout.subarray_of(max(grp)):
+                    raise ConfigError("a group may not cross subarray boundaries")
+                checked[id(rows)] = grp
             if r2 not in grp:
                 raise ConfigError("the activated row must belong to its own group")
             clean[int(r2)] = grp

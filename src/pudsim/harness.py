@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .dram import (
     AnalogConfig,
@@ -23,9 +23,6 @@ from .dram import (
     TimingParams,
 )
 from .disturbance import (
-    COMRA,
-    RH,
-    SIMRA,
     ChipProfile,
     DisturbanceState,
     ThresholdSet,

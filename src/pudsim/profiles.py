@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional
 
 from . import keyval
 from .disturbance import KINDS, REGIONS, ChipProfile

@@ -23,14 +23,32 @@ def substream(root_seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+_MASK = 0xFFFFFFFFFFFFFFFF
+_SEED_KEY = 0x9E3779B97F4A7C15
+_PART_MUL = 0xBF58476D1CE4E5B9
+_MIX_MUL = 0x94D049BB133111EB
+
+
 def stable_hash(seed: int, *parts: int) -> int:
     """Deterministic 64-bit mix of a seed and integer parts.
 
     Used where a single reproducible value per (seed, row, ...) is needed
     without the cost of constructing a Generator.
     """
-    h = (seed & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
+    h = (seed & _MASK) ^ _SEED_KEY
     for p in parts:
-        h ^= (p & 0xFFFFFFFFFFFFFFFF) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-        h = (h ^ (h >> 31)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        h ^= (p & _MASK) * _PART_MUL & _MASK
+        h = (h ^ (h >> 31)) * _MIX_MUL & _MASK
     return h ^ (h >> 29)
+
+
+def stable_hash_each(seed: int, parts: np.ndarray) -> np.ndarray:
+    """`stable_hash(seed, p)` for every p of an integer array, as uint64.
+
+    uint64 arithmetic wraps modulo 2**64, which is the masking the scalar
+    version does by hand.
+    """
+    p = np.asarray(parts).astype(np.uint64)
+    h = np.uint64((seed & _MASK) ^ _SEED_KEY) ^ (p * np.uint64(_PART_MUL))
+    h = (h ^ (h >> np.uint64(31))) * np.uint64(_MIX_MUL)
+    return h ^ (h >> np.uint64(29))

@@ -11,7 +11,6 @@ to each other on small spans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 

@@ -1,22 +1,25 @@
 """Threshold calibration, contribution scaling, and damage accrual."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pudsim import SubarrayLayout, sample_thresholds
+from pudsim import SubarrayLayout, load_profile, sample_thresholds
 from pudsim.disturbance import (
     COMRA,
     EFFECT_KIND,
+    KINDS,
     REGIONS,
     RH,
     SIMRA,
     Bitflip,
     ChipProfile,
     DisturbanceState,
+    _sample_hc,
     accumulate,
     classify_region,
     contribution,
@@ -32,6 +35,7 @@ from pudsim.dram import (
     RefreshEffect,
 )
 from pudsim.errors import ConfigError
+from pudsim.rng import stable_hash, substream
 
 
 def flat_profile(**thresholds):
@@ -177,6 +181,53 @@ def test_region_multiplier_scales_thresholds():
     hc = ts.hc(RH, prof)
     assert np.allclose(hc[:20], 1000.0)
     assert np.allclose(hc[80:], 500.0)
+
+
+def reference_sample_thresholds(profile, layout, seed, row_bits=64):
+    """The per-row loop that `sample_thresholds` replaced: one region
+    lookup and one `stable_hash` per row."""
+    rows = layout.rows
+    theta = {}
+    for kind in KINDS:
+        if kind not in profile.thresholds:
+            continue
+        lo, mean = profile.thresholds[kind]
+        hc = _sample_hc(lo, mean, rows, substream(seed, f"theta.{kind}"))
+        t = hc * profile.units_per_hammer(kind)
+        mults = np.array([
+            profile.region_mult[classify_region(r, layout.extent(r))]
+            for r in range(rows)
+        ])
+        theta[kind] = np.maximum(t * mults, 1e-9)
+    weak = np.array([stable_hash(seed, r) % row_bits for r in range(rows)],
+                    dtype=np.int64)
+    return theta, weak
+
+
+_REFERENCE_LAYOUTS = {
+    "uniform": SubarrayLayout.uniform(1024, 256),
+    "folded-tail": SubarrayLayout.uniform(1000, 333),  # 333, 333, 334
+    "2-row-tail": SubarrayLayout.uniform(130, 64),
+    "uneven": SubarrayLayout([(0, 7), (7, 2), (9, 100), (109, 13)]),
+}
+
+
+@pytest.mark.parametrize("name", ["skhynix_a_8gb", "nanya_c_8gb", "worstcase"])
+@pytest.mark.parametrize("layout_id", sorted(_REFERENCE_LAYOUTS))
+def test_sample_thresholds_matches_reference_loop(name, layout_id):
+    layout = _REFERENCE_LAYOUTS[layout_id]
+    # distinct multipliers, so a row binned into the wrong region shows
+    mults = dict(zip(REGIONS, (0.5, 0.75, 1.0, 1.5, 2.0)))
+    prof = replace(load_profile(name), region_mult=mults)
+    for seed in (0, 5, 2**63, 2**63 + 12345, 2**64 - 1):
+        for row_bits in (64, 192, 8):
+            got = sample_thresholds(prof, layout, seed, row_bits=row_bits)
+            theta, weak = reference_sample_thresholds(prof, layout, seed, row_bits)
+            assert sorted(got.theta) == sorted(theta)
+            for kind in theta:
+                assert np.array_equal(got.theta[kind], theta[kind])
+            assert got.weak_bit.dtype == np.int64
+            assert np.array_equal(got.weak_bit, weak)
 
 
 # -- damage accrual ------------------------------------------------------------

@@ -25,6 +25,7 @@ from pudsim.dram import (
 )
 from pudsim.errors import (
     AddressError,
+    ConfigError,
     ProtocolError,
     ShapeError,
     UndefinedTimingError,
@@ -165,6 +166,74 @@ def test_group_lookup_requires_same_subarray():
     assert grp == frozenset({0, 1, 2, 3})
     # r1 and r2 in different subarrays: no group forms
     assert groups.group(0, 33) is None
+
+
+def test_group_map_rejects_size_outside_simra_sizes():
+    layout = SubarrayLayout.uniform(64, 16)
+    with pytest.raises(ConfigError, match="group size 3"):
+        SimraGroupMap(layout, {0: frozenset({0, 1, 2})})
+
+
+def test_group_map_rejects_group_crossing_subarrays():
+    layout = SubarrayLayout.uniform(64, 16)
+    with pytest.raises(ConfigError, match="cross subarray"):
+        SimraGroupMap(layout, {15: frozenset({14, 15, 16, 17})})
+    # a member outside the bank is an address error
+    with pytest.raises(AddressError):
+        SimraGroupMap(layout, {63: frozenset({62, 63, 64, 65})})
+
+
+def test_group_map_rejects_key_outside_its_group():
+    layout = SubarrayLayout.uniform(64, 16)
+    with pytest.raises(ConfigError, match="own group"):
+        SimraGroupMap(layout, {5: frozenset({0, 1})})
+    # so is a key outside the bank, whose group cannot hold it
+    with pytest.raises(ConfigError, match="own group"):
+        SimraGroupMap(layout, {64: frozenset({0, 1})})
+
+
+@pytest.mark.parametrize("keys", [(0, 2), (2, 0)])
+def test_group_map_checks_every_key_of_a_shared_group(keys):
+    layout = SubarrayLayout.uniform(64, 16)
+    grp = frozenset({0, 1})
+    assert SimraGroupMap(layout, {0: grp, 1: grp}).table == {0: grp, 1: grp}
+    # one group object under two keys, only one of which is a member
+    with pytest.raises(ConfigError, match="own group"):
+        SimraGroupMap(layout, {k: grp for k in keys})
+
+
+def reference_aligned_blocks(layout, n, stride):
+    """Row by row: a row is grouped when its offset in the block of n*stride
+    rows is a multiple of stride and the block fits in the extent."""
+    span = n * stride
+    table = {}
+    for start, count in layout.extents:
+        for r in range(start, start + count):
+            block, off = divmod(r - start, span)
+            if off % stride or (block + 1) * span > count:
+                continue
+            base = start + block * span
+            table[r] = frozenset(range(base, base + span, stride))
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 4, 32])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_aligned_blocks_match_reference(n, stride):
+    for layout in (SubarrayLayout.uniform(512, 128),
+                   SubarrayLayout([(0, 70), (70, 130), (200, 6)])):
+        groups = SimraGroupMap.aligned_blocks(layout, n, stride)
+        assert groups.table == reference_aligned_blocks(layout, n, stride)
+
+
+def test_aligned_blocks_by_hand():
+    # stride 2 leaves odd offsets and the rows past the last block ungrouped
+    small = SimraGroupMap.aligned_blocks(SubarrayLayout([(0, 10), (10, 6)]), 2, 2)
+    assert small.table == {
+        0: frozenset({0, 2}), 2: frozenset({0, 2}),
+        4: frozenset({4, 6}), 6: frozenset({4, 6}),
+        10: frozenset({10, 12}), 12: frozenset({10, 12}),
+    }
 
 
 # -- nominal command streams are free of multi-row effects -------------------

@@ -211,3 +211,44 @@ def test_cli_mitigation_eval_runs_only_the_requested_variant(tmp_path, monkeypat
     assert set(labels) == {"none", "prac-po-wc"}
     assert main(["mitigation-eval", "--config", str(cfg),
                  "--variant", "prac-po-bogus"]) == 1
+
+
+# golden values, recorded when each (TRR setting, seed) pair ran as its own task;
+# all trr=0 rows come first, then all trr=1 rows
+_TRR_EVAL_ROWS = (
+    "technique,trr,seed,bitflips,trr_refreshes\n"
+    "simra,0,0,175,0\n"
+    "simra,0,1,75,0\n"
+    "simra,0,2,211,0\n"
+    "simra,1,0,175,209\n"
+    "simra,1,1,75,215\n"
+    "simra,1,2,211,213\n"
+)
+_TRR_EVAL_SUMMARY = (
+    "technique,trr,mean_bitflips,seeds\n"
+    "simra,0,153.67,3\n"
+    "simra,1,153.67,3\n"
+)
+
+
+def test_cli_trr_eval_golden_rows_and_jobs(tmp_path):
+    cfg = _cfg_file(tmp_path)
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["trr-eval", "--config", str(cfg), "--out", str(out),
+                     "--technique", "simra", "--seeds", "3", "--windows", "820",
+                     "--jobs", str(jobs)]) == 0
+        outputs[jobs] = {name: (out / name).read_bytes()
+                         for name in ("trr_bypass.csv", "trr_bypass_summary.csv")}
+    assert outputs[1]["trr_bypass.csv"].decode() == _TRR_EVAL_ROWS
+    assert outputs[1]["trr_bypass_summary.csv"].decode() == _TRR_EVAL_SUMMARY
+    assert outputs[2] == outputs[1]
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "32"), ("--pattern", "nsided")])
+def test_cli_trr_eval_rejects_removed_flags(tmp_path, flag, value):
+    # group size comes from groups.n; the flags were never read
+    with pytest.raises(SystemExit) as exc:
+        main(["trr-eval", "--out", str(tmp_path), "--windows", "4", flag, value])
+    assert exc.value.code == 2
