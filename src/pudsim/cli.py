@@ -20,15 +20,7 @@ from .config import RunConfig, dumps_config, load_config
 from .dram import SimraGroupMap, SubarrayLayout
 from .disturbance import sample_thresholds
 from .errors import ConfigError, PudsimError
-from .harness import (
-    NO_FLIP,
-    BisectionConfig,
-    Experiment,
-    SweepGrid,
-    find_hcfirst,
-    run_sweep,
-)
-from .mitigation import TrrConfig
+from .harness import NO_FLIP, Experiment, SweepGrid, find_hcfirst, run_sweep
 from .patterns import PatternSpec, events_to_trace
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
@@ -47,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="run configuration file")
         sp.add_argument("--seed", type=int, help="override the root seed")
         sp.add_argument("--out", help="override the output directory")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (trr-eval only)")
 
     sp = sub.add_parser("characterize", help="first-flip sweep over a grid")
     common(sp)
@@ -126,7 +119,6 @@ def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
         act_gap=cfg.act_gap_ns,
         pre_act_gap=cfg.pre_act_gap_ns,
         n=cfg.group_n if kind == "simra" else 2,
-        dp_aggr=cfg.dp_aggr,
     )
 
 
@@ -144,8 +136,7 @@ def cmd_characterize(args) -> int:
     )
     result = run_sweep(
         grid, profile, layout, groups, seed=cfg.seed,
-        search=BisectionConfig(tolerance=cfg.tolerance, repeats=cfg.repeats),
-        timing=cfg.timing(),
+        search=cfg.search(), timing=cfg.timing(),
     )
     for f in result.failures:
         log.warning("sweep cell failed: %s", f)
@@ -165,9 +156,7 @@ def cmd_attack(args) -> int:
         profile, layout, groups, timing=cfg.timing(), seed=cfg.seed,
         temp_c=cfg.temp_c, dp_aggr=cfg.dp_aggr,
     )
-    spec = _pattern(cfg)
-    search = BisectionConfig(tolerance=cfg.tolerance, repeats=cfg.repeats)
-    hc = find_hcfirst(spec, args.victim, exp, search)
+    hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.search())
     row = {
         "pattern": cfg.pattern,
         "victim": args.victim,
@@ -194,7 +183,7 @@ def _bypass_rows(task) -> tuple[dict, dict]:
         setup = make_rh_setup(pairs=4)
     rows = []
     for trr_on in (False, True):
-        trr = TrrConfig(sampler_size=cfg.sampler_size) if trr_on else None
+        trr = cfg.trr() if trr_on else None
         res = run_bypass(setup, profile, thresholds, layout, trr,
                          seed=seed, windows=windows, timing=cfg.timing())
         rows.append({
@@ -301,6 +290,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.jobs != 1 and args.command != "trr-eval":
+            raise ConfigError("--jobs is only supported by trr-eval")
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as e:
         log.error("%s", e)

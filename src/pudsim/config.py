@@ -1,9 +1,10 @@
 """Run configuration: a flat `key = value` file with dotted section names.
 
-Every knob has a default; `load_config` applies and logs the ones the
-file leaves out, so a minimal config is legal and the effective
-configuration is always visible in the run log.  `dumps_config` writes
-every field explicitly, which makes load(dump(cfg)) == cfg trivially.
+Every knob takes its default and its range check from the component
+type that reads it.  `load_config` applies the defaults the file leaves
+out and logs them at DEBUG (one INFO summary), so a minimal config is
+legal.  `dumps_config` writes every field explicitly, which makes
+load(dump(cfg)) == cfg trivially.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from dataclasses import dataclass, fields
 from . import keyval
 from .dram import SIMRA_SIZES, AnalogConfig, Geometry, TimingParams
 from .errors import ConfigError
+from .harness import BisectionConfig
+from .mitigation import TrrConfig
+from .patterns import PatternSpec
 
 log = logging.getLogger(__name__)
 
@@ -21,13 +25,13 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RunConfig:
     # geometry / timing
-    rows: int = 1024
-    row_bytes: int = 8
-    t_ras: float = 36.0
-    t_rp: float = 13.5
-    t_refi: float = 7800.0
-    t_refw: float = 64e6
-    acts_per_refi: int = 156
+    rows: int = Geometry.rows
+    row_bytes: int = Geometry.row_bytes
+    t_ras: float = TimingParams.t_ras
+    t_rp: float = TimingParams.t_rp
+    t_refi: float = TimingParams.t_refi
+    t_refw: float = TimingParams.t_refw
+    acts_per_refi: int = TimingParams.acts_per_refi
     # calibration and reproducibility
     profile: str = "skhynix_a_8gb"
     seed: int = 0
@@ -39,38 +43,35 @@ class RunConfig:
     # experiment conditions
     pattern: str = "rowhammer"
     temp_c: float = 80.0
-    t_aggon_ns: float = 36.0
+    t_aggon_ns: float = TimingParams.t_ras
     dp_aggr: int = 0x00
-    dp_victim: int = 0xFF
-    act_gap_ns: float = 3.0
-    pre_act_gap_ns: float = 7.5
+    act_gap_ns: float = PatternSpec.act_gap
+    pre_act_gap_ns: float = PatternSpec.pre_act_gap
     # HC_first search
-    tolerance: float = 0.01
-    repeats: int = 5
-    # mitigation
-    mitigation: str = "none"  # none | trr | prac-po-wc | prac-po-naive
-    rdt: int = 4000
-    reach: int = 2
-    sampler_size: int = 450
+    tolerance: float = BisectionConfig.tolerance
+    repeats: int = BisectionConfig.repeats
+    # TRR sampler
+    sampler_size: int = TrrConfig.sampler_size
     # performance evaluation
     perf_mixes: int = 60
     perf_periods: str = "125 250 1000 4000 16000"
     perf_target_reqs: int = 2000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigError("search.tolerance must be > 0")
-        if self.repeats < 1:
-            raise ConfigError("search.repeats must be >= 1")
         if self.group_n not in SIMRA_SIZES:
             raise ConfigError(f"groups.n must be one of {SIMRA_SIZES}")
-        if self.mitigation not in ("none", "trr", "prac-po-wc", "prac-po-naive"):
-            raise ConfigError(f"unknown mitigation {self.mitigation!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.act_gap_ns > AnalogConfig.simra_gap_max:
+            raise ConfigError(
+                f"pattern.act_gap_ns must be <= {AnalogConfig.simra_gap_max} ns, "
+                "the multi-activation window"
+            )
         # delegate range checks to the component types
         self.geometry()
         self.timing()
+        self.search()
+        self.trr()
         for p in self.periods():
             if p <= 0:
                 raise ConfigError("perf.periods entries must be positive")
@@ -87,11 +88,11 @@ class RunConfig:
             acts_per_refi=self.acts_per_refi,
         )
 
-    def analog(self) -> AnalogConfig:
-        return AnalogConfig(
-            simra_gap_max=max(self.act_gap_ns, 3.0),
-            default_fill=self.dp_victim,
-        )
+    def search(self) -> BisectionConfig:
+        return BisectionConfig(tolerance=self.tolerance, repeats=self.repeats)
+
+    def trr(self) -> TrrConfig:
+        return TrrConfig(sampler_size=self.sampler_size)
 
     def periods(self) -> tuple[float, ...]:
         try:
@@ -123,14 +124,10 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "pattern.temp_c": ("temp_c", float),
     "pattern.t_aggon_ns": ("t_aggon_ns", float),
     "pattern.dp_aggr": ("dp_aggr", _int),
-    "pattern.dp_victim": ("dp_victim", _int),
     "pattern.act_gap_ns": ("act_gap_ns", float),
     "pattern.pre_act_gap_ns": ("pre_act_gap_ns", float),
     "search.tolerance": ("tolerance", float),
     "search.repeats": ("repeats", _int),
-    "mitigation.kind": ("mitigation", str),
-    "mitigation.rdt": ("rdt", _int),
-    "mitigation.reach": ("reach", _int),
     "mitigation.sampler_size": ("sampler_size", _int),
     "perf.mixes": ("perf_mixes", _int),
     "perf.periods": ("perf_periods", str),
@@ -139,10 +136,19 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 _FIELD_TO_KEY = {f: k for k, (f, _) in _SCHEMA.items()}
 
+# keys that earlier versions wrote to every manifest but nothing read;
+# skipped with a warning so those manifests still replay in strict mode
+RETIRED_KEYS = frozenset(
+    {"mitigation.kind", "mitigation.rdt", "mitigation.reach", "pattern.dp_victim"}
+)
+
 
 def config_from_values(values: dict[str, str], strict: bool = True) -> RunConfig:
     kwargs = {}
     for key, raw in values.items():
+        if key in RETIRED_KEYS:
+            log.warning("ignoring retired config key %r", key)
+            continue
         if key not in _SCHEMA:
             if strict:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -154,13 +160,10 @@ def config_from_values(values: dict[str, str], strict: bool = True) -> RunConfig
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"{key}: {e}") from None
     cfg = RunConfig(**kwargs)
-    for f in fields(RunConfig):
-        if f.name not in kwargs:
-            log.info(
-                "config default applied: %s = %r",
-                _FIELD_TO_KEY[f.name],
-                getattr(cfg, f.name),
-            )
+    defaults = [f.name for f in fields(RunConfig) if f.name not in kwargs]
+    for name in defaults:
+        log.debug("config default applied: %s = %r", _FIELD_TO_KEY[name], getattr(cfg, name))
+    log.info("config: %d keys set, %d defaults (-v lists them)", len(kwargs), len(defaults))
     return cfg
 
 
@@ -178,7 +181,7 @@ def dumps_config(cfg: RunConfig) -> str:
     values = {}
     for key, (fname, parse) in _SCHEMA.items():
         v = getattr(cfg, fname)
-        if fname in ("dp_aggr", "dp_victim"):
+        if fname == "dp_aggr":
             values[key] = f"0x{v:02X}"
         else:
             values[key] = repr(v) if isinstance(v, float) else str(v)

@@ -49,19 +49,21 @@ class TimingParams:
 
     t_ras: float = 36.0
     t_rp: float = 13.5
-    t_rc: float = 49.5
     t_refi: float = 7800.0
     t_refw: float = 64_000_000.0
     acts_per_refi: int = 156
 
     def __post_init__(self):
-        for name in ("t_ras", "t_rp", "t_rc", "t_refi", "t_refw"):
+        for name in ("t_ras", "t_rp", "t_refi", "t_refw"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.t_rc < self.t_ras + self.t_rp - 1e-9:
-            raise ConfigError("t_rc must cover t_ras + t_rp")
         if self.acts_per_refi < 1:
             raise ConfigError("acts_per_refi must be >= 1")
+
+    @property
+    def t_rc(self) -> float:
+        """Row cycle: one activation held for tRAS, then precharged."""
+        return self.t_ras + self.t_rp
 
     @property
     def refs_per_refw(self) -> int:

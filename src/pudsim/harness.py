@@ -50,10 +50,11 @@ class BisectionConfig:
             raise ConfigError("cap must be >= 1")
 
 
-def default_cap(timing: TimingParams, acts_per_hammer: int = 2) -> int:
-    """Hammer budget bound: ACTs issuable to one bank within one tREFW."""
+def default_cap(timing: TimingParams) -> int:
+    """Hammer budget bound: hammers of two ACTs each issuable to one bank
+    within one tREFW."""
     acts = timing.acts_per_refi * timing.refs_per_refw
-    return max(1, acts // acts_per_hammer)
+    return max(1, acts // 2)
 
 
 class Experiment:
@@ -184,8 +185,7 @@ def find_hcfirst(
     the cap, stops when successive probe points differ by less than the
     tolerance, repeats with fresh state, and reports the minimum.
     """
-    acts = 2 if spec.kind in ("rowhammer", "rowpress", "comra", "simra") else 1
-    cap = config.cap or default_cap(exp.timing, acts)
+    cap = config.cap or default_cap(exp.timing)
     repeats = config.repeats if exp.is_stochastic(spec) else 1
     best: Optional[int] = None
     for rep in range(repeats):
@@ -459,7 +459,7 @@ def _sweep_cell(
         profile, layout, groups, timing=timing, seed=seed, temp_c=temp, dp_aggr=dp
     )
     for victim, base_spec in victims:
-        spec = replace(base_spec, t_aggon=t_on, dp_aggr=dp)
+        spec = replace(base_spec, t_aggon=t_on)
         if gap is not None:
             spec = replace(spec, act_gap=gap)
         try:

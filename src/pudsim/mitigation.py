@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .disturbance import COMRA, RH, SIMRA
+from .dram import TimingParams
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ class PracUpdate:
 
 
 class PracState:
-    def __init__(self, config: PracConfig, rows: int, t_rc: float = 49.5):
+    def __init__(self, config: PracConfig, rows: int, t_rc: float = TimingParams().t_rc):
         self.config = config
         self.rows = rows
         self.t_rc = t_rc

@@ -8,26 +8,25 @@ one complete copy cycle, or one complete multi-activation op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .dram import SIMRA_SIZES, CommandEvent, SimraGroupMap, TimingParams
 from .errors import ConfigError
 
-PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra", "combined", "nsided")
+PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra", "nsided")
 
 
 @dataclass(frozen=True)
 class PatternSpec:
     """Parameters of one access pattern instance.
 
-    aggressors are physical row numbers; the victim is informational
-    (generators never touch it).  t_aggon of None means nominal tRAS.
+    aggressors are physical row numbers.  t_aggon of None means nominal
+    tRAS.
     """
 
     kind: str
     aggressors: tuple[int, ...] = ()
-    victim: Optional[int] = None
     bank: int = 0
     hammers: int = 1
     t_aggon: Optional[float] = None
@@ -35,9 +34,6 @@ class PatternSpec:
     act_gap: float = 3.0  # both gaps of a multi-activation op
     reversed_copy: bool = False
     n: int = 2  # group size / aggressor count for nsided
-    dp_aggr: Optional[int] = None
-    dp_victim: Optional[int] = None
-    fractions: dict = field(default_factory=dict)  # combined: kind -> fraction
     technique: str = "rh"  # nsided: 'rh' or 'simra'
     dummy_rows: tuple[int, ...] = ()
 
@@ -66,10 +62,6 @@ class PatternSpec:
                 raise ConfigError("nsided technique must be rh or simra")
             if not self.aggressors:
                 raise ConfigError("nsided needs aggressor rows")
-        if self.fractions:
-            for k, f in self.fractions.items():
-                if not 0.0 <= f <= 1.0:
-                    raise ConfigError(f"fraction {k}={f} outside [0, 1]")
 
 
 @dataclass

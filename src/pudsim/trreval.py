@@ -149,8 +149,6 @@ def run_bypass(
     rng = substream(seed, "trr.sampler")
     esc = profile.bit_escalation
     acts = timing.acts_per_refi
-    ring_size = trr.sampler_size if trr else 450
-    reach = trr.reach if trr else 1
     n_aggr = len(setup.aggressors)
     per_op = 2 if setup.technique == "simra" else 1
 
@@ -178,7 +176,7 @@ def run_bypass(
                 flipped[v] = nf
         # REF at the window boundary
         if trr is not None and (w + 1) % trr.ref_cadence == 0:
-            avail = min(ring_size, acts * (w + 1))
+            avail = min(trr.sampler_size, acts * (w + 1))
             j = int(rng.integers(avail))  # offset back from the newest ACT
             back_w = w - j // acts
             pos = (acts - 1) - (j % acts)  # position within that window
@@ -187,7 +185,7 @@ def run_bypass(
                 op_idx = pos // per_op
                 a = setup.aggressors[op_idx % n_aggr]
                 trr_refreshes += 1  # the sampler caught an attack address
-                for d in range(1, reach + 1):
+                for d in range(1, trr.reach + 1):
                     for v in (a - d, a + d):
                         if v in damage:
                             damage[v] = 0.0

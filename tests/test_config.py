@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from pudsim import keyval
 from pudsim.config import (
+    RETIRED_KEYS,
     RunConfig,
     config_from_values,
     dumps_config,
     load_config,
     loads_config,
 )
+from pudsim.dram import AnalogConfig, Geometry, TimingParams
 from pudsim.errors import ConfigError
+from pudsim.harness import BisectionConfig
+from pudsim.mitigation import TrrConfig
+from pudsim.patterns import PatternSpec
 
 
 # -- keyval -----------------------------------------------------------------
@@ -52,12 +57,15 @@ def test_keyval_round_trip(values):
 
 
 def test_minimal_config_applies_and_logs_defaults(caplog):
-    with caplog.at_level(logging.INFO):
+    with caplog.at_level(logging.DEBUG):
         cfg = loads_config("geometry.rows = 2048\n")
     assert cfg.rows == 2048
     assert cfg.t_ras == 36.0
-    defaults_logged = [r for r in caplog.records if "default applied" in r.message]
+    defaults_logged = [r for r in caplog.records
+                       if "default applied" in r.message and r.levelno == logging.DEBUG]
     assert len(defaults_logged) == len(RunConfig.__dataclass_fields__) - 1
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert info == ["config: 1 keys set, 24 defaults (-v lists them)"]
 
 
 def test_round_trip_equality():
@@ -107,3 +115,47 @@ def test_periods_parse_and_validate():
         RunConfig(perf_periods="125 zero").periods()
     with pytest.raises(ConfigError):
         RunConfig(perf_periods="125 -1")
+
+
+def test_retired_keys_are_skipped_with_one_warning_each(caplog):
+    text = "".join(f"{k} = 1\n" for k in sorted(RETIRED_KEYS)) + "seed = 4\n"
+    with caplog.at_level(logging.WARNING):
+        cfg = loads_config(text, strict=True)
+    assert cfg == RunConfig(seed=4)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == [f"ignoring retired config key {k!r}" for k in sorted(RETIRED_KEYS)]
+    assert not RETIRED_KEYS & set(keyval.loads(dumps_config(cfg)))
+
+
+def test_act_gap_past_the_multi_activation_window_rejected():
+    limit = AnalogConfig.simra_gap_max
+    assert loads_config(f"pattern.act_gap_ns = {limit}\n").act_gap_ns == limit
+    with pytest.raises(ConfigError, match="pattern.act_gap_ns"):
+        loads_config("pattern.act_gap_ns = 4.0\n")
+
+
+def test_defaults_come_from_the_component_types():
+    cfg = RunConfig()
+    assert cfg.geometry() == Geometry()
+    assert cfg.timing() == TimingParams()
+    assert cfg.search() == BisectionConfig()
+    assert cfg.trr() == TrrConfig()
+    assert cfg.t_aggon_ns == TimingParams.t_ras
+    assert (cfg.act_gap_ns, cfg.pre_act_gap_ns) == (PatternSpec.act_gap, PatternSpec.pre_act_gap)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("search.repeats = 0\n", "repeats"),
+    ("mitigation.sampler_size = 0\n", "sampler_size"),
+    ("timing.t_rp = 0\n", "t_rp"),
+    ("geometry.row_bytes = 0\n", "row_bytes"),
+])
+def test_component_types_check_the_ranges(text, match):
+    with pytest.raises(ConfigError, match=match):
+        loads_config(text)
+
+
+def test_t_rc_follows_t_ras():
+    cfg = loads_config("timing.t_ras = 40\n")
+    assert cfg.timing().t_rc == 40.0 + 13.5
+    assert TimingParams().t_rc == 49.5

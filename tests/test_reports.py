@@ -252,3 +252,52 @@ def test_cli_trr_eval_rejects_removed_flags(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["trr-eval", "--out", str(tmp_path), "--windows", "4", flag, value])
     assert exc.value.code == 2
+
+
+def test_cli_trr_eval_accepts_longer_t_ras(tmp_path):
+    # tRC follows tRAS + tRP, so a longer tRAS is a legal timing set
+    base = _cfg_file(tmp_path)
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(base.read_text() + "timing.t_ras = 40\n")
+    outputs = {}
+    for label, cfg in (("default", base), ("slow", slow)):
+        out = tmp_path / label
+        assert main(["trr-eval", "--config", str(cfg), "--out", str(out),
+                     "--technique", "simra", "--seeds", "2", "--windows", "820"]) == 0
+        outputs[label] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert outputs["slow"].keys() == outputs["default"].keys()
+    assert outputs["slow"]["trr_bypass.csv"] != outputs["default"]["trr_bypass.csv"]
+
+
+def test_cli_act_gap_past_window_is_a_config_error(tmp_path, caplog):
+    cfg = _cfg_file(tmp_path, **{"pattern.act_gap_ns": "4.0"})
+    assert main(["characterize", "--config", str(cfg), "--kinds", "simra"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("pattern.act_gap_ns")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["characterize"],
+    ["attack", "--victim", "255"],
+    ["mitigation-eval"],
+    ["trace-gen"],
+    ["report", "--kind", "trr-eval", "--input", "missing.csv"],
+])
+def test_cli_jobs_is_only_for_trr_eval(tmp_path, caplog, args):
+    cfg = _cfg_file(tmp_path)
+    assert main([*args, "--config", str(cfg), "--jobs", "2"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["--jobs is only supported by trr-eval"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["characterize", "--kinds", "rowhammer"],
+    ["mitigation-eval"],
+])
+def test_cli_jobs_one_is_accepted_everywhere(tmp_path, args):
+    cfg = _cfg_file(tmp_path, **{"perf.mixes": 1, "perf.target_reqs": 100,
+                                 "perf.periods": "1000"})
+    assert main([*args, "--config", str(cfg), "--jobs", "1"]) == 0
+    assert (tmp_path / "out" / "manifest.cfg").exists()
