@@ -7,10 +7,9 @@ import sys
 
 from pudsim.disturbance import sample_thresholds
 from pudsim.dram import SimraGroupMap, SubarrayLayout
-from pudsim.mitigation import TrrConfig
 from pudsim.profiles import available_profiles, load_profile
 from pudsim.reports import emit_report
-from pudsim.trreval import make_rh_setup, make_simra_setup, run_bypass
+from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
 
 
 def main() -> int:

@@ -6,7 +6,6 @@ from .dram import (
     Bank,
     CommandEvent,
     Geometry,
-    RowMapping,
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
@@ -29,9 +28,10 @@ from .errors import (
     UndefinedTimingError,
 )
 from .harness import BisectionConfig, Experiment, find_hcfirst, run_sweep
-from .mitigation import MitigationConfig, PracConfig, PracState, TrrConfig, TrrState
+from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec, events_to_trace, parse_trace
 from .profiles import available_profiles, load_default_profile, load_profile
+from .trreval import TrrConfig
 
 __version__ = "0.1.0"
 
@@ -47,20 +47,17 @@ __all__ = [
     "DisturbanceState",
     "Experiment",
     "Geometry",
-    "MitigationConfig",
     "PatternSpec",
     "PracConfig",
     "PracState",
     "ProtocolError",
     "PudsimError",
-    "RowMapping",
     "ShapeError",
     "SimraGroupMap",
     "SubarrayLayout",
     "ThresholdSet",
     "TimingParams",
     "TrrConfig",
-    "TrrState",
     "UndefinedTimingError",
     "accumulate",
     "available_profiles",

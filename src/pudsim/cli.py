@@ -124,8 +124,6 @@ def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
 
 def cmd_characterize(args) -> int:
     cfg = _load(args)
-    _write_manifest(cfg)
-    profile, layout, groups = _chip(cfg)
     grid = SweepGrid(
         kinds=tuple(args.kinds.split()),
         ns=(cfg.group_n,),
@@ -134,6 +132,8 @@ def cmd_characterize(args) -> int:
         t_aggons=(cfg.t_aggon_ns,),
         gaps=(cfg.act_gap_ns,),
     )
+    _write_manifest(cfg)
+    profile, layout, groups = _chip(cfg)
     result = run_sweep(
         grid, profile, layout, groups, seed=cfg.seed,
         search=cfg.search(), timing=cfg.timing(),

@@ -16,8 +16,8 @@ from . import keyval
 from .dram import SIMRA_SIZES, AnalogConfig, Geometry, TimingParams
 from .errors import ConfigError
 from .harness import BisectionConfig
-from .mitigation import TrrConfig
-from .patterns import PatternSpec
+from .patterns import PATTERN_KINDS, PatternSpec
+from .trreval import TrrConfig
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +62,8 @@ class RunConfig:
             raise ConfigError(f"groups.n must be one of {SIMRA_SIZES}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.pattern not in PATTERN_KINDS:
+            raise ConfigError(f"pattern.kind must be one of {PATTERN_KINDS}")
         if self.act_gap_ns > AnalogConfig.simra_gap_max:
             raise ConfigError(
                 f"pattern.act_gap_ns must be <= {AnalogConfig.simra_gap_max} ns, "

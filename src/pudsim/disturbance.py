@@ -40,7 +40,6 @@ KINDS = (RH, COMRA, SIMRA)
 EFFECT_KIND = {KIND_RH: RH, KIND_COMRA: COMRA, KIND_SIMRA: SIMRA}
 
 T_REF_C = 80.0
-T_ON_REF_NS = 36.0
 
 REGIONS = ("Beginning", "Beginning-Middle", "Middle", "Middle-End", "End")
 
@@ -178,11 +177,6 @@ class ChipProfile:
             n = 2  # a degenerate partial activation acts like the smallest group
         return self.simra_n32_mult ** (math.log2(min(n, 32) / 32.0) / 4.0)
 
-    def wcdp(self, kind: str) -> int:
-        """Worst-case aggressor byte for the kind (highest multiplier)."""
-        table = self.dp_mult.get(kind) or {0x55: 1.0}
-        return max(sorted(table), key=lambda b: table[b])
-
 
 def contribution(
     kind: str,
@@ -216,15 +210,6 @@ def contribution(
     )
     cache[key] = c
     return c
-
-
-def flip_direction(kind: str, profile: ChipProfile, strict: bool = False) -> str:
-    """Dominant flip direction the profile assigns to a disturbance kind."""
-    if kind not in profile.flip_direction:
-        if strict:
-            raise ConfigError(f"no flip direction configured for {kind!r}")
-        return "1to0"
-    return profile.flip_direction[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +333,6 @@ class DisturbanceState:
     flipped: dict[int, int] = field(default_factory=dict)
     flips: list[Bitflip] = field(default_factory=list)
     skipped_victims: int = 0
-
-    def reset(self) -> None:
-        self.damage.clear()
-        self.flipped.clear()
-        self.flips.clear()
-        self.skipped_victims = 0
 
 
 def accumulate(

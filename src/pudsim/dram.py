@@ -18,7 +18,7 @@ Each of these sequences also disturbs neighboring rows; the bank emits
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,79 +72,19 @@ class TimingParams:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Channel/rank/chip/bank/row/column organization of one device."""
+    """Rows of the simulated bank and the bytes each row stores."""
 
-    channels: int = 1
-    ranks: int = 1
-    chips: int = 1
-    banks: int = 8
     rows: int = 1024
-    cols: int = 64
     row_bytes: int = 8
 
     def __post_init__(self):
-        for name in ("channels", "ranks", "chips", "banks", "rows", "cols", "row_bytes"):
+        for name in ("rows", "row_bytes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 
     def check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
             raise AddressError(f"row {row} outside [0, {self.rows})")
-
-    def check_bank(self, bank: int) -> None:
-        if not 0 <= bank < self.banks:
-            raise AddressError(f"bank {bank} outside [0, {self.banks})")
-
-
-class RowMapping:
-    """Logical (bus) row address <-> physical (array) row translation.
-
-    Supported kinds: identity, XOR/permute of address bits, explicit table.
-    Translation is bijective by construction; `to_logical` inverts
-    `to_physical` exactly.
-    """
-
-    def __init__(self, rows: int, table: Optional[Sequence[int]] = None):
-        self.rows = rows
-        if table is None:
-            self._fwd = None
-            self._inv = None
-        else:
-            fwd = list(table)
-            if len(fwd) != rows or sorted(fwd) != list(range(rows)):
-                raise ConfigError("row mapping table must be a permutation of all rows")
-            self._fwd = fwd
-            inv = [0] * rows
-            for logical, phys in enumerate(fwd):
-                inv[phys] = logical
-            self._inv = inv
-
-    @classmethod
-    def identity(cls, rows: int) -> "RowMapping":
-        return cls(rows)
-
-    @classmethod
-    def bit_swap(cls, rows: int, lo_bit: int = 1, hi_bit: int = 2) -> "RowMapping":
-        """Mapping that swaps two row-address bits (a common remap style)."""
-        if rows & (rows - 1):
-            raise ConfigError("bit_swap mapping needs a power-of-two row count")
-        table = []
-        for r in range(rows):
-            a = (r >> lo_bit) & 1
-            b = (r >> hi_bit) & 1
-            m = r & ~((1 << lo_bit) | (1 << hi_bit))
-            table.append(m | (b << lo_bit) | (a << hi_bit))
-        return cls(rows, table)
-
-    def to_physical(self, logical: int) -> int:
-        if not 0 <= logical < self.rows:
-            raise AddressError(f"row {logical} outside [0, {self.rows})")
-        return logical if self._fwd is None else self._fwd[logical]
-
-    def to_logical(self, physical: int) -> int:
-        if not 0 <= physical < self.rows:
-            raise AddressError(f"row {physical} outside [0, {self.rows})")
-        return physical if self._inv is None else self._inv[physical]
 
 
 class SubarrayLayout:
@@ -255,9 +195,6 @@ class SimraGroupMap:
         if not self.layout.same_subarray(r1, r2):
             return None
         return self.table.get(r2)
-
-    def sizes(self) -> set[int]:
-        return {len(g) for g in self.table.values()}
 
     def __eq__(self, other):
         return isinstance(other, SimraGroupMap) and self.table == other.table
@@ -439,7 +376,9 @@ class Bank:
         self.last_time = cmd.time
         return effects
 
-    def _flush_pending(self) -> list:
+    def flush(self) -> list:
+        """Resolve any deferred nominal activation, as the next command or
+        the end of a stream does."""
         if self._pending is None:
             return []
         row, t_on, closed = self._pending
@@ -465,7 +404,7 @@ class Bank:
             if a.strict_timing:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
-        out = self._flush_pending()
+        out = self.flush()
         self.open = _Activation((cmd.row,), cmd.time, "nominal")
         return out
 
@@ -477,7 +416,7 @@ class Bank:
             if self.analog.strict_timing:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
-            out = self._flush_pending()
+            out = self.flush()
             self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         # the pending half-activation is part of this op, not its own hammer
@@ -501,13 +440,13 @@ class Bank:
             if self.analog.strict_timing:
                 raise UndefinedTimingError(msg)
             self.diagnostics.append(msg)
-            out = self._flush_pending()
+            out = self.flush()
             self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         if not self.layout.same_subarray(src, cmd.row):
             # sense amplifiers are per subarray; the destination just
             # activates normally and keeps its own data
-            out = self._flush_pending()
+            out = self.flush()
             self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         self._pending = None
@@ -538,7 +477,7 @@ class Bank:
         elif act.mode == "copy":
             effects.append(HammerEffect(KIND_COMRA, (act.src, act.rows[0]), t_on, cmd.time))
         else:
-            effects.extend(self._flush_pending())
+            effects.extend(self.flush())
             self._pending = (act.rows[0], t_on, cmd.time)
         self.open = None
         self.last_pre = cmd.time
@@ -568,7 +507,7 @@ class Bank:
     def _cmd_ref(self, cmd: CommandEvent) -> list:
         if self.open is not None:
             raise ProtocolError("REF requires all rows precharged")
-        effects = self._flush_pending()
+        effects = self.flush()
         per_ref = -(-self.geometry.rows // self.timing.refs_per_refw)  # ceil
         start = self._ref_cursor
         rows = tuple(
@@ -581,20 +520,7 @@ class Bank:
     def _cmd_rfm(self, cmd: CommandEvent) -> list:
         if self.open is not None:
             raise ProtocolError("RFM requires all rows precharged")
-        return self._flush_pending()
-
-    def flush(self, time: Optional[float] = None) -> list:
-        """Resolve any deferred nominal activation at end of a stream."""
-        return self._flush_pending()
-
-    def refresh_rows(self, rows: Iterable[int], time: float) -> RefreshEffect:
-        """Targeted (mitigation-issued) refresh of specific rows."""
-        if self.open is not None:
-            raise ProtocolError("targeted refresh requires all rows precharged")
-        rows = tuple(sorted(set(rows)))
-        for r in rows:
-            self.geometry.check_row(r)
-        return RefreshEffect(rows, time)
+        return self.flush()
 
     _HANDLERS = {
         "ACT": _cmd_act,

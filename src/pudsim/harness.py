@@ -7,8 +7,6 @@ and a seed, so sweep cells are independent and reproducible.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -31,7 +29,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PatternSpec, gen_comra, gen_rowhammer, gen_simra
+from .patterns import PATTERN_KINDS, PatternSpec, gen_comra, gen_rowhammer, gen_simra
 from .rng import substream
 
 
@@ -344,33 +342,6 @@ class ExperimentResult:
     def add(self, **kw):
         self.rows.append({c: kw.get(c, "") for c in RESULT_COLUMNS})
 
-    def hcfirst_values(self) -> list[int]:
-        return [r["hcfirst"] for r in self.rows if r["hcfirst"] != NO_FLIP]
-
-    def aggregate(self) -> dict:
-        vals = self.hcfirst_values()
-        if not vals:
-            return {"count": 0}
-        vals = sorted(vals)
-        return {
-            "count": len(vals),
-            "min": vals[0],
-            "mean": sum(vals) / len(vals),
-            "p50": vals[len(vals) // 2],
-            "max": vals[-1],
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        for r in self.rows:
-            out = dict(r)
-            if out["hcfirst"] is None:
-                out["hcfirst"] = NO_FLIP
-            w.writerow(out)
-        return buf.getvalue()
-
 
 @dataclass
 class SweepGrid:
@@ -382,6 +353,13 @@ class SweepGrid:
     temps: tuple[float, ...] = (80.0,)
     t_aggons: tuple[Optional[float], ...] = (None,)
     gaps: tuple[float, ...] = (3.0,)
+
+    def __post_init__(self):
+        for kind in self.kinds:
+            if kind not in PATTERN_KINDS:
+                raise ConfigError(
+                    f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
+                )
 
 
 def _victims_for(

@@ -1,11 +1,4 @@
-"""In-DRAM mitigation models: a sampling target-row-refresh (TRR) and a
-per-row activation counter scheme with back-off (PRAC).
-
-The TRR sampler watches the command bus only: it records the row address
-of every bus ACT into a bounded ring and, on each TRR-capable REF,
-refreshes the neighbors of one uniformly sampled recent address.  Rows a
-group activation opens internally never appear on the bus, so the
-sampler cannot see them.
+"""Per-row activation counting with back-off (PRAC).
 
 The counter scheme keeps one counter per physical row and weights each
 in-DRAM operation kind by how much more disturbing it is than a nominal
@@ -17,84 +10,12 @@ the neighbors of the highest-count row and clears its counter.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Iterable
 
 from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError
-
-# ---------------------------------------------------------------------------
-# TRR
-
-
-@dataclass
-class TrrConfig:
-    sampler_size: int = 450
-    reach: int = 1  # refresh aggressor +/- reach
-    ref_cadence: int = 1  # every k-th REF is TRR-capable
-
-    def __post_init__(self):
-        if self.sampler_size < 1:
-            raise ConfigError("sampler_size must be >= 1")
-        if self.reach < 1:
-            raise ConfigError("reach must be >= 1")
-        if self.ref_cadence < 1:
-            raise ConfigError("ref_cadence must be >= 1")
-
-
-class TrrState:
-    def __init__(self, config: TrrConfig, rng: np.random.Generator, rows: int):
-        self.config = config
-        self.rng = rng
-        self.rows = rows
-        self.ring: deque[int] = deque(maxlen=config.sampler_size)
-        self.ref_count = 0
-        self.targeted_refreshes = 0
-
-    def observe_act(self, row: int) -> None:
-        """Record one bus ACT address (internally opened rows never call this)."""
-        self.ring.append(row)
-
-    def on_ref(self) -> tuple[int, ...]:
-        """Rows the device refreshes on this REF beyond the periodic slice."""
-        self.ref_count += 1
-        if self.ref_count % self.config.ref_cadence != 0 or not self.ring:
-            return ()
-        pick = self.ring[int(self.rng.integers(len(self.ring)))]
-        victims = tuple(
-            v
-            for d in range(1, self.config.reach + 1)
-            for v in (pick - d, pick + d)
-            if 0 <= v < self.rows
-        )
-        self.targeted_refreshes += len(victims)
-        return victims
-
-
-@dataclass
-class MitigationConfig:
-    """Which engines run and how; consumed by the harness and perf sim."""
-
-    trr: Optional["TrrConfig"] = None
-    prac: Optional["PracConfig"] = None
-    rfm_latency_ns: Optional[float] = None  # None -> tRC x refreshed neighbors
-
-    @property
-    def label(self) -> str:
-        if self.prac is not None:
-            tag = "wc" if self.prac.weighted else "naive"
-            return f"prac-{self.prac.mode}-{tag}"
-        if self.trr is not None:
-            return "trr"
-        return "none"
-
-
-# ---------------------------------------------------------------------------
-# PRAC
 
 
 def weight(kind: str, lowest_hc: dict[str, float]) -> int:

@@ -9,12 +9,12 @@ one complete copy cycle, or one complete multi-activation op.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .dram import SIMRA_SIZES, CommandEvent, SimraGroupMap, TimingParams
+from .dram import SIMRA_SIZES, CommandEvent, TimingParams
 from .errors import ConfigError
 
-PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra", "nsided")
+PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra")
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class PatternSpec:
     pre_act_gap: float = 7.5  # violated PRE->ACT gap for copy cycles
     act_gap: float = 3.0  # both gaps of a multi-activation op
     reversed_copy: bool = False
-    n: int = 2  # group size / aggressor count for nsided
-    technique: str = "rh"  # nsided: 'rh' or 'simra'
-    dummy_rows: tuple[int, ...] = ()
+    n: int = 2  # group size for simra
 
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
@@ -57,11 +55,6 @@ class PatternSpec:
                 raise ConfigError("simra takes (r1, r2)")
             if self.n not in SIMRA_SIZES:
                 raise ConfigError(f"group size {self.n} not in {SIMRA_SIZES}")
-        if self.kind == "nsided":
-            if self.technique not in ("rh", "simra"):
-                raise ConfigError("nsided technique must be rh or simra")
-            if not self.aggressors:
-                raise ConfigError("nsided needs aggressor rows")
 
 
 @dataclass
@@ -133,80 +126,6 @@ def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
         events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE", spec.bank))
         t += 2 * spec.act_gap + t_on + timing.t_rp
     return CommandStream(events, spec.hammers, "simra", t)
-
-
-def iter_nsided(spec: PatternSpec, timing: TimingParams) -> Iterator[CommandEvent]:
-    """Sampler-exhausting schedule: one window of aggressor hammering at
-    the full ACT budget, then three windows of decoy activations, REF at
-    every window boundary.  Repeats until each aggressor received
-    spec.hammers hammers.
-
-    With the nominal 156-ACT window this makes a refresh-time sampler
-    pick a decoy with probability 468/624 = 0.75 on average.
-    """
-    acts = timing.acts_per_refi
-    slot = timing.t_rc
-    if acts * slot > timing.t_refi:
-        raise ConfigError("ACT budget does not fit in a refresh interval")
-    if not spec.dummy_rows:
-        raise ConfigError("nsided needs decoy rows")
-    t_on = spec.t_aggon if spec.t_aggon is not None else timing.t_ras
-    per_op = 2 if spec.technique == "simra" else 1
-    ops_per_window = acts // per_op
-    n = len(spec.aggressors)
-    done = [0] * n
-    window = 0
-    dummy_i = 0
-    next_agg = 0
-    while min(done) < spec.hammers:
-        base = window * timing.t_refi
-        # aggressor window; round-robin restarts each window so the split
-        # is a fixed per-window schedule
-        next_agg = 0
-        for i in range(ops_per_window):
-            t = base + i * per_op * slot
-            if spec.technique == "simra":
-                a = spec.aggressors[next_agg]
-                yield CommandEvent(t, "ACT", spec.bank, a)
-                yield CommandEvent(t + spec.act_gap, "PRE", spec.bank)
-                yield CommandEvent(t + 2 * spec.act_gap, "ACT", spec.bank, a)
-                yield CommandEvent(t + 2 * spec.act_gap + t_on, "PRE", spec.bank)
-            else:
-                a = spec.aggressors[next_agg]
-                yield CommandEvent(t, "ACT", spec.bank, a)
-                yield CommandEvent(t + t_on, "PRE", spec.bank)
-            done[next_agg] += 1
-            next_agg = (next_agg + 1) % n
-            if min(done) >= spec.hammers and next_agg == 0:
-                break
-        yield CommandEvent(base + timing.t_refi - 1.0, "REF", spec.bank)
-        window += 1
-        # decoy windows
-        for _ in range(3):
-            base = window * timing.t_refi
-            for i in range(acts):
-                t = base + i * slot
-                yield CommandEvent(t, "ACT", spec.bank, spec.dummy_rows[dummy_i])
-                yield CommandEvent(t + t_on, "PRE", spec.bank)
-                dummy_i = (dummy_i + 1) % len(spec.dummy_rows)
-            yield CommandEvent(base + timing.t_refi - 1.0, "REF", spec.bank)
-            window += 1
-
-
-def gen_nsided_bypass(spec: PatternSpec, timing: TimingParams) -> CommandStream:
-    """Materialized sampler-exhausting schedule (see iter_nsided); only
-    sensible for small budgets."""
-    events = list(iter_nsided(spec, timing))
-    return CommandStream(events, spec.hammers * len(spec.aggressors), "nsided",
-                         events[-1].time if events else 0.0)
-
-
-def resolve_simra_pair(groups: SimraGroupMap, r2: int) -> tuple[int, int]:
-    """Pick an (r1, r2) pair that opens the group containing r2."""
-    grp = groups.table.get(r2)
-    if grp is None:
-        raise ConfigError(f"row {r2} belongs to no activation group")
-    return (r2, r2)
 
 
 # ---------------------------------------------------------------------------

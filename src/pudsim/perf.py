@@ -23,13 +23,13 @@ and only the PuD core once per period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError, PudsimError
-from .mitigation import MitigationConfig, PracConfig, PracState
+from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec
 from .rng import stable_hash
 
@@ -150,26 +150,24 @@ def _watchdog(t0: float, watchdog_ns: float) -> None:
         raise PudsimError("perf watchdog: no forward progress")
 
 
-def _prac(mitigation: MitigationConfig, rows: int) -> Optional[PracState]:
+def _prac(config: Optional[PracConfig], rows: int) -> Optional[PracState]:
     """Fresh PRAC counters for one bank, or None when PRAC is off."""
-    if mitigation.prac is None:
+    if config is None:
         return None
-    return PracState(replace(mitigation.prac), rows=rows, t_rc=_TIMING.t_rc)
+    return PracState(config, rows=rows, t_rc=_TIMING.t_rc)
 
 
-def _rfm(prac: PracState, mitigation: MitigationConfig) -> float:
-    """Service one RFM; returns how long it blocks the bank."""
-    refreshed = prac.rfm()
-    if mitigation.rfm_latency_ns is not None:
-        return mitigation.rfm_latency_ns
-    return _TIMING.t_rc * max(1, len(refreshed))
+def _rfm(prac: PracState) -> float:
+    """Service one RFM; it blocks the bank one tRC per refreshed row
+    (at least one)."""
+    return _TIMING.t_rc * max(1, len(prac.rfm()))
 
 
 def _conventional(
     spec: CoreSpec,
     core_id: int,
     seed: int,
-    mitigation: MitigationConfig,
+    mitigation: Optional[PracConfig],
     target_reqs: int,
     rows: int,
     watchdog_ns: float,
@@ -188,7 +186,7 @@ def _conventional(
         start = max(ready, free)
         # a pending RFM blocks the bank before the request is served
         while prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac, mitigation)
+            free = start + _rfm(prac)
             rfms += 1
             start = max(ready, free)
         _watchdog(start, watchdog_ns)
@@ -213,7 +211,7 @@ def _conventional(
 
 def _with_pud(
     conv: PerfResult,
-    mitigation: MitigationConfig,
+    mitigation: Optional[PracConfig],
     period_ns: float,
     target_reqs: int,
     rows: int = _ROWS,
@@ -236,7 +234,7 @@ def _with_pud(
             break
         _watchdog(start, watchdog_ns)
         if prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac, mitigation)
+            free = start + _rfm(prac)
             rfms += 1
             continue
         service = op_time
@@ -269,7 +267,7 @@ def _with_pud(
 
 def run_mix(
     conv_cores: tuple[CoreSpec, ...],
-    mitigation: MitigationConfig,
+    mitigation: Optional[PracConfig],
     period_ns: Optional[float],
     seed: int,
     target_reqs: int = 2000,
@@ -278,7 +276,8 @@ def run_mix(
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
-    free-runs and is measured by rate."""
+    free-runs and is measured by rate.  Every bank counts with
+    `mitigation`'s PRAC configuration, or not at all when it is None."""
     if len(conv_cores) > CONV_BANKS:
         raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
     lines = [
@@ -303,23 +302,23 @@ PERF_COLUMNS = (
 )
 
 
-def default_variants() -> dict[str, MitigationConfig]:
+def default_variants() -> dict[str, Optional[PracConfig]]:
     """No mitigation, naive per-row counting, and weighted counting."""
     naive = PracConfig(mode="po", rdt=20, weighted=False)
     wc = PracConfig(
         mode="po", rdt=4000, weights={RH: 1, COMRA: 10, SIMRA: 200}, weighted=True
     )
     return {
-        "none": MitigationConfig(),
-        "prac-po-naive": MitigationConfig(prac=naive),
-        "prac-po-wc": MitigationConfig(prac=wc),
+        "none": None,
+        "prac-po-naive": naive,
+        "prac-po-wc": wc,
     }
 
 
 def evaluate_mixes(
     mixes: list[Mix],
     periods: tuple[float, ...] = (125.0, 250.0, 1000.0, 4000.0, 16000.0),
-    variants: Optional[dict[str, MitigationConfig]] = None,
+    variants: Optional[dict[str, Optional[PracConfig]]] = None,
     target_reqs: int = 2000,
 ) -> list[dict]:
     """Sweep mixes x periods x variants; overhead is relative to the
@@ -329,11 +328,11 @@ def evaluate_mixes(
     variants = variants or default_variants()
     if "none" not in variants:
         raise ConfigError("variants must include the unmitigated baseline 'none'")
-    if variants["none"].prac is not None:
+    if variants["none"] is not None:
         raise ConfigError("the baseline variant 'none' must be unmitigated")
     # the PuD core alone reads no seed, so its rate depends only on the period
     pud_alone = {
-        period: run_mix((), MitigationConfig(), period, 0, target_reqs).shared_rates[0]
+        period: run_mix((), None, period, 0, target_reqs).shared_rates[0]
         for period in periods
     }
     out = []

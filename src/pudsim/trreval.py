@@ -1,12 +1,18 @@
 """Refresh-window-level evaluation of sampler TRR against bypass patterns.
 
+The modelled TRR watches the command bus only: it keeps the row address
+of the last `sampler_size` bus ACTs and, on every REF, refreshes the
+two neighbours of one uniformly sampled address.  Rows a group
+activation opens internally never appear on the bus, so the sampler
+cannot see them: it can only pick the group's bus-visible row.
+
 The bypass schedule (one aggressor window, three decoy windows, REF at
 every window boundary) is regular, so instead of replaying millions of
 bus events this evaluator advances one refresh window at a time: victim
 dosage per aggressor window is a precomputed constant, and each REF
 draws the TRR sample analytically from the known ring composition.  A
-bus-event reference implementation in the test suite pins the two routes
-to each other on small spans.
+bus-event reference in the test suite pins the two routes to each other
+on small spans, with TRR off and on.
 """
 
 from __future__ import annotations
@@ -17,8 +23,16 @@ from typing import Optional
 from .disturbance import RH, SIMRA, ChipProfile, ThresholdSet, contribution
 from .dram import SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
-from .mitigation import TrrConfig
 from .rng import substream
+
+
+@dataclass
+class TrrConfig:
+    sampler_size: int = 450  # bus ACT addresses the sampler remembers
+
+    def __post_init__(self):
+        if self.sampler_size < 1:
+            raise ConfigError("sampler_size must be >= 1")
 
 
 @dataclass
@@ -81,10 +95,8 @@ def _window_doses(
     timing: TimingParams,
     rows: int,
     t_on: float,
-) -> tuple[dict[int, float], dict[int, tuple[int, ...]]]:
-    """Per-victim effective units deposited by one aggressor window, and
-    the victims each bus-sampled aggressor address protects (±reach is
-    applied by the caller)."""
+) -> dict[int, float]:
+    """Per-victim effective units deposited by one aggressor window."""
     n_aggr = len(setup.aggressors)
     acts = timing.acts_per_refi
     per_op = 2 if setup.technique == "simra" else 1
@@ -92,13 +104,11 @@ def _window_doses(
     # round-robin split of the window's op budget
     ops_per_aggr = [ops // n_aggr + (1 if i < ops % n_aggr else 0) for i in range(n_aggr)]
     dose: dict[int, float] = {}
-    victims_of: dict[int, tuple[int, ...]] = {}
     max_d = profile.max_distance
     if setup.technique == "simra":
         nf = profile.simra_n_factor(setup.n)
         for i, r2 in enumerate(setup.aggressors):
             members = set(setup.groups[r2])
-            vs = []
             for v in range(min(members) - max_d, max(members) + max_d + 1):
                 if v in members or not 0 <= v < rows:
                     continue
@@ -107,21 +117,16 @@ def _window_doses(
                     continue
                 c = contribution(SIMRA, None, 80.0, t_on, d, profile) * nf
                 dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
-                vs.append(v)
-            victims_of[r2] = tuple(vs)
     else:
         aggr = set(setup.aggressors)
         for i, a in enumerate(setup.aggressors):
-            vs = []
             for d in range(1, max_d + 1):
                 for v in (a - d, a + d):
                     if v in aggr or not 0 <= v < rows:
                         continue
                     c = contribution(RH, None, 80.0, t_on, d, profile)
                     dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
-                    vs.append(v)
-            victims_of[a] = tuple(vs)
-    return dose, victims_of
+    return dose
 
 
 def run_bypass(
@@ -142,7 +147,7 @@ def run_bypass(
     theta = thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
-    dose_units, victims_of = _window_doses(setup, profile, timing, rows, timing.t_ras)
+    dose_units = _window_doses(setup, profile, timing, rows, timing.t_ras)
     victims = sorted(dose_units)
     # fraction of each victim's own threshold deposited per aggressor window
     dose = {v: dose_units[v] / float(theta[v]) for v in victims}
@@ -175,7 +180,7 @@ def run_bypass(
                     nf += 1
                 flipped[v] = nf
         # REF at the window boundary
-        if trr is not None and (w + 1) % trr.ref_cadence == 0:
+        if trr is not None:
             avail = min(trr.sampler_size, acts * (w + 1))
             j = int(rng.integers(avail))  # offset back from the newest ACT
             back_w = w - j // acts
@@ -185,11 +190,10 @@ def run_bypass(
                 op_idx = pos // per_op
                 a = setup.aggressors[op_idx % n_aggr]
                 trr_refreshes += 1  # the sampler caught an attack address
-                for d in range(1, trr.reach + 1):
-                    for v in (a - d, a + d):
-                        if v in damage:
-                            damage[v] = 0.0
-                            flipped[v] = 0
+                for v in (a - 1, a + 1):
+                    if v in damage:
+                        damage[v] = 0.0
+                        flipped[v] = 0
         # periodic refresh slice
         for r in range(cursor, cursor + per_ref):
             v = r % rows

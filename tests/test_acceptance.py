@@ -6,7 +6,6 @@ inside its limit on a laptop-class machine.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -43,12 +42,12 @@ from pudsim.harness import (
     run_combined,
     run_sweep,
 )
-from pudsim.mitigation import PracConfig, PracState, TrrConfig, secure_rdt, weight
+from pudsim.mitigation import PracConfig, PracState, secure_rdt, weight
 from pudsim.patterns import PatternSpec
 from pudsim.perf import evaluate_mixes, make_mixes
 from pudsim.profiles import available_profiles, load_default_profile, load_profile
 from pudsim.rng import substream
-from pudsim.trreval import make_rh_setup, make_simra_setup, run_bypass
+from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
 
 
 def _verdict(num: str, desc: str, ok: bool, detail: str = "") -> None:

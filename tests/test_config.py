@@ -18,8 +18,8 @@ from pudsim.config import (
 from pudsim.dram import AnalogConfig, Geometry, TimingParams
 from pudsim.errors import ConfigError
 from pudsim.harness import BisectionConfig
-from pudsim.mitigation import TrrConfig
 from pudsim.patterns import PatternSpec
+from pudsim.trreval import TrrConfig
 
 
 # -- keyval -----------------------------------------------------------------

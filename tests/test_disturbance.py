@@ -1,6 +1,5 @@
 """Threshold calibration, contribution scaling, and damage accrual."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +22,6 @@ from pudsim.disturbance import (
     accumulate,
     classify_region,
     contribution,
-    flip_direction,
 )
 from pudsim.dram import (
     KIND_COMRA,
@@ -119,20 +117,8 @@ def test_group_size_factor_reference_and_ratio(profile):
     assert factors == sorted(factors)
 
 
-def test_wcdp_picks_strongest_byte(profile):
-    assert profile.wcdp(SIMRA) == 0x00
-    assert profile.wcdp(RH) in (0x55, 0xAA)
-
-
 def test_flip_directions_oppose_by_default(profile):
-    assert flip_direction(RH, profile) != flip_direction(SIMRA, profile)
-
-
-def test_flip_direction_strict_requires_configuration():
-    prof = ChipProfile(name="x", flip_direction={})
-    assert flip_direction(RH, prof) == "1to0"
-    with pytest.raises(ConfigError):
-        flip_direction(RH, prof, strict=True)
+    assert profile.flip_direction[RH] != profile.flip_direction[SIMRA]
 
 
 def test_profile_rejects_bad_thresholds():

@@ -1,7 +1,7 @@
-"""Bank state machine, row mapping, and the analog-effect classifier."""
+"""Bank state machine and the analog-effect classifier."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pudsim import (
@@ -9,7 +9,6 @@ from pudsim import (
     Bank,
     CommandEvent,
     Geometry,
-    RowMapping,
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
@@ -121,31 +120,6 @@ def test_majority_of_identical_rows_is_that_row(row, n, bias):
 def test_majority_rejects_mixed_widths():
     with pytest.raises(ShapeError):
         majority_overwrite([b"\x00\x00", b"\x00"])
-
-
-# -- row mapping -----------------------------------------------------------
-
-
-@given(st.integers(min_value=0, max_value=511))
-def test_mapping_roundtrip_bit_swap(logical):
-    m = RowMapping.bit_swap(512, lo_bit=0, hi_bit=2)
-    assert m.to_logical(m.to_physical(logical)) == logical
-
-
-def test_mapping_3bit_reversal_table():
-    table = [int(f"{r:03b}"[::-1], 2) for r in range(8)]
-    m = RowMapping(8, table)
-    assert m.to_physical(0b001) == 0b100
-
-
-@given(st.integers())
-def test_mapping_rejects_out_of_range(row):
-    m = RowMapping.identity(16)
-    if 0 <= row < 16:
-        assert m.to_physical(row) == row
-    else:
-        with pytest.raises(AddressError):
-            m.to_physical(row)
 
 
 # -- subarrays and groups ----------------------------------------------------
@@ -420,14 +394,6 @@ def test_ref_requires_precharged_bank():
     s.act(2)
     with pytest.raises(ProtocolError):
         s.cmd("REF")
-
-
-@settings(max_examples=25)
-@given(st.integers(min_value=2, max_value=60))
-def test_refresh_rows_targets_exactly_requested(row):
-    b = make_bank(rows=64)
-    eff = b.refresh_rows([row - 1, row + 1], time=1.0)
-    assert set(eff.rows) == {row - 1, row + 1}
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -15,7 +15,6 @@ from pudsim import (
 from pudsim.disturbance import RH, SIMRA, ChipProfile
 from pudsim.errors import ConfigError
 from pudsim.harness import (
-    ExperimentResult,
     RESULT_COLUMNS,
     SweepGrid,
     default_cap,
@@ -25,6 +24,7 @@ from pudsim.harness import (
     run_combined,
     run_sweep,
 )
+from pudsim.reports import emit_report
 
 
 def flat_experiment(theta, rows=64):
@@ -139,19 +139,24 @@ def test_sweep_produces_schema_rows(worstcase, layout, groups):
     assert kinds == {"rowhammer", "simra"}
 
 
+def test_sweep_grid_rejects_unknown_kinds():
+    with pytest.raises(ConfigError, match="unknown pattern kind 'bogus'"):
+        SweepGrid(kinds=("rowhammer", "bogus"))
+
+
 def test_sweep_records_failures_instead_of_raising(worstcase, layout):
     grid = SweepGrid(kinds=("simra",), ns=(32,))
     res = run_sweep(grid, worstcase, layout, groups=None, seed=1)
     assert res.failures and not res.rows
 
 
-def test_aggregate_and_csv(worstcase, layout, groups):
+def test_sweep_rows_write_results_csv(worstcase, layout, groups, tmp_path):
     grid = SweepGrid(kinds=("simra",), ns=(32,))
     res = run_sweep(grid, worstcase, layout, groups, seed=1, per_subarray=1)
-    agg = res.aggregate()
-    assert agg["min"] <= agg["p50"] <= agg["max"]
-    header = res.to_csv().splitlines()[0]
-    assert header == ",".join(RESULT_COLUMNS)
+    emit_report(res.rows, "characterize", tmp_path)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == ",".join(RESULT_COLUMNS)
+    assert len(lines) == 1 + len(res.rows) > 1
 
 
 def test_combined_pattern_beats_rowhammer_alone(worstcase, layout, groups):

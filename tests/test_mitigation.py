@@ -1,16 +1,13 @@
-"""Sampler TRR and per-row activation counting."""
-
-import math
+"""Per-row activation counting (PRAC) and its weights."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pudsim import MitigationConfig, PracConfig, PracState, TrrConfig, TrrState
+from pudsim import PracConfig, PracState
 from pudsim.disturbance import COMRA, RH, SIMRA
 from pudsim.errors import ConfigError
 from pudsim.mitigation import secure_rdt, weight
-from pudsim.rng import substream
 
 T_RC = 49.5
 
@@ -257,65 +254,3 @@ def test_secure_rdt_bound_holds(theta, w_max):
     assert 2.1 * (rdt - 1 + w_max) < theta
     # and it is the largest such threshold
     assert 2.1 * (rdt + w_max) >= theta
-
-
-# -- TRR ------------------------------------------------------------------------
-
-
-def make_trr(size=8, reach=1, cadence=1, seed=0):
-    return TrrState(
-        TrrConfig(sampler_size=size, reach=reach, ref_cadence=cadence),
-        substream(seed, "trr"),
-        rows=128,
-    )
-
-
-def test_trr_refreshes_neighbors_of_a_sampled_act():
-    trr = make_trr()
-    trr.observe_act(30)
-    victims = trr.on_ref()
-    assert set(victims) == {29, 31}
-
-
-def test_trr_ring_is_bounded():
-    trr = make_trr(size=4)
-    for r in range(20):
-        trr.observe_act(r)
-    assert list(trr.ring) == [16, 17, 18, 19]
-
-
-def test_trr_cadence_skips_refs():
-    trr = make_trr(cadence=2)
-    trr.observe_act(30)
-    assert trr.on_ref() == ()
-    assert set(trr.on_ref()) == {29, 31}
-
-
-def test_trr_never_samples_unobserved_rows():
-    """Blindness: rows opened internally (never on the bus) cannot be
-    picked, so their neighbors are never preventively refreshed."""
-    trr = make_trr(size=450, seed=3)
-    bus_rows = [64, 96]
-    internal_rows = set(range(0, 32))  # opened by the device, not the bus
-    for _ in range(200):
-        for r in bus_rows:
-            trr.observe_act(r)
-    refreshed = set()
-    for _ in range(300):
-        refreshed.update(trr.on_ref())
-    assert refreshed == {63, 65, 95, 97}
-    assert not (refreshed & internal_rows)
-
-
-def test_trr_empty_ring_refreshes_nothing():
-    assert make_trr().on_ref() == ()
-
-
-def test_mitigation_labels():
-    assert MitigationConfig().label == "none"
-    assert MitigationConfig(trr=TrrConfig()).label == "trr"
-    assert MitigationConfig(prac=PracConfig(mode="po")).label == "prac-po-wc"
-    assert (
-        MitigationConfig(prac=PracConfig(mode="po", weighted=False)).label
-        == "prac-po-naive"
-    )

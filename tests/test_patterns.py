@@ -16,13 +16,7 @@ from pudsim import (
 )
 from pudsim.dram import CopyEffect, GroupOverwrite
 from pudsim.errors import ConfigError
-from pudsim.patterns import (
-    gen_comra,
-    gen_nsided_bypass,
-    gen_rowhammer,
-    gen_simra,
-    resolve_simra_pair,
-)
+from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra
 
 TIMING = TimingParams()
 
@@ -88,70 +82,11 @@ def test_simra_stream_opens_whole_group():
     assert set(ows[0].rows) == {8, 9, 10, 11}
 
 
-def test_resolve_simra_pair_uses_group_map():
-    layout = SubarrayLayout.uniform(64, 32)
-    groups = SimraGroupMap.aligned_blocks(layout, 8)
-    r1, r2 = resolve_simra_pair(groups, 12)
-    assert groups.group(r1, r2) is not None
-
-
 def test_generator_rejects_wrong_aggressor_count():
     with pytest.raises(ConfigError):
         PatternSpec(kind="comra", aggressors=(1, 2, 3))
     with pytest.raises(ConfigError):
         PatternSpec(kind="simra", aggressors=(1, 2), n=3)
-
-
-# -- bypass schedule -----------------------------------------------------------
-
-
-def test_nsided_window_structure():
-    spec = PatternSpec(
-        kind="nsided",
-        aggressors=(8, 10, 16, 18),
-        hammers=30,
-        technique="rh",
-        dummy_rows=tuple(range(100, 140)),
-    )
-    s = gen_nsided_bypass(spec, TIMING)
-    refs = [e for e in s.events if e.kind == "REF"]
-    acts = [e for e in s.events if e.kind == "ACT"]
-    assert len(refs) >= 4
-    # every refresh window carries exactly acts_per_refi activations
-    by_window = {}
-    for a in acts:
-        by_window.setdefault(int(a.time // TIMING.t_refi), 0)
-        by_window[int(a.time // TIMING.t_refi)] += 1
-    last_agg = max(w for w in by_window if w % 4 == 0)
-    for w, count in by_window.items():
-        if w == last_agg:
-            assert count <= TIMING.acts_per_refi  # budget met mid-window
-        else:
-            assert count == TIMING.acts_per_refi
-    # aggressor windows touch only aggressors; decoys only dummies
-    for a in acts:
-        w = int(a.time // TIMING.t_refi)
-        if w % 4 == 0:
-            assert a.row in spec.aggressors
-        else:
-            assert a.row in spec.dummy_rows
-
-
-def test_nsided_round_robin_resets_each_window():
-    spec = PatternSpec(
-        kind="nsided",
-        aggressors=(8, 10),
-        hammers=200,
-        technique="rh",
-        dummy_rows=tuple(range(100, 140)),
-    )
-    s = gen_nsided_bypass(spec, TIMING)
-    agg_acts = [e for e in s.events if e.kind == "ACT" and e.row in (8, 10)]
-    windows = {}
-    for a in agg_acts:
-        windows.setdefault(int(a.time // TIMING.t_refi), []).append(a.row)
-    for rows in windows.values():
-        assert rows[0] == 8  # the split restarts at the first aggressor
 
 
 # -- trace format ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from pudsim.errors import ConfigError
-from pudsim.mitigation import MitigationConfig, PracConfig
+from pudsim.mitigation import PracConfig
 from pudsim.perf import (
     PERF_COLUMNS,
     CoreSpec,
@@ -41,8 +41,8 @@ def test_mixes_are_deterministic():
 
 def test_run_mix_is_deterministic():
     cores = make_mixes(1, seed=2)[0].cores
-    a = run_mix(cores, MitigationConfig(), 1000.0, seed=7, target_reqs=400)
-    b = run_mix(cores, MitigationConfig(), 1000.0, seed=7, target_reqs=400)
+    a = run_mix(cores, None, 1000.0, seed=7, target_reqs=400)
+    b = run_mix(cores, None, 1000.0, seed=7, target_reqs=400)
     assert a.shared_rates == b.shared_rates
     assert (a.backoffs, a.rfm_count) == (b.backoffs, b.rfm_count)
 
@@ -149,7 +149,7 @@ def test_run_mix_matches_reference_values(key):
 def test_run_mix_rejects_more_cores_than_banks():
     cores = tuple(CoreSpec(kind="stream", row_base=i * 256) for i in range(8))
     with pytest.raises(ConfigError):
-        run_mix(cores, MitigationConfig(), None, seed=1, target_reqs=10)
+        run_mix(cores, None, None, seed=1, target_reqs=10)
 
 
 def test_benign_rowlocal_traffic_sees_negligible_prac_cost():
@@ -159,8 +159,8 @@ def test_benign_rowlocal_traffic_sees_negligible_prac_cost():
         CoreSpec(kind="rowlocal", gap_ns=30.0, locality=0.6, footprint=32, row_base=i * 256)
         for i in range(4)
     )
-    base = run_mix(cores, MitigationConfig(), None, seed=3, target_reqs=1500)
-    wc = MitigationConfig(prac=PracConfig(mode="po", rdt=4000))
+    base = run_mix(cores, None, None, seed=3, target_reqs=1500)
+    wc = PracConfig(mode="po", rdt=4000)
     prac = run_mix(cores, wc, None, seed=3, target_reqs=1500)
     assert prac.rfm_count == 0
     for core, rate in base.shared_rates.items():
@@ -169,7 +169,7 @@ def test_benign_rowlocal_traffic_sees_negligible_prac_cost():
 
 def test_naive_low_threshold_punishes_conventional_reuse():
     cores = (CoreSpec(kind="random", gap_ns=30.0, footprint=8),)
-    naive = MitigationConfig(prac=PracConfig(mode="po", rdt=20, weighted=False))
+    naive = PracConfig(mode="po", rdt=20, weighted=False)
     res = run_mix(cores, naive, None, seed=1, target_reqs=1000)
     assert res.rfm_count > 0 and res.backoffs > 0
 
@@ -188,7 +188,7 @@ def test_variants_must_include_baseline():
         evaluate_mixes(
             make_mixes(1, seed=1),
             periods=(1000.0,),
-            variants={"trr": MitigationConfig()},
+            variants={"trr": None},
         )
     # the baseline doubles as the alone run, so it must be unmitigated
     with pytest.raises(ConfigError):
@@ -223,6 +223,7 @@ def test_ordering_and_monotonicity_small():
 def test_default_variants_cover_both_counting_policies():
     v = default_variants()
     assert set(v) == {"none", "prac-po-naive", "prac-po-wc"}
-    assert v["prac-po-naive"].prac.rdt == 20
-    assert v["prac-po-wc"].prac.rdt == 4000
-    assert v["prac-po-wc"].prac.weights["simra"] == 200
+    assert v["none"] is None
+    assert v["prac-po-naive"].rdt == 20
+    assert v["prac-po-wc"].rdt == 4000
+    assert v["prac-po-wc"].weights["simra"] == 200

@@ -1,7 +1,6 @@
 """CSV report writers and the command-line front end."""
 
 import csv
-from pathlib import Path
 
 import pytest
 
@@ -193,11 +192,11 @@ def test_cli_characterize_survives_cells_without_flip(tmp_path):
 def test_cli_mitigation_eval_runs_only_the_requested_variant(tmp_path, monkeypatch):
     from pudsim import perf
 
-    labels = []
+    seen = []
     real = perf.run_mix
 
     def spy(conv_cores, mitigation, *a, **k):
-        labels.append(mitigation.label)
+        seen.append(mitigation)
         return real(conv_cores, mitigation, *a, **k)
 
     monkeypatch.setattr(perf, "run_mix", spy)
@@ -208,7 +207,9 @@ def test_cli_mitigation_eval_runs_only_the_requested_variant(tmp_path, monkeypat
     with open(tmp_path / "out" / "perf.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["mitigation"] for r in rows] == ["prac-po-wc"]
-    assert set(labels) == {"none", "prac-po-wc"}
+    wc = perf.default_variants()["prac-po-wc"]
+    assert None in seen and wc in seen
+    assert all(m is None or m == wc for m in seen)
     assert main(["mitigation-eval", "--config", str(cfg),
                  "--variant", "prac-po-bogus"]) == 1
 
@@ -301,3 +302,30 @@ def test_cli_jobs_one_is_accepted_everywhere(tmp_path, args):
                                  "perf.periods": "1000"})
     assert main([*args, "--config", str(cfg), "--jobs", "1"]) == 0
     assert (tmp_path / "out" / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("kind", ["bogus", "nsided"])
+@pytest.mark.parametrize("args", [
+    ["characterize"],
+    ["attack", "--victim", "255"],
+    ["trr-eval"],
+    ["mitigation-eval"],
+    ["trace-gen"],
+    ["report", "--kind", "trr-eval", "--input", "missing.csv"],
+])
+def test_cli_unknown_pattern_kind_is_a_config_error(tmp_path, caplog, args, kind):
+    cfg = _cfg_file(tmp_path, **{"pattern.kind": kind})
+    assert main([*args, "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("pattern.kind")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_characterize_rejects_unknown_kinds_before_the_sweep(tmp_path, caplog):
+    cfg = _cfg_file(tmp_path)
+    assert main(["characterize", "--config", str(cfg),
+                 "--kinds", "rowhammer bogus"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "unknown pattern kind 'bogus'" in errors[0]
+    assert "sweep cell failed" not in caplog.text
+    assert not (tmp_path / "out" / "results.csv").exists()
