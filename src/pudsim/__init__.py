@@ -2,10 +2,8 @@
 activation, with mitigation models and a characterization harness."""
 
 from .dram import (
-    AnalogConfig,
     Bank,
     CommandEvent,
-    Geometry,
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
@@ -25,18 +23,16 @@ from .errors import (
     ProtocolError,
     PudsimError,
     ShapeError,
-    UndefinedTimingError,
 )
 from .harness import BisectionConfig, Experiment, find_hcfirst, run_sweep
 from .mitigation import PracConfig, PracState
-from .patterns import PatternSpec, events_to_trace, parse_trace
-from .profiles import available_profiles, load_default_profile, load_profile
+from .patterns import PatternSpec, events_to_trace
+from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
 from .trreval import TrrConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalogConfig",
     "AddressError",
     "Bank",
     "BisectionConfig",
@@ -44,9 +40,9 @@ __all__ = [
     "ChipProfile",
     "CommandEvent",
     "ConfigError",
+    "DEFAULT_PROFILE",
     "DisturbanceState",
     "Experiment",
-    "Geometry",
     "PatternSpec",
     "PracConfig",
     "PracState",
@@ -58,15 +54,12 @@ __all__ = [
     "ThresholdSet",
     "TimingParams",
     "TrrConfig",
-    "UndefinedTimingError",
     "accumulate",
     "available_profiles",
     "contribution",
     "events_to_trace",
     "find_hcfirst",
-    "load_default_profile",
     "load_profile",
-    "parse_trace",
     "run_sweep",
     "sample_thresholds",
     "__version__",

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import RunConfig, dumps_config, load_config
-from .dram import SimraGroupMap, SubarrayLayout
+from .dram import SimraGroupMap
 from .disturbance import sample_thresholds
 from .errors import ConfigError, PudsimError
 from .harness import NO_FLIP, Experiment, SweepGrid, find_hcfirst, run_sweep
@@ -96,8 +97,7 @@ def _write_manifest(cfg: RunConfig) -> Path:
 
 def _chip(cfg: RunConfig):
     profile = load_profile(cfg.profile)
-    sub_rows = max(cfg.group_n * cfg.group_stride, cfg.rows // cfg.subarrays)
-    layout = SubarrayLayout.uniform(cfg.rows, sub_rows)
+    layout = cfg.layout()
     groups = SimraGroupMap.aligned_blocks(layout, cfg.group_n, cfg.group_stride)
     return profile, layout, groups
 
@@ -175,17 +175,17 @@ def _bypass_rows(task) -> tuple[dict, dict]:
     cfg_d, technique, seed, windows = task
     cfg = RunConfig(**cfg_d)
     profile, layout, groups = _chip(cfg)
-    thresholds = sample_thresholds(profile, layout, seed,
-                                   row_bits=cfg.row_bytes * 8)
+    thresholds = sample_thresholds(profile, layout, seed)
     if technique == "simra":
         setup = make_simra_setup(groups, cfg.group_n, count=4)
     else:
-        setup = make_rh_setup(pairs=4)
+        setup = make_rh_setup(pairs=1)
     rows = []
     for trr_on in (False, True):
         trr = cfg.trr() if trr_on else None
         res = run_bypass(setup, profile, thresholds, layout, trr,
-                         seed=seed, windows=windows, timing=cfg.timing())
+                         seed=seed, windows=windows, timing=cfg.timing(),
+                         temp_c=cfg.temp_c, t_on=cfg.t_aggon_ns, dp=cfg.dp_aggr)
         rows.append({
             "technique": technique,
             "trr": int(trr_on),
@@ -234,9 +234,15 @@ def cmd_mitigation_eval(args) -> int:
     if args.variant:
         rows = [r for r in rows if r["mitigation"] == args.variant]
     paths = emit_report(rows, "perf", cfg.out_dir)
-    for r in rows[:10]:
-        print(f"mix {r['mix_id']} period {r['period_ns']}ns {r['mitigation']}: "
-              f"WS={r['weighted_speedup']} overhead={r['overhead_pct']}%")
+    # one line per period: each variant's mean overhead over the mixes
+    shown = [args.variant] if args.variant else [k for k in variants if k != "none"]
+    for period in periods if mixes else ():
+        means = []
+        for name in shown:
+            pct = [r["overhead_pct"] for r in rows
+                   if r["mitigation"] == name and r["period_ns"] == period]
+            means.append(f"{name} {statistics.fmean(pct):.2f}%")
+        print(f"period {period:g} ns: mean overhead {'  '.join(means)}")
     for p in paths:
         print(p)
     return 0

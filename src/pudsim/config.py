@@ -13,10 +13,11 @@ import logging
 from dataclasses import dataclass, fields
 
 from . import keyval
-from .dram import SIMRA_SIZES, AnalogConfig, Geometry, TimingParams
+from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import BisectionConfig
 from .patterns import PATTERN_KINDS, PatternSpec
+from .profiles import DEFAULT_PROFILE
 from .trreval import TrrConfig
 
 log = logging.getLogger(__name__)
@@ -25,15 +26,14 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RunConfig:
     # geometry / timing
-    rows: int = Geometry.rows
-    row_bytes: int = Geometry.row_bytes
+    rows: int = 1024
     t_ras: float = TimingParams.t_ras
     t_rp: float = TimingParams.t_rp
     t_refi: float = TimingParams.t_refi
     t_refw: float = TimingParams.t_refw
     acts_per_refi: int = TimingParams.acts_per_refi
     # calibration and reproducibility
-    profile: str = "skhynix_a_8gb"
+    profile: str = DEFAULT_PROFILE
     seed: int = 0
     out_dir: str = "out"
     # layout / group map generation
@@ -64,13 +64,13 @@ class RunConfig:
             raise ConfigError("seed must be a non-negative integer")
         if self.pattern not in PATTERN_KINDS:
             raise ConfigError(f"pattern.kind must be one of {PATTERN_KINDS}")
-        if self.act_gap_ns > AnalogConfig.simra_gap_max:
+        if self.act_gap_ns > SIMRA_GAP_MAX:
             raise ConfigError(
-                f"pattern.act_gap_ns must be <= {AnalogConfig.simra_gap_max} ns, "
+                f"pattern.act_gap_ns must be <= {SIMRA_GAP_MAX} ns, "
                 "the multi-activation window"
             )
         # delegate range checks to the component types
-        self.geometry()
+        self.layout()
         self.timing()
         self.search()
         self.trr()
@@ -78,8 +78,12 @@ class RunConfig:
             if p <= 0:
                 raise ConfigError("perf.periods entries must be positive")
 
-    def geometry(self) -> Geometry:
-        return Geometry(rows=self.rows, row_bytes=self.row_bytes)
+    def layout(self) -> SubarrayLayout:
+        """`subarrays` equal subarrays, each at least one group span."""
+        if self.subarrays < 1:
+            raise ConfigError("layout.subarrays must be >= 1")
+        sub_rows = max(self.group_n * self.group_stride, self.rows // self.subarrays)
+        return SubarrayLayout.uniform(self.rows, sub_rows)
 
     def timing(self) -> TimingParams:
         return TimingParams(
@@ -110,7 +114,6 @@ def _int(raw: str) -> int:
 # config-file key -> (dataclass field, parser)
 _SCHEMA: dict[str, tuple[str, object]] = {
     "geometry.rows": ("rows", _int),
-    "geometry.row_bytes": ("row_bytes", _int),
     "timing.t_ras": ("t_ras", float),
     "timing.t_rp": ("t_rp", float),
     "timing.t_refi": ("t_refi", float),
@@ -138,11 +141,13 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 _FIELD_TO_KEY = {f: k for k, (f, _) in _SCHEMA.items()}
 
-# keys that earlier versions wrote to every manifest but nothing read;
-# skipped with a warning so those manifests still replay in strict mode
-RETIRED_KEYS = frozenset(
-    {"mitigation.kind", "mitigation.rdt", "mitigation.reach", "pattern.dp_victim"}
-)
+# keys that earlier versions wrote to every manifest and no output
+# depends on; skipped with a warning so those manifests still replay in
+# strict mode
+RETIRED_KEYS = frozenset({
+    "geometry.row_bytes", "mitigation.kind", "mitigation.rdt", "mitigation.reach",
+    "pattern.dp_victim",
+})
 
 
 def config_from_values(values: dict[str, str], strict: bool = True) -> RunConfig:

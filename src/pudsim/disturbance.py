@@ -22,6 +22,7 @@ from .dram import (
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
+    ROW_BYTES,
     CopyEffect,
     GroupOverwrite,
     HammerEffect,
@@ -40,6 +41,9 @@ KINDS = (RH, COMRA, SIMRA)
 EFFECT_KIND = {KIND_RH: RH, KIND_COMRA: COMRA, KIND_SIMRA: SIMRA}
 
 T_REF_C = 80.0
+
+# bit positions of a row: a row's weak bit and the bits after it flip
+ROW_BITS = 8 * ROW_BYTES
 
 REGIONS = ("Beginning", "Beginning-Middle", "Middle", "Middle-End", "End")
 
@@ -260,7 +264,6 @@ class ThresholdSet:
     theta: dict[str, np.ndarray]
     weak_bit: np.ndarray
     seed: int
-    row_bits: int = 64
     _theta_lists: dict[str, list[float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -288,12 +291,7 @@ def _region_mults(profile: ChipProfile, layout: SubarrayLayout) -> np.ndarray:
     return mults
 
 
-def sample_thresholds(
-    profile: ChipProfile,
-    layout: SubarrayLayout,
-    seed: int,
-    row_bits: int = 64,
-) -> ThresholdSet:
+def sample_thresholds(profile: ChipProfile, layout: SubarrayLayout, seed: int) -> ThresholdSet:
     rows = layout.rows
     mults = _region_mults(profile, layout)
     theta: dict[str, np.ndarray] = {}
@@ -306,8 +304,8 @@ def sample_thresholds(
         t = hc * profile.units_per_hammer(kind)
         theta[kind] = np.maximum(t * mults, 1e-9)
     hashes = stable_hash_each(seed, np.arange(rows))
-    weak = (hashes % np.uint64(row_bits)).astype(np.int64)
-    return ThresholdSet(theta=theta, weak_bit=weak, seed=seed, row_bits=row_bits)
+    weak = (hashes % np.uint64(ROW_BITS)).astype(np.int64)
+    return ThresholdSet(theta=theta, weak_bit=weak, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def accumulate(
             while f >= esc**nf * slack:
                 flip = Bitflip(
                     row=v,
-                    bit=int((thresholds.weak_bit[v] + nf) % thresholds.row_bits),
+                    bit=int((thresholds.weak_bit[v] + nf) % ROW_BITS),
                     direction=profile.flip_direction.get(kind, "1to0"),
                     kind=kind,
                     time=eff.time,

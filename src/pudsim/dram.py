@@ -12,7 +12,9 @@ Two violation windows are modeled on top of nominal operation:
   every member with the bitwise majority of the group's contents.
 
 Each of these sequences also disturbs neighboring rows; the bank emits
-`HammerEffect` records that the disturbance model consumes.
+`HammerEffect` records that the disturbance model consumes.  A violating
+gap that fits neither window is served as a nominal activation and
+recorded in `Bank.diagnostics`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    AddressError,
-    ConfigError,
-    ProtocolError,
-    ShapeError,
-    UndefinedTimingError,
-)
+from .errors import AddressError, ConfigError, ProtocolError, ShapeError
 
 KIND_RH = "rh-act"
 KIND_COMRA = "comra-cycle"
@@ -37,6 +33,20 @@ KIND_SIMRA = "simra-op"
 SIMRA_SIZES = (2, 4, 8, 16, 32)
 
 COMMANDS = ("ACT", "PRE", "RD", "WR", "REF", "RFM")
+
+# bytes each row stores
+ROW_BYTES = 8
+# contents of a row never written
+DEFAULT_FILL = bytes(ROW_BYTES)
+
+# Windows of the modeled timing violations.  A copy needs a PRE->ACT gap
+# below tRP; a group op needs both gaps at most SIMRA_GAP_MAX, and at most
+# PARTIAL_GAP_MAX each group row opens only with probability P_ACT.
+SIMRA_GAP_MAX = 3.0
+PARTIAL_GAP_MAX = 1.5
+P_ACT = 1.0 / 2.28
+# a majority tie in a group overwrite resolves to this bit value
+TIE_BIAS = 0
 
 
 @dataclass(frozen=True)
@@ -70,23 +80,6 @@ class TimingParams:
         return max(1, int(self.t_refw // self.t_refi))
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Rows of the simulated bank and the bytes each row stores."""
-
-    rows: int = 1024
-    row_bytes: int = 8
-
-    def __post_init__(self):
-        for name in ("rows", "row_bytes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-
-    def check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise AddressError(f"row {row} outside [0, {self.rows})")
-
-
 class SubarrayLayout:
     """Partition of a bank's rows into contiguous subarray extents."""
 
@@ -107,6 +100,8 @@ class SubarrayLayout:
 
     @classmethod
     def uniform(cls, rows: int, subarray_rows: int) -> "SubarrayLayout":
+        if rows < 2:
+            raise ConfigError("rows must be >= 2")
         if subarray_rows < 2:
             raise ConfigError("subarray_rows must be >= 2")
         extents = []
@@ -121,6 +116,10 @@ class SubarrayLayout:
             extents[-2] = (start, count + extents[-1][1])
             extents.pop()
         return cls(extents)
+
+    def check_row(self, row: int) -> None:
+        if not 0 <= row < self.rows:
+            raise AddressError(f"row {row} outside [0, {self.rows})")
 
     def subarray_of(self, row: int) -> int:
         if not 0 <= row < self.rows:
@@ -259,27 +258,6 @@ class RefreshEffect:
     time: float
 
 
-@dataclass
-class AnalogConfig:
-    """Windows and behaviors of the modeled timing violations."""
-
-    copy_gap_max: Optional[float] = None  # None -> anything below tRP
-    simra_gap_max: float = 3.0
-    partial_gap_max: float = 1.5
-    p_act: float = 1.0 / 2.28  # per-row activation prob. in the partial window
-    tie_bias: int = 0  # majority tie -> this bit value
-    default_fill: int = 0x00
-    strict_timing: bool = False  # unmodeled violating gap: raise vs. nominal
-
-    def __post_init__(self):
-        if not 0.0 < self.p_act <= 1.0:
-            raise ConfigError("p_act must be in (0, 1]")
-        if self.tie_bias not in (0, 1):
-            raise ConfigError("tie_bias must be 0 or 1")
-        if not 0 <= self.default_fill <= 0xFF:
-            raise ConfigError("default_fill must be a byte value")
-
-
 def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
     """Bitwise majority of equally sized rows; ties go to tie_bias."""
     if not contents:
@@ -323,20 +301,14 @@ class Bank:
 
     def __init__(
         self,
-        geometry: Geometry,
         timing: TimingParams,
         layout: SubarrayLayout,
         groups: Optional[SimraGroupMap] = None,
-        analog: Optional[AnalogConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ):
-        if layout.rows != geometry.rows:
-            raise ConfigError("subarray layout must cover exactly the bank's rows")
-        self.geometry = geometry
         self.timing = timing
         self.layout = layout
         self.groups = groups
-        self.analog = analog or AnalogConfig()
         self.rng = rng or np.random.default_rng(0)
         self.data: dict[int, bytes] = {}
         self.open: Optional[_Activation] = None
@@ -345,21 +317,21 @@ class Bank:
         # last row closed nominally, waiting for context to resolve
         self._pending: Optional[tuple[int, float, float]] = None  # row, t_on, closed_at
         self._ref_cursor = 0
-        self._fill = bytes([self.analog.default_fill]) * geometry.row_bytes
         self.diagnostics: list[str] = []
 
     # -- data access --------------------------------------------------------
 
     def row_data(self, row: int) -> bytes:
-        self.geometry.check_row(row)
-        return self.data.get(row, self._fill)
+        self.layout.check_row(row)
+        return self.data.get(row, DEFAULT_FILL)
 
     def set_row_data(self, row: int, value: bytes) -> None:
-        self.geometry.check_row(row)
+        self.layout.check_row(row)
         self.data[row] = self._pad(value)
 
-    def _pad(self, value: bytes) -> bytes:
-        w = self.geometry.row_bytes
+    @staticmethod
+    def _pad(value: bytes) -> bytes:
+        w = ROW_BYTES
         if len(value) == w:
             return bytes(value)
         if len(value) > w:
@@ -386,24 +358,19 @@ class Bank:
         return [HammerEffect(KIND_RH, (row,), t_on, closed)]
 
     def _cmd_act(self, cmd: CommandEvent) -> list:
-        self.geometry.check_row(cmd.row)
+        self.layout.check_row(cmd.row)
         if self.open is not None:
             raise ProtocolError("ACT while a row is open (PRE first)")
         gap = float("inf") if self.last_pre is None else cmd.time - self.last_pre
         prev = self._pending
-        a = self.analog
-        copy_max = a.copy_gap_max if a.copy_gap_max is not None else self.timing.t_rp
 
-        if prev is not None and gap <= a.simra_gap_max and prev[1] <= a.simra_gap_max:
+        if prev is not None and gap <= SIMRA_GAP_MAX and prev[1] <= SIMRA_GAP_MAX:
             return self._act_simra(cmd, prev)
-        if prev is not None and gap < copy_max:
-            return self._act_copy(cmd, prev, gap)
+        if prev is not None and gap < self.timing.t_rp:
+            return self._act_copy(cmd, prev)
         if gap < self.timing.t_rp:
-            # violating gap outside every modeled window
-            msg = f"unmodeled gap {gap:.3g} ns before ACT row {cmd.row}"
-            if a.strict_timing:
-                raise UndefinedTimingError(msg)
-            self.diagnostics.append(msg)
+            # a violating gap after no nominal activation
+            self.diagnostics.append(f"unmodeled gap {gap:.3g} ns before ACT row {cmd.row}")
         out = self.flush()
         self.open = _Activation((cmd.row,), cmd.time, "nominal")
         return out
@@ -412,34 +379,29 @@ class Bank:
         r1, gap1, _closed = prev
         grp = self.groups.group(r1, cmd.row) if self.groups is not None else None
         if grp is None:
-            msg = f"multi-activation gap on ungrouped pair ({r1}, {cmd.row})"
-            if self.analog.strict_timing:
-                raise UndefinedTimingError(msg)
-            self.diagnostics.append(msg)
+            self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {cmd.row})")
             out = self.flush()
             self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
         # the pending half-activation is part of this op, not its own hammer
         self._pending = None
         rows = sorted(grp)
-        if gap1 <= self.analog.partial_gap_max:
-            p_act = self.analog.p_act
+        if gap1 <= PARTIAL_GAP_MAX:
             draws = self.rng.random(len(rows)).tolist()
-            keep = [r for r, x in zip(rows, draws) if x < p_act]
+            keep = [r for r, x in zip(rows, draws) if x < P_ACT]
             if cmd.row not in keep:
                 keep.append(cmd.row)  # the directly addressed row always opens
             rows = sorted(keep)
         self.open = _Activation(tuple(rows), cmd.time, "simra")
         return []
 
-    def _act_copy(self, cmd: CommandEvent, prev: tuple[int, float, float], gap: float) -> list:
+    def _act_copy(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
         src, src_t_on, _closed = prev
         if src_t_on + 1e-9 < self.timing.t_ras:
             # source was not fully restored; no clean data to copy
-            msg = f"copy gap after short activation ({src_t_on:.3g} ns) of row {src}"
-            if self.analog.strict_timing:
-                raise UndefinedTimingError(msg)
-            self.diagnostics.append(msg)
+            self.diagnostics.append(
+                f"copy gap after short activation ({src_t_on:.3g} ns) of row {src}"
+            )
             out = self.flush()
             self.open = _Activation((cmd.row,), cmd.time, "nominal")
             return out
@@ -465,11 +427,11 @@ class Bank:
             rows = act.rows
             if not act.written:
                 data = self.data
-                contents = [data.get(r, self._fill) for r in rows]
+                contents = [data.get(r, DEFAULT_FILL) for r in rows]
                 maj = contents[0]
                 # the majority of identical rows is that row, at any tie bias
                 if contents.count(maj) != len(contents):
-                    maj = majority_overwrite(contents, self.analog.tie_bias)
+                    maj = majority_overwrite(contents, TIE_BIAS)
                 for r in rows:
                     data[r] = maj
             effects.append(GroupOverwrite(rows, cmd.time))
@@ -508,12 +470,11 @@ class Bank:
         if self.open is not None:
             raise ProtocolError("REF requires all rows precharged")
         effects = self.flush()
-        per_ref = -(-self.geometry.rows // self.timing.refs_per_refw)  # ceil
+        n_rows = self.layout.rows
+        per_ref = -(-n_rows // self.timing.refs_per_refw)  # ceil
         start = self._ref_cursor
-        rows = tuple(
-            (start + i) % self.geometry.rows for i in range(min(per_ref, self.geometry.rows))
-        )
-        self._ref_cursor = (start + per_ref) % self.geometry.rows
+        rows = tuple((start + i) % n_rows for i in range(min(per_ref, n_rows)))
+        self._ref_cursor = (start + per_ref) % n_rows
         effects.append(RefreshEffect(rows, cmd.time))
         return effects
 

@@ -18,10 +18,6 @@ class ProtocolError(PudsimError):
     (e.g. REF with a row open, ACT on an already-active bank)."""
 
 
-class UndefinedTimingError(PudsimError):
-    """Timing-violating gap that matches no modeled analog window."""
-
-
 class CalibrationError(PudsimError):
     """Threshold fitting could not hit its targets."""
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .dram import (
-    AnalogConfig,
+    PARTIAL_GAP_MAX,
+    ROW_BYTES,
     Bank,
     CommandEvent,
-    Geometry,
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
@@ -23,7 +23,6 @@ from .dram import (
 from .disturbance import (
     ChipProfile,
     DisturbanceState,
-    ThresholdSet,
     accumulate,
     classify_region,
     sample_thresholds,
@@ -64,46 +63,26 @@ class Experiment:
         layout: SubarrayLayout,
         groups: Optional[SimraGroupMap] = None,
         timing: Optional[TimingParams] = None,
-        geometry: Optional[Geometry] = None,
-        analog: Optional[AnalogConfig] = None,
         seed: int = 0,
         temp_c: float = 80.0,
         dp_aggr: Optional[int] = None,
-        thresholds: Optional[ThresholdSet] = None,
     ):
         self.profile = profile
         self.layout = layout
         self.groups = groups
         self.timing = timing or TimingParams()
-        self.geometry = geometry or Geometry(rows=layout.rows)
-        if self.geometry.rows != layout.rows:
-            raise ConfigError("geometry rows must match the subarray layout")
-        self.analog = analog or AnalogConfig()
         self.seed = seed
         self.temp_c = temp_c
         self.dp_aggr = dp_aggr
-        self.thresholds = thresholds or sample_thresholds(
-            profile, layout, seed, row_bits=self.geometry.row_bytes * 8
-        )
+        self.thresholds = sample_thresholds(profile, layout, seed)
 
     def fresh_bank(self, label: str = "bank") -> Bank:
-        return Bank(
-            self.geometry,
-            self.timing,
-            self.layout,
-            self.groups,
-            self.analog,
-            rng=substream(self.seed, label),
-        )
+        return Bank(self.timing, self.layout, self.groups, rng=substream(self.seed, label))
 
-    def run_stream(
-        self,
-        events: Iterable[CommandEvent],
-        bank: Optional[Bank] = None,
-        state: Optional[DisturbanceState] = None,
-    ) -> tuple[DisturbanceState, Bank]:
-        bank = bank or self.fresh_bank()
-        state = state or DisturbanceState(rows=self.geometry.rows)
+    def run_stream(self, events: Iterable[CommandEvent]) -> tuple[DisturbanceState, Bank]:
+        """Replay events on a fresh bank into fresh damage state."""
+        bank = self.fresh_bank()
+        state = DisturbanceState(rows=self.layout.rows)
         for e in events:
             effects = bank.apply(e)
             if effects:
@@ -132,7 +111,7 @@ class Experiment:
         return dict(state.damage)
 
     def is_stochastic(self, spec: PatternSpec) -> bool:
-        return spec.kind == "simra" and spec.act_gap <= self.analog.partial_gap_max
+        return spec.kind == "simra" and spec.act_gap <= PARTIAL_GAP_MAX
 
     def probe(self, spec: PatternSpec, victim: int, n: int, rep: int = 0) -> bool:
         """Does `n` hammers flip the victim at least once?"""
@@ -141,7 +120,7 @@ class Experiment:
             return n * per >= 1.0 - 1e-12
         # op strength varies per draw: replay op by op with a fresh bank
         bank = self.fresh_bank(f"probe.{rep}.{victim}")
-        state = DisturbanceState(rows=self.geometry.rows)
+        state = DisturbanceState(rows=self.layout.rows)
         one = _generate(replace(spec, hammers=1), self.timing)
         dt = one.end_time
         hammer = [(e.time, e.kind, e.bank, e.row, e.payload) for e in one.events]
@@ -250,9 +229,9 @@ def discover_subarrays(bank: Bank) -> SubarrayLayout:
     """Recover subarray boundaries by probing every adjacent row pair with
     a copy cycle: the copy lands only when both rows share sense amps."""
     timing = bank.timing
-    rows = bank.geometry.rows
-    marker = bytes([0xA7]) * bank.geometry.row_bytes
-    anti = bytes([0x58]) * bank.geometry.row_bytes
+    rows = bank.layout.rows
+    marker = bytes([0xA7]) * ROW_BYTES
+    anti = bytes([0x58]) * ROW_BYTES
     seq = Sequencer(bank)
     boundaries = [0]
     for r in range(rows - 1):
@@ -280,7 +259,7 @@ def discover_simra_groups(bank: Bank, layout: SubarrayLayout) -> SimraGroupMap:
     write a marker through the open group, and read back which rows took
     it.  A lone marked row means the row belongs to no group."""
     timing = bank.timing
-    marker = bytes([0xC3]) * bank.geometry.row_bytes
+    marker = bytes([0xC3]) * ROW_BYTES
     table: dict[int, frozenset[int]] = {}
     seq = Sequencer(bank)
     for start, count in layout.extents:

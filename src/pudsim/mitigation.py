@@ -17,6 +17,9 @@ from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError
 
+# an RFM refreshes the rows within this distance of its target
+RFM_REACH = 2
+
 
 def weight(kind: str, lowest_hc: dict[str, float]) -> int:
     """Counter increment for one operation of `kind`.
@@ -40,7 +43,6 @@ class PracConfig:
     mode: str = "po"  # 'ao': update all opened rows; 'po': addressed row only
     rdt: int = 1024  # back-off threshold
     weights: dict[str, int] = field(default_factory=lambda: {RH: 1, COMRA: 10, SIMRA: 200})
-    reach: int = 2  # RFM refreshes target +/- reach
     weighted: bool = True  # False: every op counts 1 (activation-only baseline)
 
     def __post_init__(self):
@@ -48,8 +50,6 @@ class PracConfig:
             raise ConfigError("mode must be 'ao' or 'po'")
         if self.rdt < 1:
             raise ConfigError("rdt must be >= 1")
-        if self.reach < 1:
-            raise ConfigError("reach must be >= 1")
         for k, w in self.weights.items():
             if w < 1:
                 raise ConfigError(f"weight[{k}] must be >= 1")
@@ -119,7 +119,7 @@ class PracState:
         self.backoff_pending = self._at_rdt > 0
         return tuple(
             v
-            for d in range(1, self.config.reach + 1)
+            for d in range(1, RFM_REACH + 1)
             for v in (target - d, target + d)
             if 0 <= v < self.rows
         )

@@ -32,7 +32,6 @@ class PatternSpec:
     t_aggon: Optional[float] = None
     pre_act_gap: float = 7.5  # violated PRE->ACT gap for copy cycles
     act_gap: float = 3.0  # both gaps of a multi-activation op
-    reversed_copy: bool = False
     n: int = 2  # group size for simra
 
     def __post_init__(self):
@@ -99,8 +98,6 @@ def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     if spec.pre_act_gap >= timing.t_rp:
         raise ConfigError("copy gap must violate tRP")
     src, dst = spec.aggressors
-    if spec.reversed_copy:
-        src, dst = dst, src
     events: list[CommandEvent] = []
     t = 0.0
     for _ in range(spec.hammers):
@@ -143,42 +140,3 @@ def format_event(e: CommandEvent) -> str:
 
 def events_to_trace(events: Iterable[CommandEvent]) -> str:
     return "\n".join(format_event(e) for e in events) + "\n"
-
-
-def parse_trace(text: str, source: str = "<trace>") -> list[CommandEvent]:
-    out: list[CommandEvent] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise ConfigError(f"{source}:{lineno}: expected '<time> <cmd> <bank> ...'")
-        try:
-            time = float(parts[0])
-            bank = int(parts[1 + 1])
-        except ValueError as e:
-            raise ConfigError(f"{source}:{lineno}: bad number in {line!r}") from e
-        kind = parts[1].upper()
-        row = None
-        payload = None
-        rest = parts[3:]
-        if rest and not rest[0].lower().startswith("0x"):
-            try:
-                row = int(rest[0])
-            except ValueError as e:
-                raise ConfigError(f"{source}:{lineno}: bad row {rest[0]!r}") from e
-            rest = rest[1:]
-        if rest:
-            token = rest[0].lower()
-            if not token.startswith("0x"):
-                raise ConfigError(f"{source}:{lineno}: payload must be hex")
-            try:
-                payload = bytes.fromhex(token[2:])
-            except ValueError as e:
-                raise ConfigError(f"{source}:{lineno}: bad payload {rest[0]!r}") from e
-        try:
-            out.append(CommandEvent(time, kind, bank, row, payload))
-        except ConfigError as e:
-            raise ConfigError(f"{source}:{lineno}: {e}") from e
-    return out

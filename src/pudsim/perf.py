@@ -35,6 +35,7 @@ from .rng import stable_hash
 
 T_HIT = 15.0
 RANK_TURNAROUND = 2.0
+INSTR_PER_REQ = 100  # instructions a conventional core retires per request
 CONV_BANKS = 7  # banks 0..6 of rank 0, one per conventional core
 
 CORE_KINDS = ("stream", "random", "rowlocal")
@@ -54,7 +55,6 @@ _PUD_OP_NS = (
 class CoreSpec:
     kind: str
     gap_ns: float = 50.0
-    instr_per_req: int = 100
     locality: float = 0.5  # rowlocal: probability of staying on the open row
     footprint: int = 64  # rows touched in the core's bank
     row_base: int = 0
@@ -141,20 +141,20 @@ def weighted_speedup(shared: dict[int, float], alone: dict[int, float]) -> float
 # group and copy rows the PuD core drives (inside its own bank)
 _PUD_SIMRA_ROWS = tuple(range(0, 32))
 _PUD_COMRA_ROWS = (64, 66)
-_ROWS = 4096
+_ROWS = 4096  # rows of each bank
 _WATCHDOG_NS = 5e9
 
 
-def _watchdog(t0: float, watchdog_ns: float) -> None:
-    if t0 > watchdog_ns:
+def _watchdog(t0: float) -> None:
+    if t0 > _WATCHDOG_NS:
         raise PudsimError("perf watchdog: no forward progress")
 
 
-def _prac(config: Optional[PracConfig], rows: int) -> Optional[PracState]:
+def _prac(config: Optional[PracConfig]) -> Optional[PracState]:
     """Fresh PRAC counters for one bank, or None when PRAC is off."""
     if config is None:
         return None
-    return PracState(config, rows=rows, t_rc=_TIMING.t_rc)
+    return PracState(config, rows=_ROWS, t_rc=_TIMING.t_rc)
 
 
 def _rfm(prac: PracState) -> float:
@@ -169,12 +169,10 @@ def _conventional(
     seed: int,
     mitigation: Optional[PracConfig],
     target_reqs: int,
-    rows: int,
-    watchdog_ns: float,
 ) -> tuple[float, int, int, float, tuple[float, float, int]]:
     """One conventional core's timeline: its rate, back-offs, RFMs, the
     completion time and the scheduling key of its final request."""
-    prac = _prac(mitigation, rows)
+    prac = _prac(mitigation)
     t_rc = _TIMING.t_rc
     core_seed = stable_hash(seed, core_id)
     ready = free = 0.0
@@ -189,7 +187,7 @@ def _conventional(
             free = start + _rfm(prac)
             rfms += 1
             start = max(ready, free)
-        _watchdog(start, watchdog_ns)
+        _watchdog(start)
         if row == open_row:
             done = start + T_HIT
         else:
@@ -204,7 +202,7 @@ def _conventional(
             break
         free = done
         ready = done + spec.gap_ns
-    rate = completed * spec.instr_per_req / done
+    rate = completed * INSTR_PER_REQ / done
     backoffs = prac.backoffs if prac is not None else 0
     return rate, backoffs, rfms, done, (start, ready, core_id)
 
@@ -214,12 +212,10 @@ def _with_pud(
     mitigation: Optional[PracConfig],
     period_ns: float,
     target_reqs: int,
-    rows: int = _ROWS,
-    watchdog_ns: float = _WATCHDOG_NS,
 ) -> PerfResult:
     """Add the PuD core's timeline to a run of the conventional cores
     (`conv`, which has no PuD core); returns the combined run."""
-    prac = _prac(mitigation, rows)
+    prac = _prac(mitigation)
     pud_id = len(conv.shared_rates)
     op_time = _PUD_OP_NS + RANK_TURNAROUND
     ready = free = 0.0
@@ -232,7 +228,7 @@ def _with_pud(
                 break
         elif (start, ready, pud_id) > conv.stop_key:
             break
-        _watchdog(start, watchdog_ns)
+        _watchdog(start)
         if prac is not None and prac.backoff_pending:
             free = start + _rfm(prac)
             rfms += 1
@@ -271,8 +267,6 @@ def run_mix(
     period_ns: Optional[float],
     seed: int,
     target_reqs: int = 2000,
-    rows: int = _ROWS,
-    watchdog_ns: float = _WATCHDOG_NS,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
@@ -281,7 +275,7 @@ def run_mix(
     if len(conv_cores) > CONV_BANKS:
         raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
     lines = [
-        _conventional(spec, i, seed, mitigation, target_reqs, rows, watchdog_ns)
+        _conventional(spec, i, seed, mitigation, target_reqs)
         for i, spec in enumerate(conv_cores)
     ]
     res = PerfResult(
@@ -292,7 +286,7 @@ def run_mix(
         stop_key=max((line[4] for line in lines), default=None),
     )
     if period_ns is not None:
-        res = _with_pud(res, mitigation, period_ns, target_reqs, rows, watchdog_ns)
+        res = _with_pud(res, mitigation, period_ns, target_reqs)
     return res
 
 

@@ -130,7 +130,3 @@ def load_profile(name: str) -> ChipProfile:
         if candidate.exists():
             return profile_from_values(keyval.load(candidate))
     raise ConfigError(f"no profile named {name!r} (known: {', '.join(available_profiles())})")
-
-
-def load_default_profile() -> ChipProfile:
-    return load_profile(DEFAULT_PROFILE)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .disturbance import RH, SIMRA, ChipProfile, ThresholdSet, contribution
+from .disturbance import RH, SIMRA, T_REF_C, ChipProfile, ThresholdSet, contribution
 from .dram import SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .rng import substream
@@ -57,11 +57,16 @@ class BypassResult:
     per_victim: dict[int, int] = field(default_factory=dict)
 
 
-def make_rh_setup(pairs: int, base: int = 8, spacing: int = 8) -> BypassSetup:
+# first RowHammer aggressor row, and the rows between successive pairs
+_RH_BASE = 8
+_RH_SPACING = 8
+
+
+def make_rh_setup(pairs: int) -> BypassSetup:
     """`pairs` double-sided aggressor pairs, each sandwiching one victim."""
     aggr = []
     for i in range(pairs):
-        b = base + i * spacing
+        b = _RH_BASE + i * _RH_SPACING
         aggr.extend((b, b + 2))
     return BypassSetup(technique="rh", aggressors=tuple(aggr))
 
@@ -94,7 +99,9 @@ def _window_doses(
     profile: ChipProfile,
     timing: TimingParams,
     rows: int,
+    temp_c: float,
     t_on: float,
+    dp: Optional[int],
 ) -> dict[int, float]:
     """Per-victim effective units deposited by one aggressor window."""
     n_aggr = len(setup.aggressors)
@@ -115,7 +122,7 @@ def _window_doses(
                 d = min(abs(v - m) for m in members)
                 if d > max_d:
                     continue
-                c = contribution(SIMRA, None, 80.0, t_on, d, profile) * nf
+                c = contribution(SIMRA, dp, temp_c, t_on, d, profile) * nf
                 dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
     else:
         aggr = set(setup.aggressors)
@@ -124,7 +131,7 @@ def _window_doses(
                 for v in (a - d, a + d):
                     if v in aggr or not 0 <= v < rows:
                         continue
-                    c = contribution(RH, None, 80.0, t_on, d, profile)
+                    c = contribution(RH, dp, temp_c, t_on, d, profile)
                     dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
     return dose
 
@@ -138,16 +145,24 @@ def run_bypass(
     seed: int,
     windows: int,
     timing: Optional[TimingParams] = None,
+    temp_c: float = T_REF_C,
+    t_on: Optional[float] = None,
+    dp: Optional[int] = None,
 ) -> BypassResult:
     """Advance the bypass schedule `windows` refresh windows and count the
-    bitflips it produces on the victims of the configured aggressors."""
+    bitflips it produces on the victims of the configured aggressors.
+
+    Aggressors are held open `t_on` (None: tRAS) at `temp_c` and hold the
+    data pattern `dp` (None: no data-pattern scaling)."""
     timing = timing or TimingParams()
     rows = layout.rows
     kind = SIMRA if setup.technique == "simra" else RH
     theta = thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
-    dose_units = _window_doses(setup, profile, timing, rows, timing.t_ras)
+    if t_on is None:
+        t_on = timing.t_ras
+    dose_units = _window_doses(setup, profile, timing, rows, temp_c, t_on, dp)
     victims = sorted(dose_units)
     # fraction of each victim's own threshold deposited per aggressor window
     dose = {v: dose_units[v] / float(theta[v]) for v in victims}

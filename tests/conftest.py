@@ -1,17 +1,17 @@
 import pytest
 
 from pudsim import (
+    DEFAULT_PROFILE,
     Experiment,
     SimraGroupMap,
     SubarrayLayout,
-    load_default_profile,
     load_profile,
 )
 
 
 @pytest.fixture(scope="session")
 def profile():
-    return load_default_profile()
+    return load_profile(DEFAULT_PROFILE)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ checklist.  Budgets are generous on purpose: every check finishes well
 inside its limit on a laptop-class machine.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -45,7 +46,7 @@ from pudsim.harness import (
 from pudsim.mitigation import PracConfig, PracState, secure_rdt, weight
 from pudsim.patterns import PatternSpec
 from pudsim.perf import evaluate_mixes, make_mixes
-from pudsim.profiles import available_profiles, load_default_profile, load_profile
+from pudsim.profiles import DEFAULT_PROFILE, available_profiles, load_profile
 from pudsim.rng import substream
 from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
 
@@ -78,7 +79,7 @@ def test_criterion_01_weighted_counting():
 
 
 def test_criterion_02_trr_bypass_reproduction():
-    profile = load_default_profile()
+    profile = load_profile(DEFAULT_PROFILE)
     layout = SubarrayLayout.uniform(8192, 1024)
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
     totals = {}
@@ -115,6 +116,28 @@ def test_criterion_02_trr_bypass_reproduction():
     )
 
 
+def test_criterion_02b_trr_bypass_from_the_cli(tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("geometry.rows = 8192\nlayout.subarrays = 8\n")
+    mean = {}
+    for technique in ("rh", "simra"):
+        out = tmp_path / technique
+        assert main(["trr-eval", "--config", str(cfg), "--out", str(out),
+                     "--technique", technique]) == 0
+        with open(out / "trr_bypass_summary.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                mean[(technique, r["trr"])] = float(r["mean_bitflips"])
+    rh_off, rh_on = mean[("rh", "0")], mean[("rh", "1")]
+    si_off, si_on = mean[("simra", "0")], mean[("simra", "1")]
+    ok = rh_off > 0 and rh_on == 0 and si_off > 0 and si_on >= 0.7 * si_off
+    _verdict(
+        "2b",
+        "trr-eval on 8192 rows: TRR stops double-sided hammering, not the group bypass",
+        ok,
+        f"rh {rh_off} -> {rh_on}, group {si_off} -> {si_on} mean flips",
+    )
+
+
 def test_criterion_03_bisection_vs_linear_scan():
     layout = SubarrayLayout.uniform(64, 64)
     spec = PatternSpec(kind="rowhammer", aggressors=(31, 33))
@@ -147,7 +170,7 @@ def test_criterion_03_bisection_vs_linear_scan():
 
 
 def test_criterion_04_reverse_engineering_oracle():
-    profile = load_default_profile()
+    profile = load_profile(DEFAULT_PROFILE)
     ok = True
     for seed in range(100):
         layout, groups = random_layout_and_groups(512, seed=seed)
@@ -315,7 +338,7 @@ def test_criterion_09_calibration_fidelity():
 
 
 def test_criterion_10a_temperature_trend():
-    profile = load_default_profile()
+    profile = load_profile(DEFAULT_PROFILE)
     layout = SubarrayLayout.uniform(1024, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
     result = run_sweep(
@@ -337,7 +360,7 @@ def test_criterion_10a_temperature_trend():
 
 
 def test_criterion_10b_t_aggon_trend():
-    profile = load_default_profile()
+    profile = load_profile(DEFAULT_PROFILE)
     lo = contribution(SIMRA, None, 80.0, 36.0, 1, profile)
     hi = contribution(SIMRA, None, 80.0, 70_200.0, 1, profile)
     ratio = hi / lo
@@ -346,7 +369,7 @@ def test_criterion_10b_t_aggon_trend():
 
 
 def test_criterion_10c_combined_pattern_trend():
-    profile = load_default_profile()
+    profile = load_profile(DEFAULT_PROFILE)
     layout = SubarrayLayout.uniform(1024, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
     exp = Experiment(profile, layout, groups, seed=7)

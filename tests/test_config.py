@@ -15,10 +15,11 @@ from pudsim.config import (
     load_config,
     loads_config,
 )
-from pudsim.dram import AnalogConfig, Geometry, TimingParams
+from pudsim.dram import SIMRA_GAP_MAX, SubarrayLayout, TimingParams
 from pudsim.errors import ConfigError
 from pudsim.harness import BisectionConfig
 from pudsim.patterns import PatternSpec
+from pudsim.profiles import DEFAULT_PROFILE
 from pudsim.trreval import TrrConfig
 
 
@@ -65,7 +66,7 @@ def test_minimal_config_applies_and_logs_defaults(caplog):
                        if "default applied" in r.message and r.levelno == logging.DEBUG]
     assert len(defaults_logged) == len(RunConfig.__dataclass_fields__) - 1
     info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert info == ["config: 1 keys set, 24 defaults (-v lists them)"]
+    assert info == ["config: 1 keys set, 23 defaults (-v lists them)"]
 
 
 def test_round_trip_equality():
@@ -128,7 +129,7 @@ def test_retired_keys_are_skipped_with_one_warning_each(caplog):
 
 
 def test_act_gap_past_the_multi_activation_window_rejected():
-    limit = AnalogConfig.simra_gap_max
+    limit = SIMRA_GAP_MAX
     assert loads_config(f"pattern.act_gap_ns = {limit}\n").act_gap_ns == limit
     with pytest.raises(ConfigError, match="pattern.act_gap_ns"):
         loads_config("pattern.act_gap_ns = 4.0\n")
@@ -136,7 +137,8 @@ def test_act_gap_past_the_multi_activation_window_rejected():
 
 def test_defaults_come_from_the_component_types():
     cfg = RunConfig()
-    assert cfg.geometry() == Geometry()
+    assert cfg.profile == DEFAULT_PROFILE
+    assert cfg.layout() == SubarrayLayout.uniform(1024, 256)
     assert cfg.timing() == TimingParams()
     assert cfg.search() == BisectionConfig()
     assert cfg.trr() == TrrConfig()
@@ -148,7 +150,8 @@ def test_defaults_come_from_the_component_types():
     ("search.repeats = 0\n", "repeats"),
     ("mitigation.sampler_size = 0\n", "sampler_size"),
     ("timing.t_rp = 0\n", "t_rp"),
-    ("geometry.row_bytes = 0\n", "row_bytes"),
+    ("geometry.rows = 0\n", "rows"),
+    ("layout.subarrays = 0\n", "layout.subarrays"),
 ])
 def test_component_types_check_the_ranges(text, match):
     with pytest.raises(ConfigError, match=match):

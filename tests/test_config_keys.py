@@ -51,7 +51,7 @@ _COMMANDS = {
 # key -> (value, subcommand label)
 _CASES = {
     "geometry.rows": ("128", "characterize"),
-    "timing.t_ras": ("40", "trr-eval"),
+    "timing.t_ras": ("40", "characterize"),  # copy source closes before tRAS
     "timing.t_rp": ("7.0", "characterize"),  # copy gap 7.5 no longer violates tRP
     "timing.t_refi": ("15600", "characterize"),  # halves the search budget
     "timing.t_refw": ("32000000", "characterize"),
@@ -76,9 +76,15 @@ _CASES = {
     "perf.target_reqs": ("200", "mitigation-eval"),
 }
 
+# keys that a second subcommand reads as well: key -> (value, subcommand label)
+_ALSO = {
+    "pattern.temp_c": ("50", "trr-eval"),
+    "pattern.t_aggon_ns": ("60", "trr-eval"),
+    "pattern.dp_aggr": ("0x55", "trr-eval"),
+}
+
 _EXEMPT = {
     "out_dir": "a deployment path: it moves the outputs, not their bytes",
-    "geometry.row_bytes": "it only moves each row's weak bit, which no CSV reports",
 }
 
 
@@ -118,8 +124,10 @@ def outputs(tmp_path_factory):
 def test_every_key_is_gated_or_exempt():
     assert set(_CASES).isdisjoint(_EXEMPT)
     assert set(_CASES) | set(_EXEMPT) == set(_SCHEMA)
-    for key, (value, label) in _CASES.items():
+    assert set(_ALSO) <= set(_CASES)
+    for key, (value, label) in [*_CASES.items(), *_ALSO.items()]:
         assert _BASE.get(key) != value and _COMMANDS[label][1].get(key) != value
+        assert _ALSO.get(key, (None, None))[1] != _CASES[key][1]
 
 
 @pytest.mark.parametrize("key", sorted(_CASES))
@@ -131,7 +139,15 @@ def test_key_changes_what_a_subcommand_writes(outputs, key):
     assert changed != default, f"{key} = {value} changes nothing {label} writes"
 
 
-# written by characterize before the four retired keys were dropped
+@pytest.mark.parametrize("key", sorted(_ALSO))
+def test_key_changes_what_a_second_subcommand_writes(outputs, key):
+    value, label = _ALSO[key]
+    assert outputs(label, {key: value}) != outputs(label), (
+        f"{key} = {value} changes nothing {label} writes"
+    )
+
+
+# written by characterize before the retired keys were dropped
 _OLD_MANIFEST = """\
 geometry.row_bytes = 8
 geometry.rows = 128

@@ -14,6 +14,7 @@ from pudsim.disturbance import (
     KINDS,
     REGIONS,
     RH,
+    ROW_BITS,
     SIMRA,
     Bitflip,
     ChipProfile,
@@ -169,7 +170,7 @@ def test_region_multiplier_scales_thresholds():
     assert np.allclose(hc[80:], 500.0)
 
 
-def reference_sample_thresholds(profile, layout, seed, row_bits=64):
+def reference_sample_thresholds(profile, layout, seed):
     """The per-row loop that `sample_thresholds` replaced: one region
     lookup and one `stable_hash` per row."""
     rows = layout.rows
@@ -185,7 +186,7 @@ def reference_sample_thresholds(profile, layout, seed, row_bits=64):
             for r in range(rows)
         ])
         theta[kind] = np.maximum(t * mults, 1e-9)
-    weak = np.array([stable_hash(seed, r) % row_bits for r in range(rows)],
+    weak = np.array([stable_hash(seed, r) % 64 for r in range(rows)],
                     dtype=np.int64)
     return theta, weak
 
@@ -206,14 +207,13 @@ def test_sample_thresholds_matches_reference_loop(name, layout_id):
     mults = dict(zip(REGIONS, (0.5, 0.75, 1.0, 1.5, 2.0)))
     prof = replace(load_profile(name), region_mult=mults)
     for seed in (0, 5, 2**63, 2**63 + 12345, 2**64 - 1):
-        for row_bits in (64, 192, 8):
-            got = sample_thresholds(prof, layout, seed, row_bits=row_bits)
-            theta, weak = reference_sample_thresholds(prof, layout, seed, row_bits)
-            assert sorted(got.theta) == sorted(theta)
-            for kind in theta:
-                assert np.array_equal(got.theta[kind], theta[kind])
-            assert got.weak_bit.dtype == np.int64
-            assert np.array_equal(got.weak_bit, weak)
+        got = sample_thresholds(prof, layout, seed)
+        theta, weak = reference_sample_thresholds(prof, layout, seed)
+        assert sorted(got.theta) == sorted(theta)
+        for kind in theta:
+            assert np.array_equal(got.theta[kind], theta[kind])
+        assert got.weak_bit.dtype == np.int64
+        assert np.array_equal(got.weak_bit, weak)
 
 
 # -- damage accrual ------------------------------------------------------------
@@ -369,7 +369,7 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
             while f >= esc**nf * (1.0 - 1e-9):
                 out.append(Bitflip(
                     row=v,
-                    bit=int((thresholds.weak_bit[v] + nf) % thresholds.row_bits),
+                    bit=int((thresholds.weak_bit[v] + nf) % ROW_BITS),
                     direction=profile.flip_direction.get(kind, "1to0"),
                     kind=kind,
                     time=eff.time,

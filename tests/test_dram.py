@@ -5,10 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pudsim import (
-    AnalogConfig,
     Bank,
     CommandEvent,
-    Geometry,
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
@@ -17,6 +15,7 @@ from pudsim.dram import (
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
+    P_ACT,
     CopyEffect,
     GroupOverwrite,
     HammerEffect,
@@ -27,18 +26,16 @@ from pudsim.errors import (
     ConfigError,
     ProtocolError,
     ShapeError,
-    UndefinedTimingError,
 )
 from pudsim.rng import substream
 
 TIMING = TimingParams()
 
 
-def make_bank(rows=64, groups_n=None, analog=None, sub_rows=32):
-    geom = Geometry(rows=rows, row_bytes=4)
+def make_bank(rows=64, groups_n=None, sub_rows=32):
     layout = SubarrayLayout.uniform(rows, sub_rows)
     groups = SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n else None
-    return Bank(geom, TIMING, layout, groups, analog)
+    return Bank(TIMING, layout, groups)
 
 
 class Seq:
@@ -244,18 +241,18 @@ def copy_cycle(s, src, dst, gap=7.5, t_on=TIMING.t_ras):
 
 def test_copy_moves_data_within_subarray():
     b = make_bank()
-    b.set_row_data(2, b"\xa5\xa5\xa5\xa5")
-    b.set_row_data(3, b"\x00\x00\x00\x00")
+    b.set_row_data(2, b"\xa5" * 8)
+    b.set_row_data(3, b"\x00" * 8)
     s = Seq(b)
     copy_cycle(s, 2, 3)
-    assert b.row_data(3) == b"\xa5\xa5\xa5\xa5"
+    assert b.row_data(3) == b"\xa5" * 8
     copies = [e for e in s.drain() if isinstance(e, CopyEffect)]
     assert copies == [CopyEffect(src=2, dst=3, time=copies[0].time)]
 
 
 def test_copy_is_idempotent():
     b = make_bank()
-    b.set_row_data(2, b"\xa5\xa5\xa5\xa5")
+    b.set_row_data(2, b"\xa5" * 8)
     s = Seq(b)
     copy_cycle(s, 2, 3)
     first = b.row_data(3)
@@ -265,7 +262,7 @@ def test_copy_is_idempotent():
 
 def test_cross_subarray_copy_does_not_move_data():
     b = make_bank(rows=64, sub_rows=32)
-    b.set_row_data(31, b"\xa5\xa5\xa5\xa5")
+    b.set_row_data(31, b"\xa5" * 8)
     before = b.row_data(32)
     s = Seq(b)
     copy_cycle(s, 31, 32)
@@ -275,12 +272,12 @@ def test_cross_subarray_copy_does_not_move_data():
 
 def test_short_source_open_time_fails_copy():
     b = make_bank()
-    b.set_row_data(2, b"\xa5\xa5\xa5\xa5")
+    b.set_row_data(2, b"\xa5" * 8)
     before = b.row_data(3)
     s = Seq(b)
     copy_cycle(s, 2, 3, t_on=10.0)  # source closed before full restore
     assert b.row_data(3) == before
-    assert b.diagnostics  # recorded, not silently dropped
+    assert not [e for e in s.drain() if isinstance(e, CopyEffect)]
 
 
 def test_one_copy_cycle_is_one_hammer_of_both_rows():
@@ -293,20 +290,47 @@ def test_one_copy_cycle_is_one_hammer_of_both_rows():
     assert set(hams[0].aggressors) == {2, 3}
 
 
-def test_unmodeled_gap_is_diagnostic_or_error():
-    analog = AnalogConfig(copy_gap_max=5.0, strict_timing=True)
-    b = make_bank(analog=analog)
+# -- violating gaps outside the modeled windows ---------------------------
+#
+# Each is served as a nominal activation of the addressed row and
+# recorded once in `Bank.diagnostics`; none raises.
+
+
+def assert_one_nominal_act(s, row, diagnostic):
+    assert len(s.bank.diagnostics) == 1
+    assert diagnostic in s.bank.diagnostics[0]
+    s.pre()
+    hams = [e for e in s.drain() if isinstance(e, HammerEffect)]
+    assert hams[-1].kind == KIND_RH and hams[-1].aggressors == (row,)
+    assert not [e for e in s.effects if isinstance(e, (CopyEffect, GroupOverwrite))]
+
+
+def test_unmodeled_gap_is_a_diagnostic():
+    b = make_bank()
+    s = Seq(b)
+    s.cmd("PRE", dt=50.0)  # precharge of an idle bank: no row to copy from
+    s.act(3, gap=10.0)  # below tRP
+    assert_one_nominal_act(s, 3, "unmodeled gap 10 ns")
+
+
+def test_group_gap_on_ungrouped_pair_is_a_diagnostic():
+    b = make_bank()  # no group map
+    s = Seq(b)
+    s.act(4, gap=50.0)
+    s.cmd("PRE", dt=3.0)
+    s.act(6, gap=3.0)  # both gaps inside the multi-activation window
+    assert_one_nominal_act(s, 6, "ungrouped pair (4, 6)")
+
+
+def test_copy_after_short_activation_is_a_diagnostic():
+    b = make_bank()
+    b.set_row_data(2, b"\xa5" * 8)
     s = Seq(b)
     s.act(2, gap=50.0)
-    s.pre()
-    with pytest.raises(UndefinedTimingError):
-        s.act(3, gap=10.0)  # below tRP but above the copy window
-    lax = make_bank(analog=AnalogConfig(copy_gap_max=5.0))
-    s2 = Seq(lax)
-    s2.act(2, gap=50.0)
-    s2.pre()
-    s2.act(3, gap=10.0)
-    assert lax.diagnostics
+    s.cmd("PRE", dt=10.0)  # closed before tRAS
+    s.act(3, gap=7.5)  # below tRP
+    assert_one_nominal_act(s, 3, "short activation (10 ns) of row 2")
+    assert b.row_data(3) == b"\x00" * 8
 
 
 # -- group activation ---------------------------------------------------------
@@ -323,12 +347,12 @@ def group_op(s, r1, r2, gap=3.0, t_on=TIMING.t_ras, write=None):
 
 def test_group_op_overwrites_members_with_majority():
     b = make_bank(groups_n=4)
-    for r, v in zip(range(4, 8), [b"\xff" * 4, b"\xff" * 4, b"\xff" * 4, b"\x00" * 4]):
+    for r, v in zip(range(4, 8), [b"\xff" * 8, b"\xff" * 8, b"\xff" * 8, b"\x00" * 8]):
         b.set_row_data(r, v)
     s = Seq(b)
     group_op(s, 4, 6)
     for r in range(4, 8):
-        assert b.row_data(r) == b"\xff" * 4
+        assert b.row_data(r) == b"\xff" * 8
     effects = s.drain()
     ow = [e for e in effects if isinstance(e, GroupOverwrite)]
     assert len(ow) == 1 and set(ow[0].rows) == {4, 5, 6, 7}
@@ -339,18 +363,18 @@ def test_group_op_overwrites_members_with_majority():
 
 def test_group_op_is_destructive_on_minority_rows():
     b = make_bank(groups_n=4)
-    b.set_row_data(5, b"\xa5" * 4)  # minority content is lost
+    b.set_row_data(5, b"\xa5" * 8)  # minority content is lost
     s = Seq(b)
     group_op(s, 4, 6)
-    assert b.row_data(5) == b"\x00" * 4
+    assert b.row_data(5) == b"\x00" * 8
 
 
 def test_write_during_group_overwrites_all_open_rows():
     b = make_bank(groups_n=4)
     s = Seq(b)
-    group_op(s, 4, 6, write=b"\xc3" * 4)
+    group_op(s, 4, 6, write=b"\xc3" * 8)
     for r in range(4, 8):
-        assert b.row_data(r) == b"\xc3" * 4
+        assert b.row_data(r) == b"\xc3" * 8
 
 
 def test_group_needs_both_gaps_inside_window():
@@ -407,5 +431,5 @@ def test_partial_group_opens_rows_of_scalar_draws(seed):
     s = Seq(b)
     group_op(s, 0, 31, gap=1.0)
     (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
-    keep = [r for r in range(32) if reference.random() < b.analog.p_act]
+    keep = [r for r in range(32) if reference.random() < P_ACT]
     assert op.aggressors == tuple(sorted(set(keep) | {31}))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pudsim import PracConfig, PracState
 from pudsim.disturbance import COMRA, RH, SIMRA
 from pudsim.errors import ConfigError
-from pudsim.mitigation import secure_rdt, weight
+from pudsim.mitigation import RFM_REACH, secure_rdt, weight
 
 T_RC = 49.5
 
@@ -188,7 +188,7 @@ class ReferencePrac:
         self.backoff_pending = any(c >= self.config.rdt for c in self.counters.values())
         return tuple(
             v
-            for d in range(1, self.config.reach + 1)
+            for d in range(1, RFM_REACH + 1)
             for v in (target - d, target + d)
             if 0 <= v < self.rows
         )

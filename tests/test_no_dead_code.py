@@ -2,10 +2,10 @@
 
 An AST scan of `src/pudsim` lists each top-level function and class,
 and each method that is not a dunder, whose name occurs nowhere else in
-`src/pudsim`, `scripts/` or `perfbench/*.py`: no reference, attribute
-access or import of it.  Tests do not count as users.  The list must
-equal ALLOWED, which names what is kept although the package does not
-use it, and why.
+`src/pudsim` or `perfbench/*.py`: no reference, attribute access or
+import of it.  Tests do not count as users, and neither do the package's
+`__init__.py` re-exports.  The list must equal ALLOWED, which names what
+is kept although the package does not use it, and why.
 """
 
 import ast
@@ -28,8 +28,7 @@ ALLOWED = {
 
 def _sources():
     return [
-        *sorted(PACKAGE.glob("*.py")),
-        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
         *sorted((ROOT / "perfbench").glob("*.py")),
     ]
 

@@ -97,7 +97,8 @@ def flips_per_row(state):
 
 def fast_route(exp, setup, windows, trr, seed):
     return run_bypass(setup, exp.profile, exp.thresholds, exp.layout, trr,
-                      seed=seed, windows=windows, timing=exp.timing)
+                      seed=seed, windows=windows, timing=exp.timing,
+                      temp_c=exp.temp_c, dp=exp.dp_aggr)
 
 
 def setup_for(exp, technique):
@@ -160,6 +161,20 @@ def test_routes_agree_past_the_sampler_fill(weak_chip, technique, windows, trr):
     skip = _group_rows(setup) if technique == "simra" else frozenset()
     assert assert_routes_agree(fast, state, caught, skip) > 0
     assert (fast.trr_refreshes > 0) == (trr is not None)
+
+
+@pytest.mark.parametrize("technique", ["rh", "simra"])
+def test_routes_agree_at_other_conditions(weak_chip, technique):
+    """Temperature and data pattern scale both routes alike."""
+    exp = Experiment(weak_chip.profile, weak_chip.layout, weak_chip.groups,
+                     seed=11, temp_c=90.0, dp_aggr=0xFF)
+    setup = setup_for(exp, technique)
+    fast = fast_route(exp, setup, 21, TrrConfig(), seed=3)
+    state, caught = bus_reference(exp, setup, 21, TrrConfig(), seed=3)
+    skip = _group_rows(setup) if technique == "simra" else frozenset()
+    assert assert_routes_agree(fast, state, caught, skip) > 0
+    # the conditions change the outcome, so the pin sees them
+    assert fast.per_victim != fast_route(weak_chip, setup, 21, TrrConfig(), seed=3).per_victim
 
 
 @pytest.mark.xfail(strict=True, reason=(
