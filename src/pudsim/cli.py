@@ -19,10 +19,9 @@ from pathlib import Path
 
 from .config import RunConfig, dumps_config, load_config
 from .dram import SimraGroupMap
-from .disturbance import sample_thresholds
 from .errors import ConfigError, PudsimError
-from .harness import NO_FLIP, Experiment, SweepGrid, find_hcfirst, run_sweep
-from .patterns import PatternSpec, events_to_trace
+from .harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
+from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, write_csv
@@ -55,8 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--technique", default="rh", choices=["rh", "simra"])
     sp.add_argument("--seeds", type=int, default=5)
-    sp.add_argument("--windows", type=int, default=8204,
-                    help="refresh windows to simulate (one tREFW = 8204)")
+    sp.add_argument("--windows", type=int,
+                    help="refresh windows to simulate "
+                         "(default: one tREFW, timing.t_refw // timing.t_refi)")
 
     sp = sub.add_parser("mitigation-eval", help="PRAC performance sweep")
     common(sp)
@@ -95,14 +95,23 @@ def _write_manifest(cfg: RunConfig) -> Path:
     return path
 
 
-def _chip(cfg: RunConfig):
-    profile = load_profile(cfg.profile)
+def _experiment(cfg: RunConfig) -> Experiment:
+    """The chip and the conditions the config describes."""
     layout = cfg.layout()
-    groups = SimraGroupMap.aligned_blocks(layout, cfg.group_n, cfg.group_stride)
-    return profile, layout, groups
+    return Experiment(
+        load_profile(cfg.profile),
+        layout,
+        SimraGroupMap.aligned_blocks(layout, cfg.group_n, cfg.group_stride),
+        timing=cfg.timing(),
+        seed=cfg.seed,
+        temp_c=cfg.temp_c,
+        dp_aggr=cfg.dp_aggr,
+    )
 
 
 def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
+    """The config's pattern, placed at the middle row; `characterize`
+    takes every parameter but the kind and the aggressors from it."""
     kind = cfg.pattern
     start = cfg.rows // 2
     if kind == "comra":
@@ -118,29 +127,23 @@ def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
         t_aggon=cfg.t_aggon_ns,
         act_gap=cfg.act_gap_ns,
         pre_act_gap=cfg.pre_act_gap_ns,
-        n=cfg.group_n if kind == "simra" else 2,
+        n=cfg.group_n,
     )
 
 
 def cmd_characterize(args) -> int:
     cfg = _load(args)
-    grid = SweepGrid(
-        kinds=tuple(args.kinds.split()),
-        ns=(cfg.group_n,),
-        dp_aggrs=(cfg.dp_aggr,),
-        temps=(cfg.temp_c,),
-        t_aggons=(cfg.t_aggon_ns,),
-        gaps=(cfg.act_gap_ns,),
-    )
+    kinds = args.kinds.split()
+    for kind in kinds:
+        if kind not in PATTERN_KINDS:
+            raise ConfigError(
+                f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
+            )
     _write_manifest(cfg)
-    profile, layout, groups = _chip(cfg)
-    result = run_sweep(
-        grid, profile, layout, groups, seed=cfg.seed,
-        search=cfg.search(), timing=cfg.timing(),
-    )
-    for f in result.failures:
+    rows, failures = run_sweep(_experiment(cfg), kinds, _pattern(cfg), cfg.search())
+    for f in failures:
         log.warning("sweep cell failed: %s", f)
-    paths = emit_report(result.rows, "characterize", cfg.out_dir)
+    paths = emit_report(rows, "characterize", cfg.out_dir)
     for p in paths:
         print(p)
     return 0
@@ -149,13 +152,9 @@ def cmd_characterize(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _load(args)
     _write_manifest(cfg)
-    profile, layout, groups = _chip(cfg)
-    if not 0 <= args.victim < layout.rows:
-        raise ConfigError(f"victim {args.victim} outside bank of {layout.rows} rows")
-    exp = Experiment(
-        profile, layout, groups, timing=cfg.timing(), seed=cfg.seed,
-        temp_c=cfg.temp_c, dp_aggr=cfg.dp_aggr,
-    )
+    exp = _experiment(cfg)
+    if not 0 <= args.victim < exp.layout.rows:
+        raise ConfigError(f"victim {args.victim} outside bank of {exp.layout.rows} rows")
     hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.search())
     row = {
         "pattern": cfg.pattern,
@@ -172,24 +171,21 @@ def cmd_attack(args) -> int:
 
 def _bypass_rows(task) -> tuple[dict, dict]:
     """One seed's rows, TRR off then on, over one chip and threshold set."""
-    cfg_d, technique, seed, windows = task
+    cfg_d, technique, windows = task
     cfg = RunConfig(**cfg_d)
-    profile, layout, groups = _chip(cfg)
-    thresholds = sample_thresholds(profile, layout, seed)
+    exp = _experiment(cfg)
     if technique == "simra":
-        setup = make_simra_setup(groups, cfg.group_n, count=4)
+        setup = make_simra_setup(exp.groups, cfg.group_n, count=4)
     else:
         setup = make_rh_setup(pairs=1)
     rows = []
     for trr_on in (False, True):
         trr = cfg.trr() if trr_on else None
-        res = run_bypass(setup, profile, thresholds, layout, trr,
-                         seed=seed, windows=windows, timing=cfg.timing(),
-                         temp_c=cfg.temp_c, t_on=cfg.t_aggon_ns, dp=cfg.dp_aggr)
+        res = run_bypass(exp, setup, trr, windows, t_on=cfg.t_aggon_ns)
         rows.append({
             "technique": technique,
             "trr": int(trr_on),
-            "seed": seed,
+            "seed": cfg.seed,
             "bitflips": res.bitflips,
             "trr_refreshes": res.trr_refreshes,
         })
@@ -199,8 +195,9 @@ def _bypass_rows(task) -> tuple[dict, dict]:
 def cmd_trr_eval(args) -> int:
     cfg = _load(args)
     _write_manifest(cfg)
+    windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     tasks = [
-        (_asdict(cfg), args.technique, cfg.seed + s, args.windows)
+        ({**_asdict(cfg), "seed": cfg.seed + s}, args.technique, windows)
         for s in range(args.seeds)
     ]
     if args.jobs > 1:

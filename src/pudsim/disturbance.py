@@ -24,7 +24,6 @@ from .dram import (
     KIND_SIMRA,
     ROW_BYTES,
     CopyEffect,
-    GroupOverwrite,
     HammerEffect,
     RefreshEffect,
     SubarrayLayout,
@@ -355,7 +354,7 @@ def accumulate(
     damage = state.damage
     flipped = state.flipped
     for eff in effects:
-        if isinstance(eff, (RefreshEffect, GroupOverwrite)):
+        if isinstance(eff, RefreshEffect):
             for r in eff.rows:
                 damage.pop(r, None)
                 flipped.pop(r, None)

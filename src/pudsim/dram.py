@@ -247,12 +247,6 @@ class CopyEffect:
 
 
 @dataclass(frozen=True)
-class GroupOverwrite:
-    rows: tuple[int, ...]
-    time: float
-
-
-@dataclass(frozen=True)
 class RefreshEffect:
     rows: tuple[int, ...]
     time: float
@@ -434,7 +428,7 @@ class Bank:
                     maj = majority_overwrite(contents, TIE_BIAS)
                 for r in rows:
                     data[r] = maj
-            effects.append(GroupOverwrite(rows, cmd.time))
+            # one hammer of the whole group; `accumulate` restores its rows
             effects.append(HammerEffect(KIND_SIMRA, rows, t_on, cmd.time))
         elif act.mode == "copy":
             effects.append(HammerEffect(KIND_COMRA, (act.src, act.rows[0]), t_on, cmd.time))

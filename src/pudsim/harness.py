@@ -1,14 +1,15 @@
 """Characterization harness: first-flip search, reverse engineering of
-subarray boundaries and activation groups, and parameter sweeps.
+subarray boundaries and activation groups, and victim sweeps.
 
-Experiments own their full simulator state (bank, thresholds, damage)
-and a seed, so sweep cells are independent and reproducible.
+An Experiment is one chip under fixed conditions: it owns its
+thresholds and seed and builds a fresh bank and damage state for every
+replay, so searches on it are independent and reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .dram import (
@@ -28,7 +29,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PATTERN_KINDS, PatternSpec, gen_comra, gen_rowhammer, gen_simra
+from .patterns import PatternSpec, gen_comra, gen_rowhammer, gen_simra
 from .rng import substream
 
 
@@ -55,7 +56,9 @@ def default_cap(timing: TimingParams) -> int:
 
 
 class Experiment:
-    """One simulated chip under fixed experiment conditions."""
+    """One simulated chip under fixed experiment conditions: the object
+    `characterize`, `attack` and `trr-eval` build from their config and
+    read the chip, its thresholds and its conditions from."""
 
     def __init__(
         self,
@@ -313,43 +316,17 @@ RESULT_COLUMNS = (
 )
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    def add(self, **kw):
-        self.rows.append({c: kw.get(c, "") for c in RESULT_COLUMNS})
-
-
-@dataclass
-class SweepGrid:
-    """Full-factorial sweep coordinates."""
-
-    kinds: tuple[str, ...] = ("rowhammer",)
-    ns: tuple[int, ...] = (2,)
-    dp_aggrs: tuple[Optional[int], ...] = (None,)
-    temps: tuple[float, ...] = (80.0,)
-    t_aggons: tuple[Optional[float], ...] = (None,)
-    gaps: tuple[float, ...] = (3.0,)
-
-    def __post_init__(self):
-        for kind in self.kinds:
-            if kind not in PATTERN_KINDS:
-                raise ConfigError(
-                    f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
-                )
-
-
 def _victims_for(
-    kind: str, n: int, layout: SubarrayLayout, groups: Optional[SimraGroupMap],
-    per_subarray: int,
+    exp: Experiment, template: PatternSpec, per_subarray: int
 ) -> list[tuple[int, PatternSpec]]:
-    """Victim rows and the aggressor placement that attacks each."""
+    """Victim rows on the experiment's chip and the template, placed to
+    attack each."""
+    layout, groups = exp.layout, exp.groups
     picks: list[tuple[int, PatternSpec]] = []
-    if kind == "simra":
+    if template.kind == "simra":
         if groups is None:
             raise ConfigError("simra sweep needs a group map")
+        n = template.n
         seen_subarrays: dict[int, int] = {}
         for r2 in sorted(groups.table):
             grp = groups.table[r2]
@@ -363,7 +340,9 @@ def _victims_for(
             if victim >= start + count:
                 continue
             seen_subarrays[sub] = seen_subarrays.get(sub, 0) + 1
-            picks.append((victim, PatternSpec(kind="simra", aggressors=(r2, r2), n=n)))
+            picks.append((victim, replace(template, aggressors=(r2, r2))))
+        if not picks:
+            raise ConfigError(f"no group of {n} rows has its next row in its subarray")
         return picks
     for start, count in layout.extents:
         step = max(1, (count - 2) // per_subarray)
@@ -372,82 +351,65 @@ def _victims_for(
             if chosen >= per_subarray:
                 break
             chosen += 1
-            aggr = (victim - 1, victim + 1)
-            picks.append((victim, PatternSpec(kind=kind, aggressors=aggr)))
+            picks.append((victim, replace(template, aggressors=(victim - 1, victim + 1))))
+    if not picks:
+        raise ConfigError("no subarray has a row between two others")
     return picks
 
 
 def run_sweep(
-    grid: SweepGrid,
-    profile: ChipProfile,
-    layout: SubarrayLayout,
-    groups: Optional[SimraGroupMap] = None,
-    seed: int = 0,
-    per_subarray: int = 3,
+    exp: Experiment,
+    kinds: Iterable[str],
+    template: PatternSpec,
     search: BisectionConfig = BisectionConfig(),
-    timing: Optional[TimingParams] = None,
-) -> ExperimentResult:
-    """Full-factorial sweep; failed cells are recorded and skipped."""
-    result = ExperimentResult()
-    timing = timing or TimingParams()
-    for kind in grid.kinds:
-        for n in grid.ns if kind == "simra" else (0,):
-            try:
-                victims = _victims_for(kind, n or 2, layout, groups, per_subarray)
-            except ConfigError as e:
-                result.failures.append(f"{kind}/N={n}: {e}")
-                continue
-            for dp in grid.dp_aggrs:
-                for temp in grid.temps:
-                    for t_on in grid.t_aggons:
-                        for gap in grid.gaps if kind == "simra" else (None,):
-                            _sweep_cell(
-                                result, kind, n, dp, temp, t_on, gap, victims,
-                                profile, layout, groups, seed, search, timing,
-                            )
-    return result
+    per_subarray: int = 3,
+) -> tuple[list[dict], list[str]]:
+    """First-flip search on up to `per_subarray` victims per subarray for
+    each kind, under the experiment's conditions.  Every pattern
+    parameter but the kind and the aggressors comes from the template.
 
-
-def _sweep_cell(
-    result, kind, n, dp, temp, t_on, gap, victims,
-    profile, layout, groups, seed, search, timing,
-):
-    exp = Experiment(
-        profile, layout, groups, timing=timing, seed=seed, temp_c=temp, dp_aggr=dp
-    )
-    for victim, base_spec in victims:
-        spec = replace(base_spec, t_aggon=t_on)
-        if gap is not None:
-            spec = replace(spec, act_gap=gap)
+    Returns the result rows and the failures: a kind with no victim on
+    the chip, or a victim whose search fails, is recorded and skipped."""
+    rows: list[dict] = []
+    failures: list[str] = []
+    dp = exp.dp_aggr
+    for kind in kinds:
         try:
-            hc = find_hcfirst(spec, victim, exp, search)
+            victims = _victims_for(exp, replace(template, kind=kind), per_subarray)
         except ConfigError as e:
-            result.failures.append(f"{kind} victim {victim}: {e}")
+            failures.append(f"{kind}: {e}")
             continue
-        flips = 0
-        if hc is not None and not exp.is_stochastic(spec):
-            per = exp.hammer_damage(spec).get(victim, 0.0)
-            f = hc * per
-            esc = profile.bit_escalation
-            while f >= esc**flips:
-                flips += 1
-        elif hc is not None:
-            flips = 1
-        result.add(
-            pattern=spec.kind,
-            kind=kind,
-            N=n or "",
-            dp_aggr="" if dp is None else f"0x{dp:02X}",
-            dp_victim="" if dp is None else f"0x{dp ^ 0xFF:02X}",
-            temp_c=temp,
-            t_aggon_ns=t_on if t_on is not None else timing.t_ras,
-            gap_ns=gap if gap is not None else "",
-            region=classify_region(victim, layout.extent(victim)),
-            row=victim,
-            hcfirst=hc if hc is not None else NO_FLIP,
-            flips=flips,
-            seed=seed,
-        )
+        simra = kind == "simra"
+        for victim, spec in victims:
+            try:
+                hc = find_hcfirst(spec, victim, exp, search)
+            except ConfigError as e:
+                failures.append(f"{kind} victim {victim}: {e}")
+                continue
+            flips = 0
+            if hc is not None and not exp.is_stochastic(spec):
+                f = hc * exp.hammer_damage(spec).get(victim, 0.0)
+                esc = exp.profile.bit_escalation
+                while f >= esc**flips:
+                    flips += 1
+            elif hc is not None:
+                flips = 1
+            rows.append({
+                "pattern": kind,
+                "kind": kind,
+                "N": spec.n if simra else "",
+                "dp_aggr": "" if dp is None else f"0x{dp:02X}",
+                "dp_victim": "" if dp is None else f"0x{dp ^ 0xFF:02X}",
+                "temp_c": exp.temp_c,
+                "t_aggon_ns": exp.timing.t_ras if spec.t_aggon is None else spec.t_aggon,
+                "gap_ns": spec.act_gap if simra else "",
+                "region": classify_region(victim, exp.layout.extent(victim)),
+                "row": victim,
+                "hcfirst": NO_FLIP if hc is None else hc,
+                "flips": flips,
+                "seed": exp.seed,
+            })
+    return rows, failures
 
 
 # ---------------------------------------------------------------------------

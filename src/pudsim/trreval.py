@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .disturbance import RH, SIMRA, T_REF_C, ChipProfile, ThresholdSet, contribution
-from .dram import SimraGroupMap, SubarrayLayout, TimingParams
+from .disturbance import RH, SIMRA, contribution
+from .dram import SimraGroupMap
 from .errors import ConfigError
+from .harness import Experiment
 from .rng import substream
 
 
@@ -94,18 +95,12 @@ def make_simra_setup(groups: SimraGroupMap, n: int, count: int) -> BypassSetup:
     )
 
 
-def _window_doses(
-    setup: BypassSetup,
-    profile: ChipProfile,
-    timing: TimingParams,
-    rows: int,
-    temp_c: float,
-    t_on: float,
-    dp: Optional[int],
-) -> dict[int, float]:
+def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int, float]:
     """Per-victim effective units deposited by one aggressor window."""
+    profile, rows = exp.profile, exp.layout.rows
+    temp_c, dp = exp.temp_c, exp.dp_aggr
     n_aggr = len(setup.aggressors)
-    acts = timing.acts_per_refi
+    acts = exp.timing.acts_per_refi
     per_op = 2 if setup.technique == "simra" else 1
     ops = acts // per_op
     # round-robin split of the window's op budget
@@ -137,37 +132,33 @@ def _window_doses(
 
 
 def run_bypass(
+    exp: Experiment,
     setup: BypassSetup,
-    profile: ChipProfile,
-    thresholds: ThresholdSet,
-    layout: SubarrayLayout,
     trr: Optional[TrrConfig],
-    seed: int,
     windows: int,
-    timing: Optional[TimingParams] = None,
-    temp_c: float = T_REF_C,
     t_on: Optional[float] = None,
-    dp: Optional[int] = None,
 ) -> BypassResult:
-    """Advance the bypass schedule `windows` refresh windows and count the
-    bitflips it produces on the victims of the configured aggressors.
+    """Advance the bypass schedule `windows` refresh windows on the
+    experiment's chip and count the bitflips it produces on the victims
+    of the configured aggressors.
 
-    Aggressors are held open `t_on` (None: tRAS) at `temp_c` and hold the
-    data pattern `dp` (None: no data-pattern scaling)."""
-    timing = timing or TimingParams()
-    rows = layout.rows
+    Aggressors are held open `t_on` (None: tRAS) at the experiment's
+    temperature and hold its data pattern; the TRR sampler draws from
+    the experiment's seed."""
+    timing = exp.timing
+    rows = exp.layout.rows
     kind = SIMRA if setup.technique == "simra" else RH
-    theta = thresholds.theta.get(kind)
+    theta = exp.thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
     if t_on is None:
         t_on = timing.t_ras
-    dose_units = _window_doses(setup, profile, timing, rows, temp_c, t_on, dp)
+    dose_units = _window_doses(exp, setup, t_on)
     victims = sorted(dose_units)
     # fraction of each victim's own threshold deposited per aggressor window
     dose = {v: dose_units[v] / float(theta[v]) for v in victims}
-    rng = substream(seed, "trr.sampler")
-    esc = profile.bit_escalation
+    rng = substream(exp.seed, "trr.sampler")
+    esc = exp.profile.bit_escalation
     acts = timing.acts_per_refi
     n_aggr = len(setup.aggressors)
     per_op = 2 if setup.technique == "simra" else 1
@@ -219,7 +210,7 @@ def run_bypass(
     return BypassResult(
         technique=setup.technique,
         trr_enabled=trr is not None,
-        seed=seed,
+        seed=exp.seed,
         windows=windows,
         bitflips=bitflips,
         flipped_rows=sum(1 for v in victims if cum[v]),

@@ -35,7 +35,6 @@ from pudsim.harness import (
     NO_FLIP,
     BisectionConfig,
     Experiment,
-    SweepGrid,
     discover_simra_groups,
     discover_subarrays,
     find_hcfirst,
@@ -89,19 +88,9 @@ def test_criterion_02_trr_bypass_reproduction():
     ):
         off = on = 0
         for s in range(5):
-            thresholds = sample_thresholds(profile, layout, seed=100 + s)
-            off += run_bypass(
-                setup_of(), profile, thresholds, layout, None, seed=s, windows=8204
-            ).bitflips
-            on += run_bypass(
-                setup_of(),
-                profile,
-                thresholds,
-                layout,
-                TrrConfig(sampler_size=450),
-                seed=s,
-                windows=8204,
-            ).bitflips
+            exp = Experiment(profile, layout, groups, seed=100 + s)
+            off += run_bypass(exp, setup_of(), None, 8204).bitflips
+            on += run_bypass(exp, setup_of(), TrrConfig(sampler_size=450), 8204).bitflips
         totals[technique] = (off, on)
     rh_off, rh_on = totals["rh"]
     si_off, si_on = totals["simra"]
@@ -341,17 +330,12 @@ def test_criterion_10a_temperature_trend():
     profile = load_profile(DEFAULT_PROFILE)
     layout = SubarrayLayout.uniform(1024, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
-    result = run_sweep(
-        SweepGrid(kinds=("simra",), ns=(32,), temps=(50.0, 80.0)),
-        profile,
-        layout,
-        groups,
-        seed=3,
-    )
+    template = PatternSpec(kind="simra", aggressors=(0, 0), n=32)
     by_temp: dict[float, list[int]] = {}
-    for r in result.rows:
-        if r["hcfirst"] not in (None, NO_FLIP):
-            by_temp.setdefault(r["temp_c"], []).append(int(r["hcfirst"]))
+    for temp in (50.0, 80.0):
+        exp = Experiment(profile, layout, groups, seed=3, temp_c=temp)
+        rows, _ = run_sweep(exp, ("simra",), template)
+        by_temp[temp] = [int(r["hcfirst"]) for r in rows if r["hcfirst"] != NO_FLIP]
     ratio = (sum(by_temp[50.0]) / len(by_temp[50.0])) / (
         sum(by_temp[80.0]) / len(by_temp[80.0])
     )

@@ -29,7 +29,6 @@ from pudsim.dram import (
     KIND_RH,
     KIND_SIMRA,
     CopyEffect,
-    GroupOverwrite,
     HammerEffect,
     RefreshEffect,
 )
@@ -331,10 +330,6 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
         if isinstance(eff, CopyEffect):
             restore(eff.dst)
             continue
-        if isinstance(eff, GroupOverwrite):
-            for r in eff.rows:
-                restore(r)
-            continue
         kind = EFFECT_KIND[eff.kind]
         theta = thresholds.theta.get(kind)
         for a in eff.aggressors:
@@ -404,7 +399,6 @@ _effect = st.one_of(
               st.sampled_from([36.0, 100.0]), _time),
     _simra_op(),
     st.builds(RefreshEffect, st.lists(_row, max_size=6).map(tuple), _time),
-    st.builds(GroupOverwrite, st.lists(_row, max_size=6).map(tuple), _time),
     st.builds(CopyEffect, _row, _row, _time),
 )
 

@@ -17,7 +17,6 @@ from pudsim.dram import (
     KIND_SIMRA,
     P_ACT,
     CopyEffect,
-    GroupOverwrite,
     HammerEffect,
     majority_overwrite,
 )
@@ -302,7 +301,9 @@ def assert_one_nominal_act(s, row, diagnostic):
     s.pre()
     hams = [e for e in s.drain() if isinstance(e, HammerEffect)]
     assert hams[-1].kind == KIND_RH and hams[-1].aggressors == (row,)
-    assert not [e for e in s.effects if isinstance(e, (CopyEffect, GroupOverwrite))]
+    assert not [e for e in s.effects if isinstance(e, CopyEffect)]
+    assert not [e for e in s.effects
+                if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
 
 
 def test_unmodeled_gap_is_a_diagnostic():
@@ -354,8 +355,6 @@ def test_group_op_overwrites_members_with_majority():
     for r in range(4, 8):
         assert b.row_data(r) == b"\xff" * 8
     effects = s.drain()
-    ow = [e for e in effects if isinstance(e, GroupOverwrite)]
-    assert len(ow) == 1 and set(ow[0].rows) == {4, 5, 6, 7}
     ops = [e for e in effects if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
     assert len(ops) == 1  # the whole op is one hammer
     assert set(ops[0].aggressors) == {4, 5, 6, 7}
@@ -380,8 +379,11 @@ def test_write_during_group_overwrites_all_open_rows():
 def test_group_needs_both_gaps_inside_window():
     b = make_bank(groups_n=4)
     s = Seq(b)
+    b.set_row_data(7, b"\xff" * 8)  # the minority of rows 4-7
     group_op(s, 4, 6, gap=4.0)  # just outside the 3 ns window
-    assert not [e for e in s.drain() if isinstance(e, GroupOverwrite)]
+    assert b.row_data(7) == b"\xff" * 8
+    assert not [e for e in s.drain()
+                if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
 
 
 def test_act_while_open_is_protocol_error():

@@ -1,4 +1,6 @@
-"""First-flip search, reverse-engineering probes, and sweep plumbing."""
+"""First-flip search, reverse-engineering probes, and victim sweeps."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,10 @@ from pudsim import (
     SubarrayLayout,
     find_hcfirst,
 )
+from pudsim import harness
 from pudsim.disturbance import RH, SIMRA, ChipProfile
-from pudsim.errors import ConfigError
 from pudsim.harness import (
     RESULT_COLUMNS,
-    SweepGrid,
     default_cap,
     discover_simra_groups,
     discover_subarrays,
@@ -129,34 +130,63 @@ def test_random_layouts_recovered_exactly(seed):
 # -- sweeps ------------------------------------------------------------------------
 
 
+# every pattern parameter of a sweep but the kind and the aggressors
+TEMPLATE = PatternSpec(kind="simra", aggressors=(0, 0), n=32)
+
+
 def test_sweep_produces_schema_rows(worstcase, layout, groups):
-    grid = SweepGrid(kinds=("rowhammer", "simra"), ns=(32,))
-    res = run_sweep(grid, worstcase, layout, groups, seed=1, per_subarray=1)
-    assert res.rows and not res.failures
-    for row in res.rows:
+    exp = Experiment(worstcase, layout, groups, seed=1)
+    rows, failures = run_sweep(exp, ("rowhammer", "simra"), TEMPLATE, per_subarray=1)
+    assert rows and not failures
+    for row in rows:
         assert tuple(row.keys()) == tuple(RESULT_COLUMNS)
-    kinds = {r["kind"] for r in res.rows}
+    kinds = {r["kind"] for r in rows}
     assert kinds == {"rowhammer", "simra"}
 
 
-def test_sweep_grid_rejects_unknown_kinds():
-    with pytest.raises(ConfigError, match="unknown pattern kind 'bogus'"):
-        SweepGrid(kinds=("rowhammer", "bogus"))
+def test_sweep_records_unknown_kinds_as_failures(worstcase, layout, groups):
+    exp = Experiment(worstcase, layout, groups, seed=1)
+    rows, failures = run_sweep(exp, ("rowhammer", "bogus"), TEMPLATE, per_subarray=1)
+    assert {r["kind"] for r in rows} == {"rowhammer"}
+    assert failures == ["bogus: unknown pattern kind 'bogus'"]
 
 
 def test_sweep_records_failures_instead_of_raising(worstcase, layout):
-    grid = SweepGrid(kinds=("simra",), ns=(32,))
-    res = run_sweep(grid, worstcase, layout, groups=None, seed=1)
-    assert res.failures and not res.rows
+    exp = Experiment(worstcase, layout, None, seed=1)
+    rows, failures = run_sweep(exp, ("simra",), TEMPLATE)
+    assert failures and not rows
+
+
+def test_sweep_searches_the_template_under_the_experiment(
+    worstcase, layout, groups, monkeypatch
+):
+    """Each victim's spec is the template with the kind and aggressors
+    filled in, searched on the sweep's experiment."""
+    seen = []
+    monkeypatch.setattr(
+        harness, "find_hcfirst",
+        lambda spec, victim, exp, search: seen.append((spec, exp)) or None,
+    )
+    exp = Experiment(worstcase, layout, groups, seed=1, temp_c=50.0, dp_aggr=0x55)
+    template = PatternSpec(kind="rowhammer", aggressors=(1, 3), t_aggon=60.0,
+                           pre_act_gap=5.0, act_gap=1.0, n=32)
+    rows, _ = run_sweep(exp, ("comra", "simra"), template, per_subarray=1)
+    assert {s.kind for s, _ in seen} == {"comra", "simra"} and len(seen) == len(rows)
+    for spec, used in seen:
+        assert used is exp
+        assert replace(spec, kind="rowhammer", aggressors=(1, 3)) == template
+    assert {(r["temp_c"], r["dp_aggr"], r["t_aggon_ns"]) for r in rows} == {
+        (50.0, "0x55", 60.0)
+    }
 
 
 def test_sweep_rows_write_results_csv(worstcase, layout, groups, tmp_path):
-    grid = SweepGrid(kinds=("simra",), ns=(32,))
-    res = run_sweep(grid, worstcase, layout, groups, seed=1, per_subarray=1)
-    emit_report(res.rows, "characterize", tmp_path)
+    exp = Experiment(worstcase, layout, groups, seed=1)
+    rows, _ = run_sweep(exp, ("simra",), TEMPLATE, per_subarray=1)
+    emit_report(rows, "characterize", tmp_path)
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert lines[0] == ",".join(RESULT_COLUMNS)
-    assert len(lines) == 1 + len(res.rows) > 1
+    assert len(lines) == 1 + len(rows) > 1
 
 
 def test_combined_pattern_beats_rowhammer_alone(worstcase, layout, groups):

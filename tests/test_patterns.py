@@ -12,17 +12,19 @@ from pudsim import (
     TimingParams,
     events_to_trace,
 )
-from pudsim.dram import CommandEvent, CopyEffect, GroupOverwrite
+from pudsim.dram import KIND_SIMRA, CommandEvent, CopyEffect, HammerEffect
 from pudsim.errors import ConfigError
 from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra
 
 TIMING = TimingParams()
 
 
-def apply_stream(events, rows=64, groups_n=None, sub_rows=32):
+def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
     layout = SubarrayLayout.uniform(rows, sub_rows)
     groups = SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n else None
     bank = Bank(TIMING, layout, groups)
+    for row, payload in (data or {}).items():
+        bank.set_row_data(row, payload)
     effects = []
     for e in events:
         effects.extend(bank.apply(e))
@@ -65,10 +67,11 @@ def test_comra_rejects_non_violating_gap():
 def test_simra_stream_opens_whole_group():
     spec = PatternSpec(kind="simra", aggressors=(9, 9), hammers=2, n=4)
     s = gen_simra(spec, TIMING)
-    _, effects = apply_stream(s.events, groups_n=4)
-    ows = [e for e in effects if isinstance(e, GroupOverwrite)]
-    assert len(ows) == 2
-    assert set(ows[0].rows) == {8, 9, 10, 11}
+    bank, effects = apply_stream(s.events, groups_n=4, data={11: b"\xff" * 8})
+    assert all(bank.row_data(r) == b"\x00" * 8 for r in range(8, 12))
+    ops = [e for e in effects if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
+    assert len(ops) == 2
+    assert all(set(op.aggressors) == {8, 9, 10, 11} for op in ops)
 
 
 def test_generator_rejects_wrong_aggressor_count():

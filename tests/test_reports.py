@@ -354,3 +354,16 @@ def test_cli_characterize_rejects_unknown_kinds_before_the_sweep(tmp_path, caplo
     assert len(errors) == 1 and "unknown pattern kind 'bogus'" in errors[0]
     assert "sweep cell failed" not in caplog.text
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_cli_characterize_reports_a_kind_without_victims(tmp_path, caplog):
+    # each 32-row subarray is one group, whose next row lies outside it
+    cfg = _cfg_file(tmp_path, **{"geometry.rows": 64, "groups.n": 32})
+    assert main(["characterize", "--config", str(cfg),
+                 "--kinds", "rowhammer simra"]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "sweep cell failed: simra: no group of 32 rows has its next row in its subarray"
+    ]
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        assert {r["kind"] for r in csv.DictReader(fh)} == {"rowhammer"}

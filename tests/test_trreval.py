@@ -32,7 +32,7 @@ def weak_chip(worstcase):
     return Experiment(profile, layout, groups, seed=11)
 
 
-def bus_reference(exp, setup, windows, trr, seed):
+def bus_reference(exp, setup, windows, trr):
     """Route B: play `run_bypass`'s schedule command by command through
     `Bank` and `accumulate`.
 
@@ -40,8 +40,8 @@ def bus_reference(exp, setup, windows, trr, seed):
     round-robin over the aggressors, restarting at aggressor 0.  The
     other windows activate decoy rows.  A REF closes every window.  With
     TRR on, a ring keeps the last `sampler_size` bus ACT rows; each REF
-    draws once from `substream(seed, "trr.sampler")`, counting back from
-    the newest ACT, and refreshes the sampled row's two neighbours.
+    draws once from `substream(exp.seed, "trr.sampler")`, counting back
+    from the newest ACT, and refreshes the sampled row's two neighbours.
     Returns the damage state and the number of samples that caught an
     aggressor."""
     t = exp.timing
@@ -50,7 +50,7 @@ def bus_reference(exp, setup, windows, trr, seed):
     bank = exp.fresh_bank()
     state = DisturbanceState(rows=exp.layout.rows)
     ring = deque(maxlen=trr.sampler_size) if trr is not None else None
-    rng = substream(seed, "trr.sampler")
+    rng = substream(exp.seed, "trr.sampler")
     caught = 0
     decoy = 0
 
@@ -95,12 +95,6 @@ def flips_per_row(state):
     return Counter(f.row for f in state.flips)
 
 
-def fast_route(exp, setup, windows, trr, seed):
-    return run_bypass(setup, exp.profile, exp.thresholds, exp.layout, trr,
-                      seed=seed, windows=windows, timing=exp.timing,
-                      temp_c=exp.temp_c, dp=exp.dp_aggr)
-
-
 def setup_for(exp, technique):
     if technique == "rh":
         return make_rh_setup(pairs=4)
@@ -128,8 +122,8 @@ def windows_in(agg_windows):
 def test_rh_routes_agree_without_trr(chip, agg_windows):
     setup = setup_for(chip, "rh")
     windows = windows_in(agg_windows)
-    fast = fast_route(chip, setup, windows, None, seed=0)
-    state, caught = bus_reference(chip, setup, windows, None, seed=0)
+    fast = run_bypass(chip, setup, None, windows)
+    state, caught = bus_reference(chip, setup, windows, None)
     assert_routes_agree(fast, state, caught)
 
 
@@ -137,8 +131,8 @@ def test_rh_routes_agree_without_trr(chip, agg_windows):
 def test_simra_routes_agree_without_trr(chip, agg_windows):
     setup = setup_for(chip, "simra")
     windows = windows_in(agg_windows)
-    fast = fast_route(chip, setup, windows, None, seed=0)
-    state, caught = bus_reference(chip, setup, windows, None, seed=0)
+    fast = run_bypass(chip, setup, None, windows)
+    state, caught = bus_reference(chip, setup, windows, None)
     assert_routes_agree(fast, state, caught)
 
 
@@ -153,8 +147,8 @@ def test_routes_agree_past_the_sampler_fill(weak_chip, technique, windows, trr):
     """The sampler holds 450 ACTs, about three windows; both spans run
     well past that, and both routes flip bits."""
     setup = setup_for(weak_chip, technique)
-    fast = fast_route(weak_chip, setup, windows, trr, seed=3)
-    state, caught = bus_reference(weak_chip, setup, windows, trr, seed=3)
+    fast = run_bypass(weak_chip, setup, trr, windows)
+    state, caught = bus_reference(weak_chip, setup, windows, trr)
     # rows of a chosen group are restored each time their own group
     # opens; `run_bypass` still counts flips on those next to another
     # chosen group (see test_simra_group_rows_agree)
@@ -169,12 +163,12 @@ def test_routes_agree_at_other_conditions(weak_chip, technique):
     exp = Experiment(weak_chip.profile, weak_chip.layout, weak_chip.groups,
                      seed=11, temp_c=90.0, dp_aggr=0xFF)
     setup = setup_for(exp, technique)
-    fast = fast_route(exp, setup, 21, TrrConfig(), seed=3)
-    state, caught = bus_reference(exp, setup, 21, TrrConfig(), seed=3)
+    fast = run_bypass(exp, setup, TrrConfig(), 21)
+    state, caught = bus_reference(exp, setup, 21, TrrConfig())
     skip = _group_rows(setup) if technique == "simra" else frozenset()
     assert assert_routes_agree(fast, state, caught, skip) > 0
     # the conditions change the outcome, so the pin sees them
-    assert fast.per_victim != fast_route(weak_chip, setup, 21, TrrConfig(), seed=3).per_victim
+    assert fast.per_victim != run_bypass(weak_chip, setup, TrrConfig(), 21).per_victim
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -183,8 +177,8 @@ def test_routes_agree_at_other_conditions(weak_chip, technique):
 ))
 def test_simra_group_rows_agree(weak_chip):
     setup = setup_for(weak_chip, "simra")
-    fast = fast_route(weak_chip, setup, 21, TrrConfig(), seed=3)
-    state, _ = bus_reference(weak_chip, setup, 21, TrrConfig(), seed=3)
+    fast = run_bypass(weak_chip, setup, TrrConfig(), 21)
+    state, _ = bus_reference(weak_chip, setup, 21, TrrConfig())
     bus = flips_per_row(state)
     for v in _group_rows(setup):
         assert fast.per_victim.get(v, 0) == bus.get(v, 0)
@@ -194,8 +188,8 @@ def test_trr_never_sees_internally_opened_rows(weak_chip):
     """The sampler only ever picks a group's bus row, whose neighbours
     are group members, so TRR changes no SiMRA victim's flips."""
     setup = setup_for(weak_chip, "simra")
-    off = fast_route(weak_chip, setup, 41, None, seed=3)
-    on = fast_route(weak_chip, setup, 41, TrrConfig(), seed=3)
+    off = run_bypass(weak_chip, setup, None, 41)
+    on = run_bypass(weak_chip, setup, TrrConfig(), 41)
     assert on.trr_refreshes > 0
     assert on.per_victim == off.per_victim
 
@@ -205,8 +199,8 @@ def test_trr_suppresses_rh_but_not_simra(chip):
     results = {}
     for tech in ("rh", "simra"):
         setup = setup_for(chip, tech)
-        off = fast_route(chip, setup, windows, None, seed=5)
-        on = fast_route(chip, setup, windows, TrrConfig(), seed=5)
+        off = run_bypass(chip, setup, None, windows)
+        on = run_bypass(chip, setup, TrrConfig(), windows)
         assert off.bitflips > 0
         results[tech] = (off.bitflips, on.bitflips)
     rh_off, rh_on = results["rh"]
@@ -217,10 +211,10 @@ def test_trr_suppresses_rh_but_not_simra(chip):
 
 def test_bypass_is_deterministic_per_seed(chip):
     setup = make_rh_setup(pairs=2)
-    kw = dict(trr=TrrConfig(), windows=2000, timing=chip.timing)
-    a = run_bypass(setup, chip.profile, chip.thresholds, chip.layout, seed=1, **kw)
-    b = run_bypass(setup, chip.profile, chip.thresholds, chip.layout, seed=1, **kw)
-    c = run_bypass(setup, chip.profile, chip.thresholds, chip.layout, seed=2, **kw)
+    other = Experiment(chip.profile, chip.layout, chip.groups, seed=12)
+    a = run_bypass(chip, setup, TrrConfig(), 2000)
+    b = run_bypass(chip, setup, TrrConfig(), 2000)
+    c = run_bypass(other, setup, TrrConfig(), 2000)
     assert a.bitflips == b.bitflips and a.per_victim == b.per_victim
     assert (a.bitflips, a.trr_refreshes) != (c.bitflips, c.trr_refreshes)
 
