@@ -24,7 +24,7 @@ from .errors import (
     PudsimError,
     ShapeError,
 )
-from .harness import BisectionConfig, Experiment, find_hcfirst, run_sweep
+from .harness import Experiment, find_hcfirst, run_sweep
 from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec, events_to_trace
 from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AddressError",
     "Bank",
-    "BisectionConfig",
     "CalibrationError",
     "ChipProfile",
     "CommandEvent",

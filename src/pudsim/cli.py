@@ -15,6 +15,7 @@ import logging
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, dumps_config, load_config
@@ -24,7 +25,7 @@ from .harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
 from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
-from .reports import REPORT_KINDS, emit_report, write_csv
+from .reports import REPORT_KINDS, emit_report, read_results, write_csv
 from .trreval import make_rh_setup, make_simra_setup, run_bypass
 
 log = logging.getLogger("pudsim")
@@ -77,14 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        cfg = RunConfig(**{**_asdict(cfg), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
-        cfg = RunConfig(**{**_asdict(cfg), "out_dir": args.out})
+        cfg = replace(cfg, out_dir=args.out)
     return cfg
-
-
-def _asdict(cfg: RunConfig) -> dict:
-    return {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
 
 
 def _write_manifest(cfg: RunConfig) -> Path:
@@ -140,7 +137,7 @@ def cmd_characterize(args) -> int:
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
     _write_manifest(cfg)
-    rows, failures = run_sweep(_experiment(cfg), kinds, _pattern(cfg), cfg.search())
+    rows, failures = run_sweep(_experiment(cfg), kinds, _pattern(cfg), cfg.repeats)
     for f in failures:
         log.warning("sweep cell failed: %s", f)
     paths = emit_report(rows, "characterize", cfg.out_dir)
@@ -155,7 +152,7 @@ def cmd_attack(args) -> int:
     exp = _experiment(cfg)
     if not 0 <= args.victim < exp.layout.rows:
         raise ConfigError(f"victim {args.victim} outside bank of {exp.layout.rows} rows")
-    hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.search())
+    hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.repeats)
     row = {
         "pattern": cfg.pattern,
         "victim": args.victim,
@@ -171,8 +168,7 @@ def cmd_attack(args) -> int:
 
 def _bypass_rows(task) -> tuple[dict, dict]:
     """One seed's rows, TRR off then on, over one chip and threshold set."""
-    cfg_d, technique, windows = task
-    cfg = RunConfig(**cfg_d)
+    cfg, technique, windows = task
     exp = _experiment(cfg)
     if technique == "simra":
         setup = make_simra_setup(exp.groups, cfg.group_n, count=4)
@@ -194,10 +190,12 @@ def _bypass_rows(task) -> tuple[dict, dict]:
 
 def cmd_trr_eval(args) -> int:
     cfg = _load(args)
+    if args.windows is not None and args.windows < 1:
+        raise ConfigError(f"--windows must be >= 1, got {args.windows}")
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     tasks = [
-        ({**_asdict(cfg), "seed": cfg.seed + s}, args.technique, windows)
+        (replace(cfg, seed=cfg.seed + s), args.technique, windows)
         for s in range(args.seeds)
     ]
     if args.jobs > 1:
@@ -259,17 +257,8 @@ def cmd_trace_gen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import csv as _csv
-
     cfg = _load(args)
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        rows = [dict(r) for r in _csv.DictReader(fh)]
-    for r in rows:  # counts come back as strings from CSV
-        for k, v in r.items():
-            try:
-                r[k] = int(v)
-            except (TypeError, ValueError):
-                pass
+    rows = read_results(args.input, args.kind)
     paths = emit_report(rows, args.kind, cfg.out_dir)
     for p in paths:
         print(p)

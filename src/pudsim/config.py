@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from . import keyval
 from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SubarrayLayout, TimingParams
 from .errors import ConfigError
-from .harness import BisectionConfig
+from .harness import REPEATS
 from .patterns import PATTERN_KINDS, PatternSpec
 from .profiles import DEFAULT_PROFILE
 from .trreval import TrrConfig
@@ -48,8 +48,7 @@ class RunConfig:
     act_gap_ns: float = PatternSpec.act_gap
     pre_act_gap_ns: float = PatternSpec.pre_act_gap
     # HC_first search
-    tolerance: float = BisectionConfig.tolerance
-    repeats: int = BisectionConfig.repeats
+    repeats: int = REPEATS
     # TRR sampler
     sampler_size: int = TrrConfig.sampler_size
     # performance evaluation
@@ -69,10 +68,11 @@ class RunConfig:
                 f"pattern.act_gap_ns must be <= {SIMRA_GAP_MAX} ns, "
                 "the multi-activation window"
             )
+        if self.repeats < 1:
+            raise ConfigError("search.repeats must be >= 1")
         # delegate range checks to the component types
         self.layout()
         self.timing()
-        self.search()
         self.trr()
         for p in self.periods():
             if p <= 0:
@@ -93,9 +93,6 @@ class RunConfig:
             t_refw=self.t_refw,
             acts_per_refi=self.acts_per_refi,
         )
-
-    def search(self) -> BisectionConfig:
-        return BisectionConfig(tolerance=self.tolerance, repeats=self.repeats)
 
     def trr(self) -> TrrConfig:
         return TrrConfig(sampler_size=self.sampler_size)
@@ -131,7 +128,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "pattern.dp_aggr": ("dp_aggr", _int),
     "pattern.act_gap_ns": ("act_gap_ns", float),
     "pattern.pre_act_gap_ns": ("pre_act_gap_ns", float),
-    "search.tolerance": ("tolerance", float),
     "search.repeats": ("repeats", _int),
     "mitigation.sampler_size": ("sampler_size", _int),
     "perf.mixes": ("perf_mixes", _int),
@@ -142,11 +138,12 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 _FIELD_TO_KEY = {f: k for k, (f, _) in _SCHEMA.items()}
 
 # keys that earlier versions wrote to every manifest and no output
-# depends on; skipped with a warning so those manifests still replay in
+# depends on any more (the first-flip search is exact, so it has no
+# tolerance); skipped with a warning so those manifests still replay in
 # strict mode
 RETIRED_KEYS = frozenset({
     "geometry.row_bytes", "mitigation.kind", "mitigation.rdt", "mitigation.reach",
-    "pattern.dp_victim",
+    "pattern.dp_victim", "search.tolerance",
 })
 
 

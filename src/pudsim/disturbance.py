@@ -310,6 +310,33 @@ def sample_thresholds(profile: ChipProfile, layout: SubarrayLayout, seed: int) -
 # ---------------------------------------------------------------------------
 # Damage accrual
 
+# The one flip rule: a row's bit k flips once its damage fraction reaches
+# bit_escalation**k * FLIP_AT, a hair below 1 so that exactly reaching
+# the threshold flips despite the rounding of summed deposits.
+FLIP_AT = 1.0 - 1e-9
+
+
+def bits_flipped(f: float, profile: ChipProfile, done: int = 0) -> int:
+    """Bits flipped on a row of the profile's module at damage fraction
+    `f`, counting on from `done` bits that a lower fraction flipped."""
+    n = done
+    while f >= profile.bit_escalation**n * FLIP_AT:
+        n += 1
+    return n
+
+
+def hammers_to_flip(per: float, damage: float = 0.0) -> Optional[int]:
+    """Fewest deposits of `per` that flip the first bit of a row at
+    damage fraction `damage` below FLIP_AT: the smallest n with
+    damage + n * per >= FLIP_AT, or None if `per` adds nothing."""
+    if per <= 0:
+        return None
+    # the rounded quotient may miss by one either way: step up from below
+    n = max(1, math.ceil((FLIP_AT - damage) / per) - 1)
+    while damage + n * per < FLIP_AT:
+        n += 1
+    return n
+
 
 @dataclass(frozen=True)
 class Bitflip:
@@ -343,10 +370,7 @@ def accumulate(
     """Fold a batch of analog effects into the damage state; returns the
     bitflips they caused (also appended to state.flips)."""
     out: list[Bitflip] = []
-    esc = profile.bit_escalation
-    # small slack so that exactly reaching the threshold flips despite
-    # accumulated floating-point rounding; bit nf flips at esc**nf * slack
-    slack = 1.0 - 1e-9
+    slack = FLIP_AT
     dists = range(1, profile.max_distance + 1)
     # (row offset, distance) of each neighbour, nearest first, below first
     around = [(side * d, d) for d in dists for side in (-1, 1)]
@@ -398,18 +422,16 @@ def accumulate(
             damage[v] = f
             if f < slack:
                 continue  # below even the first bit's threshold
-            nf = flipped.get(v, 0)
-            while f >= esc**nf * slack:
-                flip = Bitflip(
+            done = flipped.get(v, 0)
+            nf = bits_flipped(f, profile, done)
+            for bit in range(done, nf):
+                out.append(Bitflip(
                     row=v,
-                    bit=int((thresholds.weak_bit[v] + nf) % ROW_BITS),
+                    bit=int((thresholds.weak_bit[v] + bit) % ROW_BITS),
                     direction=profile.flip_direction.get(kind, "1to0"),
                     kind=kind,
                     time=eff.time,
-                )
-                out.append(flip)
-                nf += 1
-            if nf:
-                flipped[v] = nf
+                ))
+            flipped[v] = nf
     state.flips.extend(out)
     return out

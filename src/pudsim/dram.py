@@ -262,14 +262,8 @@ def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
     arr = np.frombuffer(b"".join(contents), dtype=np.uint8).reshape(len(contents), width)
     bits = np.unpackbits(arr, axis=1)
     counts = bits.sum(axis=0, dtype=np.int64)
-    n = len(contents)
-    if n % 2 == 0:
-        if tie_bias:
-            maj = counts * 2 >= n
-        else:
-            maj = counts * 2 > n
-    else:
-        maj = counts * 2 > n
+    # only an even group can tie
+    maj = counts * 2 >= len(contents) if tie_bias else counts * 2 > len(contents)
     return np.packbits(maj.astype(np.uint8)).tobytes()
 
 
@@ -325,12 +319,7 @@ class Bank:
 
     @staticmethod
     def _pad(value: bytes) -> bytes:
-        w = ROW_BYTES
-        if len(value) == w:
-            return bytes(value)
-        if len(value) > w:
-            return bytes(value[:w])
-        return bytes(value) + bytes(w - len(value))
+        return bytes(value[:ROW_BYTES]).ljust(ROW_BYTES, b"\0")
 
     # -- command application -------------------------------------------------
 

@@ -8,8 +8,7 @@ replay, so searches on it are independent and reproducible.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from .dram import (
@@ -22,10 +21,13 @@ from .dram import (
     TimingParams,
 )
 from .disturbance import (
+    FLIP_AT,
     ChipProfile,
     DisturbanceState,
     accumulate,
+    bits_flipped,
     classify_region,
+    hammers_to_flip,
     sample_thresholds,
 )
 from .errors import ConfigError
@@ -33,19 +35,9 @@ from .patterns import PatternSpec, gen_comra, gen_rowhammer, gen_simra
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class BisectionConfig:
-    tolerance: float = 0.01
-    repeats: int = 5
-    cap: Optional[int] = None  # None -> hammers issuable within one tREFW
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if self.cap is not None and self.cap < 1:
-            raise ConfigError("cap must be >= 1")
+# independent searches, each on its own RNG substream, whose minimum a
+# stochastic first-flip search reports
+REPEATS = 5
 
 
 def default_cap(timing: TimingParams) -> int:
@@ -82,35 +74,25 @@ class Experiment:
     def fresh_bank(self, label: str = "bank") -> Bank:
         return Bank(self.timing, self.layout, self.groups, rng=substream(self.seed, label))
 
-    def run_stream(self, events: Iterable[CommandEvent]) -> tuple[DisturbanceState, Bank]:
-        """Replay events on a fresh bank into fresh damage state."""
-        bank = self.fresh_bank()
-        state = DisturbanceState(rows=self.layout.rows)
-        for e in events:
-            effects = bank.apply(e)
-            if effects:
-                accumulate(
-                    state, effects, self.thresholds, self.profile,
-                    temp_c=self.temp_c, dp=self.dp_aggr,
-                )
-        accumulate(
-            state, bank.flush(), self.thresholds, self.profile,
-            temp_c=self.temp_c, dp=self.dp_aggr,
-        )
-        return state, bank
-
     # -- per-hammer damage kernel -------------------------------------------
 
     def hammer_damage(self, spec: PatternSpec) -> dict[int, float]:
-        """Damage fraction one hammer of the pattern deposits per victim.
+        """Damage fraction one hammer of the pattern deposits per victim,
+        replayed on a fresh bank.
 
         Valid for deterministic patterns (every hammer identical); the
         partial-activation window makes group ops stochastic, which the
         search handles by stepwise simulation instead.
         """
-        one = replace(spec, hammers=1)
-        stream = _generate(one, self.timing)
-        state, _ = self.run_stream(stream.events)
+        bank = self.fresh_bank()
+        state = DisturbanceState(rows=self.layout.rows)
+        for e in _generate(replace(spec, hammers=1), self.timing).events:
+            effects = bank.apply(e)
+            if effects:
+                accumulate(state, effects, self.thresholds, self.profile,
+                           temp_c=self.temp_c, dp=self.dp_aggr)
+        accumulate(state, bank.flush(), self.thresholds, self.profile,
+                   temp_c=self.temp_c, dp=self.dp_aggr)
         return dict(state.damage)
 
     def is_stochastic(self, spec: PatternSpec) -> bool:
@@ -120,7 +102,7 @@ class Experiment:
         """Does `n` hammers flip the victim at least once?"""
         if not self.is_stochastic(spec):
             per = self.hammer_damage(spec).get(victim, 0.0)
-            return n * per >= 1.0 - 1e-12
+            return n * per >= FLIP_AT
         # op strength varies per draw: replay op by op with a fresh bank
         bank = self.fresh_bank(f"probe.{rep}.{victim}")
         state = DisturbanceState(rows=self.layout.rows)
@@ -153,45 +135,34 @@ def _generate(spec: PatternSpec, timing: TimingParams):
 
 
 def find_hcfirst(
-    spec: PatternSpec,
-    victim: int,
-    exp: Experiment,
-    config: BisectionConfig = BisectionConfig(),
+    spec: PatternSpec, victim: int, exp: Experiment, repeats: int = REPEATS
 ) -> Optional[int]:
     """Smallest hammer count that flips the victim, or None if no flip
-    happens within the budget cap.
+    happens within the budget, `default_cap`.
 
-    Bisection starts from the bracket [1, cap] with the first probe at
-    the cap, stops when successive probe points differ by less than the
-    tolerance, repeats with fresh state, and reports the minimum.
+    A stochastic pattern is searched `repeats` times, each on its own
+    RNG substream, and the minimum is reported; a deterministic one once.
+    Each search is exact: every probe of a repeat replays the same
+    substream on a fresh bank, so a flip within n hammers implies one
+    within n + 1, and bisection down to one hammer finds the smallest
+    count that flips.
     """
-    cap = config.cap or default_cap(exp.timing)
-    repeats = config.repeats if exp.is_stochastic(spec) else 1
+    if repeats < 1:
+        raise ConfigError("search.repeats must be >= 1")
+    cap = default_cap(exp.timing)
     best: Optional[int] = None
-    for rep in range(repeats):
-        r = _bisect_once(spec, victim, exp, cap, config.tolerance, rep)
-        if r is not None and (best is None or r < best):
-            best = r
+    for rep in range(repeats if exp.is_stochastic(spec) else 1):
+        if not exp.probe(spec, victim, cap, rep):
+            continue
+        lo, hi = 0, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if exp.probe(spec, victim, mid, rep):
+                hi = mid
+            else:
+                lo = mid
+        best = hi if best is None else min(best, hi)
     return best
-
-
-def _bisect_once(
-    spec: PatternSpec, victim: int, exp: Experiment, cap: int, tol: float, rep: int
-) -> Optional[int]:
-    if not exp.probe(spec, victim, cap, rep):
-        return None
-    lo, hi = 0, cap
-    prev = cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exp.probe(spec, victim, mid, rep):
-            hi = mid
-        else:
-            lo = mid
-        if abs(mid - prev) <= tol * prev:
-            break
-        prev = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +332,7 @@ def run_sweep(
     exp: Experiment,
     kinds: Iterable[str],
     template: PatternSpec,
-    search: BisectionConfig = BisectionConfig(),
+    repeats: int = REPEATS,
     per_subarray: int = 3,
 ) -> tuple[list[dict], list[str]]:
     """First-flip search on up to `per_subarray` victims per subarray for
@@ -382,16 +353,14 @@ def run_sweep(
         simra = kind == "simra"
         for victim, spec in victims:
             try:
-                hc = find_hcfirst(spec, victim, exp, search)
+                hc = find_hcfirst(spec, victim, exp, repeats)
             except ConfigError as e:
                 failures.append(f"{kind} victim {victim}: {e}")
                 continue
             flips = 0
             if hc is not None and not exp.is_stochastic(spec):
-                f = hc * exp.hammer_damage(spec).get(victim, 0.0)
-                esc = exp.profile.bit_escalation
-                while f >= esc**flips:
-                    flips += 1
+                per = exp.hammer_damage(spec).get(victim, 0.0)
+                flips = bits_flipped(hc * per, exp.profile)
             elif hc is not None:
                 flips = 1
             rows.append({
@@ -423,7 +392,6 @@ def run_combined(
     comra_rows: tuple[int, int],
     simra_rows: tuple[int, int],
     simra_n: int = 2,
-    search: BisectionConfig = BisectionConfig(),
 ) -> Optional[dict]:
     """Spend the given fraction of the victim's per-kind first-flip count
     on each violation kind, then hammer conventionally until the first
@@ -442,24 +410,20 @@ def run_combined(
         frac = fractions.get(kind, 0.0)
         if frac <= 0.0:
             continue
-        hc = find_hcfirst(specs[kind], victim, exp, search)
+        hc = find_hcfirst(specs[kind], victim, exp)
         if hc is None:
             continue
         budget = int(frac * hc)
         per = exp.hammer_damage(specs[kind]).get(victim, 0.0)
-        room = max(0.0, 1.0 - damage)
-        to_flip = math.ceil(room / per) if per > 0 else budget + 1
-        if to_flip <= budget:
+        to_flip = hammers_to_flip(per, damage)
+        if to_flip is not None and to_flip <= budget:
             spent[kind] = to_flip
             return {"hammers": spent, "total": sum(spent.values()), "flipped_in": kind}
         spent[kind] = budget
         damage += budget * per
     per_rh = exp.hammer_damage(specs["rowhammer"]).get(victim, 0.0)
-    if per_rh <= 0:
+    need = hammers_to_flip(per_rh, damage)
+    if need is None or need > default_cap(exp.timing):
         return None
-    need = math.ceil(max(0.0, 1.0 - damage) / per_rh)
-    cap = search.cap or default_cap(exp.timing)
-    if need > cap:
-        return None
-    spent["rowhammer"] = max(1, need)
+    spent["rowhammer"] = need
     return {"hammers": spent, "total": sum(spent.values()), "flipped_in": "rowhammer"}

@@ -10,7 +10,9 @@ Three report kinds are supported:
   schema check.
 
 All writers emit '\\n'-terminated rows in a deterministic order so a
-rerun from the same manifest is byte-identical.
+rerun from the same manifest is byte-identical.  `read_results` reads a
+CSV back for one kind and rejects one that does not fit it before any
+report is written.
 """
 
 from __future__ import annotations
@@ -88,6 +90,48 @@ def _trr_reports(rows: list[dict], out_dir: Path) -> list[Path]:
         agg,
     )
     return [p1, p2]
+
+
+# report kind -> the columns of the CSV it aggregates, its integer
+# columns (read back as ints) and its other numbers (checked, and kept
+# as text so that a rewrite is byte-identical)
+_INPUTS = {
+    "characterize": (RESULT_COLUMNS, ("N", "row", "hcfirst", "flips", "seed"),
+                     ("temp_c", "t_aggon_ns", "gap_ns")),
+    "trr-eval": (TRR_COLUMNS, ("trr", "seed", "bitflips", "trr_refreshes"), ()),
+    "perf": (PERF_COLUMNS, ("mix_id", "backoffs", "rfm_count"),
+             ("period_ns", "weighted_speedup", "overhead_pct")),
+}
+# the one other value a numeric column may hold
+_NOT_A_NUMBER = {"hcfirst": NO_FLIP, "N": "", "gap_ns": ""}
+
+
+def read_results(path: str | Path, kind: str) -> list[dict]:
+    """The rows of a results CSV that report `kind` aggregates; a
+    ConfigError names the first column or value that does not fit."""
+    columns, ints, numbers = _INPUTS[kind]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        if sorted(header) != sorted(columns):
+            missing = [c for c in columns if c not in header]
+            raise ConfigError(f"{path}: not a {kind} results file: missing columns "
+                              f"{missing}, unexpected {sorted(set(header) - set(columns))}")
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise ConfigError(f"{path} line {line}: {len(columns)} fields expected")
+        for col in ints + numbers:
+            if row[col] == _NOT_A_NUMBER.get(col):
+                continue
+            try:
+                number = int(row[col]) if col in ints else float(row[col])
+            except ValueError:
+                what = "an integer" if col in ints else "a number"
+                raise ConfigError(f"{path} line {line}: {col} = {row[col]!r} is not {what}") from None
+            if col in ints:
+                row[col] = number
+    return rows
 
 
 def emit_report(results: list[dict], kind: str, out_dir: str | Path) -> list[Path]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .disturbance import RH, SIMRA, contribution
+from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, contribution
 from .dram import SimraGroupMap
 from .errors import ConfigError
 from .harness import Experiment
@@ -158,7 +158,6 @@ def run_bypass(
     # fraction of each victim's own threshold deposited per aggressor window
     dose = {v: dose_units[v] / float(theta[v]) for v in victims}
     rng = substream(exp.seed, "trr.sampler")
-    esc = exp.profile.bit_escalation
     acts = timing.acts_per_refi
     n_aggr = len(setup.aggressors)
     per_op = 2 if setup.technique == "simra" else 1
@@ -166,24 +165,19 @@ def run_bypass(
     damage = {v: 0.0 for v in victims}
     flipped = {v: 0 for v in victims}
     cum = {v: 0 for v in victims}
-    bitflips = 0
     trr_refreshes = 0
     per_ref = -(-rows // timing.refs_per_refw)  # ceil, matches the bank model
     cursor = 0
 
-    def window_kind(w: int) -> str:
-        return "agg" if w % 4 == 0 else "dummy"
-
     for w in range(windows):
-        if window_kind(w) == "agg":
+        if w % 4 == 0:  # an aggressor window; the three after it are decoys
             for v in victims:
                 f = damage[v] + dose[v]
                 damage[v] = f
-                nf = flipped[v]
-                while f >= esc**nf:
-                    bitflips += 1
-                    cum[v] += 1
-                    nf += 1
+                if f < FLIP_AT:
+                    continue  # below even the first bit's threshold
+                nf = bits_flipped(f, exp.profile, flipped[v])
+                cum[v] += nf - flipped[v]
                 flipped[v] = nf
         # REF at the window boundary
         if trr is not None:
@@ -191,7 +185,7 @@ def run_bypass(
             j = int(rng.integers(avail))  # offset back from the newest ACT
             back_w = w - j // acts
             pos = (acts - 1) - (j % acts)  # position within that window
-            if window_kind(back_w) == "agg":
+            if back_w % 4 == 0:
                 # round-robin schedule: position p went to aggressor p % n
                 op_idx = pos // per_op
                 a = setup.aggressors[op_idx % n_aggr]
@@ -212,7 +206,7 @@ def run_bypass(
         trr_enabled=trr is not None,
         seed=exp.seed,
         windows=windows,
-        bitflips=bitflips,
+        bitflips=sum(cum.values()),
         flipped_rows=sum(1 for v in victims if cum[v]),
         trr_refreshes=trr_refreshes,
         per_victim=cum,

@@ -33,7 +33,6 @@ from pudsim.dram import (
 )
 from pudsim.harness import (
     NO_FLIP,
-    BisectionConfig,
     Experiment,
     discover_simra_groups,
     discover_subarrays,
@@ -127,7 +126,7 @@ def test_criterion_02b_trr_bypass_from_the_cli(tmp_path):
     )
 
 
-def test_criterion_03_bisection_vs_linear_scan():
+def test_criterion_03_bisection_equals_linear_scan():
     layout = SubarrayLayout.uniform(64, 64)
     spec = PatternSpec(kind="rowhammer", aggressors=(31, 33))
     ok = True
@@ -136,9 +135,7 @@ def test_criterion_03_bisection_vs_linear_scan():
         profile = _flat({RH: theta_units / 2.0})  # double-sided: 2 units/hammer
         thresholds = sample_thresholds(profile, layout, seed=1)
         exp = Experiment(profile, layout, None, seed=1)
-        got = find_hcfirst(
-            spec, 32, exp, BisectionConfig(tolerance=0.01, repeats=2, cap=200_000)
-        )
+        got = find_hcfirst(spec, 32, exp, repeats=2)
         # independent route: deposit one double-sided hammer at a time
         state = DisturbanceState(rows=64)
         oracle = None
@@ -152,10 +149,9 @@ def test_criterion_03_bisection_vs_linear_scan():
             if flips:
                 oracle = m
                 break
-        ok &= got is not None and oracle is not None
-        ok &= abs(got - oracle) <= max(1, 0.01 * oracle)
+        ok &= got is not None and got == oracle
         details.append(f"{theta_units}: {got}/{oracle}")
-    _verdict("3", "bisection within 1% of linear-scan oracle", ok, "; ".join(details))
+    _verdict("3", "bisection equals the linear-scan oracle", ok, "; ".join(details))
 
 
 def test_criterion_04_reverse_engineering_oracle():

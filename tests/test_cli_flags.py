@@ -14,7 +14,6 @@ _CONFIG = {
     "layout.subarrays": "2",
     "groups.n": "8",
     "search.repeats": "2",
-    "search.tolerance": "0.05",
     "perf.mixes": "1",
     "perf.periods": "1000",
     "perf.target_reqs": "100",

@@ -17,7 +17,7 @@ from pudsim.config import (
 )
 from pudsim.dram import SIMRA_GAP_MAX, SubarrayLayout, TimingParams
 from pudsim.errors import ConfigError
-from pudsim.harness import BisectionConfig
+from pudsim.harness import REPEATS
 from pudsim.patterns import PatternSpec
 from pudsim.profiles import DEFAULT_PROFILE
 from pudsim.trreval import TrrConfig
@@ -66,7 +66,7 @@ def test_minimal_config_applies_and_logs_defaults(caplog):
                        if "default applied" in r.message and r.levelno == logging.DEBUG]
     assert len(defaults_logged) == len(RunConfig.__dataclass_fields__) - 1
     info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-    assert info == ["config: 1 keys set, 23 defaults (-v lists them)"]
+    assert info == ["config: 1 keys set, 22 defaults (-v lists them)"]
 
 
 def test_round_trip_equality():
@@ -88,11 +88,6 @@ def test_unknown_key_strict_vs_lax(caplog):
         cfg = loads_config("no.such.key = 1\n", strict=False)
     assert cfg == RunConfig()
     assert any("ignoring unknown" in r.message for r in caplog.records)
-
-
-def test_zero_tolerance_rejected():
-    with pytest.raises(ConfigError, match="tolerance"):
-        loads_config("search.tolerance = 0\n")
 
 
 def test_bad_value_reports_key():
@@ -140,7 +135,7 @@ def test_defaults_come_from_the_component_types():
     assert cfg.profile == DEFAULT_PROFILE
     assert cfg.layout() == SubarrayLayout.uniform(1024, 256)
     assert cfg.timing() == TimingParams()
-    assert cfg.search() == BisectionConfig()
+    assert cfg.repeats == REPEATS
     assert cfg.trr() == TrrConfig()
     assert cfg.t_aggon_ns == TimingParams.t_ras
     assert (cfg.act_gap_ns, cfg.pre_act_gap_ns) == (PatternSpec.act_gap, PatternSpec.pre_act_gap)

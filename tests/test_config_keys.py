@@ -19,12 +19,20 @@ threshold.comra = 5260 10610
 threshold.simra = 100 120
 """
 
+# every row's double-sided first flip, 450000 * 2 / 1.6 = 562500 hammers
+# at the default data pattern, lies between half the default search
+# budget (319,956 hammers) and the whole of it (639,990)
+_BUDGET_PROFILE = """\
+name = budget_chip
+vendor = test
+threshold.rh = 450000 450000
+"""
+
 _BASE = {
     "geometry.rows": "256",
     "layout.subarrays": "2",
     "groups.n": "8",
     "search.repeats": "2",
-    "search.tolerance": "0.05",
     "perf.mixes": "1",
     "perf.periods": "1000",
     "perf.target_reqs": "100",
@@ -32,10 +40,13 @@ _BASE = {
 
 # subcommand label -> (arguments, settings on top of _BASE)
 _SIMRA_ATTACK = {"pattern.kind": "simra", "profile": "gate_chip",
-                 "search.repeats": "1", "search.tolerance": "0.001"}
+                 "search.repeats": "1"}
 _COMMANDS = {
     "characterize": (["characterize"], {}),
     "attack": (["attack", "--victim", "128"], {}),
+    # the exact search depends on its budget only where the first flip
+    # lies beyond it: halving the budget turns this cell into noflip
+    "attack-budget": (["attack", "--victim", "128"], {"profile": "budget_chip"}),
     # the victim right above the group that row rows // 2 opens
     "attack-simra": (["attack", "--victim", "136"], _SIMRA_ATTACK),
     "attack-simra-partial": (["attack", "--victim", "136"],
@@ -53,8 +64,8 @@ _CASES = {
     "geometry.rows": ("128", "characterize"),
     "timing.t_ras": ("40", "characterize"),  # copy source closes before tRAS
     "timing.t_rp": ("7.0", "characterize"),  # copy gap 7.5 no longer violates tRP
-    "timing.t_refi": ("15600", "characterize"),  # halves the search budget
-    "timing.t_refw": ("32000000", "characterize"),
+    "timing.t_refi": ("15600", "attack-budget"),  # halves the search budget
+    "timing.t_refw": ("32000000", "attack-budget"),
     "timing.acts_per_refi": ("100", "trr-eval"),
     "profile": ("worstcase", "characterize"),
     "seed": ("3", "characterize"),
@@ -67,7 +78,6 @@ _CASES = {
     "pattern.dp_aggr": ("0x55", "characterize"),
     "pattern.act_gap_ns": ("1.0", "attack-simra"),
     "pattern.pre_act_gap_ns": ("5.0", "trace-gen-comra"),
-    "search.tolerance": ("0.2", "characterize"),
     # repeats matter only inside the partial-activation window
     "search.repeats": ("3", "attack-simra-partial"),
     "mitigation.sampler_size": ("100", "trr-eval"),
@@ -95,6 +105,7 @@ def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("keys")
     (root / "profiles").mkdir()
     (root / "profiles" / "gate_chip.profile").write_text(_PROFILE)
+    (root / "profiles" / "budget_chip.profile").write_text(_BUDGET_PROFILE)
     runs = itertools.count()
 
     def run(label, extra):
@@ -180,11 +191,13 @@ timing.t_refw = 64000000.0
 timing.t_rp = 13.5
 """
 
-# sha256 of the CSVs that run wrote
+# sha256 of the CSVs its replay writes since the first-flip search is
+# exact: every HC_first is the smallest count that flips, where the
+# retired search.tolerance = 0.05 used to stop up to 5% above it
 _OLD_CSV_SHA256 = {
-    "hc_distribution.csv": "32a68a2b7ba3b03c5db09621e59b46bc6694ed57512aebae14573e00de7e811e",
-    "hc_minima.csv": "3644f605fc481b7c5ff0920cb4d6cf728724c7f3ab66353f1502b5507adb283b",
-    "results.csv": "ca408537a5ff91c88fd323d802bf654dd3d4907c1aa7cc7c93042cb3c2f79f4c",
+    "hc_distribution.csv": "2314e538e2680f924f140386eb49271fd12ba522ea268344bc85c876497f943d",
+    "hc_minima.csv": "9c162f32caaf92fcdf056d7408ab5194ccf6175cf70b459e480d6c2672ffd4f1",
+    "results.csv": "6503e2fd0bb5db2b37910fc2473e6f5f181dea02a34d7072bb3e092ebfb65cd0",
 }
 
 

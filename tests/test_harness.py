@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pudsim import (
-    BisectionConfig,
     Experiment,
     PatternSpec,
     SimraGroupMap,
@@ -15,9 +14,18 @@ from pudsim import (
     find_hcfirst,
 )
 from pudsim import harness
-from pudsim.disturbance import RH, SIMRA, ChipProfile
+from pudsim.disturbance import (
+    FLIP_AT,
+    RH,
+    SIMRA,
+    ChipProfile,
+    DisturbanceState,
+    accumulate,
+    bits_flipped,
+)
 from pudsim.harness import (
     RESULT_COLUMNS,
+    _generate,
     default_cap,
     discover_simra_groups,
     discover_subarrays,
@@ -41,12 +49,11 @@ def flat_experiment(theta, rows=64):
 
 
 def linear_scan(exp, spec, victim, cap):
-    """Brute-force oracle: smallest hammer count that flips the victim."""
+    """Brute-force oracle: smallest hammer count that flips the victim,
+    by the shared flip rule."""
     per = exp.hammer_damage(spec).get(victim, 0.0)
-    if per <= 0:
-        return None
     for n in range(1, cap + 1):
-        if n * per >= 1.0 - 1e-12:
+        if bits_flipped(n * per, exp.profile):
             return n
     return None
 
@@ -55,25 +62,23 @@ def linear_scan(exp, spec, victim, cap):
 def test_bisection_matches_linear_scan(theta):
     exp = flat_experiment(theta)
     spec = PatternSpec(kind="rowhammer", aggressors=(20, 22))
-    cfg = BisectionConfig(tolerance=0.01, cap=4096)
-    found = find_hcfirst(spec, 21, exp, cfg)
-    oracle = linear_scan(exp, spec, 21, 4096)
-    assert found is not None and oracle is not None
-    assert abs(found - oracle) <= max(1, 0.01 * oracle)
+    found = find_hcfirst(spec, 21, exp)
+    assert found is not None
+    assert found == linear_scan(exp, spec, 21, default_cap(exp.timing))
 
 
 def test_bisection_reports_no_flip_distinctly():
     exp = flat_experiment(10**9)
     spec = PatternSpec(kind="rowhammer", aggressors=(20, 22))
-    assert find_hcfirst(spec, 21, exp, BisectionConfig(cap=1000)) is None
+    assert find_hcfirst(spec, 21, exp) is None
 
 
 def test_bisection_result_never_below_true_threshold():
     exp = flat_experiment(500)
     spec = PatternSpec(kind="rowhammer", aggressors=(20, 22))
-    found = find_hcfirst(spec, 21, exp, BisectionConfig(cap=4096))
+    found = find_hcfirst(spec, 21, exp)
     per = exp.hammer_damage(spec)[21]
-    assert found * per >= 1.0 - 1e-9
+    assert found * per >= FLIP_AT > (found - 1) * per
 
 
 def test_default_cap_is_one_refresh_window_of_pairs(experiment):
@@ -83,7 +88,7 @@ def test_default_cap_is_one_refresh_window_of_pairs(experiment):
 
 def test_untouched_victim_reports_no_flip(experiment):
     spec = PatternSpec(kind="rowhammer", aggressors=(100, 102))
-    assert find_hcfirst(spec, 400, experiment, BisectionConfig(cap=200)) is None
+    assert find_hcfirst(spec, 400, experiment) is None
 
 
 # -- reverse engineering ---------------------------------------------------------
@@ -165,7 +170,7 @@ def test_sweep_searches_the_template_under_the_experiment(
     seen = []
     monkeypatch.setattr(
         harness, "find_hcfirst",
-        lambda spec, victim, exp, search: seen.append((spec, exp)) or None,
+        lambda spec, victim, exp, repeats: seen.append((spec, exp)) or None,
     )
     exp = Experiment(worstcase, layout, groups, seed=1, temp_c=50.0, dp_aggr=0x55)
     template = PatternSpec(kind="rowhammer", aggressors=(1, 3), t_aggon=60.0,
@@ -199,10 +204,9 @@ def test_combined_pattern_beats_rowhammer_alone(worstcase, layout, groups):
         comra_rows=(65, 66),
         simra_rows=(32, 32),
         simra_n=32,
-        search=BisectionConfig(cap=default_cap(exp.timing)),
     )
     rh_spec = PatternSpec(kind="rowhammer", aggressors=(63, 65))
-    rh_only = find_hcfirst(rh_spec, 64, exp, BisectionConfig())
+    rh_only = find_hcfirst(rh_spec, 64, exp)
     assert out is not None and rh_only is not None
     assert out["total"] < rh_only
 
@@ -218,16 +222,55 @@ STOCHASTIC_HCFIRST = {
 }
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_stochastic_hcfirst_golden_values(seed):
+def golden_experiment(seed):
     prof = ChipProfile(name="g", thresholds={RH: (6700.0, 14800.0), SIMRA: (100.0, 120.0)})
     layout = SubarrayLayout.uniform(128, 128)
-    exp = Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
-    assert exp.is_stochastic(PatternSpec(kind="simra", aggressors=(31, 31), act_gap=1.0))
-    found = {}
-    for r2 in (31, 63, 95):
-        spec = PatternSpec(kind="simra", aggressors=(r2, r2), n=32, act_gap=1.0)
-        found[(seed, r2 + 1)] = find_hcfirst(
-            spec, r2 + 1, exp, BisectionConfig(repeats=2, cap=2048)
-        )
+    return Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
+
+
+def golden_spec(r2):
+    return PatternSpec(kind="simra", aggressors=(r2, r2), n=32, act_gap=1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stochastic_hcfirst_golden_values(seed):
+    exp = golden_experiment(seed)
+    assert exp.is_stochastic(golden_spec(31))
+    found = {
+        (seed, r2 + 1): find_hcfirst(golden_spec(r2), r2 + 1, exp, repeats=2)
+        for r2 in (31, 63, 95)
+    }
     assert found == {k: v for k, v in STOCHASTIC_HCFIRST.items() if k[0] == seed}
+
+
+def stochastic_oracle(exp, spec, victim, rep, limit=2048):
+    """Replay one long stream of the pattern hammer by hammer on a fresh
+    bank drawing from the repeat's substream; the first hammer after
+    which the victim has flipped, or None within `limit` hammers."""
+    bank = exp.fresh_bank(f"probe.{rep}.{victim}")
+    state = DisturbanceState(rows=exp.layout.rows)
+    events = _generate(replace(spec, hammers=limit), exp.timing).events
+    per_hammer = len(events) // limit
+    for i, e in enumerate(events):
+        effects = bank.apply(e)
+        if effects:
+            accumulate(state, effects, exp.thresholds, exp.profile,
+                       temp_c=exp.temp_c, dp=exp.dp_aggr)
+        if (i + 1) % per_hammer == 0 and state.flipped.get(victim):
+            return (i + 1) // per_hammer
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stochastic_search_matches_hammer_by_hammer_oracle(seed):
+    exp = golden_experiment(seed)
+    oracles = {}
+    for r2 in (31, 63, 95):
+        spec, victim = golden_spec(r2), r2 + 1
+        per_rep = [stochastic_oracle(exp, spec, victim, rep) for rep in range(2)]
+        assert None not in per_rep
+        oracles[victim] = per_rep
+        for repeats in (1, 2):
+            assert find_hcfirst(spec, victim, exp, repeats) == min(per_rep[:repeats])
+    # repeats draw differently, so search.repeats can lower the minimum
+    assert any(a != b for a, b in oracles.values()), oracles

@@ -102,7 +102,6 @@ def _cfg_file(tmp_path, **extra):
         "layout.subarrays": "2",
         "groups.n": "8",
         "search.repeats": "2",
-        "search.tolerance": "0.05",
         "out_dir": str(tmp_path / "out"),
     }
     lines.update({k: str(v) for k, v in extra.items()})
@@ -139,7 +138,7 @@ def test_cli_exit_codes(tmp_path):
                  "--victim", "1"]) == 1
     # bad key value -> 1
     bad = tmp_path / "bad.cfg"
-    bad.write_text("search.tolerance = 0\n")
+    bad.write_text("search.repeats = 0\n")
     assert main(["attack", "--config", str(bad), "--victim", "1"]) == 1
     # victim outside the bank -> bad input, 1
     cfg = _cfg_file(tmp_path)
@@ -169,6 +168,52 @@ def test_cli_report_reaggregates(tmp_path):
                "--out", str(tmp_path / "again")])
     assert rc == 0
     assert (tmp_path / "again" / "trr_bypass_summary.csv").exists()
+
+
+@pytest.mark.parametrize("windows", ["0", "-5"])
+def test_cli_trr_eval_rejects_windows_below_one(tmp_path, caplog, windows):
+    cfg = _cfg_file(tmp_path)
+    assert main(["trr-eval", "--config", str(cfg), "--seeds", "1",
+                 "--windows", windows]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"--windows must be >= 1, got {windows}"]
+    assert not (tmp_path / "out").exists()
+
+
+def _bad_report_input(tmp_path, kind, text, caplog):
+    """Run `report --kind` on a CSV of `text`; its one error line."""
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    out = tmp_path / "again"
+    assert main(["report", "--kind", kind, "--input", str(src), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert not out.exists()
+    return errors[0]
+
+
+@pytest.mark.parametrize("kind", ["characterize", "trr-eval", "perf"])
+def test_cli_report_rejects_a_csv_without_its_columns(tmp_path, caplog, kind):
+    msg = _bad_report_input(tmp_path, kind, "seed\n0\n", caplog)
+    assert f"not a {kind} results file: missing columns" in msg
+
+
+def test_cli_report_rejects_a_count_that_is_not_a_number(tmp_path, caplog):
+    text = ",".join(TRR_COLUMNS) + "\nsimra,0,0,3,0\nsimra,1,0,x,2\n"
+    msg = _bad_report_input(tmp_path, "trr-eval", text, caplog)
+    assert msg.endswith("line 3: bitflips = 'x' is not an integer")
+
+
+@pytest.mark.parametrize("hcfirst", ["12.5", "never", ""])
+def test_cli_report_rejects_a_first_flip_that_is_neither_count_nor_noflip(
+    tmp_path, caplog, hcfirst
+):
+    rows = [_result_row("rowhammer", 10, 500), _result_row("rowhammer", 11, hcfirst)]
+    write_csv(tmp_path / "results.csv", RESULT_COLUMNS, rows)
+    msg = _bad_report_input(
+        tmp_path, "characterize", (tmp_path / "results.csv").read_text(), caplog
+    )
+    assert msg.endswith(f"line 3: hcfirst = {hcfirst!r} is not an integer")
 
 
 def test_cli_characterize_deterministic(tmp_path):
