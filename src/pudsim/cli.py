@@ -22,7 +22,7 @@ from .config import RunConfig, dumps_config, load_config
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
-from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace
+from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace, generate
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
@@ -131,6 +131,8 @@ def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
 def cmd_characterize(args) -> int:
     cfg = _load(args)
     kinds = args.kinds.split()
+    if not kinds:
+        raise ConfigError("--kinds names no pattern kind")
     for kind in kinds:
         if kind not in PATTERN_KINDS:
             raise ConfigError(
@@ -148,10 +150,10 @@ def cmd_characterize(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load(args)
-    _write_manifest(cfg)
     exp = _experiment(cfg)
     if not 0 <= args.victim < exp.layout.rows:
         raise ConfigError(f"victim {args.victim} outside bank of {exp.layout.rows} rows")
+    _write_manifest(cfg)
     hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.repeats)
     row = {
         "pattern": cfg.pattern,
@@ -177,7 +179,7 @@ def _bypass_rows(task) -> tuple[dict, dict]:
     rows = []
     for trr_on in (False, True):
         trr = cfg.trr() if trr_on else None
-        res = run_bypass(exp, setup, trr, windows, t_on=cfg.t_aggon_ns)
+        res = run_bypass(exp, setup, trr, windows, cfg.t_aggon_ns)
         rows.append({
             "technique": technique,
             "trr": int(trr_on),
@@ -192,6 +194,8 @@ def cmd_trr_eval(args) -> int:
     cfg = _load(args)
     if args.windows is not None and args.windows < 1:
         raise ConfigError(f"--windows must be >= 1, got {args.windows}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     tasks = [
@@ -213,9 +217,8 @@ def cmd_trr_eval(args) -> int:
 
 def cmd_mitigation_eval(args) -> int:
     cfg = _load(args)
-    _write_manifest(cfg)
-    mixes = make_mixes(cfg.perf_mixes, cfg.seed)
-    periods = (args.period,) if args.period else cfg.periods()
+    if args.period is not None and args.period <= 0:
+        raise ConfigError(f"--period must be positive, got {args.period:g}")
     variants = default_variants()
     if args.variant:
         if args.variant not in variants:
@@ -224,6 +227,9 @@ def cmd_mitigation_eval(args) -> int:
             )
         # the baseline is needed for the overhead, the rest is not
         variants = {k: v for k, v in variants.items() if k in ("none", args.variant)}
+    _write_manifest(cfg)
+    mixes = make_mixes(cfg.perf_mixes, cfg.seed)
+    periods = cfg.periods() if args.period is None else (args.period,)
     rows = evaluate_mixes(mixes, periods=periods, variants=variants,
                           target_reqs=cfg.perf_target_reqs)
     if args.variant:
@@ -245,11 +251,9 @@ def cmd_mitigation_eval(args) -> int:
 
 def cmd_trace_gen(args) -> int:
     cfg = _load(args)
-    _write_manifest(cfg)
     spec = _pattern(cfg, hammers=args.hammers)
-    from .harness import _generate
-
-    stream = _generate(spec, cfg.timing())
+    _write_manifest(cfg)
+    stream = generate(spec, cfg.timing())
     path = Path(cfg.out_dir) / "trace.txt"
     path.write_text(events_to_trace(stream.events), encoding="utf-8")
     print(path)

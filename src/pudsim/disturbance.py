@@ -31,13 +31,10 @@ from .dram import (
 from .errors import CalibrationError, ConfigError
 from .rng import stable_hash_each, substream
 
-# profile-level kind names (effect kinds map onto these)
-RH = "rh"
-COMRA = "comra"
-SIMRA = "simra"
+RH = KIND_RH
+COMRA = KIND_COMRA
+SIMRA = KIND_SIMRA
 KINDS = (RH, COMRA, SIMRA)
-
-EFFECT_KIND = {KIND_RH: RH, KIND_COMRA: COMRA, KIND_SIMRA: SIMRA}
 
 T_REF_C = 80.0
 
@@ -215,6 +212,24 @@ def contribution(
     return c
 
 
+def victim_distances(kind: str, agg: set[int], max_distance: int):
+    """(victim, distance) pairs one hammer of `kind` over the rows `agg`
+    disturbs, rows past the bank's edges included.  Activations and copy
+    cycles disturb per aggressor; a group op disturbs each victim once,
+    at its distance to the nearest member."""
+    # (row offset, distance) of each neighbour, nearest first, below first
+    around = [(side * d, d) for d in range(1, max_distance + 1) for side in (-1, 1)]
+    if kind != SIMRA:
+        return [(a + o, d) for a in agg for o, d in around if a + o not in agg]
+    hits: dict[int, int] = {}
+    for a in agg:
+        for offset, d in around:
+            v = a + offset
+            if v not in agg and hits.get(v, d + 1) > d:
+                hits[v] = d
+    return hits.items()
+
+
 # ---------------------------------------------------------------------------
 # Threshold sampling
 
@@ -371,9 +386,8 @@ def accumulate(
     bitflips they caused (also appended to state.flips)."""
     out: list[Bitflip] = []
     slack = FLIP_AT
-    dists = range(1, profile.max_distance + 1)
-    # (row offset, distance) of each neighbour, nearest first, below first
-    around = [(side * d, d) for d in dists for side in (-1, 1)]
+    max_d = profile.max_distance
+    dists = range(1, max_d + 1)
     rows = state.rows
     damage = state.damage
     flipped = state.flipped
@@ -389,7 +403,7 @@ def accumulate(
             continue
         if not isinstance(eff, HammerEffect):
             raise ConfigError(f"unknown effect {type(eff).__name__}")
-        kind = EFFECT_KIND[eff.kind]
+        kind = eff.kind
         theta = thresholds.theta_list(kind)
         for a in eff.aggressors:
             damage.pop(a, None)
@@ -397,24 +411,12 @@ def accumulate(
         if theta is None:
             continue  # kind not expressible on this module
         agg = set(eff.aggressors)
-        if kind == SIMRA:
-            # one deposit per op; distance to the nearest group member
-            hits: dict[int, int] = {}
-            for a in agg:
-                for offset, d in around:
-                    v = a + offset
-                    if v not in agg and hits.get(v, d + 1) > d:
-                        hits[v] = d
-            pairs = hits.items()
-            n_factor = profile.simra_n_factor(len(agg))
-        else:
-            pairs = [(a + o, d) for a in agg for o, d in around if a + o not in agg]
-            n_factor = 1.0
+        n_factor = profile.simra_n_factor(len(agg)) if kind == SIMRA else 1.0
         # units deposited at each distance, before the victim's threshold
         per_dist = [0.0]
         for d in dists:
             per_dist.append(contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor)
-        for v, d in pairs:
+        for v, d in victim_distances(kind, agg, max_d):
             if not 0 <= v < rows:
                 state.skipped_victims += 1
                 continue

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import AddressError, ConfigError, ProtocolError, ShapeError
 
-KIND_RH = "rh-act"
-KIND_COMRA = "comra-cycle"
-KIND_SIMRA = "simra-op"
+# disturbance kinds, named alike by chip profiles and HammerEffect
+KIND_RH = "rh"
+KIND_COMRA = "comra"
+KIND_SIMRA = "simra"
 
 SIMRA_SIZES = (2, 4, 8, 16, 32)
 
@@ -78,6 +79,10 @@ class TimingParams:
     @property
     def refs_per_refw(self) -> int:
         return max(1, int(self.t_refw // self.t_refi))
+
+    def rows_per_ref(self, rows: int) -> int:
+        """Rows one REF refreshes: the REFs of a tREFW cover all `rows`."""
+        return -(-rows // self.refs_per_refw)  # ceil
 
 
 class SubarrayLayout:
@@ -228,8 +233,8 @@ class CommandEvent:
 class HammerEffect:
     """One charge-disturbance event seen by aggressor neighbors.
 
-    kind: 'rh-act' (one nominal activation), 'comra-cycle' (one complete
-    copy cycle, both rows acted as aggressors), 'simra-op' (one complete
+    kind: KIND_RH (one nominal activation), KIND_COMRA (one complete
+    copy cycle, both rows acted as aggressors), KIND_SIMRA (one complete
     multi-activation op over the whole group).
     """
 
@@ -454,9 +459,9 @@ class Bank:
             raise ProtocolError("REF requires all rows precharged")
         effects = self.flush()
         n_rows = self.layout.rows
-        per_ref = -(-n_rows // self.timing.refs_per_refw)  # ceil
+        per_ref = self.timing.rows_per_ref(n_rows)
         start = self._ref_cursor
-        rows = tuple((start + i) % n_rows for i in range(min(per_ref, n_rows)))
+        rows = tuple((start + i) % n_rows for i in range(per_ref))
         self._ref_cursor = (start + per_ref) % n_rows
         effects.append(RefreshEffect(rows, cmd.time))
         return effects

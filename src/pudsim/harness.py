@@ -21,7 +21,6 @@ from .dram import (
     TimingParams,
 )
 from .disturbance import (
-    FLIP_AT,
     ChipProfile,
     DisturbanceState,
     accumulate,
@@ -31,7 +30,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PatternSpec, gen_comra, gen_rowhammer, gen_simra
+from .patterns import PatternSpec, generate
 from .rng import substream
 
 
@@ -86,7 +85,7 @@ class Experiment:
         """
         bank = self.fresh_bank()
         state = DisturbanceState(rows=self.layout.rows)
-        for e in _generate(replace(spec, hammers=1), self.timing).events:
+        for e in generate(replace(spec, hammers=1), self.timing).events:
             effects = bank.apply(e)
             if effects:
                 accumulate(state, effects, self.thresholds, self.profile,
@@ -99,14 +98,12 @@ class Experiment:
         return spec.kind == "simra" and spec.act_gap <= PARTIAL_GAP_MAX
 
     def probe(self, spec: PatternSpec, victim: int, n: int, rep: int = 0) -> bool:
-        """Does `n` hammers flip the victim at least once?"""
-        if not self.is_stochastic(spec):
-            per = self.hammer_damage(spec).get(victim, 0.0)
-            return n * per >= FLIP_AT
-        # op strength varies per draw: replay op by op with a fresh bank
+        """Does `n` hammers flip the victim at least once?  Replayed op by
+        op on a fresh bank drawing from the repeat's substream, since a
+        stochastic pattern's op strength varies per draw."""
         bank = self.fresh_bank(f"probe.{rep}.{victim}")
         state = DisturbanceState(rows=self.layout.rows)
-        one = _generate(replace(spec, hammers=1), self.timing)
+        one = generate(replace(spec, hammers=1), self.timing)
         dt = one.end_time
         hammer = [(e.time, e.kind, e.bank, e.row, e.payload) for e in one.events]
         flipped = state.flipped
@@ -124,34 +121,28 @@ class Experiment:
         return False
 
 
-def _generate(spec: PatternSpec, timing: TimingParams):
-    if spec.kind in ("rowhammer", "rowpress"):
-        return gen_rowhammer(spec, timing)
-    if spec.kind == "comra":
-        return gen_comra(spec, timing)
-    if spec.kind == "simra":
-        return gen_simra(spec, timing)
-    raise ConfigError(f"no single-kind generator for {spec.kind!r}")
-
-
 def find_hcfirst(
     spec: PatternSpec, victim: int, exp: Experiment, repeats: int = REPEATS
 ) -> Optional[int]:
     """Smallest hammer count that flips the victim, or None if no flip
     happens within the budget, `default_cap`.
 
-    A stochastic pattern is searched `repeats` times, each on its own
-    RNG substream, and the minimum is reported; a deterministic one once.
-    Each search is exact: every probe of a repeat replays the same
-    substream on a fresh bank, so a flip within n hammers implies one
-    within n + 1, and bisection down to one hammer finds the smallest
-    count that flips.
+    Every hammer of a deterministic pattern deposits the same damage, so
+    its count follows from one hammer's.  A stochastic pattern is
+    searched `repeats` times, each on its own RNG substream, and the
+    minimum is reported.  Each search is exact: every probe of a repeat
+    replays the same substream on a fresh bank, so a flip within n
+    hammers implies one within n + 1, and bisection down to one hammer
+    finds the smallest count that flips.
     """
     if repeats < 1:
         raise ConfigError("search.repeats must be >= 1")
     cap = default_cap(exp.timing)
+    if not exp.is_stochastic(spec):
+        hc = hammers_to_flip(exp.hammer_damage(spec).get(victim, 0.0))
+        return hc if hc is not None and hc <= cap else None
     best: Optional[int] = None
-    for rep in range(repeats if exp.is_stochastic(spec) else 1):
+    for rep in range(repeats):
         if not exp.probe(spec, victim, cap, rep):
             continue
         lo, hi = 0, cap
@@ -370,7 +361,7 @@ def run_sweep(
                 "dp_aggr": "" if dp is None else f"0x{dp:02X}",
                 "dp_victim": "" if dp is None else f"0x{dp ^ 0xFF:02X}",
                 "temp_c": exp.temp_c,
-                "t_aggon_ns": exp.timing.t_ras if spec.t_aggon is None else spec.t_aggon,
+                "t_aggon_ns": spec.t_on(exp.timing),
                 "gap_ns": spec.act_gap if simra else "",
                 "region": classify_region(victim, exp.layout.extent(victim)),
                 "row": victim,
@@ -406,15 +397,16 @@ def run_combined(
     }
     spent = {"simra": 0, "comra": 0, "rowhammer": 0}
     damage = 0.0
+    cap = default_cap(exp.timing)
     for kind in ("simra", "comra"):
         frac = fractions.get(kind, 0.0)
         if frac <= 0.0:
             continue
-        hc = find_hcfirst(specs[kind], victim, exp)
-        if hc is None:
+        per = exp.hammer_damage(specs[kind]).get(victim, 0.0)
+        hc = hammers_to_flip(per)
+        if hc is None or hc > cap:
             continue
         budget = int(frac * hc)
-        per = exp.hammer_damage(specs[kind]).get(victim, 0.0)
         to_flip = hammers_to_flip(per, damage)
         if to_flip is not None and to_flip <= budget:
             spent[kind] = to_flip
@@ -423,7 +415,7 @@ def run_combined(
         damage += budget * per
     per_rh = exp.hammer_damage(specs["rowhammer"]).get(victim, 0.0)
     need = hammers_to_flip(per_rh, damage)
-    if need is None or need > default_cap(exp.timing):
+    if need is None or need > cap:
         return None
     spent["rowhammer"] = need
     return {"hammers": spent, "total": sum(spent.values()), "flipped_in": "rowhammer"}

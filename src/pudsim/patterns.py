@@ -19,11 +19,8 @@ PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra")
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Parameters of one access pattern instance.
-
-    aggressors are physical row numbers.  t_aggon of None means nominal
-    tRAS.
-    """
+    """Parameters of one access pattern instance; aggressors are
+    physical row numbers."""
 
     kind: str
     aggressors: tuple[int, ...] = ()
@@ -55,6 +52,10 @@ class PatternSpec:
             if self.n not in SIMRA_SIZES:
                 raise ConfigError(f"group size {self.n} not in {SIMRA_SIZES}")
 
+    def t_on(self, timing: TimingParams) -> float:
+        """How long each aggressor stays open: t_aggon, or nominal tRAS."""
+        return timing.t_ras if self.t_aggon is None else self.t_aggon
+
 
 @dataclass
 class CommandStream:
@@ -82,7 +83,7 @@ def _hammer_pair(
 def gen_rowhammer(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     """Single- or double-sided activation hammering; rowpress is the same
     shape with a long aggressor-on time (identical stream at t_on=tRAS)."""
-    t_on = spec.t_aggon if spec.t_aggon is not None else timing.t_ras
+    t_on = spec.t_on(timing)
     events: list[CommandEvent] = []
     t = 0.0
     for _ in range(spec.hammers):
@@ -92,7 +93,7 @@ def gen_rowhammer(spec: PatternSpec, timing: TimingParams) -> CommandStream:
 
 def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     """Repeated copy cycles src -> dst through a violated PRE->ACT gap."""
-    t_on = spec.t_aggon if spec.t_aggon is not None else timing.t_ras
+    t_on = spec.t_on(timing)
     if t_on + 1e-9 < timing.t_ras:
         raise ConfigError("copy source must stay open at least tRAS")
     if spec.pre_act_gap >= timing.t_rp:
@@ -112,7 +113,7 @@ def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
 
 def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     """Repeated group activations via back-to-back ACT-PRE-ACT."""
-    t_on = spec.t_aggon if spec.t_aggon is not None else timing.t_ras
+    t_on = spec.t_on(timing)
     r1, r2 = spec.aggressors
     events: list[CommandEvent] = []
     t = 0.0
@@ -123,6 +124,15 @@ def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
         events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE", spec.bank))
         t += 2 * spec.act_gap + t_on + timing.t_rp
     return CommandStream(events, spec.hammers, "simra", t)
+
+
+def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:
+    """The command stream of the spec's `hammers` hammers."""
+    if spec.kind == "comra":
+        return gen_comra(spec, timing)
+    if spec.kind == "simra":
+        return gen_simra(spec, timing)
+    return gen_rowhammer(spec, timing)  # rowhammer and rowpress
 
 
 # ---------------------------------------------------------------------------

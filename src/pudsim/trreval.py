@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, contribution
+from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, contribution, victim_distances
 from .dram import SimraGroupMap
 from .errors import ConfigError
 from .harness import Experiment
@@ -98,36 +98,25 @@ def make_simra_setup(groups: SimraGroupMap, n: int, count: int) -> BypassSetup:
 def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int, float]:
     """Per-victim effective units deposited by one aggressor window."""
     profile, rows = exp.profile, exp.layout.rows
-    temp_c, dp = exp.temp_c, exp.dp_aggr
+    simra = setup.technique == "simra"
+    kind = SIMRA if simra else RH
     n_aggr = len(setup.aggressors)
-    acts = exp.timing.acts_per_refi
-    per_op = 2 if setup.technique == "simra" else 1
-    ops = acts // per_op
+    ops = exp.timing.acts_per_refi // (2 if simra else 1)
     # round-robin split of the window's op budget
     ops_per_aggr = [ops // n_aggr + (1 if i < ops % n_aggr else 0) for i in range(n_aggr)]
+    nf = profile.simra_n_factor(setup.n) if simra else 1.0
+    # a RowHammer aggressor's own ACTs restore it; a chosen group's ops
+    # would restore its rows too, which is not modelled yet
+    # (test_simra_group_rows_agree)
+    restored = set() if simra else set(setup.aggressors)
     dose: dict[int, float] = {}
-    max_d = profile.max_distance
-    if setup.technique == "simra":
-        nf = profile.simra_n_factor(setup.n)
-        for i, r2 in enumerate(setup.aggressors):
-            members = set(setup.groups[r2])
-            for v in range(min(members) - max_d, max(members) + max_d + 1):
-                if v in members or not 0 <= v < rows:
-                    continue
-                d = min(abs(v - m) for m in members)
-                if d > max_d:
-                    continue
-                c = contribution(SIMRA, dp, temp_c, t_on, d, profile) * nf
-                dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
-    else:
-        aggr = set(setup.aggressors)
-        for i, a in enumerate(setup.aggressors):
-            for d in range(1, max_d + 1):
-                for v in (a - d, a + d):
-                    if v in aggr or not 0 <= v < rows:
-                        continue
-                    c = contribution(RH, dp, temp_c, t_on, d, profile)
-                    dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
+    for i, a in enumerate(setup.aggressors):
+        opened = set(setup.groups[a]) if simra else {a}
+        for v, d in victim_distances(kind, opened, profile.max_distance):
+            if v in restored or not 0 <= v < rows:
+                continue
+            c = contribution(kind, exp.dp_aggr, exp.temp_c, t_on, d, profile) * nf
+            dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
     return dose
 
 
@@ -136,23 +125,21 @@ def run_bypass(
     setup: BypassSetup,
     trr: Optional[TrrConfig],
     windows: int,
-    t_on: Optional[float] = None,
+    t_on: float,
 ) -> BypassResult:
     """Advance the bypass schedule `windows` refresh windows on the
     experiment's chip and count the bitflips it produces on the victims
     of the configured aggressors.
 
-    Aggressors are held open `t_on` (None: tRAS) at the experiment's
-    temperature and hold its data pattern; the TRR sampler draws from
-    the experiment's seed."""
+    Aggressors are held open `t_on` ns at the experiment's temperature
+    and hold its data pattern; the TRR sampler draws from the
+    experiment's seed."""
     timing = exp.timing
     rows = exp.layout.rows
     kind = SIMRA if setup.technique == "simra" else RH
     theta = exp.thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
-    if t_on is None:
-        t_on = timing.t_ras
     dose_units = _window_doses(exp, setup, t_on)
     victims = sorted(dose_units)
     # fraction of each victim's own threshold deposited per aggressor window
@@ -166,7 +153,7 @@ def run_bypass(
     flipped = {v: 0 for v in victims}
     cum = {v: 0 for v in victims}
     trr_refreshes = 0
-    per_ref = -(-rows // timing.refs_per_refw)  # ceil, matches the bank model
+    per_ref = timing.rows_per_ref(rows)
     cursor = 0
 
     for w in range(windows):

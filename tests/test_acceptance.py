@@ -88,8 +88,9 @@ def test_criterion_02_trr_bypass_reproduction():
         off = on = 0
         for s in range(5):
             exp = Experiment(profile, layout, groups, seed=100 + s)
-            off += run_bypass(exp, setup_of(), None, 8204).bitflips
-            on += run_bypass(exp, setup_of(), TrrConfig(sampler_size=450), 8204).bitflips
+            t_on = exp.timing.t_ras
+            off += run_bypass(exp, setup_of(), None, 8204, t_on).bitflips
+            on += run_bypass(exp, setup_of(), TrrConfig(sampler_size=450), 8204, t_on).bitflips
         totals[technique] = (off, on)
     rh_off, rh_on = totals["rh"]
     si_off, si_on = totals["simra"]

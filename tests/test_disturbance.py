@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pudsim import SubarrayLayout, load_profile, sample_thresholds
 from pudsim.disturbance import (
     COMRA,
-    EFFECT_KIND,
     KINDS,
     REGIONS,
     RH,
@@ -330,7 +329,7 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
         if isinstance(eff, CopyEffect):
             restore(eff.dst)
             continue
-        kind = EFFECT_KIND[eff.kind]
+        kind = eff.kind
         theta = thresholds.theta.get(kind)
         for a in eff.aggressors:
             restore(a)

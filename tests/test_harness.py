@@ -15,6 +15,7 @@ from pudsim import (
 )
 from pudsim import harness
 from pudsim.disturbance import (
+    COMRA,
     FLIP_AT,
     RH,
     SIMRA,
@@ -25,7 +26,6 @@ from pudsim.disturbance import (
 )
 from pudsim.harness import (
     RESULT_COLUMNS,
-    _generate,
     default_cap,
     discover_simra_groups,
     discover_subarrays,
@@ -33,6 +33,7 @@ from pudsim.harness import (
     run_combined,
     run_sweep,
 )
+from pudsim.patterns import generate
 from pudsim.reports import emit_report
 
 
@@ -79,6 +80,41 @@ def test_bisection_result_never_below_true_threshold():
     found = find_hcfirst(spec, 21, exp)
     per = exp.hammer_damage(spec)[21]
     assert found * per >= FLIP_AT > (found - 1) * per
+
+
+def low_threshold_experiment():
+    prof = ChipProfile(name="low", thresholds={RH: (20.0, 40.0), COMRA: (8.0, 16.0),
+                                               SIMRA: (4.0, 8.0)})
+    layout = SubarrayLayout.uniform(64, 64)
+    return Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 8), seed=3)
+
+
+@pytest.mark.parametrize("spec, victim", [
+    (PatternSpec(kind="rowhammer", aggressors=(20, 22)), 21),
+    (PatternSpec(kind="rowpress", aggressors=(20, 22), t_aggon=144.0), 21),
+    (PatternSpec(kind="comra", aggressors=(30, 31)), 32),
+    (PatternSpec(kind="simra", aggressors=(15, 15), act_gap=2.0, n=8), 16),
+], ids=["rowhammer", "rowpress", "comra", "simra"])
+def test_closed_form_matches_hammer_by_hammer_replay(spec, victim):
+    exp = low_threshold_experiment()
+    assert not exp.is_stochastic(spec)
+    found = find_hcfirst(spec, victim, exp)
+    assert found is not None
+    assert found == replay_oracle(exp, spec, victim, rep=0)
+
+
+def test_deterministic_search_replays_one_hammer(monkeypatch):
+    """A deterministic search takes its count from one hammer's damage:
+    one `hammer_damage` replay, whatever the repeats, and no probe."""
+    calls = []
+    damage, probe = harness.Experiment.hammer_damage, harness.Experiment.probe
+    monkeypatch.setattr(harness.Experiment, "hammer_damage",
+                        lambda exp, spec: calls.append("hammer_damage") or damage(exp, spec))
+    monkeypatch.setattr(harness.Experiment, "probe",
+                        lambda exp, *a: calls.append("probe") or probe(exp, *a))
+    spec = PatternSpec(kind="rowhammer", aggressors=(20, 22))
+    assert find_hcfirst(spec, 21, flat_experiment(123), repeats=3) is not None
+    assert calls == ["hammer_damage"]
 
 
 def test_default_cap_is_one_refresh_window_of_pairs(experiment):
@@ -243,16 +279,19 @@ def test_stochastic_hcfirst_golden_values(seed):
     assert found == {k: v for k, v in STOCHASTIC_HCFIRST.items() if k[0] == seed}
 
 
-def stochastic_oracle(exp, spec, victim, rep, limit=2048):
-    """Replay one long stream of the pattern hammer by hammer on a fresh
-    bank drawing from the repeat's substream; the first hammer after
+def replay_oracle(exp, spec, victim, rep, limit=2048):
+    """Replay one long stream of the pattern hammer by hammer through
+    `Bank` and `accumulate`, on a fresh bank drawing from the repeat's
+    substream and flushed at each hammer boundary; the first hammer after
     which the victim has flipped, or None within `limit` hammers."""
     bank = exp.fresh_bank(f"probe.{rep}.{victim}")
     state = DisturbanceState(rows=exp.layout.rows)
-    events = _generate(replace(spec, hammers=limit), exp.timing).events
+    events = generate(replace(spec, hammers=limit), exp.timing).events
     per_hammer = len(events) // limit
     for i, e in enumerate(events):
         effects = bank.apply(e)
+        if (i + 1) % per_hammer == 0:
+            effects = effects + bank.flush()
         if effects:
             accumulate(state, effects, exp.thresholds, exp.profile,
                        temp_c=exp.temp_c, dp=exp.dp_aggr)
@@ -267,7 +306,7 @@ def test_stochastic_search_matches_hammer_by_hammer_oracle(seed):
     oracles = {}
     for r2 in (31, 63, 95):
         spec, victim = golden_spec(r2), r2 + 1
-        per_rep = [stochastic_oracle(exp, spec, victim, rep) for rep in range(2)]
+        per_rep = [replay_oracle(exp, spec, victim, rep) for rep in range(2)]
         assert None not in per_rep
         oracles[victim] = per_rep
         for repeats in (1, 2):

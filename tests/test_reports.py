@@ -157,6 +157,26 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     assert not (tmp_path / "out" / "attack.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["trr-eval", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["characterize", "--kinds", ""], "--kinds names no pattern kind"),
+    (["trace-gen", "--hammers", "-3"], "hammers must be >= 0"),
+    (["attack", "--victim", "99999"], "victim 99999 outside bank of 512 rows"),
+    (["mitigation-eval", "--variant", "bogus"], "unknown variant 'bogus'"),
+    (["mitigation-eval", "--period", "0"], "--period must be positive, got 0"),
+    (["mitigation-eval", "--period", "-5"], "--period must be positive, got -5"),
+])
+def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, args, message):
+    """A bad subcommand argument ends the run before anything is written,
+    so no manifest describes a run that never happened."""
+    cfg = _cfg_file(tmp_path)
+    assert main([*args, "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(message)
+    assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
 def test_cli_report_reaggregates(tmp_path):
     rows = [
         {"technique": "simra", "trr": t, "seed": s, "bitflips": 3, "trr_refreshes": 1}

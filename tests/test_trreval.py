@@ -7,12 +7,14 @@ import pytest
 
 from pudsim import Experiment, SimraGroupMap, SubarrayLayout
 from pudsim.disturbance import RH, SIMRA, DisturbanceState, accumulate
-from pudsim.dram import CommandEvent, RefreshEffect
+from pudsim.dram import CommandEvent, RefreshEffect, TimingParams
 from pudsim.rng import substream
 from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
 
 # decoy rows, far from every victim of the setups below
 DECOYS = tuple(range(1024, 1184))
+# how long every aggressor stays open: tRAS, as in bus_reference
+T_ON = TimingParams().t_ras
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +124,7 @@ def windows_in(agg_windows):
 def test_rh_routes_agree_without_trr(chip, agg_windows):
     setup = setup_for(chip, "rh")
     windows = windows_in(agg_windows)
-    fast = run_bypass(chip, setup, None, windows)
+    fast = run_bypass(chip, setup, None, windows, T_ON)
     state, caught = bus_reference(chip, setup, windows, None)
     assert_routes_agree(fast, state, caught)
 
@@ -131,7 +133,7 @@ def test_rh_routes_agree_without_trr(chip, agg_windows):
 def test_simra_routes_agree_without_trr(chip, agg_windows):
     setup = setup_for(chip, "simra")
     windows = windows_in(agg_windows)
-    fast = run_bypass(chip, setup, None, windows)
+    fast = run_bypass(chip, setup, None, windows, T_ON)
     state, caught = bus_reference(chip, setup, windows, None)
     assert_routes_agree(fast, state, caught)
 
@@ -147,7 +149,7 @@ def test_routes_agree_past_the_sampler_fill(weak_chip, technique, windows, trr):
     """The sampler holds 450 ACTs, about three windows; both spans run
     well past that, and both routes flip bits."""
     setup = setup_for(weak_chip, technique)
-    fast = run_bypass(weak_chip, setup, trr, windows)
+    fast = run_bypass(weak_chip, setup, trr, windows, T_ON)
     state, caught = bus_reference(weak_chip, setup, windows, trr)
     # rows of a chosen group are restored each time their own group
     # opens; `run_bypass` still counts flips on those next to another
@@ -163,12 +165,12 @@ def test_routes_agree_at_other_conditions(weak_chip, technique):
     exp = Experiment(weak_chip.profile, weak_chip.layout, weak_chip.groups,
                      seed=11, temp_c=90.0, dp_aggr=0xFF)
     setup = setup_for(exp, technique)
-    fast = run_bypass(exp, setup, TrrConfig(), 21)
+    fast = run_bypass(exp, setup, TrrConfig(), 21, T_ON)
     state, caught = bus_reference(exp, setup, 21, TrrConfig())
     skip = _group_rows(setup) if technique == "simra" else frozenset()
     assert assert_routes_agree(fast, state, caught, skip) > 0
     # the conditions change the outcome, so the pin sees them
-    assert fast.per_victim != run_bypass(weak_chip, setup, TrrConfig(), 21).per_victim
+    assert fast.per_victim != run_bypass(weak_chip, setup, TrrConfig(), 21, T_ON).per_victim
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -177,7 +179,7 @@ def test_routes_agree_at_other_conditions(weak_chip, technique):
 ))
 def test_simra_group_rows_agree(weak_chip):
     setup = setup_for(weak_chip, "simra")
-    fast = run_bypass(weak_chip, setup, TrrConfig(), 21)
+    fast = run_bypass(weak_chip, setup, TrrConfig(), 21, T_ON)
     state, _ = bus_reference(weak_chip, setup, 21, TrrConfig())
     bus = flips_per_row(state)
     for v in _group_rows(setup):
@@ -188,8 +190,8 @@ def test_trr_never_sees_internally_opened_rows(weak_chip):
     """The sampler only ever picks a group's bus row, whose neighbours
     are group members, so TRR changes no SiMRA victim's flips."""
     setup = setup_for(weak_chip, "simra")
-    off = run_bypass(weak_chip, setup, None, 41)
-    on = run_bypass(weak_chip, setup, TrrConfig(), 41)
+    off = run_bypass(weak_chip, setup, None, 41, T_ON)
+    on = run_bypass(weak_chip, setup, TrrConfig(), 41, T_ON)
     assert on.trr_refreshes > 0
     assert on.per_victim == off.per_victim
 
@@ -199,8 +201,8 @@ def test_trr_suppresses_rh_but_not_simra(chip):
     results = {}
     for tech in ("rh", "simra"):
         setup = setup_for(chip, tech)
-        off = run_bypass(chip, setup, None, windows)
-        on = run_bypass(chip, setup, TrrConfig(), windows)
+        off = run_bypass(chip, setup, None, windows, T_ON)
+        on = run_bypass(chip, setup, TrrConfig(), windows, T_ON)
         assert off.bitflips > 0
         results[tech] = (off.bitflips, on.bitflips)
     rh_off, rh_on = results["rh"]
@@ -212,9 +214,9 @@ def test_trr_suppresses_rh_but_not_simra(chip):
 def test_bypass_is_deterministic_per_seed(chip):
     setup = make_rh_setup(pairs=2)
     other = Experiment(chip.profile, chip.layout, chip.groups, seed=12)
-    a = run_bypass(chip, setup, TrrConfig(), 2000)
-    b = run_bypass(chip, setup, TrrConfig(), 2000)
-    c = run_bypass(other, setup, TrrConfig(), 2000)
+    a = run_bypass(chip, setup, TrrConfig(), 2000, T_ON)
+    b = run_bypass(chip, setup, TrrConfig(), 2000, T_ON)
+    c = run_bypass(other, setup, TrrConfig(), 2000, T_ON)
     assert a.bitflips == b.bitflips and a.per_victim == b.per_victim
     assert (a.bitflips, a.trr_refreshes) != (c.bitflips, c.trr_refreshes)
 
