@@ -19,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, dumps_config, load_config
+from .disturbance import ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
@@ -92,11 +93,11 @@ def _write_manifest(cfg: RunConfig) -> Path:
     return path
 
 
-def _experiment(cfg: RunConfig) -> Experiment:
-    """The chip and the conditions the config describes."""
+def _experiment(cfg: RunConfig, profile: ChipProfile) -> Experiment:
+    """The config's chip, with its profile, under its conditions."""
     layout = cfg.layout()
     return Experiment(
-        load_profile(cfg.profile),
+        profile,
         layout,
         SimraGroupMap.aligned_blocks(layout, cfg.group_n, cfg.group_stride),
         timing=cfg.timing(),
@@ -138,8 +139,9 @@ def cmd_characterize(args) -> int:
             raise ConfigError(
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
+    exp = _experiment(cfg, load_profile(cfg.profile))
     _write_manifest(cfg)
-    rows, failures = run_sweep(_experiment(cfg), kinds, _pattern(cfg), cfg.repeats)
+    rows, failures = run_sweep(exp, kinds, _pattern(cfg), cfg.repeats)
     for f in failures:
         log.warning("sweep cell failed: %s", f)
     paths = emit_report(rows, "characterize", cfg.out_dir)
@@ -150,7 +152,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load(args)
-    exp = _experiment(cfg)
+    exp = _experiment(cfg, load_profile(cfg.profile))
     if not 0 <= args.victim < exp.layout.rows:
         raise ConfigError(f"victim {args.victim} outside bank of {exp.layout.rows} rows")
     _write_manifest(cfg)
@@ -170,8 +172,8 @@ def cmd_attack(args) -> int:
 
 def _bypass_rows(task) -> tuple[dict, dict]:
     """One seed's rows, TRR off then on, over one chip and threshold set."""
-    cfg, technique, windows = task
-    exp = _experiment(cfg)
+    cfg, profile, technique, windows = task
+    exp = _experiment(cfg, profile)
     if technique == "simra":
         setup = make_simra_setup(exp.groups, cfg.group_n, count=4)
     else:
@@ -196,10 +198,11 @@ def cmd_trr_eval(args) -> int:
         raise ConfigError(f"--windows must be >= 1, got {args.windows}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    profile = load_profile(cfg.profile)
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     tasks = [
-        (replace(cfg, seed=cfg.seed + s), args.technique, windows)
+        (replace(cfg, seed=cfg.seed + s), profile, args.technique, windows)
         for s in range(args.seeds)
     ]
     if args.jobs > 1:

@@ -43,6 +43,19 @@ ROW_BITS = 8 * ROW_BYTES
 
 REGIONS = ("Beginning", "Beginning-Middle", "Middle", "Middle-End", "End")
 
+# Model constants, the same for every chip.  Units one event of each kind
+# deposits on a victim at distance 1, before scaling: per aggressor row
+# for activations and copy cycles, per op for a group op.
+BASE_UNITS = {RH: 1.0, COMRA: 10.0, SIMRA: 200.0}
+# rows on each side of an aggressor that a hammer disturbs, and the
+# attenuation per row of distance past the first
+MAX_DISTANCE = 2
+BLAST_DECAY = 0.05
+# each further bit of a row needs this factor more damage than the last
+BIT_ESCALATION = 1.05
+# the bit value change of a flip, by the kind that caused it
+FLIP_DIRECTION = {RH: "1to0", COMRA: "1to0", SIMRA: "0to1"}
+
 
 def classify_region(row: int, extent: tuple[int, int]) -> str:
     """Five proportional bins across a subarray extent."""
@@ -66,9 +79,6 @@ class ChipProfile:
     name: str
     vendor: str = ""
     thresholds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    base: dict[str, float] = field(
-        default_factory=lambda: {RH: 1.0, COMRA: 10.0, SIMRA: 200.0}
-    )
     # temperature scaling per +10 C step from 80 C, per kind
     temp_step: dict[str, float] = field(
         default_factory=lambda: {RH: 1.0, COMRA: 1.0, SIMRA: 1.467}
@@ -89,18 +99,12 @@ class ChipProfile:
             SIMRA: {0x00: 1.0, 0xFF: 0.6, 0x55: 1.0 / 57.8, 0xAA: 1.0 / 57.8},
         }
     )
-    blast_decay: float = 0.05  # attenuation per extra row of distance
-    max_distance: int = 2
     # group-op strength scaling: ops over 32-row groups are this much more
     # effective than over 2-row groups (log-interpolated in between)
     simra_n32_mult: float = 1.47
     region_mult: dict[str, float] = field(
         default_factory=lambda: {r: 1.0 for r in REGIONS}
     )
-    flip_direction: dict[str, str] = field(
-        default_factory=lambda: {RH: "1to0", COMRA: "1to0", SIMRA: "0to1"}
-    )
-    bit_escalation: float = 1.05
 
     def __post_init__(self):
         for kind, (lo, mean) in self.thresholds.items():
@@ -115,30 +119,17 @@ class ChipProfile:
                 raise ConfigError(f"{kind}: t_on anchors must be non-decreasing")
             if any(m <= 0 for m in ms) or any(t <= 0 for t in ts):
                 raise ConfigError(f"{kind}: t_on anchors must be positive")
-        if not 0.0 <= self.blast_decay < 1.0:
-            raise ConfigError("blast_decay must be in [0, 1)")
-        if self.max_distance < 1:
-            raise ConfigError("max_distance must be >= 1")
-        if self.bit_escalation <= 1.0:
-            raise ConfigError("bit_escalation must be > 1")
         if self.simra_n32_mult <= 0:
             raise ConfigError("simra_n32_mult must be positive")
-        for kind, d in self.flip_direction.items():
-            if d not in ("0to1", "1to0"):
-                raise ConfigError(f"flip_direction[{kind}] must be 0to1 or 1to0")
         self._contrib_cache: dict = {}
 
     def units_per_hammer(self, kind: str) -> float:
         """Effective units one calibration hammer deposits on the reference
         victim: a double-sided pair for activations and copy cycles, one
         op for group activation."""
-        if kind == RH:
-            return 2.0 * self.base[RH]
-        if kind == COMRA:
-            return 2.0 * self.base[COMRA]
-        if kind == SIMRA:
-            return self.base[SIMRA]
-        raise ConfigError(f"unknown disturbance kind {kind!r}")
+        if kind not in KINDS:
+            raise ConfigError(f"unknown disturbance kind {kind!r}")
+        return BASE_UNITS[kind] * (1.0 if kind == SIMRA else 2.0)
 
     def temp_factor(self, kind: str, temp_c: float) -> float:
         return self.temp_step.get(kind, 1.0) ** ((temp_c - T_REF_C) / 10.0)
@@ -202,28 +193,31 @@ def contribution(
     if hit is not None:
         return hit
     c = (
-        profile.base[kind]
+        BASE_UNITS[kind]
         * profile.dp_factor(kind, dp)
         * profile.temp_factor(kind, temp_c)
         * profile.t_on_factor(kind, t_on)
-        * profile.blast_decay ** (dist - 1)
+        * BLAST_DECAY ** (dist - 1)
     )
     cache[key] = c
     return c
 
 
-def victim_distances(kind: str, agg: set[int], max_distance: int):
+# (row offset, distance) of each neighbour a hammer disturbs, nearest
+# first, below first
+_AROUND = tuple((side * d, d) for d in range(1, MAX_DISTANCE + 1) for side in (-1, 1))
+
+
+def victim_distances(kind: str, agg: set[int]):
     """(victim, distance) pairs one hammer of `kind` over the rows `agg`
     disturbs, rows past the bank's edges included.  Activations and copy
     cycles disturb per aggressor; a group op disturbs each victim once,
     at its distance to the nearest member."""
-    # (row offset, distance) of each neighbour, nearest first, below first
-    around = [(side * d, d) for d in range(1, max_distance + 1) for side in (-1, 1)]
     if kind != SIMRA:
-        return [(a + o, d) for a in agg for o, d in around if a + o not in agg]
+        return [(a + o, d) for a in agg for o, d in _AROUND if a + o not in agg]
     hits: dict[int, int] = {}
     for a in agg:
-        for offset, d in around:
+        for offset, d in _AROUND:
             v = a + offset
             if v not in agg and hits.get(v, d + 1) > d:
                 hits[v] = d
@@ -326,16 +320,16 @@ def sample_thresholds(profile: ChipProfile, layout: SubarrayLayout, seed: int) -
 # Damage accrual
 
 # The one flip rule: a row's bit k flips once its damage fraction reaches
-# bit_escalation**k * FLIP_AT, a hair below 1 so that exactly reaching
+# BIT_ESCALATION**k * FLIP_AT, a hair below 1 so that exactly reaching
 # the threshold flips despite the rounding of summed deposits.
 FLIP_AT = 1.0 - 1e-9
 
 
-def bits_flipped(f: float, profile: ChipProfile, done: int = 0) -> int:
-    """Bits flipped on a row of the profile's module at damage fraction
-    `f`, counting on from `done` bits that a lower fraction flipped."""
+def bits_flipped(f: float, done: int = 0) -> int:
+    """Bits flipped on a row at damage fraction `f`, counting on from
+    `done` bits that a lower fraction flipped."""
     n = done
-    while f >= profile.bit_escalation**n * FLIP_AT:
+    while f >= BIT_ESCALATION**n * FLIP_AT:
         n += 1
     return n
 
@@ -386,8 +380,7 @@ def accumulate(
     bitflips they caused (also appended to state.flips)."""
     out: list[Bitflip] = []
     slack = FLIP_AT
-    max_d = profile.max_distance
-    dists = range(1, max_d + 1)
+    dists = range(1, MAX_DISTANCE + 1)
     rows = state.rows
     damage = state.damage
     flipped = state.flipped
@@ -416,7 +409,7 @@ def accumulate(
         per_dist = [0.0]
         for d in dists:
             per_dist.append(contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor)
-        for v, d in victim_distances(kind, agg, max_d):
+        for v, d in victim_distances(kind, agg):
             if not 0 <= v < rows:
                 state.skipped_victims += 1
                 continue
@@ -425,12 +418,12 @@ def accumulate(
             if f < slack:
                 continue  # below even the first bit's threshold
             done = flipped.get(v, 0)
-            nf = bits_flipped(f, profile, done)
+            nf = bits_flipped(f, done)
             for bit in range(done, nf):
                 out.append(Bitflip(
                     row=v,
                     bit=int((thresholds.weak_bit[v] + bit) % ROW_BITS),
-                    direction=profile.flip_direction.get(kind, "1to0"),
+                    direction=FLIP_DIRECTION[kind],
                     kind=kind,
                     time=eff.time,
                 ))

@@ -69,30 +69,47 @@ class Experiment:
         self.temp_c = temp_c
         self.dp_aggr = dp_aggr
         self.thresholds = sample_thresholds(profile, layout, seed)
+        self._damage: dict[PatternSpec, dict[int, float]] = {}
 
     def fresh_bank(self, label: str = "bank") -> Bank:
         return Bank(self.timing, self.layout, self.groups, rng=substream(self.seed, label))
 
-    # -- per-hammer damage kernel -------------------------------------------
+    # -- replay ------------------------------------------------------------
+
+    def _replay(self, spec: PatternSpec, label: str, n: int,
+                victim: Optional[int]) -> DisturbanceState:
+        """Damage state after `n` hammers of the pattern, replayed op by op
+        on a fresh bank drawing from substream `label`, stopped after the
+        hammer that first flips `victim`, then flushed."""
+        bank = self.fresh_bank(label)
+        state = DisturbanceState(rows=self.layout.rows)
+        one = generate(replace(spec, hammers=1), self.timing)
+        hammer = [(e.time, e.kind, e.row, e.payload) for e in one.events]
+        for i in range(n):
+            shift = i * one.end_time
+            for time, kind, row, payload in hammer:
+                effects = bank.apply(CommandEvent(time + shift, kind, 0, row, payload))
+                if effects:
+                    accumulate(state, effects, self.thresholds, self.profile,
+                               temp_c=self.temp_c, dp=self.dp_aggr)
+            if state.flipped.get(victim):
+                break
+        accumulate(state, bank.flush(), self.thresholds, self.profile,
+                   temp_c=self.temp_c, dp=self.dp_aggr)
+        return state
 
     def hammer_damage(self, spec: PatternSpec) -> dict[int, float]:
         """Damage fraction one hammer of the pattern deposits per victim,
-        replayed on a fresh bank.
+        replayed once per spec on a fresh bank.
 
         Valid for deterministic patterns (every hammer identical); the
         partial-activation window makes group ops stochastic, which the
         search handles by stepwise simulation instead.
         """
-        bank = self.fresh_bank()
-        state = DisturbanceState(rows=self.layout.rows)
-        for e in generate(replace(spec, hammers=1), self.timing).events:
-            effects = bank.apply(e)
-            if effects:
-                accumulate(state, effects, self.thresholds, self.profile,
-                           temp_c=self.temp_c, dp=self.dp_aggr)
-        accumulate(state, bank.flush(), self.thresholds, self.profile,
-                   temp_c=self.temp_c, dp=self.dp_aggr)
-        return dict(state.damage)
+        damage = self._damage.get(spec)
+        if damage is None:
+            damage = self._damage[spec] = self._replay(spec, "bank", 1, None).damage
+        return damage
 
     def is_stochastic(self, spec: PatternSpec) -> bool:
         return spec.kind == "simra" and spec.act_gap <= PARTIAL_GAP_MAX
@@ -101,24 +118,8 @@ class Experiment:
         """Does `n` hammers flip the victim at least once?  Replayed op by
         op on a fresh bank drawing from the repeat's substream, since a
         stochastic pattern's op strength varies per draw."""
-        bank = self.fresh_bank(f"probe.{rep}.{victim}")
-        state = DisturbanceState(rows=self.layout.rows)
-        one = generate(replace(spec, hammers=1), self.timing)
-        dt = one.end_time
-        hammer = [(e.time, e.kind, e.bank, e.row, e.payload) for e in one.events]
-        flipped = state.flipped
-        for i in range(n):
-            shift = i * dt
-            for time, kind, bank_id, row, payload in hammer:
-                effects = bank.apply(CommandEvent(time + shift, kind, bank_id, row, payload))
-                if effects:
-                    accumulate(
-                        state, effects, self.thresholds, self.profile,
-                        temp_c=self.temp_c, dp=self.dp_aggr,
-                    )
-            if flipped.get(victim):
-                return True
-        return False
+        state = self._replay(spec, f"probe.{rep}.{victim}", n, victim)
+        return bool(state.flipped.get(victim))
 
 
 def find_hcfirst(
@@ -206,7 +207,7 @@ def discover_subarrays(bank: Bank) -> SubarrayLayout:
         # copy cycle r -> r+1 through the violated gap
         seq.act(r, gap=timing.t_rp + 1.0)
         seq.pre(after=timing.t_ras)
-        seq.act(r + 1, gap=7.5)
+        seq.act(r + 1, gap=PatternSpec.pre_act_gap)
         seq.pre(after=timing.t_ras)
         if bank.row_data(r + 1) != marker:
             boundaries.append(r + 1)
@@ -232,8 +233,8 @@ def discover_simra_groups(bank: Bank, layout: SubarrayLayout) -> SimraGroupMap:
         for r2 in extent_rows:
             saved = {r: bank.row_data(r) for r in extent_rows}
             seq.act(r2, gap=timing.t_rp + 1.0)
-            seq.pre(after=3.0)
-            seq.act(r2, gap=3.0)
+            seq.pre(after=PatternSpec.act_gap)
+            seq.act(r2, gap=PatternSpec.act_gap)
             seq.wr(r2, marker)
             seq.pre(after=timing.t_ras)
             marked = frozenset(r for r in extent_rows if bank.row_data(r) == marker)
@@ -351,7 +352,7 @@ def run_sweep(
             flips = 0
             if hc is not None and not exp.is_stochastic(spec):
                 per = exp.hammer_damage(spec).get(victim, 0.0)
-                flips = bits_flipped(hc * per, exp.profile)
+                flips = bits_flipped(hc * per)
             elif hc is not None:
                 flips = 1
             rows.append({

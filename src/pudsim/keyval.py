@@ -52,11 +52,3 @@ def parse_float(values: dict[str, str], key: str, default: float) -> float:
     except ValueError as e:
         raise ConfigError(f"{key}: not a number: {values[key]!r}") from e
 
-
-def parse_int(values: dict[str, str], key: str, default: int) -> int:
-    if key not in values:
-        return default
-    try:
-        return int(values[key], 0)
-    except ValueError as e:
-        raise ConfigError(f"{key}: not an integer: {values[key]!r}") from e

@@ -13,12 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .disturbance import COMRA, RH, SIMRA
+from .disturbance import BLAST_DECAY, COMRA, MAX_DISTANCE, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError
-
-# an RFM refreshes the rows within this distance of its target
-RFM_REACH = 2
 
 
 def weight(kind: str, lowest_hc: dict[str, float]) -> int:
@@ -119,7 +116,7 @@ class PracState:
         self.backoff_pending = self._at_rdt > 0
         return tuple(
             v
-            for d in range(1, RFM_REACH + 1)
+            for d in range(1, MAX_DISTANCE + 1)
             for v in (target - d, target + d)
             if 0 <= v < self.rows
         )
@@ -131,21 +128,19 @@ class PracState:
         self.backoff_pending = self._at_rdt > 0
 
 
-def secure_rdt(
-    theta_eff_min: float, weights: dict[str, int], blast_decay: float = 0.05
-) -> int:
+def secure_rdt(theta_eff_min: float, weights: dict[str, int]) -> int:
     """Largest back-off threshold that provably prevents any flip.
 
     Between two refreshes of a victim, each neighbor can accrue at most
     RDT - 1 + w_max weighted count before back-off fires, two neighbors
-    and second-distance leakage give the 2 * (1 + decay) factor; keeping
-    that product below the smallest effective threshold guarantees no row
-    ever reaches its flip threshold.
+    and second-distance leakage give the 2 * (1 + BLAST_DECAY) factor;
+    keeping that product below the smallest effective threshold
+    guarantees no row ever reaches its flip threshold.
     """
     w_max = max(weights.values())
-    bound = theta_eff_min / (2.0 * (1.0 + blast_decay))
+    bound = theta_eff_min / (2.0 * (1.0 + BLAST_DECAY))
     rdt = int(math.floor(bound)) + 1 - w_max
-    while rdt > 1 and 2.0 * (1.0 + blast_decay) * (rdt - 1 + w_max) >= theta_eff_min:
+    while rdt > 1 and 2.0 * (1.0 + BLAST_DECAY) * (rdt - 1 + w_max) >= theta_eff_min:
         rdt -= 1
     if rdt < 1:
         raise ConfigError("no secure back-off threshold exists for these weights")

@@ -24,7 +24,6 @@ class PatternSpec:
 
     kind: str
     aggressors: tuple[int, ...] = ()
-    bank: int = 0
     hammers: int = 1
     t_aggon: Optional[float] = None
     pre_act_gap: float = 7.5  # violated PRE->ACT gap for copy cycles
@@ -69,13 +68,12 @@ def _hammer_pair(
     events: list[CommandEvent],
     t: float,
     rows: Iterable[int],
-    bank: int,
     t_on: float,
     gap: float,
 ) -> float:
     for r in rows:
-        events.append(CommandEvent(t, "ACT", bank, r))
-        events.append(CommandEvent(t + t_on, "PRE", bank))
+        events.append(CommandEvent(t, "ACT", row=r))
+        events.append(CommandEvent(t + t_on, "PRE"))
         t += t_on + gap
     return t
 
@@ -87,7 +85,7 @@ def gen_rowhammer(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     events: list[CommandEvent] = []
     t = 0.0
     for _ in range(spec.hammers):
-        t = _hammer_pair(events, t, spec.aggressors, spec.bank, t_on, timing.t_rp)
+        t = _hammer_pair(events, t, spec.aggressors, t_on, timing.t_rp)
     return CommandStream(events, spec.hammers, spec.kind, t)
 
 
@@ -102,11 +100,11 @@ def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     events: list[CommandEvent] = []
     t = 0.0
     for _ in range(spec.hammers):
-        events.append(CommandEvent(t, "ACT", spec.bank, src))
-        events.append(CommandEvent(t + t_on, "PRE", spec.bank))
+        events.append(CommandEvent(t, "ACT", row=src))
+        events.append(CommandEvent(t + t_on, "PRE"))
         t += t_on + spec.pre_act_gap
-        events.append(CommandEvent(t, "ACT", spec.bank, dst))
-        events.append(CommandEvent(t + t_on, "PRE", spec.bank))
+        events.append(CommandEvent(t, "ACT", row=dst))
+        events.append(CommandEvent(t + t_on, "PRE"))
         t += t_on + timing.t_rp
     return CommandStream(events, spec.hammers, "comra", t)
 
@@ -118,10 +116,10 @@ def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     events: list[CommandEvent] = []
     t = 0.0
     for _ in range(spec.hammers):
-        events.append(CommandEvent(t, "ACT", spec.bank, r1))
-        events.append(CommandEvent(t + spec.act_gap, "PRE", spec.bank))
-        events.append(CommandEvent(t + 2 * spec.act_gap, "ACT", spec.bank, r2))
-        events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE", spec.bank))
+        events.append(CommandEvent(t, "ACT", row=r1))
+        events.append(CommandEvent(t + spec.act_gap, "PRE"))
+        events.append(CommandEvent(t + 2 * spec.act_gap, "ACT", row=r2))
+        events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE"))
         t += 2 * spec.act_gap + t_on + timing.t_rp
     return CommandStream(events, spec.hammers, "simra", t)
 

@@ -54,52 +54,44 @@ def _parse_dp_table(text: str, key: str) -> dict[int, float]:
     return table
 
 
+# every key a profile may set; the model constants in `disturbance` hold
+# for every chip and are not among them
+PROFILE_KEYS = frozenset(
+    ["name", "vendor"]
+    + [f"{table}.{kind}" for table in ("threshold", "temp_step", "t_on", "dp_mult")
+       for kind in KINDS]
+    + [f"region_mult.{r}" for r in REGIONS]
+)
+
+
 def profile_from_values(values: dict[str, str]) -> ChipProfile:
-    known_prefixes = (
-        "threshold.", "base.", "temp_step.", "t_on.", "dp_mult.",
-        "region_mult.", "flip_direction.",
-    )
-    known_keys = {"name", "vendor", "blast_decay", "max_distance", "bit_escalation"}
     for k in values:
-        if k not in known_keys and not k.startswith(known_prefixes):
+        if k not in PROFILE_KEYS:
             raise ConfigError(f"unknown profile key {k!r}")
     if "name" not in values:
         raise ConfigError("profile needs a name")
     defaults = ChipProfile(name="_defaults")
     thresholds = {}
-    base = dict(defaults.base)
     temp_step = dict(defaults.temp_step)
     t_on_anchors = dict(defaults.t_on_anchors)
     dp_mult = {k: dict(v) for k, v in defaults.dp_mult.items()}
-    flip_direction = dict(defaults.flip_direction)
     for kind in KINDS:
         if f"threshold.{kind}" in values:
             thresholds[kind] = _parse_pair(values[f"threshold.{kind}"], f"threshold.{kind}")
-        if f"base.{kind}" in values:
-            base[kind] = keyval.parse_float(values, f"base.{kind}", base[kind])
-        if f"temp_step.{kind}" in values:
-            temp_step[kind] = keyval.parse_float(values, f"temp_step.{kind}", 1.0)
+        temp_step[kind] = keyval.parse_float(values, f"temp_step.{kind}", temp_step[kind])
         if f"t_on.{kind}" in values:
             t_on_anchors[kind] = _parse_anchor_list(values[f"t_on.{kind}"], f"t_on.{kind}")
         if f"dp_mult.{kind}" in values:
             dp_mult[kind] = _parse_dp_table(values[f"dp_mult.{kind}"], f"dp_mult.{kind}")
-        if f"flip_direction.{kind}" in values:
-            d = values[f"flip_direction.{kind}"]
-            flip_direction[kind] = d
     region_mult = {r: keyval.parse_float(values, f"region_mult.{r}", 1.0) for r in REGIONS}
     return ChipProfile(
         name=values["name"],
         vendor=values.get("vendor", ""),
         thresholds=thresholds,
-        base=base,
         temp_step=temp_step,
         t_on_anchors=t_on_anchors,
         dp_mult=dp_mult,
-        blast_decay=keyval.parse_float(values, "blast_decay", defaults.blast_decay),
-        max_distance=keyval.parse_int(values, "max_distance", defaults.max_distance),
         region_mult=region_mult,
-        flip_direction=flip_direction,
-        bit_escalation=keyval.parse_float(values, "bit_escalation", defaults.bit_escalation),
     )
 
 

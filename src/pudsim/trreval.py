@@ -53,7 +53,6 @@ class BypassResult:
     seed: int
     windows: int
     bitflips: int
-    flipped_rows: int
     trr_refreshes: int
     per_victim: dict[int, int] = field(default_factory=dict)
 
@@ -112,7 +111,7 @@ def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int,
     dose: dict[int, float] = {}
     for i, a in enumerate(setup.aggressors):
         opened = set(setup.groups[a]) if simra else {a}
-        for v, d in victim_distances(kind, opened, profile.max_distance):
+        for v, d in victim_distances(kind, opened):
             if v in restored or not 0 <= v < rows:
                 continue
             c = contribution(kind, exp.dp_aggr, exp.temp_c, t_on, d, profile) * nf
@@ -163,7 +162,7 @@ def run_bypass(
                 damage[v] = f
                 if f < FLIP_AT:
                     continue  # below even the first bit's threshold
-                nf = bits_flipped(f, exp.profile, flipped[v])
+                nf = bits_flipped(f, flipped[v])
                 cum[v] += nf - flipped[v]
                 flipped[v] = nf
         # REF at the window boundary
@@ -194,7 +193,6 @@ def run_bypass(
         seed=exp.seed,
         windows=windows,
         bitflips=sum(cum.values()),
-        flipped_rows=sum(1 for v in victims if cum[v]),
         trr_refreshes=trr_refreshes,
         per_victim=cum,
     )

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from pudsim import SubarrayLayout, load_profile, sample_thresholds
 from pudsim.disturbance import (
+    BIT_ESCALATION,
+    BLAST_DECAY,
     COMRA,
+    FLIP_DIRECTION,
     KINDS,
+    MAX_DISTANCE,
     REGIONS,
     RH,
     ROW_BITS,
@@ -79,7 +83,7 @@ def test_contribution_base_rates(profile):
 def test_contribution_blast_decay(profile):
     near = contribution(RH, None, 80.0, 36.0, 1, profile)
     far = contribution(RH, None, 80.0, 36.0, 2, profile)
-    assert far == pytest.approx(near * profile.blast_decay)
+    assert far == pytest.approx(near * BLAST_DECAY)
 
 
 def test_temperature_scaling_is_per_kind(profile):
@@ -117,7 +121,7 @@ def test_group_size_factor_reference_and_ratio(profile):
 
 
 def test_flip_directions_oppose_by_default(profile):
-    assert profile.flip_direction[RH] != profile.flip_direction[SIMRA]
+    assert FLIP_DIRECTION[RH] != FLIP_DIRECTION[SIMRA]
 
 
 def test_profile_rejects_bad_thresholds():
@@ -315,12 +319,12 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
         state.flipped.pop(row, None)
 
     def victims_of(aggressor):
-        for d in range(1, profile.max_distance + 1):
+        for d in range(1, MAX_DISTANCE + 1):
             for v in (aggressor - d, aggressor + d):
                 yield v, d
 
     out = []
-    esc = profile.bit_escalation
+    esc = BIT_ESCALATION
     for eff in effects:
         if isinstance(eff, RefreshEffect):
             for r in eff.rows:
@@ -364,7 +368,7 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
                 out.append(Bitflip(
                     row=v,
                     bit=int((thresholds.weak_bit[v] + nf) % ROW_BITS),
-                    direction=profile.flip_direction.get(kind, "1to0"),
+                    direction=FLIP_DIRECTION[kind],
                     kind=kind,
                     time=eff.time,
                 ))
@@ -418,7 +422,6 @@ def test_accumulate_matches_reference_loop(batches, missing, dp, temp_c, seed):
         name="ref",
         thresholds={k: v for k, v in {RH: (4.0, 9.0), COMRA: (2.0, 5.0),
                                       SIMRA: (0.5, 2.0)}.items() if k != missing},
-        max_distance=3,
     )
     ts = sample_thresholds(prof, SubarrayLayout.uniform(REF_ROWS, 16), seed)
     fast, slow = DisturbanceState(rows=REF_ROWS), DisturbanceState(rows=REF_ROWS)

@@ -54,7 +54,7 @@ def linear_scan(exp, spec, victim, cap):
     by the shared flip rule."""
     per = exp.hammer_damage(spec).get(victim, 0.0)
     for n in range(1, cap + 1):
-        if bits_flipped(n * per, exp.profile):
+        if bits_flipped(n * per):
             return n
     return None
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pudsim import PracConfig, PracState
-from pudsim.disturbance import COMRA, RH, SIMRA
+from pudsim.disturbance import COMRA, MAX_DISTANCE, RH, SIMRA, victim_distances
 from pudsim.errors import ConfigError
-from pudsim.mitigation import RFM_REACH, secure_rdt, weight
+from pudsim.mitigation import secure_rdt, weight
 
 T_RC = 49.5
 
@@ -108,6 +108,16 @@ def test_backoff_asserts_at_rdt_and_rfm_clears_top():
     assert not st_.backoff_pending
 
 
+@given(st.integers(min_value=0, max_value=255))
+def test_rfm_refreshes_the_rows_a_hammer_of_its_target_disturbs(target):
+    """The rows an RFM refreshes are the in-bank victims of one hammer of
+    its target, as the damage model counts them."""
+    st_ = make_prac(rdt=1)
+    st_.on_op(RH, (target,))
+    disturbed = tuple(v for v, _ in victim_distances(RH, {target}) if 0 <= v < st_.rows)
+    assert st_.rfm() == disturbed
+
+
 def test_rfm_tie_breaks_toward_higher_address():
     st_ = make_prac(rdt=5)
     for _ in range(5):
@@ -188,7 +198,7 @@ class ReferencePrac:
         self.backoff_pending = any(c >= self.config.rdt for c in self.counters.values())
         return tuple(
             v
-            for d in range(1, RFM_REACH + 1)
+            for d in range(1, MAX_DISTANCE + 1)
             for v in (target - d, target + d)
             if 0 <= v < self.rows
         )

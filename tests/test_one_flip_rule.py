@@ -2,9 +2,10 @@
 
 An AST scan of `src/pudsim` finds each flip threshold written as a
 literal (`1 - c` with a tiny constant c, or a constant a hair below 1)
-and each power of a profile's `bit_escalation`, the way further bits of
-a row flip.  Both belong to `disturbance`, the threshold exactly once;
-every other module calls `FLIP_AT`, `bits_flipped` or `hammers_to_flip`.
+and each power of the escalation factor `BIT_ESCALATION`, the way
+further bits of a row flip.  Both belong to `disturbance`, the threshold
+exactly once; every other module calls `FLIP_AT`, `bits_flipped` or
+`hammers_to_flip`.
 """
 
 import ast
@@ -31,20 +32,28 @@ def flip_thresholds(tree):
     return sorted(lines)
 
 
+# the escalation factor as `disturbance` names it, and as a profile
+# attribute did before it became a model constant
+ESCALATION = {"BIT_ESCALATION", "bit_escalation"}
+
+
+def _escalation_read(node):
+    return ((isinstance(node, ast.Attribute) and node.attr in ESCALATION)
+            or (isinstance(node, ast.Name) and node.id in ESCALATION))
+
+
 def escalation_powers(tree):
-    """Lines of each power of `bit_escalation`, read directly or through
-    a name assigned from it."""
+    """Lines of each power of the escalation factor, read directly or
+    through a name assigned from it."""
     aliases = {
         target.id
         for node in ast.walk(tree) if isinstance(node, ast.Assign)
-        if any(isinstance(n, ast.Attribute) and n.attr == "bit_escalation"
-               for n in ast.walk(node.value))
+        if any(_escalation_read(n) for n in ast.walk(node.value))
         for target in node.targets if isinstance(target, ast.Name)
     }
 
     def escalation(node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "bit_escalation")
-                or (isinstance(node, ast.Name) and node.id in aliases))
+        return _escalation_read(node) or (isinstance(node, ast.Name) and node.id in aliases)
 
     return sorted(
         node.lineno for node in ast.walk(tree)
