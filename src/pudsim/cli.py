@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from .config import RunConfig, dumps_config, load_config
 from .disturbance import ChipProfile
@@ -93,13 +94,15 @@ def _write_manifest(cfg: RunConfig) -> Path:
     return path
 
 
-def _experiment(cfg: RunConfig, profile: ChipProfile) -> Experiment:
-    """The config's chip, with its profile, under its conditions."""
-    layout = cfg.layout()
+def _experiment(cfg: RunConfig, profile: ChipProfile,
+                groups: Optional[SimraGroupMap] = None) -> Experiment:
+    """The config's chip, with its profile, under its conditions, on
+    `groups` if the caller has built the config's group map already."""
+    groups = groups or cfg.groups()
     return Experiment(
         profile,
-        layout,
-        SimraGroupMap.aligned_blocks(layout, cfg.group_n, cfg.group_stride),
+        groups.layout,
+        groups,
         timing=cfg.timing(),
         seed=cfg.seed,
         temp_c=cfg.temp_c,
@@ -172,23 +175,13 @@ def cmd_attack(args) -> int:
 
 def _bypass_rows(task) -> tuple[dict, dict]:
     """One seed's rows, TRR off then on, over one chip and threshold set."""
-    cfg, profile, technique, windows = task
-    exp = _experiment(cfg, profile)
-    if technique == "simra":
-        setup = make_simra_setup(exp.groups, cfg.group_n, count=4)
-    else:
-        setup = make_rh_setup(pairs=1)
+    cfg, profile, groups, setup, windows = task
+    exp = _experiment(cfg, profile, groups)
     rows = []
-    for trr_on in (False, True):
-        trr = cfg.trr() if trr_on else None
+    for trr in (None, cfg.trr()):
         res = run_bypass(exp, setup, trr, windows, cfg.t_aggon_ns)
-        rows.append({
-            "technique": technique,
-            "trr": int(trr_on),
-            "seed": cfg.seed,
-            "bitflips": res.bitflips,
-            "trr_refreshes": res.trr_refreshes,
-        })
+        rows.append({"technique": setup.technique, "trr": int(trr is not None), "seed": cfg.seed,
+                     "bitflips": res.bitflips, "trr_refreshes": res.trr_refreshes})
     return rows[0], rows[1]
 
 
@@ -199,10 +192,16 @@ def cmd_trr_eval(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     profile = load_profile(cfg.profile)
+    # every seed shares the group map, and the chip must hold the setup
+    groups = cfg.groups()
+    if args.technique == "simra":
+        setup = make_simra_setup(groups, cfg.group_n, count=4)
+    else:
+        setup = make_rh_setup(pairs=1)
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     tasks = [
-        (replace(cfg, seed=cfg.seed + s), profile, args.technique, windows)
+        (replace(cfg, seed=cfg.seed + s), profile, groups, setup, windows)
         for s in range(args.seeds)
     ]
     if args.jobs > 1:

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, fields
 
 from . import keyval
-from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SubarrayLayout, TimingParams
+from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import REPEATS
 from .patterns import PATTERN_KINDS, PatternSpec
@@ -84,6 +84,9 @@ class RunConfig:
             raise ConfigError("layout.subarrays must be >= 1")
         sub_rows = max(self.group_n * self.group_stride, self.rows // self.subarrays)
         return SubarrayLayout.uniform(self.rows, sub_rows)
+
+    def groups(self) -> SimraGroupMap:
+        return SimraGroupMap.aligned_blocks(self.layout(), self.group_n, self.group_stride)
 
     def timing(self) -> TimingParams:
         return TimingParams(

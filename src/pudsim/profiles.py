@@ -82,7 +82,7 @@ def profile_from_values(values: dict[str, str]) -> ChipProfile:
         if f"t_on.{kind}" in values:
             t_on_anchors[kind] = _parse_anchor_list(values[f"t_on.{kind}"], f"t_on.{kind}")
         if f"dp_mult.{kind}" in values:
-            dp_mult[kind] = _parse_dp_table(values[f"dp_mult.{kind}"], f"dp_mult.{kind}")
+            dp_mult[kind].update(_parse_dp_table(values[f"dp_mult.{kind}"], f"dp_mult.{kind}"))
     region_mult = {r: keyval.parse_float(values, f"region_mult.{r}", 1.0) for r in REGIONS}
     return ChipProfile(
         name=values["name"],

@@ -8,17 +8,19 @@ cannot see them: it can only pick the group's bus-visible row.
 
 The bypass schedule (one aggressor window, three decoy windows, REF at
 every window boundary) is regular, so instead of replaying millions of
-bus events this evaluator advances one refresh window at a time: victim
-dosage per aggressor window is a precomputed constant, and each REF
-draws the TRR sample analytically from the known ring composition.  A
-bus-event reference in the test suite pins the two routes to each other
-on small spans, with TRR off and on.
-"""
+bus events this evaluator works per victim: each aggressor window adds a
+fixed dose, and the REFs that reset the victim (its periodic refresh and
+the TRR samples, drawn from the known ring composition, that catch a
+neighbouring aggressor) cut its windows into segments whose flips follow
+from their dose counts.  A bus-event reference in the test suite pins
+this on small spans, and a window-by-window loop under every setting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, contribution, victim_distances
 from .dram import SimraGroupMap
@@ -74,6 +76,8 @@ def make_rh_setup(pairs: int) -> BypassSetup:
 def make_simra_setup(groups: SimraGroupMap, n: int, count: int) -> BypassSetup:
     """Pick `count` groups of size n; the bus row is an interior member,
     so a bus-watching sampler never lands next to the real victims."""
+    if n < 3:
+        raise ConfigError(f"a SiMRA group of {n} rows has no interior row to put on the bus")
     chosen: dict[int, tuple[int, ...]] = {}
     for r2 in sorted(groups.table):
         grp = sorted(groups.table[r2])
@@ -133,66 +137,58 @@ def run_bypass(
     Aggressors are held open `t_on` ns at the experiment's temperature
     and hold its data pattern; the TRR sampler draws from the
     experiment's seed."""
-    timing = exp.timing
     rows = exp.layout.rows
     kind = SIMRA if setup.technique == "simra" else RH
     theta = exp.thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
     dose_units = _window_doses(exp, setup, t_on)
-    victims = sorted(dose_units)
-    # fraction of each victim's own threshold deposited per aggressor window
-    dose = {v: dose_units[v] / float(theta[v]) for v in victims}
-    rng = substream(exp.seed, "trr.sampler")
-    acts = timing.acts_per_refi
-    n_aggr = len(setup.aggressors)
-    per_op = 2 if setup.technique == "simra" else 1
+    vic = np.array(sorted(dose_units), dtype=np.int64)
+    # each victim's segments end at its reset windows and at the last window
+    seg_v, seg_end = [np.arange(len(vic))], [np.full(len(vic), windows - 1)]
 
-    damage = {v: 0.0 for v in victims}
-    flipped = {v: 0 for v in victims}
-    cum = {v: 0 for v in victims}
+    def reset(at, row):
+        """The REFs closing windows `at` reset `row`; keep the victims."""
+        hit = np.isin(row, vic)
+        seg_v.append(np.searchsorted(vic, row[hit]))
+        seg_end.append(at[hit])
+
+    w = np.arange(max(windows, 0))
+    # the periodic refresh slice, from a cursor advancing per_ref rows a REF
+    per_ref = exp.timing.rows_per_ref(rows)
+    cursor = w * per_ref % rows
+    for k in range(per_ref):
+        reset(w, (cursor + k) % rows)
     trr_refreshes = 0
-    per_ref = timing.rows_per_ref(rows)
-    cursor = 0
+    if trr is not None:
+        # one sample per REF: an offset back from the newest ACT
+        rng = substream(exp.seed, "trr.sampler")
+        acts = exp.timing.acts_per_refi
+        back, j = np.divmod(rng.integers(np.minimum(trr.sampler_size, acts * (w + 1))), acts)
+        caught = (w - back) % 4 == 0  # the sampler caught an attack address
+        pos = (acts - 1) - j[caught]  # position within that aggressor window
+        # round-robin schedule: op p went to aggressor p % n
+        op_idx = pos // (2 if kind == SIMRA else 1)
+        aggr = np.array(setup.aggressors)[op_idx % len(setup.aggressors)]
+        trr_refreshes = len(aggr)
+        reset(w[caught], aggr - 1)
+        reset(w[caught], aggr + 1)
 
-    for w in range(windows):
-        if w % 4 == 0:  # an aggressor window; the three after it are decoys
-            for v in victims:
-                f = damage[v] + dose[v]
-                damage[v] = f
-                if f < FLIP_AT:
-                    continue  # below even the first bit's threshold
-                nf = bits_flipped(f, flipped[v])
-                cum[v] += nf - flipped[v]
-                flipped[v] = nf
-        # REF at the window boundary
-        if trr is not None:
-            avail = min(trr.sampler_size, acts * (w + 1))
-            j = int(rng.integers(avail))  # offset back from the newest ACT
-            back_w = w - j // acts
-            pos = (acts - 1) - (j % acts)  # position within that window
-            if back_w % 4 == 0:
-                # round-robin schedule: position p went to aggressor p % n
-                op_idx = pos // per_op
-                a = setup.aggressors[op_idx % n_aggr]
-                trr_refreshes += 1  # the sampler caught an attack address
-                for v in (a - 1, a + 1):
-                    if v in damage:
-                        damage[v] = 0.0
-                        flipped[v] = 0
-        # periodic refresh slice
-        for r in range(cursor, cursor + per_ref):
-            v = r % rows
-            if v in damage:
-                damage[v] = 0.0
-                flipped[v] = 0
-        cursor = (cursor + per_ref) % rows
+    seg_v, seg_end = np.concatenate(seg_v), np.concatenate(seg_end)
+    per_victim: dict[int, int] = {}
+    for i, v in enumerate(vic.tolist()):
+        # doses per segment (start, end]: its aggressor windows (w % 4 ==
+        # 0), the reset window's included, as its dose lands before the REF
+        c = np.diff(np.sort(seg_end[seg_v == i]) // 4, prepend=-1)
+        # damage after c doses, added up in the order the windows add it
+        damage = np.cumsum(np.full(c.max(), dose_units[v] / float(theta[v])))[c[c > 0] - 1]
+        per_victim[v] = sum(bits_flipped(f) for f in damage[damage >= FLIP_AT].tolist())
     return BypassResult(
         technique=setup.technique,
         trr_enabled=trr is not None,
         seed=exp.seed,
         windows=windows,
-        bitflips=sum(cum.values()),
+        bitflips=sum(per_victim.values()),
         trr_refreshes=trr_refreshes,
-        per_victim=cum,
+        per_victim=per_victim,
     )

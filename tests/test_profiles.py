@@ -7,7 +7,8 @@ import pytest
 
 from pudsim import keyval
 from pudsim.cli import main
-from pudsim.profiles import _SHIPPED, PROFILE_KEYS
+from pudsim.disturbance import RH
+from pudsim.profiles import _SHIPPED, PROFILE_KEYS, profile_from_values
 
 # key families that no shipped profile sets, and why the format keeps them
 ALLOWED_UNSET = {
@@ -25,6 +26,15 @@ def test_every_profile_key_is_set_by_a_shipped_profile_or_allowed():
     assert shipped <= PROFILE_KEYS
     unset = {_family(k) for k in PROFILE_KEYS} - {_family(k) for k in shipped}
     assert unset == set(ALLOWED_UNSET)
+
+
+def test_partial_dp_table_merges_over_the_built_in_one():
+    """A profile's `dp_mult.<kind>` sets the patterns it names; the
+    others keep their built-in multipliers."""
+    prof = profile_from_values({"name": "partial", "dp_mult.rh": "0x55:1.2"})
+    assert prof.dp_factor(RH, 0x55) == 1.2
+    assert prof.dp_factor(RH, 0x00) == 0.8
+    assert prof.dp_factor(RH, 0xFF) == 0.8
 
 
 _GOOD = "name = bad_chip\nvendor = test\nthreshold.rh = 6700 14800\n"

@@ -177,6 +177,23 @@ def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, args, message):
     assert not (tmp_path / "out" / "manifest.cfg").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"groups.n": 2}, "a SiMRA group of 2 rows has no interior row to put on the bus"),
+    ({"geometry.rows": 16, "groups.n": 32}, "only 0 groups of size 32 available"),
+    ({"geometry.rows": 64, "groups.n": 32}, "only 2 groups of size 32 available"),
+], ids=["pairs", "16-rows", "64-rows-2-subarrays"])
+def test_cli_trr_eval_simra_setup_the_chip_cannot_hold_leaves_no_manifest(
+        tmp_path, caplog, extra, message):
+    """The SiMRA bypass needs four groups with an interior bus row; a
+    chip without them ends the run before the manifest is written."""
+    cfg = _cfg_file(tmp_path, **extra)
+    assert main(["trr-eval", "--technique", "simra", "--seeds", "1",
+                 "--windows", "4", "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [message]
+    assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
 def test_cli_report_reaggregates(tmp_path):
     rows = [
         {"technique": "simra", "trr": t, "seed": s, "bitflips": 3, "trr_refreshes": 1}

@@ -3,13 +3,18 @@
 from collections import Counter, deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pudsim import Experiment, SimraGroupMap, SubarrayLayout
-from pudsim.disturbance import RH, SIMRA, DisturbanceState, accumulate
+from pudsim.disturbance import (
+    FLIP_AT, RH, SIMRA, DisturbanceState, accumulate, bits_flipped,
+)
 from pudsim.dram import CommandEvent, RefreshEffect, TimingParams
 from pudsim.rng import substream
-from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
+from pudsim.trreval import (
+    BypassResult, BypassSetup, TrrConfig, _window_doses, make_rh_setup, make_simra_setup, run_bypass,
+)
 
 # decoy rows, far from every victim of the setups below
 DECOYS = tuple(range(1024, 1184))
@@ -24,11 +29,15 @@ def chip(worstcase):
     return Experiment(worstcase, layout, groups, seed=11)
 
 
-@pytest.fixture(scope="module")
-def weak_chip(worstcase):
+def weak(profile):
     """Weak enough that both techniques flip within tens of windows,
     with TRR on as well."""
-    profile = replace(worstcase, thresholds={RH: (40.0, 80.0), SIMRA: (20.0, 60.0)})
+    return replace(profile, thresholds={RH: (40.0, 80.0), SIMRA: (20.0, 60.0)})
+
+
+@pytest.fixture(scope="module")
+def weak_chip(worstcase):
+    profile = weak(worstcase)
     layout = SubarrayLayout.uniform(2048, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32)
     return Experiment(profile, layout, groups, seed=11)
@@ -226,3 +235,175 @@ def test_simra_setup_uses_interior_bus_rows(chip):
     for bus_row in setup.aggressors:
         members = sorted(setup.groups[bus_row])
         assert members[0] < bus_row < members[-1]
+
+
+# -- reset segments against the window loop --------------------------------
+
+
+def reference_bypass(exp, setup, trr, windows, t_on):
+    """The window loop `run_bypass` is pinned to: each refresh window in
+    turn deposits the aggressor window's dose and counts new flips, then
+    its REF draws one TRR sample and resets the caught aggressor's
+    neighbours and the periodic refresh slice."""
+    timing = exp.timing
+    rows = exp.layout.rows
+    kind = SIMRA if setup.technique == "simra" else RH
+    theta = exp.thresholds.theta[kind]
+    dose_units = _window_doses(exp, setup, t_on)
+    victims = sorted(dose_units)
+    dose = {v: dose_units[v] / float(theta[v]) for v in victims}
+    rng = substream(exp.seed, "trr.sampler")
+    acts = timing.acts_per_refi
+    n_aggr = len(setup.aggressors)
+    per_op = 2 if setup.technique == "simra" else 1
+
+    damage = {v: 0.0 for v in victims}
+    flipped = {v: 0 for v in victims}
+    cum = {v: 0 for v in victims}
+    trr_refreshes = 0
+    per_ref = timing.rows_per_ref(rows)
+    cursor = 0
+
+    for w in range(windows):
+        if w % 4 == 0:  # an aggressor window; the three after it are decoys
+            for v in victims:
+                f = damage[v] + dose[v]
+                damage[v] = f
+                if f < FLIP_AT:
+                    continue
+                nf = bits_flipped(f, flipped[v])
+                cum[v] += nf - flipped[v]
+                flipped[v] = nf
+        if trr is not None:
+            avail = min(trr.sampler_size, acts * (w + 1))
+            j = int(rng.integers(avail))  # offset back from the newest ACT
+            back_w = w - j // acts
+            pos = (acts - 1) - (j % acts)  # position within that window
+            if back_w % 4 == 0:
+                a = setup.aggressors[(pos // per_op) % n_aggr]
+                trr_refreshes += 1
+                for v in (a - 1, a + 1):
+                    if v in damage:
+                        damage[v] = 0.0
+                        flipped[v] = 0
+        for r in range(cursor, cursor + per_ref):
+            v = r % rows
+            if v in damage:
+                damage[v] = 0.0
+                flipped[v] = 0
+        cursor = (cursor + per_ref) % rows
+    return BypassResult(
+        technique=setup.technique,
+        trr_enabled=trr is not None,
+        seed=exp.seed,
+        windows=windows,
+        bitflips=sum(cum.values()),
+        trr_refreshes=trr_refreshes,
+        per_victim=cum,
+    )
+
+
+def assert_matches_reference(exp, setup, trr, windows):
+    fast = run_bypass(exp, setup, trr, windows, exp.timing.t_ras)
+    slow = reference_bypass(exp, setup, trr, windows, exp.timing.t_ras)
+    assert fast == slow, (setup.technique, trr, windows)
+    assert list(fast.per_victim) == list(slow.per_victim)
+    return fast
+
+
+def grid_chip(profile, rows, timing=TimingParams(), **conditions):
+    layout = SubarrayLayout.uniform(rows, min(rows, 1024))
+    groups = SimraGroupMap.aligned_blocks(layout, 32)
+    return Experiment(profile, layout, groups, timing=timing, seed=rows % 5, **conditions)
+
+
+def grid_setups(exp):
+    return (make_rh_setup(1), make_rh_setup(4), make_simra_setup(exp.groups, n=32, count=4))
+
+
+SAMPLERS = (None, TrrConfig(1), TrrConfig(450), TrrConfig(100000))
+# one REF refreshes two rows at 16384 rows and three at 20000
+GEOMETRIES = (256, 1024, 8192, 16384, 20000)
+TIMINGS = {
+    "default": TimingParams(),
+    "acts77": TimingParams(acts_per_refi=77),
+    "trefi3900": TimingParams(t_refi=3900.0),
+}
+
+
+@pytest.mark.parametrize("timing", TIMINGS.values(), ids=TIMINGS.keys())
+@pytest.mark.parametrize("rows", GEOMETRIES)
+def test_short_spans_match_the_window_loop(worstcase, rows, timing):
+    """Every technique and sampler over the first windows, while the
+    sampler fills, on thresholds weak enough to flip within them."""
+    exp = grid_chip(weak(worstcase), rows, timing)
+    flips = 0
+    for setup in grid_setups(exp):
+        for trr in SAMPLERS:
+            for windows in (1, 2, 3, 4, 5, 21):
+                flips += assert_matches_reference(exp, setup, trr, windows).bitflips
+    assert flips > 0
+
+
+@pytest.mark.parametrize("thresholds", ["shipped", "weak"])
+@pytest.mark.parametrize("rows", GEOMETRIES)
+def test_long_spans_match_the_window_loop(profile, rows, thresholds):
+    """One tREFW and three tREFWs and a window: every victim is
+    refreshed, and TRR resets it many times between."""
+    exp = grid_chip(profile if thresholds == "shipped" else weak(profile), rows)
+    refw = exp.timing.refs_per_refw
+    for setup in grid_setups(exp):
+        for trr in (None, TrrConfig(1), TrrConfig(450)):
+            assert_matches_reference(exp, setup, trr, refw)
+        assert_matches_reference(exp, setup, TrrConfig(), 3 * refw + 1)
+
+
+@pytest.mark.parametrize("timing", TIMINGS.values(), ids=TIMINGS.keys())
+def test_other_timings_match_the_window_loop_over_a_trefw(profile, timing):
+    exp = grid_chip(weak(profile), 16384, timing)
+    for setup in grid_setups(exp):
+        for trr in SAMPLERS:
+            assert_matches_reference(exp, setup, trr, timing.refs_per_refw)
+
+
+def test_other_conditions_match_the_window_loop(profile):
+    exp = grid_chip(weak(profile), 1024, temp_c=50.0, dp_aggr=0xFF)
+    for setup in grid_setups(exp):
+        for trr in SAMPLERS:
+            for windows in (21, exp.timing.refs_per_refw):
+                assert_matches_reference(exp, setup, trr, windows)
+
+
+def test_segment_damage_is_the_running_sum(profile):
+    """A segment's damage is its dose added once per aggressor window, as
+    the window loop adds it, not the dose times the count.  The two differ
+    by a few ulps, so victim 1001 gets a threshold where they fall on
+    opposite sides of the flip point."""
+    exp = grid_chip(profile, 8192)
+    setup = BypassSetup(technique="rh", aggressors=(1000, 1002))
+    units = _window_doses(exp, setup, exp.timing.t_ras)[1001]
+    doses = 100  # 397 windows end before row 1001's periodic refresh
+
+    def running(theta):
+        f = 0.0
+        for _ in range(doses):
+            f += units / theta
+        return f
+
+    near = units * doses / FLIP_AT * (1 + np.arange(-3000, 3000) * 2e-16)
+    theta = next(t for t in near if (running(t) >= FLIP_AT) != (doses * (units / t) >= FLIP_AT))
+    exp.thresholds.theta[RH][1001] = theta
+    fast = assert_matches_reference(exp, setup, None, 4 * (doses - 1) + 1)
+    assert fast.per_victim[1001] == (running(theta) >= FLIP_AT)
+
+
+def test_batched_sampler_draw_matches_one_draw_per_window():
+    """`run_bypass` draws every REF's sample in one call over the
+    sampler's fill ramp; the values must be those of one scalar draw per
+    window, in window order."""
+    acts, size = TimingParams().acts_per_refi, TrrConfig().sampler_size
+    highs = np.minimum(size, acts * (np.arange(3000) + 1))
+    assert highs[:4].tolist() == [156, 312, 450, 450]
+    batched = substream(3, "trr.sampler").integers(highs)
+    one_by_one = substream(3, "trr.sampler")
+    assert batched.tolist() == [int(one_by_one.integers(h)) for h in highs.tolist()]
