@@ -14,7 +14,6 @@ import argparse
 import logging
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -43,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="override the root seed")
         sp.add_argument("--out", help="override the output directory")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (trr-eval only)")
+                        help="kept for old scripts; must be 1")
 
     sp = sub.add_parser("characterize", help="first-flip sweep over a grid")
     common(sp)
@@ -173,18 +172,6 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _bypass_rows(task) -> tuple[dict, dict]:
-    """One seed's rows, TRR off then on, over one chip and threshold set."""
-    cfg, profile, groups, setup, windows = task
-    exp = _experiment(cfg, profile, groups)
-    rows = []
-    for trr in (None, cfg.trr()):
-        res = run_bypass(exp, setup, trr, windows, cfg.t_aggon_ns)
-        rows.append({"technique": setup.technique, "trr": int(trr is not None), "seed": cfg.seed,
-                     "bitflips": res.bitflips, "trr_refreshes": res.trr_refreshes})
-    return rows[0], rows[1]
-
-
 def cmd_trr_eval(args) -> int:
     cfg = _load(args)
     if args.windows is not None and args.windows < 1:
@@ -200,18 +187,16 @@ def cmd_trr_eval(args) -> int:
         setup = make_rh_setup(pairs=1)
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
-    tasks = [
-        (replace(cfg, seed=cfg.seed + s), profile, groups, setup, windows)
-        for s in range(args.seeds)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_seed = list(pool.map(_bypass_rows, tasks))
-    else:
-        per_seed = [_bypass_rows(t) for t in tasks]
+    off, on = [], []
+    for s in range(args.seeds):
+        exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
+        for trr, rows in ((None, off), (cfg.trr(), on)):
+            res = run_bypass(exp, setup, trr, windows, cfg.t_aggon_ns)
+            rows.append({"technique": setup.technique, "trr": int(trr is not None),
+                         "seed": exp.seed, "bitflips": res.bitflips,
+                         "trr_refreshes": res.trr_refreshes})
     # all TRR-off rows first, then all TRR-on rows
-    rows = [off for off, _ in per_seed] + [on for _, on in per_seed]
-    paths = emit_report(rows, "trr-eval", cfg.out_dir)
+    paths = emit_report(off + on, "trr-eval", cfg.out_dir)
     for p in paths:
         print(p)
     return 0
@@ -288,8 +273,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.jobs != 1 and args.command != "trr-eval":
-            raise ConfigError("--jobs is only supported by trr-eval")
+        if args.jobs != 1:
+            raise ConfigError("--jobs must be 1: every subcommand runs in one process")
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as e:
         log.error("%s", e)

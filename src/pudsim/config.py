@@ -142,25 +142,21 @@ _FIELD_TO_KEY = {f: k for k, (f, _) in _SCHEMA.items()}
 
 # keys that earlier versions wrote to every manifest and no output
 # depends on any more (the first-flip search is exact, so it has no
-# tolerance); skipped with a warning so those manifests still replay in
-# strict mode
+# tolerance); skipped with a warning so those manifests still replay
 RETIRED_KEYS = frozenset({
     "geometry.row_bytes", "mitigation.kind", "mitigation.rdt", "mitigation.reach",
     "pattern.dp_victim", "search.tolerance",
 })
 
 
-def config_from_values(values: dict[str, str], strict: bool = True) -> RunConfig:
+def config_from_values(values: dict[str, str]) -> RunConfig:
     kwargs = {}
     for key, raw in values.items():
         if key in RETIRED_KEYS:
             log.warning("ignoring retired config key %r", key)
             continue
         if key not in _SCHEMA:
-            if strict:
-                raise ConfigError(f"unknown config key {key!r}")
-            log.warning("ignoring unknown config key %r", key)
-            continue
+            raise ConfigError(f"unknown config key {key!r}")
         fname, parse = _SCHEMA[key]
         try:
             kwargs[fname] = parse(raw)
@@ -174,13 +170,13 @@ def config_from_values(values: dict[str, str], strict: bool = True) -> RunConfig
     return cfg
 
 
-def loads_config(text: str, strict: bool = True) -> RunConfig:
-    return config_from_values(keyval.loads(text), strict=strict)
+def loads_config(text: str) -> RunConfig:
+    return config_from_values(keyval.loads(text))
 
 
-def load_config(path: str, strict: bool = True) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read(), strict=strict)
+        return loads_config(fh.read())
 
 
 def dumps_config(cfg: RunConfig) -> str:

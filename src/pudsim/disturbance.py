@@ -23,7 +23,6 @@ from .dram import (
     KIND_RH,
     KIND_SIMRA,
     ROW_BYTES,
-    CopyEffect,
     HammerEffect,
     RefreshEffect,
     SubarrayLayout,
@@ -389,10 +388,6 @@ def accumulate(
             for r in eff.rows:
                 damage.pop(r, None)
                 flipped.pop(r, None)
-            continue
-        if isinstance(eff, CopyEffect):
-            damage.pop(eff.dst, None)
-            flipped.pop(eff.dst, None)
             continue
         if not isinstance(eff, HammerEffect):
             raise ConfigError(f"unknown effect {type(eff).__name__}")

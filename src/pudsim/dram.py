@@ -20,7 +20,7 @@ recorded in `Bank.diagnostics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -80,9 +80,14 @@ class TimingParams:
     def refs_per_refw(self) -> int:
         return max(1, int(self.t_refw // self.t_refi))
 
-    def rows_per_ref(self, rows: int) -> int:
-        """Rows one REF refreshes: the REFs of a tREFW cover all `rows`."""
-        return -(-rows // self.refs_per_refw)  # ceil
+    def ref_rows(self, k, rows: int) -> list:
+        """The rows REF number `k` (0-based; an int, or an array of REF
+        numbers) refreshes in a bank of `rows` rows, one entry per row.
+        Each REF takes the next ceil(rows / refs_per_refw) rows, wrapping
+        around, so the REFs of a tREFW cover every row."""
+        per_ref = -(-rows // self.refs_per_refw)  # ceil
+        start = k * per_ref % rows
+        return [(start + i) % rows for i in range(per_ref)]
 
 
 class SubarrayLayout:
@@ -152,29 +157,23 @@ class SimraGroupMap:
 
     The map answers: given an ACT(r1)-PRE-ACT(r2) sequence inside one
     subarray with both gaps in the multi-activation window, which rows
-    open?  Groups are stored per second-activation row; sizes are limited
-    to {2, 4, 8, 16, 32}.
+    open?  The groups partition the grouped rows: each is a sorted row
+    tuple of a size in {2, 4, 8, 16, 32}, listed by first row.
     """
 
-    def __init__(self, layout: SubarrayLayout, table: dict[int, frozenset[int]]):
+    def __init__(self, layout: SubarrayLayout, groups: Iterable[Iterable[int]]):
         self.layout = layout
-        clean: dict[int, frozenset[int]] = {}
-        # keys often share one group object: check each object once
-        checked: dict[int, frozenset[int]] = {}
-        for r2, rows in table.items():
-            grp = checked.get(id(rows))
-            if grp is None:
-                grp = frozenset(int(r) for r in rows)
-                if len(grp) not in SIMRA_SIZES:
-                    raise ConfigError(f"group size {len(grp)} not in {SIMRA_SIZES}")
-                # extents are contiguous, so the end rows decide
-                if layout.subarray_of(min(grp)) != layout.subarray_of(max(grp)):
-                    raise ConfigError("a group may not cross subarray boundaries")
-                checked[id(rows)] = grp
-            if r2 not in grp:
-                raise ConfigError("the activated row must belong to its own group")
-            clean[int(r2)] = grp
-        self.table = clean
+        self.groups = tuple(sorted(tuple(sorted({int(r) for r in g})) for g in groups))
+        self._of: dict[int, tuple[int, ...]] = {}
+        for grp in self.groups:
+            if len(grp) not in SIMRA_SIZES:
+                raise ConfigError(f"group size {len(grp)} not in {SIMRA_SIZES}")
+            # extents are contiguous, so the end rows decide
+            if layout.subarray_of(grp[0]) != layout.subarray_of(grp[-1]):
+                raise ConfigError("a group may not cross subarray boundaries")
+            self._of.update(dict.fromkeys(grp, grp))
+        if len(self._of) != sum(map(len, self.groups)):
+            raise ConfigError("a row may belong to only one group")
 
     @classmethod
     def aligned_blocks(cls, layout: SubarrayLayout, n: int, stride: int = 1) -> "SimraGroupMap":
@@ -184,27 +183,25 @@ class SimraGroupMap:
             raise ConfigError(f"group size {n} not in {SIMRA_SIZES}")
         if stride < 1:
             raise ConfigError("stride must be >= 1")
-        table: dict[int, frozenset[int]] = {}
         span = n * stride
-        for start, count in layout.extents:
-            for base in range(start, start + count - span + 1, span):
-                grp = frozenset(base + i * stride for i in range(n))
-                for r in grp:
-                    table[r] = grp
-        return cls(layout, table)
+        return cls(layout, (
+            range(base, base + span, stride)
+            for start, count in layout.extents
+            for base in range(start, start + count - span + 1, span)
+        ))
 
-    def group(self, r1: int, r2: int) -> Optional[frozenset[int]]:
+    def group(self, r1: int, r2: int) -> Optional[tuple[int, ...]]:
         """Rows activated by the pair, or None when the pair hits no group
         (cross-subarray pairs never do)."""
         if not self.layout.same_subarray(r1, r2):
             return None
-        return self.table.get(r2)
+        return self._of.get(r2)
 
     def __eq__(self, other):
-        return isinstance(other, SimraGroupMap) and self.table == other.table
+        return isinstance(other, SimraGroupMap) and self.groups == other.groups
 
     def __repr__(self):
-        return f"SimraGroupMap({len(self.table)} rows grouped)"
+        return f"SimraGroupMap({len(self.groups)} groups)"
 
 
 @dataclass(frozen=True)
@@ -241,13 +238,6 @@ class HammerEffect:
     kind: str
     aggressors: tuple[int, ...]
     t_on: float
-    time: float
-
-
-@dataclass(frozen=True)
-class CopyEffect:
-    src: int
-    dst: int
     time: float
 
 
@@ -309,7 +299,7 @@ class Bank:
         self.last_time: float = float("-inf")
         # last row closed nominally, waiting for context to resolve
         self._pending: Optional[tuple[int, float, float]] = None  # row, t_on, closed_at
-        self._ref_cursor = 0
+        self._refs = 0  # REFs applied
         self.diagnostics: list[str] = []
 
     # -- data access --------------------------------------------------------
@@ -373,14 +363,14 @@ class Bank:
             return out
         # the pending half-activation is part of this op, not its own hammer
         self._pending = None
-        rows = sorted(grp)
+        rows = grp
         if gap1 <= PARTIAL_GAP_MAX:
-            draws = self.rng.random(len(rows)).tolist()
-            keep = [r for r, x in zip(rows, draws) if x < P_ACT]
+            draws = self.rng.random(len(grp)).tolist()
+            keep = [r for r, x in zip(grp, draws) if x < P_ACT]
             if cmd.row not in keep:
                 keep.append(cmd.row)  # the directly addressed row always opens
-            rows = sorted(keep)
-        self.open = _Activation(tuple(rows), cmd.time, "simra")
+            rows = tuple(sorted(keep))
+        self.open = _Activation(rows, cmd.time, "simra")
         return []
 
     def _act_copy(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
@@ -402,7 +392,8 @@ class Bank:
         self._pending = None
         self.data[cmd.row] = self.row_data(src)
         self.open = _Activation((cmd.row,), cmd.time, "copy", src=src)
-        return [CopyEffect(src, cmd.row, cmd.time)]
+        # the PRE's hammer of both rows restores the destination
+        return []
 
     def _cmd_pre(self, cmd: CommandEvent) -> list:
         act = self.open
@@ -458,11 +449,8 @@ class Bank:
         if self.open is not None:
             raise ProtocolError("REF requires all rows precharged")
         effects = self.flush()
-        n_rows = self.layout.rows
-        per_ref = self.timing.rows_per_ref(n_rows)
-        start = self._ref_cursor
-        rows = tuple((start + i) % n_rows for i in range(per_ref))
-        self._ref_cursor = (start + per_ref) % n_rows
+        rows = tuple(self.timing.ref_rows(self._refs, self.layout.rows))
+        self._refs += 1
         effects.append(RefreshEffect(rows, cmd.time))
         return effects
 

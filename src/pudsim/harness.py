@@ -226,7 +226,7 @@ def discover_simra_groups(bank: Bank, layout: SubarrayLayout) -> SimraGroupMap:
     it.  A lone marked row means the row belongs to no group."""
     timing = bank.timing
     marker = bytes([0xC3]) * ROW_BYTES
-    table: dict[int, frozenset[int]] = {}
+    found: set[frozenset[int]] = set()
     seq = Sequencer(bank)
     for start, count in layout.extents:
         extent_rows = range(start, start + count)
@@ -239,10 +239,10 @@ def discover_simra_groups(bank: Bank, layout: SubarrayLayout) -> SimraGroupMap:
             seq.pre(after=timing.t_ras)
             marked = frozenset(r for r in extent_rows if bank.row_data(r) == marker)
             if len(marked) > 1:
-                table[r2] = marked
+                found.add(marked)
             for r, data in saved.items():
                 bank.set_row_data(r, data)
-    return SimraGroupMap(layout, table)
+    return SimraGroupMap(layout, found)
 
 
 def random_layout_and_groups(
@@ -291,14 +291,14 @@ def _victims_for(
             raise ConfigError("simra sweep needs a group map")
         n = template.n
         seen_subarrays: dict[int, int] = {}
-        for r2 in sorted(groups.table):
-            grp = groups.table[r2]
-            if len(grp) != n or r2 != max(grp):
+        for grp in groups.groups:
+            if len(grp) != n:
                 continue
+            r2 = grp[-1]
             sub = layout.subarray_of(r2)
             if seen_subarrays.get(sub, 0) >= per_subarray:
                 continue
-            victim = max(grp) + 1
+            victim = r2 + 1
             start, count = layout.extent(r2)
             if victim >= start + count:
                 continue

@@ -50,9 +50,6 @@ class BypassSetup:
 
 @dataclass
 class BypassResult:
-    technique: str
-    trr_enabled: bool
-    seed: int
     windows: int
     bitflips: int
     trr_refreshes: int
@@ -74,25 +71,15 @@ def make_rh_setup(pairs: int) -> BypassSetup:
 
 
 def make_simra_setup(groups: SimraGroupMap, n: int, count: int) -> BypassSetup:
-    """Pick `count` groups of size n; the bus row is an interior member,
-    so a bus-watching sampler never lands next to the real victims."""
+    """The first `count` groups of size n; the bus row is each group's
+    middle row, so a bus-watching sampler never lands next to the real
+    victims."""
     if n < 3:
         raise ConfigError(f"a SiMRA group of {n} rows has no interior row to put on the bus")
-    chosen: dict[int, tuple[int, ...]] = {}
-    for r2 in sorted(groups.table):
-        grp = sorted(groups.table[r2])
-        if len(grp) != n:
-            continue
-        interior = grp[len(grp) // 2]
-        if interior in chosen or interior == grp[0] or interior == grp[-1]:
-            continue
-        if any(interior in g for g in chosen.values()):
-            continue
-        chosen[interior] = tuple(grp)
-        if len(chosen) >= count:
-            break
-    if len(chosen) < count:
-        raise ConfigError(f"only {len(chosen)} groups of size {n} available")
+    picks = [grp for grp in groups.groups if len(grp) == n][:count]
+    if len(picks) < count:
+        raise ConfigError(f"only {len(picks)} groups of size {n} available")
+    chosen = {grp[n // 2]: grp for grp in picks}
     return BypassSetup(
         technique="simra", aggressors=tuple(sorted(chosen)), groups=chosen, n=n
     )
@@ -154,11 +141,9 @@ def run_bypass(
         seg_end.append(at[hit])
 
     w = np.arange(max(windows, 0))
-    # the periodic refresh slice, from a cursor advancing per_ref rows a REF
-    per_ref = exp.timing.rows_per_ref(rows)
-    cursor = w * per_ref % rows
-    for k in range(per_ref):
-        reset(w, (cursor + k) % rows)
+    # REF w's periodic refresh slice
+    for row in exp.timing.ref_rows(w, rows):
+        reset(w, row)
     trr_refreshes = 0
     if trr is not None:
         # one sample per REF: an offset back from the newest ACT
@@ -184,9 +169,6 @@ def run_bypass(
         damage = np.cumsum(np.full(c.max(), dose_units[v] / float(theta[v])))[c[c > 0] - 1]
         per_victim[v] = sum(bits_flipped(f) for f in damage[damage >= FLIP_AT].tolist())
     return BypassResult(
-        technique=setup.technique,
-        trr_enabled=trr is not None,
-        seed=exp.seed,
         windows=windows,
         bitflips=sum(per_victim.values()),
         trr_refreshes=trr_refreshes,

@@ -1,5 +1,5 @@
 """Every CLI flag changes what its subcommand writes, the flag twin of
-tests/test_config_keys.py; `--jobs` alone must change nothing."""
+tests/test_config_keys.py; `--jobs` accepts only 1."""
 
 import argparse
 import itertools
@@ -44,8 +44,8 @@ _CASES = {
 
 # flags gated by a test of their own
 _OWN_TEST = {
-    # the opposite gate: --jobs 2 must write what --jobs 1 writes
-    "--jobs": "test_reports.py::test_cli_trr_eval_golden_rows_and_jobs",
+    # kept for old scripts: any value but 1 exits 1 on every subcommand
+    "--jobs": "test_reports.py::test_cli_jobs_is_only_for_trr_eval",
     # a results file fits one report kind only
     "--kind": "test_report_kind_rewrites_what_its_subcommand_wrote",
 }

@@ -81,13 +81,10 @@ def test_round_trip_equality_from_file(tmp_path):
     assert load_config(str(p)) == cfg
 
 
-def test_unknown_key_strict_vs_lax(caplog):
+def test_unknown_key_strict_vs_lax():
+    # there is no lax mode: an unknown key is always an error
     with pytest.raises(ConfigError, match="unknown config key"):
-        loads_config("no.such.key = 1\n", strict=True)
-    with caplog.at_level(logging.WARNING):
-        cfg = loads_config("no.such.key = 1\n", strict=False)
-    assert cfg == RunConfig()
-    assert any("ignoring unknown" in r.message for r in caplog.records)
+        loads_config("no.such.key = 1\n")
 
 
 def test_bad_value_reports_key():
@@ -116,7 +113,7 @@ def test_periods_parse_and_validate():
 def test_retired_keys_are_skipped_with_one_warning_each(caplog):
     text = "".join(f"{k} = 1\n" for k in sorted(RETIRED_KEYS)) + "seed = 4\n"
     with caplog.at_level(logging.WARNING):
-        cfg = loads_config(text, strict=True)
+        cfg = loads_config(text)
     assert cfg == RunConfig(seed=4)
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warned == [f"ignoring retired config key {k!r}" for k in sorted(RETIRED_KEYS)]

@@ -31,7 +31,6 @@ from pudsim.dram import (
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
-    CopyEffect,
     HammerEffect,
     RefreshEffect,
 )
@@ -330,9 +329,6 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
             for r in eff.rows:
                 restore(r)
             continue
-        if isinstance(eff, CopyEffect):
-            restore(eff.dst)
-            continue
         kind = eff.kind
         theta = thresholds.theta.get(kind)
         for a in eff.aggressors:
@@ -402,7 +398,6 @@ _effect = st.one_of(
               st.sampled_from([36.0, 100.0]), _time),
     _simra_op(),
     st.builds(RefreshEffect, st.lists(_row, max_size=6).map(tuple), _time),
-    st.builds(CopyEffect, _row, _row, _time),
 )
 
 

@@ -1,5 +1,6 @@
 """Bank state machine and the analog-effect classifier."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +12,12 @@ from pudsim import (
     SubarrayLayout,
     TimingParams,
 )
+from pudsim.config import RunConfig
 from pudsim.dram import (
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
     P_ACT,
-    CopyEffect,
     HammerEffect,
     majority_overwrite,
 )
@@ -26,7 +27,11 @@ from pudsim.errors import (
     ProtocolError,
     ShapeError,
 )
+from pudsim.harness import Experiment, _victims_for, discover_simra_groups
+from pudsim.patterns import PatternSpec
+from pudsim.profiles import DEFAULT_PROFILE, load_profile
 from pudsim.rng import substream
+from pudsim.trreval import make_simra_setup
 
 TIMING = TimingParams()
 
@@ -132,8 +137,7 @@ def test_uniform_layout_tiles_all_rows():
 def test_group_lookup_requires_same_subarray():
     layout = SubarrayLayout.uniform(64, 32)
     groups = SimraGroupMap.aligned_blocks(layout, 4)
-    grp = groups.group(0, 2)
-    assert grp == frozenset({0, 1, 2, 3})
+    assert groups.group(0, 2) == (0, 1, 2, 3)
     # r1 and r2 in different subarrays: no group forms
     assert groups.group(0, 33) is None
 
@@ -141,35 +145,37 @@ def test_group_lookup_requires_same_subarray():
 def test_group_map_rejects_size_outside_simra_sizes():
     layout = SubarrayLayout.uniform(64, 16)
     with pytest.raises(ConfigError, match="group size 3"):
-        SimraGroupMap(layout, {0: frozenset({0, 1, 2})})
+        SimraGroupMap(layout, [{0, 1, 2}])
 
 
 def test_group_map_rejects_group_crossing_subarrays():
     layout = SubarrayLayout.uniform(64, 16)
     with pytest.raises(ConfigError, match="cross subarray"):
-        SimraGroupMap(layout, {15: frozenset({14, 15, 16, 17})})
+        SimraGroupMap(layout, [{14, 15, 16, 17}])
     # a member outside the bank is an address error
     with pytest.raises(AddressError):
-        SimraGroupMap(layout, {63: frozenset({62, 63, 64, 65})})
+        SimraGroupMap(layout, [{62, 63, 64, 65}])
 
 
-def test_group_map_rejects_key_outside_its_group():
+@pytest.mark.parametrize("groups", [
+    [{0, 1}, {1, 2}],
+    [range(0, 4), (8, 9), (3, 12)],
+    [(0, 1), (1, 0)],  # the same group twice
+])
+def test_group_map_rejects_a_row_in_two_groups(groups):
     layout = SubarrayLayout.uniform(64, 16)
-    with pytest.raises(ConfigError, match="own group"):
-        SimraGroupMap(layout, {5: frozenset({0, 1})})
-    # so is a key outside the bank, whose group cannot hold it
-    with pytest.raises(ConfigError, match="own group"):
-        SimraGroupMap(layout, {64: frozenset({0, 1})})
+    with pytest.raises(ConfigError, match="only one group"):
+        SimraGroupMap(layout, groups)
 
 
-@pytest.mark.parametrize("keys", [(0, 2), (2, 0)])
-def test_group_map_checks_every_key_of_a_shared_group(keys):
+def test_groups_are_sorted_and_listed_once():
     layout = SubarrayLayout.uniform(64, 16)
-    grp = frozenset({0, 1})
-    assert SimraGroupMap(layout, {0: grp, 1: grp}).table == {0: grp, 1: grp}
-    # one group object under two keys, only one of which is a member
-    with pytest.raises(ConfigError, match="own group"):
-        SimraGroupMap(layout, {k: grp for k in keys})
+    groups = SimraGroupMap(layout, [[9, 8], {7, 5}, range(3, -1, -1)])
+    assert groups.groups == ((0, 1, 2, 3), (5, 7), (8, 9))
+    # every member reads its own group, any other row none
+    for r in range(16):
+        want = next((g for g in groups.groups if r in g), None)
+        assert groups.group(0, r) == want
 
 
 def reference_aligned_blocks(layout, n, stride):
@@ -193,17 +199,96 @@ def test_aligned_blocks_match_reference(n, stride):
     for layout in (SubarrayLayout.uniform(512, 128),
                    SubarrayLayout([(0, 70), (70, 130), (200, 6)])):
         groups = SimraGroupMap.aligned_blocks(layout, n, stride)
-        assert groups.table == reference_aligned_blocks(layout, n, stride)
+        table = reference_aligned_blocks(layout, n, stride)
+        for r in range(layout.rows):
+            want = table.get(r)
+            assert groups.group(r, r) == (None if want is None else tuple(sorted(want)))
+        assert list(groups.groups) == sorted(set(groups.groups))
 
 
 def test_aligned_blocks_by_hand():
     # stride 2 leaves odd offsets and the rows past the last block ungrouped
     small = SimraGroupMap.aligned_blocks(SubarrayLayout([(0, 10), (10, 6)]), 2, 2)
-    assert small.table == {
-        0: frozenset({0, 2}), 2: frozenset({0, 2}),
-        4: frozenset({4, 6}), 6: frozenset({4, 6}),
-        10: frozenset({10, 12}), 12: frozenset({10, 12}),
-    }
+    assert small.groups == ((0, 2), (4, 6), (10, 12))
+
+
+def test_discovery_recovers_a_stride_2_map():
+    layout = SubarrayLayout.uniform(64, 32)
+    truth = SimraGroupMap.aligned_blocks(layout, 4, 2)
+    found = discover_simra_groups(Bank(TIMING, layout, truth), layout)
+    assert found.groups == truth.groups
+    assert found.groups[:2] == ((0, 2, 4, 6), (8, 10, 12, 14))
+
+
+# -- readers of the group map ----------------------------------------------------
+#
+# The victim sweep and the TRR setup once scanned a per-row table; those
+# scans are the references the readers of `groups` are pinned to.
+
+
+def reference_victims(layout, table, n, per_subarray):
+    """The row after each group of n whose key is the group's last row,
+    in key order, at most per_subarray per subarray."""
+    picks, seen = [], {}
+    for r2 in sorted(table):
+        grp = table[r2]
+        if len(grp) != n or r2 != max(grp):
+            continue
+        sub = layout.subarray_of(r2)
+        if seen.get(sub, 0) >= per_subarray:
+            continue
+        start, count = layout.extent(r2)
+        if max(grp) + 1 >= start + count:
+            continue
+        seen[sub] = seen.get(sub, 0) + 1
+        picks.append((max(grp) + 1, (r2, r2)))
+    return picks
+
+
+def reference_simra_setup(table, n, count):
+    """The interior row of each sorted group of n, in key order, skipping
+    interiors already chosen or inside a chosen group."""
+    chosen = {}
+    for r2 in sorted(table):
+        grp = sorted(table[r2])
+        if len(grp) != n:
+            continue
+        interior = grp[len(grp) // 2]
+        if interior in chosen or interior == grp[0] or interior == grp[-1]:
+            continue
+        if any(interior in g for g in chosen.values()):
+            continue
+        chosen[interior] = tuple(grp)
+        if len(chosen) >= count:
+            break
+    return tuple(sorted(chosen)), chosen
+
+
+_MAPS = {
+    "stride1": (SubarrayLayout.uniform(1024, 256), 32, 1),
+    "stride2": (SubarrayLayout.uniform(1024, 256), 32, 2),
+    "rows8192": (RunConfig(rows=8192, subarrays=8).layout(), 32, 1),
+    "short_tail": (SubarrayLayout([(0, 70), (70, 130), (200, 6)]), 4, 1),
+    "short_tail_stride2": (SubarrayLayout([(0, 70), (70, 130), (200, 6)]), 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAPS))
+def test_victims_and_trr_groups_match_the_per_row_scans(name):
+    layout, n, stride = _MAPS[name]
+    groups = SimraGroupMap.aligned_blocks(layout, n, stride)
+    table = reference_aligned_blocks(layout, n, stride)
+    exp = Experiment(load_profile(DEFAULT_PROFILE), layout, groups)
+    template = PatternSpec(kind="simra", aggressors=(0, 0), n=n)
+    for per_subarray in (1, 3, 100):
+        got = [(v, spec.aggressors) for v, spec in _victims_for(exp, template, per_subarray)]
+        assert got == reference_victims(layout, table, n, per_subarray)
+    available = sum(len(g) == n for g in groups.groups)
+    for count in (1, 4, available):
+        setup = make_simra_setup(groups, n, count)
+        assert (setup.aggressors, setup.groups) == reference_simra_setup(table, n, count)
+    with pytest.raises(ConfigError, match=f"only {available} groups"):
+        make_simra_setup(groups, n, available + 1)
 
 
 # -- nominal command streams are free of multi-row effects -------------------
@@ -238,6 +323,10 @@ def copy_cycle(s, src, dst, gap=7.5, t_on=TIMING.t_ras):
     s.pre()
 
 
+def comra_hammers(effects):
+    return [e.aggressors for e in effects if isinstance(e, HammerEffect) and e.kind == KIND_COMRA]
+
+
 def test_copy_moves_data_within_subarray():
     b = make_bank()
     b.set_row_data(2, b"\xa5" * 8)
@@ -245,8 +334,8 @@ def test_copy_moves_data_within_subarray():
     s = Seq(b)
     copy_cycle(s, 2, 3)
     assert b.row_data(3) == b"\xa5" * 8
-    copies = [e for e in s.drain() if isinstance(e, CopyEffect)]
-    assert copies == [CopyEffect(src=2, dst=3, time=copies[0].time)]
+    # the cycle's one effect is a hammer of both rows, which restores them
+    assert s.drain() == [HammerEffect(KIND_COMRA, (2, 3), TIMING.t_ras, s.t)]
 
 
 def test_copy_is_idempotent():
@@ -266,7 +355,7 @@ def test_cross_subarray_copy_does_not_move_data():
     s = Seq(b)
     copy_cycle(s, 31, 32)
     assert b.row_data(32) == before
-    assert not [e for e in s.drain() if isinstance(e, CopyEffect)]
+    assert not comra_hammers(s.drain())
 
 
 def test_short_source_open_time_fails_copy():
@@ -276,7 +365,7 @@ def test_short_source_open_time_fails_copy():
     s = Seq(b)
     copy_cycle(s, 2, 3, t_on=10.0)  # source closed before full restore
     assert b.row_data(3) == before
-    assert not [e for e in s.drain() if isinstance(e, CopyEffect)]
+    assert not comra_hammers(s.drain())
 
 
 def test_one_copy_cycle_is_one_hammer_of_both_rows():
@@ -301,7 +390,7 @@ def assert_one_nominal_act(s, row, diagnostic):
     s.pre()
     hams = [e for e in s.drain() if isinstance(e, HammerEffect)]
     assert hams[-1].kind == KIND_RH and hams[-1].aggressors == (row,)
-    assert not [e for e in s.effects if isinstance(e, CopyEffect)]
+    assert not comra_hammers(s.effects)
     assert not [e for e in s.effects
                 if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
 
@@ -412,6 +501,19 @@ def test_ref_slices_cover_all_rows_once_per_window():
         (eff,) = s.cmd("REF", dt=TIMING.t_refi)
         seen.extend(eff.rows)
     assert sorted(set(seen)) == list(range(64))
+
+
+def test_bank_refs_follow_the_window_array_rule():
+    """REF k of the bank refreshes what `ref_rows` gives for k in an array
+    of REF numbers, as `run_bypass` reads it, wrap-around included."""
+    timing = TimingParams(t_refw=10 * TIMING.t_refi)  # 7 rows a REF, 64 rows
+    b = Bank(timing, SubarrayLayout.uniform(64, 32))
+    s = Seq(b)
+    per_window = timing.ref_rows(np.arange(25), 64)
+    for k in range(25):
+        (eff,) = s.cmd("REF", dt=timing.t_refi)
+        assert eff.rows == tuple(int(rows[k]) for rows in per_window)
+        assert eff.rows == tuple((7 * k + i) % 64 for i in range(7))
 
 
 def test_ref_requires_precharged_bank():

@@ -6,6 +6,9 @@ and each method that is not a dunder, whose name occurs nowhere else in
 import of it.  Tests do not count as users, and neither do the package's
 `__init__.py` re-exports.  The list must equal ALLOWED, which names what
 is kept although the package does not use it, and why.
+
+A second scan lists each field of a dataclass of `src/pudsim` that no
+attribute read in those sources names, and must equal ALLOWED_FIELDS.
 """
 
 import ast
@@ -23,6 +26,19 @@ ALLOWED = {
     "mitigation.PracState.on_refresh": "periodic refresh of PRAC counters, "
     "pinned to its reference; the perf model issues no REF yet",
     "mitigation.weight": "counter weights from first-flip counts, criterion 1",
+}
+
+ALLOWED_FIELDS = {
+    "disturbance.ChipProfile.vendor": "each profile file names its vendor; "
+    "profile metadata that no output reports",
+    "disturbance.Bitflip.bit": "which bit of the row flipped; tests pin the "
+    "weak bit and the escalation over distinct bits",
+    "disturbance.Bitflip.direction": "the value change of a flip by kind; "
+    "tests pin the direction of each kind",
+    "mitigation.PracUpdate.backoff": "the device's back-off signal; the perf "
+    "model reads PracState.backoff_pending, tests pin both",
+    "trreval.BypassResult.per_victim": "flips victim by victim; the TRR pins "
+    "compare run_bypass with its references on it",
 }
 
 
@@ -75,5 +91,35 @@ def unused_definitions():
     return unused
 
 
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if isinstance(f, ast.Name) and f.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields():
+    read = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and item.target.id not in read):
+                    unread.add(f"{path.stem}.{cls.name}.{item.target.id}")
+    return unread
+
+
 def test_every_definition_is_used_or_allowed():
     assert unused_definitions() == set(ALLOWED)
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    assert unread_fields() == set(ALLOWED_FIELDS)

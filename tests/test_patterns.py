@@ -12,7 +12,7 @@ from pudsim import (
     TimingParams,
     events_to_trace,
 )
-from pudsim.dram import KIND_SIMRA, CommandEvent, CopyEffect, HammerEffect
+from pudsim.dram import KIND_COMRA, KIND_SIMRA, CommandEvent, HammerEffect
 from pudsim.errors import ConfigError
 from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra
 
@@ -53,9 +53,10 @@ def test_rowpress_stream_holds_rows_open_longer():
 def test_comra_stream_copies_when_applied():
     spec = PatternSpec(kind="comra", aggressors=(5, 6), hammers=2)
     s = gen_comra(spec, TIMING)
-    bank, effects = apply_stream(s.events)
-    copies = [e for e in effects if isinstance(e, CopyEffect)]
-    assert [(c.src, c.dst) for c in copies] == [(5, 6), (5, 6)]
+    bank, effects = apply_stream(s.events, data={5: b"\xa5" * 8})
+    assert bank.row_data(6) == b"\xa5" * 8
+    # each copy cycle is one hammer of both rows, and nothing else
+    assert [(e.kind, e.aggressors) for e in effects] == [(KIND_COMRA, (5, 6))] * 2
 
 
 def test_comra_rejects_non_violating_gap():

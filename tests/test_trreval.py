@@ -261,7 +261,7 @@ def reference_bypass(exp, setup, trr, windows, t_on):
     flipped = {v: 0 for v in victims}
     cum = {v: 0 for v in victims}
     trr_refreshes = 0
-    per_ref = timing.rows_per_ref(rows)
+    per_ref = -(-rows // timing.refs_per_refw)  # the REFs of a tREFW cover all rows
     cursor = 0
 
     for w in range(windows):
@@ -293,9 +293,6 @@ def reference_bypass(exp, setup, trr, windows, t_on):
                 flipped[v] = 0
         cursor = (cursor + per_ref) % rows
     return BypassResult(
-        technique=setup.technique,
-        trr_enabled=trr is not None,
-        seed=exp.seed,
         windows=windows,
         bitflips=sum(cum.values()),
         trr_refreshes=trr_refreshes,
