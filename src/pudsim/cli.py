@@ -224,7 +224,7 @@ def cmd_mitigation_eval(args) -> int:
     paths = emit_report(rows, "perf", cfg.out_dir)
     # one line per period: each variant's mean overhead over the mixes
     shown = [args.variant] if args.variant else [k for k in variants if k != "none"]
-    for period in periods if mixes else ():
+    for period in periods:
         means = []
         for name in shown:
             pct = [r["overhead_pct"] for r in rows

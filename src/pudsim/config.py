@@ -74,9 +74,13 @@ class RunConfig:
         self.layout()
         self.timing()
         self.trr()
-        for p in self.periods():
-            if p <= 0:
-                raise ConfigError("perf.periods entries must be positive")
+        if self.perf_mixes < 1:
+            raise ConfigError("perf.mixes must be >= 1")
+        if self.perf_target_reqs < 1:
+            raise ConfigError("perf.target_reqs must be >= 1")
+        periods = self.periods()
+        if not periods or len(set(periods)) < len(periods) or min(periods) <= 0:
+            raise ConfigError("perf.periods must list distinct positive periods")
 
     def layout(self) -> SubarrayLayout:
         """`subarrays` equal subarrays, each at least one group span."""

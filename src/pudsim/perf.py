@@ -16,22 +16,25 @@ A run with conventional cores ends when the last of them completes its
 `target_reqs`-th request.  The PuD core is served until then: its ops
 and RFMs are those whose scheduling key (start, ready, core id) sorts
 before the key of that final request.  Without conventional cores it
-runs `target_reqs` ops.  Conventional timelines do not depend on the PuD
-period, so `evaluate_mixes` simulates them once per mitigation variant
-and only the PuD core once per period.
+runs `target_reqs` ops.  One `evaluate_mixes` call draws each core's
+row stream once per mix and runs its timeline once per mitigation
+variant; it makes the PuD bank's PRAC steps, which see only the PuD
+core's ops, once per variant, and each (mix, period) only times them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError, PudsimError
 from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec
-from .rng import stable_hash
+from .rng import stable_hash, stable_hash_each
 
 T_HIT = 15.0
 RANK_TURNAROUND = 2.0
@@ -102,18 +105,19 @@ def make_mixes(count: int, seed: int) -> list[Mix]:
     return mixes
 
 
-def _row(spec: CoreSpec, core_id: int, seed: int, i: int, prev: Optional[int]) -> int:
-    """Deterministic row of request i of a core, in its private bank;
-    `prev` is the row of request i - 1."""
+def _core_rows(spec: CoreSpec, core_id: int, seed: int, n: int) -> list[int]:
+    """Deterministic rows of a core's first n requests, in its private
+    bank; request i hashes (core seed, core id, i)."""
+    i = np.arange(n)
     if spec.kind == "stream":
-        return spec.row_base + (i // 8) % spec.footprint
-    h = stable_hash(seed, core_id, i)
+        return (spec.row_base + (i // 8) % spec.footprint).tolist()
+    h = stable_hash_each(stable_hash(seed, core_id), core_id, i)
     if spec.kind == "random":
-        return spec.row_base + (h >> 8) % spec.footprint
-    # rowlocal: sticky row with a locality knob
-    if prev is not None and (h % 1000) < int(spec.locality * 1000):
-        return prev
-    return spec.row_base + (h >> 12) % spec.footprint
+        return (spec.row_base + (h >> 8) % spec.footprint).tolist()
+    # rowlocal: a request keeps the previous row with probability `locality`
+    fresh = np.where(h % 1000 < int(spec.locality * 1000), 0, i)
+    rows = spec.row_base + (h >> 12) % spec.footprint
+    return rows[np.maximum.accumulate(fresh)].tolist()
 
 
 @dataclass
@@ -166,21 +170,19 @@ def _rfm(prac: PracState) -> float:
 def _conventional(
     spec: CoreSpec,
     core_id: int,
-    seed: int,
+    rows: list[int],
     mitigation: Optional[PracConfig],
     target_reqs: int,
 ) -> tuple[float, int, int, float, tuple[float, float, int]]:
-    """One conventional core's timeline: its rate, back-offs, RFMs, the
-    completion time and the scheduling key of its final request."""
+    """One conventional core's timeline over `rows`: its rate, back-offs,
+    RFMs, the completion time and the scheduling key of its last request."""
     prac = _prac(mitigation)
     t_rc = _TIMING.t_rc
-    core_seed = stable_hash(seed, core_id)
     ready = free = 0.0
     open_row = -1
-    row = None
     rfms = completed = 0
     while True:
-        row = _row(spec, core_id, core_seed, completed, row)
+        row = rows[completed]
         start = max(ready, free)
         # a pending RFM blocks the bank before the request is served
         while prac is not None and prac.backoff_pending:
@@ -207,43 +209,64 @@ def _conventional(
     return rate, backoffs, rfms, done, (start, ready, core_id)
 
 
+def _pud_steps(prac: Optional[PracState]) -> Iterator[tuple[bool, float, int]]:
+    """The PuD bank's endless steps: (is RFM, service time, back-offs so far)."""
+    op_time = _PUD_OP_NS + RANK_TURNAROUND
+    while prac is None:
+        yield False, op_time, 0
+    while True:
+        if prac.backoff_pending:
+            yield True, _rfm(prac), prac.backoffs
+            continue
+        u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
+        u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
+        yield False, op_time + (u1.latency + u2.latency), prac.backoffs
+
+
+class _PudSteps(list):
+    """The PuD bank's steps under one PRAC configuration, made by `more`
+    as runs need them; no step depends on the period or the other cores."""
+
+    def __init__(self, mitigation: Optional[PracConfig]):
+        super().__init__()
+        self.more = _pud_steps(_prac(mitigation))
+
+
 def _with_pud(
     conv: PerfResult,
-    mitigation: Optional[PracConfig],
+    steps: _PudSteps,
     period_ns: float,
     target_reqs: int,
 ) -> PerfResult:
-    """Add the PuD core's timeline to a run of the conventional cores
-    (`conv`, which has no PuD core); returns the combined run."""
-    prac = _prac(mitigation)
+    """Add the PuD core's timeline, timing `steps`, to a run of the
+    conventional cores (`conv`, which has no PuD core); returns both."""
     pud_id = len(conv.shared_rates)
-    op_time = _PUD_OP_NS + RANK_TURNAROUND
     ready = free = 0.0
     first = last = 0.0
-    rfms = completed = 0
+    k = backoffs = rfms = completed = 0
     while True:
-        start = max(ready, free)
+        # max() as conditionals, which take the same value without a call
+        start = free if free > ready else ready
         if conv.stop_key is None:
             if completed >= target_reqs:
                 break
         elif (start, ready, pud_id) > conv.stop_key:
             break
         _watchdog(start)
-        if prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac)
+        if k == len(steps):
+            steps.append(next(steps.more))
+        is_rfm, service, backoffs = steps[k]
+        k += 1
+        if is_rfm:
+            free = start + service
             rfms += 1
             continue
-        service = op_time
-        if prac is not None:
-            u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
-            u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
-            service += u1.latency + u2.latency
         done = start + service
         completed += 1
         if completed == 1:
             first = done
         last = done
-        ready = max(done, start + period_ns)
+        ready = start + period_ns if start + period_ns > done else done
         free = done
     end = max(conv.end_time, last)
     if completed >= 2 and last > first:
@@ -254,7 +277,7 @@ def _with_pud(
         rate = completed / end if end > 0 else 0.0
     return PerfResult(
         shared_rates={**conv.shared_rates, pud_id: rate},
-        backoffs=conv.backoffs + (prac.backoffs if prac is not None else 0),
+        backoffs=conv.backoffs + backoffs,
         rfm_count=conv.rfm_count + rfms,
         end_time=end,
         stop_key=conv.stop_key,
@@ -267,16 +290,24 @@ def run_mix(
     period_ns: Optional[float],
     seed: int,
     target_reqs: int = 2000,
+    *,
+    rows: Optional[list[list[int]]] = None,
+    steps: Optional[_PudSteps] = None,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
     free-runs and is measured by rate.  Every bank counts with
-    `mitigation`'s PRAC configuration, or not at all when it is None."""
+    `mitigation`'s PRAC configuration, or not at all when it is None.
+    Unless given, the run makes its own core `rows` and PuD `steps`."""
     if len(conv_cores) > CONV_BANKS:
         raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
+    if target_reqs < 1:
+        raise ConfigError("target_reqs must be >= 1")
+    if rows is None:
+        rows = [_core_rows(spec, i, seed, target_reqs) for i, spec in enumerate(conv_cores)]
     lines = [
-        _conventional(spec, i, seed, mitigation, target_reqs)
-        for i, spec in enumerate(conv_cores)
+        _conventional(spec, i, core_rows, mitigation, target_reqs)
+        for i, (spec, core_rows) in enumerate(zip(conv_cores, rows))
     ]
     res = PerfResult(
         shared_rates={i: line[0] for i, line in enumerate(lines)},
@@ -286,7 +317,8 @@ def run_mix(
         stop_key=max((line[4] for line in lines), default=None),
     )
     if period_ns is not None:
-        res = _with_pud(res, mitigation, period_ns, target_reqs)
+        steps = _PudSteps(mitigation) if steps is None else steps
+        res = _with_pud(res, steps, period_ns, target_reqs)
     return res
 
 
@@ -324,24 +356,26 @@ def evaluate_mixes(
         raise ConfigError("variants must include the unmitigated baseline 'none'")
     if variants["none"] is not None:
         raise ConfigError("the baseline variant 'none' must be unmitigated")
+    steps = {name: _PudSteps(mit) for name, mit in variants.items()}
     # the PuD core alone reads no seed, so its rate depends only on the period
     pud_alone = {
-        period: run_mix((), None, period, 0, target_reqs).shared_rates[0]
+        period: run_mix((), None, period, 0, target_reqs, steps=steps["none"]).shared_rates[0]
         for period in periods
     }
     out = []
     for mix in mixes:
+        rows = [_core_rows(spec, i, mix.seed, target_reqs) for i, spec in enumerate(mix.cores)]
         # conventional timelines do not depend on the PuD period
         conv = {
-            name: run_mix(mix.cores, mit, None, mix.seed, target_reqs)
+            name: run_mix(mix.cores, mit, None, mix.seed, target_reqs, rows=rows)
             for name, mit in variants.items()
         }
         alone = dict(conv["none"].shared_rates)
         for period in periods:
             alone[len(mix.cores)] = pud_alone[period]
             ws_by_variant: dict[str, tuple[float, PerfResult]] = {}
-            for name, mit in variants.items():
-                res = _with_pud(conv[name], mit, period, target_reqs)
+            for name in variants:
+                res = _with_pud(conv[name], steps[name], period, target_reqs)
                 ws_by_variant[name] = (weighted_speedup(res.shared_rates, alone), res)
             ws_base = ws_by_variant["none"][0]
             for name, (ws, res) in ws_by_variant.items():

@@ -42,13 +42,15 @@ def stable_hash(seed: int, *parts: int) -> int:
     return h ^ (h >> 29)
 
 
-def stable_hash_each(seed: int, parts: np.ndarray) -> np.ndarray:
-    """`stable_hash(seed, p)` for every p of an integer array, as uint64.
+def stable_hash_each(seed: int, *parts) -> np.ndarray:
+    """`stable_hash(seed, *p)` for every element of the broadcast integer
+    parts (arrays or scalars), as a uint64 array.
 
     uint64 arithmetic wraps modulo 2**64, which is the masking the scalar
-    version does by hand.
+    version does by hand; arrays keep numpy from warning about it.
     """
-    p = np.asarray(parts).astype(np.uint64)
-    h = np.uint64((seed & _MASK) ^ _SEED_KEY) ^ (p * np.uint64(_PART_MUL))
-    h = (h ^ (h >> np.uint64(31))) * np.uint64(_MIX_MUL)
+    h = np.uint64((seed & _MASK) ^ _SEED_KEY)
+    for p in parts:
+        h = h ^ (np.atleast_1d(p).astype(np.uint64) * np.uint64(_PART_MUL))
+        h = (h ^ (h >> np.uint64(31))) * np.uint64(_MIX_MUL)
     return h ^ (h >> np.uint64(29))

@@ -1,18 +1,35 @@
 """Multi-core performance model: weighted speedup and mitigation cost."""
 
+from typing import Optional
+
+import numpy as np
 import pytest
 
+from pudsim.disturbance import COMRA, SIMRA
 from pudsim.errors import ConfigError
 from pudsim.mitigation import PracConfig
 from pudsim.perf import (
+    _PUD_COMRA_ROWS,
+    _PUD_OP_NS,
+    _PUD_SIMRA_ROWS,
+    CORE_KINDS,
     PERF_COLUMNS,
+    RANK_TURNAROUND,
     CoreSpec,
+    PerfResult,
+    _core_rows,
+    _prac,
+    _PudSteps,
+    _rfm,
+    _watchdog,
+    _with_pud,
     default_variants,
     evaluate_mixes,
     make_mixes,
     run_mix,
     weighted_speedup,
 )
+from pudsim.rng import stable_hash, stable_hash_each
 
 
 def test_weighted_speedup_examples():
@@ -227,3 +244,187 @@ def test_default_variants_cover_both_counting_policies():
     assert v["prac-po-naive"].rdt == 20
     assert v["prac-po-wc"].rdt == 4000
     assert v["prac-po-wc"].weights["simra"] == 200
+
+
+# -- fast paths pinned to the per-request and per-run loops they replace
+
+
+def reference_row(spec: CoreSpec, core_id: int, seed: int, i: int,
+                  prev: Optional[int]) -> int:
+    """Row of request i of a core, one `stable_hash` per request; `seed`
+    is the core's seed and `prev` the row of request i - 1."""
+    if spec.kind == "stream":
+        return spec.row_base + (i // 8) % spec.footprint
+    h = stable_hash(seed, core_id, i)
+    if spec.kind == "random":
+        return spec.row_base + (h >> 8) % spec.footprint
+    # rowlocal: sticky row with a locality knob
+    if prev is not None and (h % 1000) < int(spec.locality * 1000):
+        return prev
+    return spec.row_base + (h >> 12) % spec.footprint
+
+
+def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
+                       period_ns: float, target_reqs: int) -> PerfResult:
+    """The PuD core run op by op on fresh PRAC counters of its own."""
+    prac = _prac(mitigation)
+    pud_id = len(conv.shared_rates)
+    op_time = _PUD_OP_NS + RANK_TURNAROUND
+    ready = free = 0.0
+    first = last = 0.0
+    rfms = completed = 0
+    while True:
+        start = max(ready, free)
+        if conv.stop_key is None:
+            if completed >= target_reqs:
+                break
+        elif (start, ready, pud_id) > conv.stop_key:
+            break
+        _watchdog(start)
+        if prac is not None and prac.backoff_pending:
+            free = start + _rfm(prac)
+            rfms += 1
+            continue
+        service = op_time
+        if prac is not None:
+            u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
+            u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
+            service += u1.latency + u2.latency
+        done = start + service
+        completed += 1
+        if completed == 1:
+            first = done
+        last = done
+        ready = max(done, start + period_ns)
+        free = done
+    end = max(conv.end_time, last)
+    if completed >= 2 and last > first:
+        rate = (completed - 1) / (last - first)
+    else:
+        rate = completed / end if end > 0 else 0.0
+    return PerfResult(
+        shared_rates={**conv.shared_rates, pud_id: rate},
+        backoffs=conv.backoffs + (prac.backoffs if prac is not None else 0),
+        rfm_count=conv.rfm_count + rfms,
+        end_time=end,
+        stop_key=conv.stop_key,
+    )
+
+
+def _fields(res: PerfResult):
+    return repr(res.shared_rates), res.backoffs, res.rfm_count, res.end_time, res.stop_key
+
+
+_PUD_VARIANTS = {
+    "none": None,
+    "naive": default_variants()["prac-po-naive"],
+    "wc": default_variants()["prac-po-wc"],
+    "ao": PracConfig(mode="ao"),
+    "rdt1": PracConfig(rdt=1),
+}
+_PUD_PERIODS = (1.0, 125.0, 16000.0, 1e6)
+
+
+@pytest.mark.parametrize("target_reqs", [1, 2, 400])
+@pytest.mark.parametrize("with_conv", [False, True], ids=["pud-alone", "mix"])
+@pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
+def test_step_walk_matches_reference_with_pud(variant, with_conv, target_reqs):
+    """Every period walks one step list of the variant, which earlier
+    periods have grown or left short, and matches a run on fresh
+    counters field for field."""
+    mit = _PUD_VARIANTS[variant]
+    mix = make_mixes(1, seed=4)[0]
+    cores = mix.cores if with_conv else ()
+    conv = run_mix(cores, mit, None, mix.seed, target_reqs)
+    steps = _PudSteps(mit)
+    for period in _PUD_PERIODS:
+        got = _with_pud(conv, steps, period, target_reqs)
+        assert _fields(got) == _fields(reference_with_pud(conv, mit, period, target_reqs))
+
+
+@pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
+def test_step_list_serves_long_and_short_runs_in_either_order(variant):
+    mit = _PUD_VARIANTS[variant]
+    conv = {n: run_mix((), mit, None, 0, n) for n in (2, 400)}
+    want = {n: _fields(reference_with_pud(conv[n], mit, 125.0, n)) for n in (2, 400)}
+    for order in ((400, 2), (2, 400)):
+        steps = _PudSteps(mit)
+        for n in order:
+            assert _fields(_with_pud(conv[n], steps, 125.0, n)) == want[n]
+
+
+def test_stable_hash_each_matches_the_scalar_hash():
+    i = np.arange(300)
+    for seed, core_id in ((0, 0), (7, 3), (2**64 - 1, 6), (12345, -1)):
+        got = stable_hash_each(seed, core_id, i)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [stable_hash(seed, core_id, k) for k in range(300)]
+    assert stable_hash_each(5, i).tolist() == [stable_hash(5, k) for k in range(300)]
+
+
+@pytest.mark.parametrize("locality", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("kind", CORE_KINDS)
+def test_core_rows_match_reference_row(kind, locality):
+    for footprint in (1, 32):
+        for row_base in (0, 768):
+            spec = CoreSpec(kind=kind, locality=locality, footprint=footprint,
+                            row_base=row_base)
+            for seed in (0, 11, 2**40 + 3):
+                for core_id in (0, 3):
+                    for n in (1, 2000):
+                        core_seed = stable_hash(seed, core_id)
+                        want, prev = [], None
+                        for i in range(n):
+                            prev = reference_row(spec, core_id, core_seed, i, prev)
+                            want.append(prev)
+                        got = _core_rows(spec, core_id, seed, n)
+                        assert got == want
+                        # plain ints: rows key the PRAC counters
+                        assert all(type(r) is int for r in got)
+
+
+def test_evaluate_mixes_equals_independent_runs():
+    """Sharing row streams and PuD steps inside one call gives the rows
+    that separate runs on fresh streams and counters give."""
+    mixes = make_mixes(3, seed=13)
+    periods = (125.0, 4000.0)
+    variants = default_variants()
+    target = 300
+    want = []
+    for mix in mixes:
+        alone = dict(run_mix(mix.cores, None, None, mix.seed, target).shared_rates)
+        for period in periods:
+            alone[len(mix.cores)] = run_mix((), None, period, 0, target).shared_rates[0]
+            runs = {}
+            for name, mit in variants.items():
+                conv = run_mix(mix.cores, mit, None, mix.seed, target)
+                res = _with_pud(conv, _PudSteps(mit), period, target)
+                assert _fields(res) == _fields(
+                    run_mix(mix.cores, mit, period, mix.seed, target))
+                runs[name] = (weighted_speedup(res.shared_rates, alone), res)
+            ws_base = runs["none"][0]
+            for name, (ws, res) in runs.items():
+                want.append({
+                    "mix_id": mix.mix_id,
+                    "period_ns": period,
+                    "mitigation": name,
+                    "weighted_speedup": round(ws, 6),
+                    "overhead_pct": round(100.0 * (1.0 - ws / ws_base), 4),
+                    "backoffs": res.backoffs,
+                    "rfm_count": res.rfm_count,
+                })
+    assert evaluate_mixes(mixes, periods=periods, target_reqs=target) == want
+
+
+def test_evaluate_mixes_keeps_no_state_between_calls():
+    mixes = make_mixes(2, seed=6)
+    periods = (125.0, 16000.0)
+    first = evaluate_mixes(mixes, periods=periods, target_reqs=400)
+    longer = evaluate_mixes(mixes, periods=periods, target_reqs=800)
+    assert longer != first
+    assert evaluate_mixes(mixes, periods=periods, target_reqs=400) == first
+
+
+def test_run_mix_rejects_a_non_positive_request_target():
+    with pytest.raises(ConfigError, match="target_reqs"):
+        run_mix(make_mixes(1, seed=1)[0].cores, None, 1000.0, seed=1, target_reqs=0)

@@ -178,7 +178,26 @@ def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, args, message):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"groups.n": 2}, "a SiMRA group of 2 rows has no interior row to put on the bus"),
+    ({"perf.target_reqs": 0}, "perf.target_reqs must be >= 1"),
+    ({"perf.target_reqs": -5}, "perf.target_reqs must be >= 1"),
+    ({"perf.mixes": 0}, "perf.mixes must be >= 1"),
+    ({"perf.periods": ""}, "perf.periods must list distinct positive periods"),
+    ({"perf.periods": "1000 1000"}, "perf.periods must list distinct positive periods"),
+    ({"perf.periods": "1000 125 1e3"}, "perf.periods must list distinct positive periods"),
+], ids=["target-0", "target-negative", "mixes-0", "periods-empty",
+        "periods-repeated", "periods-repeated-spelled-apart"])
+def test_cli_mitigation_eval_bad_perf_key_leaves_no_manifest(tmp_path, caplog, extra, message):
+    """A `perf.*` value the sweep cannot use ends the run with one line
+    naming the key, before the manifest is written."""
+    cfg = _cfg_file(tmp_path, **extra)
+    assert main(["mitigation-eval", "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [message]
+    assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"groups.n": 2},"a SiMRA group of 2 rows has no interior row to put on the bus"),
     ({"geometry.rows": 16, "groups.n": 32}, "only 0 groups of size 32 available"),
     ({"geometry.rows": 64, "groups.n": 32}, "only 2 groups of size 32 available"),
 ], ids=["pairs", "16-rows", "64-rows-2-subarrays"])
