@@ -18,11 +18,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .config import RunConfig, dumps_config, load_config
+from .config import RunConfig, dumps_config, finite, load_config
 from .disturbance import ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
-from .harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
+from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
 from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace, generate
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mitigation-eval", help="PRAC performance sweep")
     common(sp)
     sp.add_argument("--variant", help="report only this mitigation label")
-    sp.add_argument("--period", type=float, help="report only this PuD period")
+    sp.add_argument("--period", help="report only this PuD period, in ns")
 
     sp = sub.add_parser("trace-gen", help="emit a command trace for a pattern")
     common(sp)
@@ -110,19 +110,14 @@ def _experiment(cfg: RunConfig, profile: ChipProfile,
 
 
 def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
-    """The config's pattern, placed at the middle row; `characterize`
-    takes every parameter but the kind and the aggressors from it."""
-    kind = cfg.pattern
-    start = cfg.rows // 2
-    if kind == "comra":
-        aggr = (start, start + 1)
-    elif kind == "simra":
-        aggr = (start, start)
-    else:
-        aggr = (start - 1, start + 1)
+    """The config's pattern, placed at the middle row for `trace-gen`;
+    `characterize` and `attack` place it against each victim, and
+    `trr-eval` takes its on-time."""
+    mid = cfg.rows // 2
+    placed = {"comra": (mid, mid + 1), "simra": (mid, mid)}
     return PatternSpec(
-        kind=kind,
-        aggressors=aggr,
+        kind=cfg.pattern,
+        aggressors=placed.get(cfg.pattern, (mid - 1, mid + 1)),
         hammers=hammers,
         t_aggon=cfg.t_aggon_ns,
         act_gap=cfg.act_gap_ns,
@@ -142,8 +137,9 @@ def cmd_characterize(args) -> int:
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
     exp = _experiment(cfg, load_profile(cfg.profile))
+    template = _pattern(cfg)
     _write_manifest(cfg)
-    rows, failures = run_sweep(exp, kinds, _pattern(cfg), cfg.repeats)
+    rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
     for f in failures:
         log.warning("sweep cell failed: %s", f)
     paths = emit_report(rows, "characterize", cfg.out_dir)
@@ -155,20 +151,15 @@ def cmd_characterize(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _load(args)
     exp = _experiment(cfg, load_profile(cfg.profile))
-    if not 0 <= args.victim < exp.layout.rows:
-        raise ConfigError(f"victim {args.victim} outside bank of {exp.layout.rows} rows")
+    template = _pattern(cfg)
+    spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
+    generate(spec, exp.timing)  # a copy checks its timing here
     _write_manifest(cfg)
-    hc = find_hcfirst(_pattern(cfg), args.victim, exp, cfg.repeats)
-    row = {
-        "pattern": cfg.pattern,
-        "victim": args.victim,
-        "hcfirst": NO_FLIP if hc is None else hc,
-        "seed": cfg.seed,
-    }
-    write_csv(Path(cfg.out_dir) / "attack.csv",
-              ("pattern", "victim", "hcfirst", "seed"), [row])
-    print(f"{cfg.pattern} victim={args.victim}: "
-          + ("no flip within budget" if hc is None else f"HC_first={hc}"))
+    row = sweep_cell(exp, spec, args.victim, cfg.repeats)
+    write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),
+              [{"victim": row["row"], **{k: row[k] for k in ("pattern", "hcfirst", "seed")}}])
+    print(f"{cfg.pattern} victim={args.victim} aggressors={spec.aggressors}: "
+          f"HC_first={row['hcfirst']}")
     return 0
 
 
@@ -179,6 +170,7 @@ def cmd_trr_eval(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     profile = load_profile(cfg.profile)
+    t_on = _pattern(cfg).t_on(cfg.timing())
     # every seed shares the group map, and the chip must hold the setup
     groups = cfg.groups()
     if args.technique == "simra":
@@ -191,7 +183,7 @@ def cmd_trr_eval(args) -> int:
     for s in range(args.seeds):
         exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
         for trr, rows in ((None, off), (cfg.trr(), on)):
-            res = run_bypass(exp, setup, trr, windows, cfg.t_aggon_ns)
+            res = run_bypass(exp, setup, trr, windows, t_on)
             rows.append({"technique": setup.technique, "trr": int(trr is not None),
                          "seed": exp.seed, "bitflips": res.bitflips,
                          "trr_refreshes": res.trr_refreshes})
@@ -204,8 +196,12 @@ def cmd_trr_eval(args) -> int:
 
 def cmd_mitigation_eval(args) -> int:
     cfg = _load(args)
-    if args.period is not None and args.period <= 0:
-        raise ConfigError(f"--period must be positive, got {args.period:g}")
+    try:
+        period = None if args.period is None else finite(args.period)
+    except ValueError as e:
+        raise ConfigError(f"--period: {e}") from None
+    if period is not None and period <= 0:
+        raise ConfigError(f"--period must be positive, got {period:g}")
     variants = default_variants()
     if args.variant:
         if args.variant not in variants:
@@ -216,7 +212,7 @@ def cmd_mitigation_eval(args) -> int:
         variants = {k: v for k, v in variants.items() if k in ("none", args.variant)}
     _write_manifest(cfg)
     mixes = make_mixes(cfg.perf_mixes, cfg.seed)
-    periods = cfg.periods() if args.period is None else (args.period,)
+    periods = cfg.periods() if period is None else (period,)
     rows = evaluate_mixes(mixes, periods=periods, variants=variants,
                           target_reqs=cfg.perf_target_reqs)
     if args.variant:
@@ -238,9 +234,8 @@ def cmd_mitigation_eval(args) -> int:
 
 def cmd_trace_gen(args) -> int:
     cfg = _load(args)
-    spec = _pattern(cfg, hammers=args.hammers)
+    stream = generate(_pattern(cfg, hammers=args.hammers), cfg.timing())
     _write_manifest(cfg)
-    stream = generate(spec, cfg.timing())
     path = Path(cfg.out_dir) / "trace.txt"
     path.write_text(events_to_trace(stream.events), encoding="utf-8")
     print(path)

@@ -10,12 +10,14 @@ load(dump(cfg)) == cfg trivially.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 
 from . import keyval
 from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import REPEATS
+from .disturbance import T_REF_C
 from .patterns import PATTERN_KINDS, PatternSpec
 from .profiles import DEFAULT_PROFILE
 from .trreval import TrrConfig
@@ -42,7 +44,7 @@ class RunConfig:
     group_stride: int = 1
     # experiment conditions
     pattern: str = "rowhammer"
-    temp_c: float = 80.0
+    temp_c: float = T_REF_C
     t_aggon_ns: float = TimingParams.t_ras
     dp_aggr: int = 0x00
     act_gap_ns: float = PatternSpec.act_gap
@@ -106,9 +108,17 @@ class RunConfig:
 
     def periods(self) -> tuple[float, ...]:
         try:
-            return tuple(float(tok) for tok in self.perf_periods.split())
+            return tuple(finite(tok) for tok in self.perf_periods.split())
         except ValueError as e:
             raise ConfigError(f"perf.periods: {e}") from None
+
+
+def finite(raw: str) -> float:
+    """`raw` as a number, neither nan nor infinite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 def _int(raw: str) -> int:
@@ -118,10 +128,10 @@ def _int(raw: str) -> int:
 # config-file key -> (dataclass field, parser)
 _SCHEMA: dict[str, tuple[str, object]] = {
     "geometry.rows": ("rows", _int),
-    "timing.t_ras": ("t_ras", float),
-    "timing.t_rp": ("t_rp", float),
-    "timing.t_refi": ("t_refi", float),
-    "timing.t_refw": ("t_refw", float),
+    "timing.t_ras": ("t_ras", finite),
+    "timing.t_rp": ("t_rp", finite),
+    "timing.t_refi": ("t_refi", finite),
+    "timing.t_refw": ("t_refw", finite),
     "timing.acts_per_refi": ("acts_per_refi", _int),
     "profile": ("profile", str),
     "seed": ("seed", _int),
@@ -130,11 +140,11 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "groups.n": ("group_n", _int),
     "groups.stride": ("group_stride", _int),
     "pattern.kind": ("pattern", str),
-    "pattern.temp_c": ("temp_c", float),
-    "pattern.t_aggon_ns": ("t_aggon_ns", float),
+    "pattern.temp_c": ("temp_c", finite),
+    "pattern.t_aggon_ns": ("t_aggon_ns", finite),
     "pattern.dp_aggr": ("dp_aggr", _int),
-    "pattern.act_gap_ns": ("act_gap_ns", float),
-    "pattern.pre_act_gap_ns": ("pre_act_gap_ns", float),
+    "pattern.act_gap_ns": ("act_gap_ns", finite),
+    "pattern.pre_act_gap_ns": ("pre_act_gap_ns", finite),
     "search.repeats": ("repeats", _int),
     "mitigation.sampler_size": ("sampler_size", _int),
     "perf.mixes": ("perf_mixes", _int),

@@ -8,6 +8,7 @@ replay, so searches on it are independent and reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Iterable, Optional
 
@@ -21,6 +22,7 @@ from .dram import (
     TimingParams,
 )
 from .disturbance import (
+    T_REF_C,
     ChipProfile,
     DisturbanceState,
     accumulate,
@@ -58,7 +60,7 @@ class Experiment:
         groups: Optional[SimraGroupMap] = None,
         timing: Optional[TimingParams] = None,
         seed: int = 0,
-        temp_c: float = 80.0,
+        temp_c: float = T_REF_C,
         dp_aggr: Optional[int] = None,
     ):
         self.profile = profile
@@ -167,13 +169,10 @@ class Sequencer:
     def __init__(self, bank: Bank, start: float = 0.0):
         self.bank = bank
         self.t = max(start, bank.last_time + 1.0)
-        self.effects: list = []
 
     def _do(self, kind: str, row=None, payload=None, dt: float = 0.0):
         self.t += dt
-        self.effects.extend(
-            self.bank.apply(CommandEvent(self.t, kind, 0, row, payload))
-        )
+        self.bank.apply(CommandEvent(self.t, kind, 0, row, payload))
 
     def act(self, row: int, gap: float):
         self._do("ACT", row, dt=gap)
@@ -279,45 +278,80 @@ RESULT_COLUMNS = (
 )
 
 
+def aggressors_for(exp: Experiment, spec: PatternSpec, victim: int) -> tuple[int, int]:
+    """The rows a pattern of the spec's kind hammers to attack `victim`:
+    both neighbours inside the bank for row hammering and pressing, both
+    inside the victim's subarray for a copy (which lands only between
+    rows that share sense amplifiers), and the last row of a group of
+    `spec.n` rows right below the victim, in its subarray, for SiMRA."""
+    layout, kind = exp.layout, spec.kind
+    if not 0 <= victim < layout.rows:
+        raise ConfigError(f"victim {victim} outside bank of {layout.rows} rows")
+    below, above = victim - 1, victim + 1
+    if kind == "simra":
+        grp = exp.groups.group(victim, below) if exp.groups is not None and victim else None
+        if grp is None or len(grp) != spec.n or grp[-1] != below:
+            raise ConfigError(f"simra cannot attack row {victim}: the row below it does "
+                              f"not end a group of {spec.n} rows in its subarray")
+        return below, below
+    if not victim or above == layout.rows or (
+            kind == "comra" and not layout.same_subarray(below, above)):
+        raise ConfigError(f"{kind} cannot attack row {victim}: it needs a row on each "
+                          "side in " + ("its subarray" if kind == "comra" else "the bank"))
+    return below, above
+
+
 def _victims_for(
     exp: Experiment, template: PatternSpec, per_subarray: int
 ) -> list[tuple[int, PatternSpec]]:
-    """Victim rows on the experiment's chip and the template, placed to
-    attack each."""
-    layout, groups = exp.layout, exp.groups
+    """Up to `per_subarray` victim rows per subarray on the experiment's
+    chip, each with the template placed to attack it."""
+    layout, simra = exp.layout, template.kind == "simra"
+    if simra:  # the row right above each group
+        candidates = [grp[-1] + 1 for grp in exp.groups.groups] if exp.groups is not None else []
+    else:  # rows spread over each subarray
+        candidates = [v for start, count in layout.extents for v in
+                      range(start + 1, start + count - 1, max(1, (count - 2) // per_subarray))]
     picks: list[tuple[int, PatternSpec]] = []
-    if template.kind == "simra":
-        if groups is None:
-            raise ConfigError("simra sweep needs a group map")
-        n = template.n
-        seen_subarrays: dict[int, int] = {}
-        for grp in groups.groups:
-            if len(grp) != n:
-                continue
-            r2 = grp[-1]
-            sub = layout.subarray_of(r2)
-            if seen_subarrays.get(sub, 0) >= per_subarray:
-                continue
-            victim = r2 + 1
-            start, count = layout.extent(r2)
-            if victim >= start + count:
-                continue
-            seen_subarrays[sub] = seen_subarrays.get(sub, 0) + 1
-            picks.append((victim, replace(template, aggressors=(r2, r2))))
-        if not picks:
-            raise ConfigError(f"no group of {n} rows has its next row in its subarray")
-        return picks
-    for start, count in layout.extents:
-        step = max(1, (count - 2) // per_subarray)
-        chosen = 0
-        for victim in range(start + 1, start + count - 1, step):
-            if chosen >= per_subarray:
-                break
-            chosen += 1
-            picks.append((victim, replace(template, aggressors=(victim - 1, victim + 1))))
+    chosen: Counter = Counter()
+    for victim in candidates:
+        try:
+            aggr = aggressors_for(exp, template, victim)
+        except ConfigError:
+            continue
+        sub = layout.subarray_of(victim)
+        if chosen[sub] < per_subarray:
+            chosen[sub] += 1
+            picks.append((victim, replace(template, aggressors=aggr)))
     if not picks:
-        raise ConfigError("no subarray has a row between two others")
+        raise ConfigError(f"no group of {template.n} rows has its next row in its subarray"
+                          if simra else "no subarray has a row between two others")
     return picks
+
+
+def sweep_cell(exp: Experiment, spec: PatternSpec, victim: int, repeats: int) -> dict:
+    """The result row of one first-flip search: the placed pattern
+    against the victim, under the experiment's conditions."""
+    hc = find_hcfirst(spec, victim, exp, repeats)
+    # a stochastic search knows of one flip; a deterministic one scales a hammer
+    flips = 0 if hc is None else 1 if exp.is_stochastic(spec) else bits_flipped(
+        hc * exp.hammer_damage(spec).get(victim, 0.0))
+    simra, dp = spec.kind == "simra", exp.dp_aggr
+    return {
+        "pattern": spec.kind,
+        "kind": spec.kind,
+        "N": spec.n if simra else "",
+        "dp_aggr": "" if dp is None else f"0x{dp:02X}",
+        "dp_victim": "" if dp is None else f"0x{dp ^ 0xFF:02X}",
+        "temp_c": exp.temp_c,
+        "t_aggon_ns": spec.t_on(exp.timing),
+        "gap_ns": spec.act_gap if simra else "",
+        "region": classify_region(victim, exp.layout.extent(victim)),
+        "row": victim,
+        "hcfirst": NO_FLIP if hc is None else hc,
+        "flips": flips,
+        "seed": exp.seed,
+    }
 
 
 def run_sweep(
@@ -327,49 +361,25 @@ def run_sweep(
     repeats: int = REPEATS,
     per_subarray: int = 3,
 ) -> tuple[list[dict], list[str]]:
-    """First-flip search on up to `per_subarray` victims per subarray for
-    each kind, under the experiment's conditions.  Every pattern
-    parameter but the kind and the aggressors comes from the template.
+    """`sweep_cell` on up to `per_subarray` victims per subarray for each
+    kind.  Every pattern parameter but the kind and the aggressors comes
+    from the template.
 
     Returns the result rows and the failures: a kind with no victim on
     the chip, or a victim whose search fails, is recorded and skipped."""
     rows: list[dict] = []
     failures: list[str] = []
-    dp = exp.dp_aggr
     for kind in kinds:
         try:
             victims = _victims_for(exp, replace(template, kind=kind), per_subarray)
         except ConfigError as e:
             failures.append(f"{kind}: {e}")
             continue
-        simra = kind == "simra"
         for victim, spec in victims:
             try:
-                hc = find_hcfirst(spec, victim, exp, repeats)
+                rows.append(sweep_cell(exp, spec, victim, repeats))
             except ConfigError as e:
                 failures.append(f"{kind} victim {victim}: {e}")
-                continue
-            flips = 0
-            if hc is not None and not exp.is_stochastic(spec):
-                per = exp.hammer_damage(spec).get(victim, 0.0)
-                flips = bits_flipped(hc * per)
-            elif hc is not None:
-                flips = 1
-            rows.append({
-                "pattern": kind,
-                "kind": kind,
-                "N": spec.n if simra else "",
-                "dp_aggr": "" if dp is None else f"0x{dp:02X}",
-                "dp_victim": "" if dp is None else f"0x{dp ^ 0xFF:02X}",
-                "temp_c": exp.temp_c,
-                "t_aggon_ns": spec.t_on(exp.timing),
-                "gap_ns": spec.act_gap if simra else "",
-                "region": classify_region(victim, exp.layout.extent(victim)),
-                "row": victim,
-                "hcfirst": NO_FLIP if hc is None else hc,
-                "flips": flips,
-                "seed": exp.seed,
-            })
     return rows, failures
 
 

@@ -1,7 +1,7 @@
 """Access-pattern generators and the command-trace text format.
 
-All generators emit plain command streams; hammer counts are carried as
-metadata so harnesses can relate bus activity to disturbance dosage.
+All generators emit plain command streams with the time at which a
+next hammer may start, so a harness can repeat one hammer's stream.
 One hammer is: a double-sided activation pair (or single activation),
 one complete copy cycle, or one complete multi-activation op.
 """
@@ -39,10 +39,8 @@ class PatternSpec:
             raise ConfigError("t_aggon must be positive")
         if self.pre_act_gap <= 0 or self.act_gap <= 0:
             raise ConfigError("gaps must be positive")
-        if self.kind == "rowhammer" and len(self.aggressors) not in (1, 2):
-            raise ConfigError("rowhammer takes 1 or 2 aggressors")
-        if self.kind == "rowpress" and len(self.aggressors) not in (1, 2):
-            raise ConfigError("rowpress takes 1 or 2 aggressors")
+        if self.kind in ("rowhammer", "rowpress") and len(self.aggressors) not in (1, 2):
+            raise ConfigError(f"{self.kind} takes 1 or 2 aggressors")
         if self.kind == "comra" and len(self.aggressors) != 2:
             raise ConfigError("comra takes (src, dst)")
         if self.kind == "simra":
@@ -59,8 +57,6 @@ class PatternSpec:
 @dataclass
 class CommandStream:
     events: list[CommandEvent]
-    hammers: int
-    kind: str
     end_time: float = 0.0
 
 
@@ -86,7 +82,7 @@ def gen_rowhammer(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     t = 0.0
     for _ in range(spec.hammers):
         t = _hammer_pair(events, t, spec.aggressors, t_on, timing.t_rp)
-    return CommandStream(events, spec.hammers, spec.kind, t)
+    return CommandStream(events, t)
 
 
 def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
@@ -106,7 +102,7 @@ def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
         events.append(CommandEvent(t, "ACT", row=dst))
         events.append(CommandEvent(t + t_on, "PRE"))
         t += t_on + timing.t_rp
-    return CommandStream(events, spec.hammers, "comra", t)
+    return CommandStream(events, t)
 
 
 def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
@@ -121,7 +117,7 @@ def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
         events.append(CommandEvent(t + 2 * spec.act_gap, "ACT", row=r2))
         events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE"))
         t += 2 * spec.act_gap + t_on + timing.t_rp
-    return CommandStream(events, spec.hammers, "simra", t)
+    return CommandStream(events, t)
 
 
 def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:

@@ -43,26 +43,14 @@ def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[dict]) -> Pat
 
 def _hc_reports(rows: list[dict], out_dir: Path) -> list[Path]:
     measured = [r for r in rows if r.get("hcfirst") not in (None, "", NO_FLIP)]
-    dist = []
+    dist, minima = [], []
     for kind in sorted({r["kind"] for r in measured}):
-        vals = sorted(
-            (int(r["hcfirst"]) for r in measured if r["kind"] == kind), reverse=True
-        )
-        dist.extend(
-            {"kind": kind, "rank": i, "hcfirst": v} for i, v in enumerate(vals)
-        )
+        # most resilient row first
+        vals = sorted((int(r["hcfirst"]) for r in measured if r["kind"] == kind), reverse=True)
+        dist.extend({"kind": kind, "rank": i, "hcfirst": v} for i, v in enumerate(vals))
+        minima.append({"kind": kind, "min": vals[-1], "mean": round(sum(vals) / len(vals), 2),
+                       "count": len(vals)})
     p1 = write_csv(out_dir / "hc_distribution.csv", ("kind", "rank", "hcfirst"), dist)
-    minima = []
-    for kind in sorted({r["kind"] for r in measured}):
-        vals = [int(r["hcfirst"]) for r in measured if r["kind"] == kind]
-        minima.append(
-            {
-                "kind": kind,
-                "min": min(vals),
-                "mean": round(sum(vals) / len(vals), 2),
-                "count": len(vals),
-            }
-        )
     p2 = write_csv(out_dir / "hc_minima.csv", ("kind", "min", "mean", "count"), minima)
     return [p1, p2]
 

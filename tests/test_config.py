@@ -15,6 +15,7 @@ from pudsim.config import (
     load_config,
     loads_config,
 )
+from pudsim.disturbance import T_REF_C
 from pudsim.dram import SIMRA_GAP_MAX, SubarrayLayout, TimingParams
 from pudsim.errors import ConfigError
 from pudsim.harness import REPEATS
@@ -135,6 +136,7 @@ def test_defaults_come_from_the_component_types():
     assert cfg.repeats == REPEATS
     assert cfg.trr() == TrrConfig()
     assert cfg.t_aggon_ns == TimingParams.t_ras
+    assert cfg.temp_c == T_REF_C
     assert (cfg.act_gap_ns, cfg.pre_act_gap_ns) == (PatternSpec.act_gap, PatternSpec.pre_act_gap)
 
 

@@ -43,13 +43,17 @@ _SIMRA_ATTACK = {"pattern.kind": "simra", "profile": "gate_chip",
                  "search.repeats": "1"}
 _COMMANDS = {
     "characterize": (["characterize"], {}),
-    "attack": (["attack", "--victim", "128"], {}),
+    # a copy needs both neighbours in the victim's subarray, which row 128,
+    # the first of the second subarray, does not have
+    "attack": (["attack", "--victim", "130"], {}),
     # the exact search depends on its budget only where the first flip
     # lies beyond it: halving the budget turns this cell into noflip
     "attack-budget": (["attack", "--victim", "128"], {"profile": "budget_chip"}),
-    # the victim right above the group that row rows // 2 opens
+    # a victim right above a group of groups.n rows, whose last row the
+    # attack opens; at row 136 one repeat already finds the minimum of
+    # three, at row 152 it does not
     "attack-simra": (["attack", "--victim", "136"], _SIMRA_ATTACK),
-    "attack-simra-partial": (["attack", "--victim", "136"],
+    "attack-simra-partial": (["attack", "--victim", "152"],
                              {**_SIMRA_ATTACK, "pattern.act_gap_ns": "1.0"}),
     "trr-eval": (["trr-eval", "--technique", "simra", "--seeds", "1",
                   "--windows", "820"], {}),

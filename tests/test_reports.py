@@ -1,10 +1,12 @@
 """CSV report writers and the command-line front end."""
 
 import csv
+from dataclasses import fields
 
 import pytest
 
 from pudsim.cli import main
+from pudsim.config import _SCHEMA, RunConfig, finite
 from pudsim.errors import ConfigError, ShapeError
 from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.dram import TimingParams
@@ -396,6 +398,45 @@ def test_cli_act_gap_past_window_is_a_config_error(tmp_path, caplog):
     assert main(["characterize", "--config", str(cfg), "--kinds", "simra"]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].startswith("pattern.act_gap_ns")
+    assert not (tmp_path / "out").exists()
+
+
+# every float config key, read by characterize
+_FLOAT_KEYS = sorted(k for k, (_, parse) in _SCHEMA.items() if parse is finite)
+
+
+def test_every_float_field_parses_as_a_finite_number():
+    floats = {f.name for f in fields(RunConfig) if f.type == "float"}
+    assert {_SCHEMA[k][0] for k in _FLOAT_KEYS} == floats
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("args, settings, name", [
+    *[(["characterize"], {key: "{}"}, key) for key in _FLOAT_KEYS],
+    (["mitigation-eval"], {"perf.periods": "1000 {}"}, "perf.periods"),
+    (["mitigation-eval", "--period", "{}"], {}, "--period"),
+])
+def test_cli_non_finite_number_is_bad_input(tmp_path, caplog, args, settings, name, value):
+    cfg = _cfg_file(tmp_path, **{k: v.format(value) for k, v in settings.items()})
+    assert main([*(a.format(value) for a in args), "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{name}: not a finite number: '{value}'"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, settings, message", [
+    (["characterize"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
+    (["trr-eval"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
+    (["attack", "--victim", "100"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
+    (["trace-gen"], {"pattern.kind": "comra", "pattern.t_aggon_ns": 10},
+     "copy source must stay open at least tRAS"),
+    (["attack", "--victim", "100"], {"pattern.kind": "comra", "pattern.t_aggon_ns": 10},
+     "copy source must stay open at least tRAS"),
+])
+def test_cli_bad_pattern_leaves_no_manifest(tmp_path, caplog, args, settings, message):
+    cfg = _cfg_file(tmp_path, **settings)
+    assert main([*args, "--config", str(cfg)]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
     assert not (tmp_path / "out").exists()
 
 
