@@ -18,12 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .config import RunConfig, dumps_config, finite, load_config
+from .config import RunConfig, dumps_config, load_config
 from .disturbance import ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
-from .patterns import PATTERN_KINDS, PatternSpec, events_to_trace, generate
+from .patterns import PATTERN_KINDS, events_to_trace, generate
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mitigation-eval", help="PRAC performance sweep")
     common(sp)
     sp.add_argument("--variant", help="report only this mitigation label")
-    sp.add_argument("--period", help="report only this PuD period, in ns")
+    sp.add_argument("--period", help="sets perf.periods: the PuD periods to run, in ns")
 
     sp = sub.add_parser("trace-gen", help="emit a command trace for a pattern")
     common(sp)
@@ -109,23 +109,6 @@ def _experiment(cfg: RunConfig, profile: ChipProfile,
     )
 
 
-def _pattern(cfg: RunConfig, hammers: int = 1) -> PatternSpec:
-    """The config's pattern, placed at the middle row for `trace-gen`;
-    `characterize` and `attack` place it against each victim, and
-    `trr-eval` takes its on-time."""
-    mid = cfg.rows // 2
-    placed = {"comra": (mid, mid + 1), "simra": (mid, mid)}
-    return PatternSpec(
-        kind=cfg.pattern,
-        aggressors=placed.get(cfg.pattern, (mid - 1, mid + 1)),
-        hammers=hammers,
-        t_aggon=cfg.t_aggon_ns,
-        act_gap=cfg.act_gap_ns,
-        pre_act_gap=cfg.pre_act_gap_ns,
-        n=cfg.group_n,
-    )
-
-
 def cmd_characterize(args) -> int:
     cfg = _load(args)
     kinds = args.kinds.split()
@@ -137,7 +120,7 @@ def cmd_characterize(args) -> int:
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
     exp = _experiment(cfg, load_profile(cfg.profile))
-    template = _pattern(cfg)
+    template = cfg.pattern()
     _write_manifest(cfg)
     rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
     for f in failures:
@@ -151,14 +134,14 @@ def cmd_characterize(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _load(args)
     exp = _experiment(cfg, load_profile(cfg.profile))
-    template = _pattern(cfg)
+    template = cfg.pattern()
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
     generate(spec, exp.timing)  # a copy checks its timing here
     _write_manifest(cfg)
     row = sweep_cell(exp, spec, args.victim, cfg.repeats)
     write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),
               [{"victim": row["row"], **{k: row[k] for k in ("pattern", "hcfirst", "seed")}}])
-    print(f"{cfg.pattern} victim={args.victim} aggressors={spec.aggressors}: "
+    print(f"{cfg.pattern_kind} victim={args.victim} aggressors={spec.aggressors}: "
           f"HC_first={row['hcfirst']}")
     return 0
 
@@ -170,11 +153,11 @@ def cmd_trr_eval(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     profile = load_profile(cfg.profile)
-    t_on = _pattern(cfg).t_on(cfg.timing())
+    t_on = cfg.pattern().t_on(cfg.timing())
     # every seed shares the group map, and the chip must hold the setup
     groups = cfg.groups()
     if args.technique == "simra":
-        setup = make_simra_setup(groups, cfg.group_n, count=4)
+        setup = make_simra_setup(groups, cfg.group_n)
     else:
         setup = make_rh_setup(pairs=1)
     _write_manifest(cfg)
@@ -184,7 +167,7 @@ def cmd_trr_eval(args) -> int:
         exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
         for trr, rows in ((None, off), (cfg.trr(), on)):
             res = run_bypass(exp, setup, trr, windows, t_on)
-            rows.append({"technique": setup.technique, "trr": int(trr is not None),
+            rows.append({"technique": setup.kind, "trr": int(trr is not None),
                          "seed": exp.seed, "bitflips": res.bitflips,
                          "trr_refreshes": res.trr_refreshes})
     # all TRR-off rows first, then all TRR-on rows
@@ -196,12 +179,11 @@ def cmd_trr_eval(args) -> int:
 
 def cmd_mitigation_eval(args) -> int:
     cfg = _load(args)
-    try:
-        period = None if args.period is None else finite(args.period)
-    except ValueError as e:
-        raise ConfigError(f"--period: {e}") from None
-    if period is not None and period <= 0:
-        raise ConfigError(f"--period must be positive, got {period:g}")
+    if args.period is not None:
+        try:
+            cfg = replace(cfg, perf_periods=args.period)
+        except ConfigError as e:
+            raise ConfigError(str(e).replace("perf.periods", "--period")) from None
     variants = default_variants()
     if args.variant:
         if args.variant not in variants:
@@ -212,7 +194,7 @@ def cmd_mitigation_eval(args) -> int:
         variants = {k: v for k, v in variants.items() if k in ("none", args.variant)}
     _write_manifest(cfg)
     mixes = make_mixes(cfg.perf_mixes, cfg.seed)
-    periods = cfg.periods() if period is None else (period,)
+    periods = cfg.periods()
     rows = evaluate_mixes(mixes, periods=periods, variants=variants,
                           target_reqs=cfg.perf_target_reqs)
     if args.variant:
@@ -234,7 +216,7 @@ def cmd_mitigation_eval(args) -> int:
 
 def cmd_trace_gen(args) -> int:
     cfg = _load(args)
-    stream = generate(_pattern(cfg, hammers=args.hammers), cfg.timing())
+    stream = generate(cfg.pattern(hammers=args.hammers), cfg.timing())
     _write_manifest(cfg)
     path = Path(cfg.out_dir) / "trace.txt"
     path.write_text(events_to_trace(stream.events), encoding="utf-8")

@@ -10,7 +10,6 @@ load(dump(cfg)) == cfg trivially.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, fields
 
 from . import keyval
@@ -43,7 +42,7 @@ class RunConfig:
     group_n: int = 32
     group_stride: int = 1
     # experiment conditions
-    pattern: str = "rowhammer"
+    pattern_kind: str = "rowhammer"
     temp_c: float = T_REF_C
     t_aggon_ns: float = TimingParams.t_ras
     dp_aggr: int = 0x00
@@ -63,7 +62,7 @@ class RunConfig:
             raise ConfigError(f"groups.n must be one of {SIMRA_SIZES}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.pattern not in PATTERN_KINDS:
+        if self.pattern_kind not in PATTERN_KINDS:
             raise ConfigError(f"pattern.kind must be one of {PATTERN_KINDS}")
         if self.act_gap_ns > SIMRA_GAP_MAX:
             raise ConfigError(
@@ -76,12 +75,15 @@ class RunConfig:
         self.layout()
         self.timing()
         self.trr()
+        self.pattern()
         if self.perf_mixes < 1:
             raise ConfigError("perf.mixes must be >= 1")
         if self.perf_target_reqs < 1:
             raise ConfigError("perf.target_reqs must be >= 1")
         periods = self.periods()
-        if not periods or len(set(periods)) < len(periods) or min(periods) <= 0:
+        if periods and min(periods) <= 0:
+            raise ConfigError(f"perf.periods must be positive, got {min(periods):g}")
+        if not periods or len(set(periods)) < len(periods):
             raise ConfigError("perf.periods must list distinct positive periods")
 
     def layout(self) -> SubarrayLayout:
@@ -106,19 +108,32 @@ class RunConfig:
     def trr(self) -> TrrConfig:
         return TrrConfig(sampler_size=self.sampler_size)
 
+    def pattern(self, hammers: int = 1) -> PatternSpec:
+        """The config's pattern, placed at the middle row for `trace-gen`;
+        `characterize` and `attack` place it against each victim, and
+        `trr-eval` takes its on-time.  An error names the key at fault."""
+        mid = self.rows // 2
+        placed = {"comra": (mid, mid + 1), "simra": (mid, mid)}
+        try:
+            return PatternSpec(
+                kind=self.pattern_kind,
+                aggressors=placed.get(self.pattern_kind, (mid - 1, mid + 1)),
+                hammers=hammers,
+                t_aggon=self.t_aggon_ns,
+                act_gap=self.act_gap_ns,
+                pre_act_gap=self.pre_act_gap_ns,
+                n=self.group_n,
+            )
+        except ConfigError as e:
+            # PatternSpec's errors begin with its field, `<field>_ns` here
+            name, _, rest = str(e).partition(" ")
+            raise ConfigError(f"{_FIELD_TO_KEY.get(name + '_ns', name)} {rest}") from None
+
     def periods(self) -> tuple[float, ...]:
         try:
-            return tuple(finite(tok) for tok in self.perf_periods.split())
+            return tuple(keyval.finite(tok) for tok in self.perf_periods.split())
         except ValueError as e:
             raise ConfigError(f"perf.periods: {e}") from None
-
-
-def finite(raw: str) -> float:
-    """`raw` as a number, neither nan nor infinite."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
 
 
 def _int(raw: str) -> int:
@@ -128,10 +143,10 @@ def _int(raw: str) -> int:
 # config-file key -> (dataclass field, parser)
 _SCHEMA: dict[str, tuple[str, object]] = {
     "geometry.rows": ("rows", _int),
-    "timing.t_ras": ("t_ras", finite),
-    "timing.t_rp": ("t_rp", finite),
-    "timing.t_refi": ("t_refi", finite),
-    "timing.t_refw": ("t_refw", finite),
+    "timing.t_ras": ("t_ras", keyval.finite),
+    "timing.t_rp": ("t_rp", keyval.finite),
+    "timing.t_refi": ("t_refi", keyval.finite),
+    "timing.t_refw": ("t_refw", keyval.finite),
     "timing.acts_per_refi": ("acts_per_refi", _int),
     "profile": ("profile", str),
     "seed": ("seed", _int),
@@ -139,12 +154,12 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "layout.subarrays": ("subarrays", _int),
     "groups.n": ("group_n", _int),
     "groups.stride": ("group_stride", _int),
-    "pattern.kind": ("pattern", str),
-    "pattern.temp_c": ("temp_c", finite),
-    "pattern.t_aggon_ns": ("t_aggon_ns", finite),
+    "pattern.kind": ("pattern_kind", str),
+    "pattern.temp_c": ("temp_c", keyval.finite),
+    "pattern.t_aggon_ns": ("t_aggon_ns", keyval.finite),
     "pattern.dp_aggr": ("dp_aggr", _int),
-    "pattern.act_gap_ns": ("act_gap_ns", finite),
-    "pattern.pre_act_gap_ns": ("pre_act_gap_ns", finite),
+    "pattern.act_gap_ns": ("act_gap_ns", keyval.finite),
+    "pattern.pre_act_gap_ns": ("pre_act_gap_ns", keyval.finite),
     "search.repeats": ("repeats", _int),
     "mitigation.sampler_size": ("sampler_size", _int),
     "perf.mixes": ("perf_mixes", _int),

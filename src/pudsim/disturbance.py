@@ -110,16 +110,23 @@ class ChipProfile:
             if kind not in KINDS:
                 raise ConfigError(f"unknown disturbance kind {kind!r}")
             if lo <= 0 or mean < lo:
-                raise ConfigError(f"{kind}: need 0 < min <= mean, got ({lo}, {mean})")
+                raise ConfigError(f"threshold.{kind}: need 0 < min <= mean, got ({lo}, {mean})")
         for kind, anchors in self.t_on_anchors.items():
             ts = [t for t, _ in anchors]
             ms = [m for _, m in anchors]
             if ts != sorted(ts) or ms != sorted(ms):
-                raise ConfigError(f"{kind}: t_on anchors must be non-decreasing")
+                raise ConfigError(f"t_on.{kind}: anchors must be non-decreasing")
             if any(m <= 0 for m in ms) or any(t <= 0 for t in ts):
-                raise ConfigError(f"{kind}: t_on anchors must be positive")
-        if self.simra_n32_mult <= 0:
-            raise ConfigError("simra_n32_mult must be positive")
+                raise ConfigError(f"t_on.{kind}: anchors must be positive")
+        positive = {f"temp_step.{k}": m for k, m in self.temp_step.items()}
+        positive.update({f"region_mult.{r}": m for r, m in self.region_mult.items()})
+        positive["simra_n32_mult"] = self.simra_n32_mult
+        for key, m in positive.items():
+            if m <= 0:
+                raise ConfigError(f"{key} must be positive, got {m:g}")
+        for kind, table in self.dp_mult.items():
+            if any(m < 0 for m in table.values()):
+                raise ConfigError(f"dp_mult.{kind} must not be negative")
         self._contrib_cache: dict = {}
 
     def units_per_hammer(self, kind: str) -> float:
@@ -282,10 +289,6 @@ class ThresholdSet:
         if rows is None and kind in self.theta:
             rows = self._theta_lists[kind] = self.theta[kind].tolist()
         return rows
-
-    def hc(self, kind: str, profile: ChipProfile) -> np.ndarray:
-        """Thresholds converted back to calibration hammer counts."""
-        return self.theta[kind] / profile.units_per_hammer(kind)
 
 
 def _region_mults(profile: ChipProfile, layout: SubarrayLayout) -> np.ndarray:

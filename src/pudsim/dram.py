@@ -33,7 +33,7 @@ KIND_SIMRA = "simra"
 
 SIMRA_SIZES = (2, 4, 8, 16, 32)
 
-COMMANDS = ("ACT", "PRE", "RD", "WR", "REF", "RFM")
+COMMANDS = ("ACT", "PRE", "WR", "REF")
 
 # bytes each row stores
 ROW_BYTES = 8
@@ -206,19 +206,18 @@ class SimraGroupMap:
 
 @dataclass(frozen=True)
 class CommandEvent:
-    """One bus command.  time is absolute nanoseconds; row/payload are
-    optional depending on the command kind."""
+    """One bus command to the bank.  time is absolute nanoseconds;
+    row/payload are optional depending on the command kind."""
 
     time: float
     kind: str
-    bank: int = 0
     row: Optional[int] = None
     payload: Optional[bytes] = None
 
     def __post_init__(self):
         if self.kind not in COMMANDS:
             raise ConfigError(f"unknown command kind {self.kind!r}")
-        if self.kind in ("ACT", "WR", "RD") and self.row is None:
+        if self.kind in ("ACT", "WR") and self.row is None:
             raise ConfigError(f"{self.kind} requires a row")
 
 
@@ -424,11 +423,6 @@ class Bank:
         self.last_pre = cmd.time
         return effects
 
-    def _cmd_rd(self, cmd: CommandEvent) -> list:
-        if self.open is None or cmd.row not in self.open.rows:
-            raise ProtocolError(f"RD from closed row {cmd.row}")
-        return []
-
     def _cmd_wr(self, cmd: CommandEvent) -> list:
         act = self.open
         if act is None:
@@ -454,16 +448,9 @@ class Bank:
         effects.append(RefreshEffect(rows, cmd.time))
         return effects
 
-    def _cmd_rfm(self, cmd: CommandEvent) -> list:
-        if self.open is not None:
-            raise ProtocolError("RFM requires all rows precharged")
-        return self.flush()
-
     _HANDLERS = {
         "ACT": _cmd_act,
         "PRE": _cmd_pre,
-        "RD": _cmd_rd,
         "WR": _cmd_wr,
         "REF": _cmd_ref,
-        "RFM": _cmd_rfm,
     }

@@ -51,13 +51,14 @@ def default_cap(timing: TimingParams) -> int:
 class Experiment:
     """One simulated chip under fixed experiment conditions: the object
     `characterize`, `attack` and `trr-eval` build from their config and
-    read the chip, its thresholds and its conditions from."""
+    read the chip, its thresholds and its conditions from.  A chip
+    without activation groups has `SimraGroupMap(layout, ())`."""
 
     def __init__(
         self,
         profile: ChipProfile,
         layout: SubarrayLayout,
-        groups: Optional[SimraGroupMap] = None,
+        groups: SimraGroupMap,
         timing: Optional[TimingParams] = None,
         seed: int = 0,
         temp_c: float = T_REF_C,
@@ -90,7 +91,7 @@ class Experiment:
         for i in range(n):
             shift = i * one.end_time
             for time, kind, row, payload in hammer:
-                effects = bank.apply(CommandEvent(time + shift, kind, 0, row, payload))
+                effects = bank.apply(CommandEvent(time + shift, kind, row, payload))
                 if effects:
                     accumulate(state, effects, self.thresholds, self.profile,
                                temp_c=self.temp_c, dp=self.dp_aggr)
@@ -166,13 +167,13 @@ def find_hcfirst(
 class Sequencer:
     """Thin cursor over a bank for scripted command sequences."""
 
-    def __init__(self, bank: Bank, start: float = 0.0):
+    def __init__(self, bank: Bank):
         self.bank = bank
-        self.t = max(start, bank.last_time + 1.0)
+        self.t = max(0.0, bank.last_time + 1.0)
 
     def _do(self, kind: str, row=None, payload=None, dt: float = 0.0):
         self.t += dt
-        self.bank.apply(CommandEvent(self.t, kind, 0, row, payload))
+        self.bank.apply(CommandEvent(self.t, kind, row, payload))
 
     def act(self, row: int, gap: float):
         self._do("ACT", row, dt=gap)
@@ -289,7 +290,7 @@ def aggressors_for(exp: Experiment, spec: PatternSpec, victim: int) -> tuple[int
         raise ConfigError(f"victim {victim} outside bank of {layout.rows} rows")
     below, above = victim - 1, victim + 1
     if kind == "simra":
-        grp = exp.groups.group(victim, below) if exp.groups is not None and victim else None
+        grp = exp.groups.group(victim, below) if victim else None
         if grp is None or len(grp) != spec.n or grp[-1] != below:
             raise ConfigError(f"simra cannot attack row {victim}: the row below it does "
                               f"not end a group of {spec.n} rows in its subarray")
@@ -308,7 +309,7 @@ def _victims_for(
     chip, each with the template placed to attack it."""
     layout, simra = exp.layout, template.kind == "simra"
     if simra:  # the row right above each group
-        candidates = [grp[-1] + 1 for grp in exp.groups.groups] if exp.groups is not None else []
+        candidates = [grp[-1] + 1 for grp in exp.groups.groups]
     else:  # rows spread over each subarray
         candidates = [v for start, count in layout.extents for v in
                       range(start + 1, start + count - 1, max(1, (count - 2) // per_subarray))]

@@ -6,6 +6,7 @@ paths, values are uninterpreted strings; typing happens in the consumer.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -44,11 +45,10 @@ def load(path: str | Path) -> dict[str, str]:
     return loads(text, source=str(p))
 
 
-def parse_float(values: dict[str, str], key: str, default: float) -> float:
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError as e:
-        raise ConfigError(f"{key}: not a number: {values[key]!r}") from e
-
+def finite(raw: str) -> float:
+    """`raw` as a number, neither nan nor infinite: the one number parse
+    of run configs and chip profiles."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value

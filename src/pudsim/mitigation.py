@@ -52,12 +52,6 @@ class PracConfig:
                 raise ConfigError(f"weight[{k}] must be >= 1")
 
 
-@dataclass(frozen=True)
-class PracUpdate:
-    latency: float
-    backoff: bool  # device asserted back-off; controller must RFM
-
-
 class PracState:
     def __init__(self, config: PracConfig, rows: int, t_rc: float = TimingParams().t_rc):
         self.config = config
@@ -67,10 +61,10 @@ class PracState:
         self._at_rdt = 0  # counters at or above the back-off threshold
         self.backoff_pending = False
         self.backoffs = 0
-        self.rfms = 0
 
-    def on_op(self, kind: str, opened: Iterable[int]) -> PracUpdate:
-        """Count one completed operation.
+    def on_op(self, kind: str, opened: Iterable[int]) -> float:
+        """Count one completed operation; returns the time it blocks the
+        bank.
 
         `opened` is every row the op physically opened (all group members
         for a group op, src and dst for a copy cycle).  The counters see
@@ -96,8 +90,7 @@ class PracState:
         if self._at_rdt and not self.backoff_pending:
             self.backoff_pending = True
             self.backoffs += 1
-        latency = self.t_rc * len(rows) if cfg.mode == "ao" else self.t_rc
-        return PracUpdate(latency=latency, backoff=self.backoff_pending)
+        return self.t_rc * len(rows) if cfg.mode == "ao" else self.t_rc
 
     def _clear(self, row: int) -> None:
         if self.counters.pop(row, 0) >= self.config.rdt:
@@ -106,7 +99,6 @@ class PracState:
     def rfm(self) -> tuple[int, ...]:
         """Service one RFM: refresh neighbors of the hottest row and clear
         its counter.  Returns the refreshed victim rows."""
-        self.rfms += 1
         if not self.counters:
             self.backoff_pending = False
             return ()

@@ -35,10 +35,10 @@ class PatternSpec:
             raise ConfigError(f"unknown pattern kind {self.kind!r}")
         if self.hammers < 0:
             raise ConfigError("hammers must be >= 0")
-        if self.t_aggon is not None and self.t_aggon <= 0:
-            raise ConfigError("t_aggon must be positive")
-        if self.pre_act_gap <= 0 or self.act_gap <= 0:
-            raise ConfigError("gaps must be positive")
+        for name in ("t_aggon", "pre_act_gap", "act_gap"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.kind in ("rowhammer", "rowpress") and len(self.aggressors) not in (1, 2):
             raise ConfigError(f"{self.kind} takes 1 or 2 aggressors")
         if self.kind == "comra" and len(self.aggressors) != 2:
@@ -130,11 +130,12 @@ def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:
 
 
 # ---------------------------------------------------------------------------
-# Trace text format: <time_ns> <CMD> <bank> [<row>] [<hex payload>]
+# Trace text format: <time_ns> <CMD> <bank> [<row>] [<hex payload>]; the
+# model has one bank, bank 0
 
 
 def format_event(e: CommandEvent) -> str:
-    parts = [f"{e.time:.3f}".rstrip("0").rstrip("."), e.kind, str(e.bank)]
+    parts = [f"{e.time:.3f}".rstrip("0").rstrip("."), e.kind, "0"]
     if e.row is not None:
         parts.append(str(e.row))
     if e.payload is not None:

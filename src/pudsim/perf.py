@@ -220,7 +220,7 @@ def _pud_steps(prac: Optional[PracState]) -> Iterator[tuple[bool, float, int]]:
             continue
         u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
         u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
-        yield False, op_time + (u1.latency + u2.latency), prac.backoffs
+        yield False, op_time + (u1 + u2), prac.backoffs
 
 
 class _PudSteps(list):

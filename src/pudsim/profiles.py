@@ -20,14 +20,18 @@ DEFAULT_PROFILE = "skhynix_a_8gb"
 _SHIPPED = Path(__file__).parent / "profiles"
 
 
+def _number(text: str, key: str) -> float:
+    try:
+        return keyval.finite(text)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
 def _parse_pair(text: str, key: str) -> tuple[float, float]:
     parts = text.split()
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 'min mean', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise ConfigError(f"{key}: not numbers: {text!r}") from e
+    return _number(parts[0], key), _number(parts[1], key)
 
 
 def _parse_anchor_list(text: str, key: str) -> tuple[tuple[float, float], ...]:
@@ -35,9 +39,9 @@ def _parse_anchor_list(text: str, key: str) -> tuple[tuple[float, float], ...]:
     for token in text.split():
         t, _, m = token.partition(":")
         try:
-            anchors.append((float(t), float(m)))
+            anchors.append((keyval.finite(t), keyval.finite(m)))
         except ValueError as e:
-            raise ConfigError(f"{key}: bad anchor {token!r}") from e
+            raise ConfigError(f"{key}: bad anchor {token!r}: {e}") from None
     if not anchors:
         raise ConfigError(f"{key}: empty anchor list")
     return tuple(anchors)
@@ -48,9 +52,9 @@ def _parse_dp_table(text: str, key: str) -> dict[int, float]:
     for token in text.split():
         b, _, m = token.partition(":")
         try:
-            table[int(b, 0) & 0xFF] = float(m)
+            table[int(b, 0) & 0xFF] = keyval.finite(m)
         except ValueError as e:
-            raise ConfigError(f"{key}: bad entry {token!r}") from e
+            raise ConfigError(f"{key}: bad entry {token!r}: {e}") from None
     return table
 
 
@@ -78,12 +82,14 @@ def profile_from_values(values: dict[str, str]) -> ChipProfile:
     for kind in KINDS:
         if f"threshold.{kind}" in values:
             thresholds[kind] = _parse_pair(values[f"threshold.{kind}"], f"threshold.{kind}")
-        temp_step[kind] = keyval.parse_float(values, f"temp_step.{kind}", temp_step[kind])
+        if f"temp_step.{kind}" in values:
+            temp_step[kind] = _number(values[f"temp_step.{kind}"], f"temp_step.{kind}")
         if f"t_on.{kind}" in values:
             t_on_anchors[kind] = _parse_anchor_list(values[f"t_on.{kind}"], f"t_on.{kind}")
         if f"dp_mult.{kind}" in values:
             dp_mult[kind].update(_parse_dp_table(values[f"dp_mult.{kind}"], f"dp_mult.{kind}"))
-    region_mult = {r: keyval.parse_float(values, f"region_mult.{r}", 1.0) for r in REGIONS}
+    region_mult = {r: _number(values.get(f"region_mult.{r}", "1"), f"region_mult.{r}")
+                   for r in REGIONS}
     return ChipProfile(
         name=values["name"],
         vendor=values.get("vendor", ""),

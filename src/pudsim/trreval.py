@@ -40,12 +40,12 @@ class TrrConfig:
 
 @dataclass
 class BypassSetup:
-    """Aggressor/victim placement for one bypass run."""
+    """Aggressor placement for one bypass run: each bus-visible row, in
+    schedule order, with the rows its op opens (the whole group for
+    SiMRA)."""
 
-    technique: str  # 'rh' or 'simra'
-    aggressors: tuple[int, ...]  # bus-visible rows (r2 rows for simra)
-    groups: dict[int, tuple[int, ...]] = field(default_factory=dict)  # r2 -> members
-    n: int = 2  # group size for simra
+    kind: str  # RH or SIMRA
+    opened: dict[int, tuple[int, ...]]
 
 
 @dataclass
@@ -59,50 +59,44 @@ class BypassResult:
 # first RowHammer aggressor row, and the rows between successive pairs
 _RH_BASE = 8
 _RH_SPACING = 8
+# SiMRA groups a bypass run hammers
+_SIMRA_GROUPS = 4
 
 
 def make_rh_setup(pairs: int) -> BypassSetup:
     """`pairs` double-sided aggressor pairs, each sandwiching one victim."""
-    aggr = []
-    for i in range(pairs):
-        b = _RH_BASE + i * _RH_SPACING
-        aggr.extend((b, b + 2))
-    return BypassSetup(technique="rh", aggressors=tuple(aggr))
+    bases = [_RH_BASE + i * _RH_SPACING for i in range(pairs)]
+    return BypassSetup(RH, {a: (a,) for b in bases for a in (b, b + 2)})
 
 
-def make_simra_setup(groups: SimraGroupMap, n: int, count: int) -> BypassSetup:
-    """The first `count` groups of size n; the bus row is each group's
-    middle row, so a bus-watching sampler never lands next to the real
-    victims."""
+def make_simra_setup(groups: SimraGroupMap, n: int) -> BypassSetup:
+    """The first `_SIMRA_GROUPS` groups of size n; the bus row is each
+    group's middle row, so a bus-watching sampler never lands next to the
+    real victims."""
     if n < 3:
         raise ConfigError(f"a SiMRA group of {n} rows has no interior row to put on the bus")
-    picks = [grp for grp in groups.groups if len(grp) == n][:count]
-    if len(picks) < count:
+    picks = [grp for grp in groups.groups if len(grp) == n][:_SIMRA_GROUPS]
+    if len(picks) < _SIMRA_GROUPS:
         raise ConfigError(f"only {len(picks)} groups of size {n} available")
-    chosen = {grp[n // 2]: grp for grp in picks}
-    return BypassSetup(
-        technique="simra", aggressors=tuple(sorted(chosen)), groups=chosen, n=n
-    )
+    return BypassSetup(SIMRA, dict(sorted((grp[n // 2], grp) for grp in picks)))
 
 
 def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int, float]:
     """Per-victim effective units deposited by one aggressor window."""
-    profile, rows = exp.profile, exp.layout.rows
-    simra = setup.technique == "simra"
-    kind = SIMRA if simra else RH
-    n_aggr = len(setup.aggressors)
+    profile, rows, kind = exp.profile, exp.layout.rows, setup.kind
+    simra = kind == SIMRA
+    n_aggr = len(setup.opened)
     ops = exp.timing.acts_per_refi // (2 if simra else 1)
     # round-robin split of the window's op budget
     ops_per_aggr = [ops // n_aggr + (1 if i < ops % n_aggr else 0) for i in range(n_aggr)]
-    nf = profile.simra_n_factor(setup.n) if simra else 1.0
     # a RowHammer aggressor's own ACTs restore it; a chosen group's ops
     # would restore its rows too, which is not modelled yet
     # (test_simra_group_rows_agree)
-    restored = set() if simra else set(setup.aggressors)
+    restored = set() if simra else set(setup.opened)
     dose: dict[int, float] = {}
-    for i, a in enumerate(setup.aggressors):
-        opened = set(setup.groups[a]) if simra else {a}
-        for v, d in victim_distances(kind, opened):
+    for i, opened in enumerate(setup.opened.values()):
+        nf = profile.simra_n_factor(len(opened)) if simra else 1.0
+        for v, d in victim_distances(kind, set(opened)):
             if v in restored or not 0 <= v < rows:
                 continue
             c = contribution(kind, exp.dp_aggr, exp.temp_c, t_on, d, profile) * nf
@@ -124,8 +118,7 @@ def run_bypass(
     Aggressors are held open `t_on` ns at the experiment's temperature
     and hold its data pattern; the TRR sampler draws from the
     experiment's seed."""
-    rows = exp.layout.rows
-    kind = SIMRA if setup.technique == "simra" else RH
+    rows, kind = exp.layout.rows, setup.kind
     theta = exp.thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
@@ -154,7 +147,7 @@ def run_bypass(
         pos = (acts - 1) - j[caught]  # position within that aggressor window
         # round-robin schedule: op p went to aggressor p % n
         op_idx = pos // (2 if kind == SIMRA else 1)
-        aggr = np.array(setup.aggressors)[op_idx % len(setup.aggressors)]
+        aggr = np.array(list(setup.opened))[op_idx % len(setup.opened)]
         trr_refreshes = len(aggr)
         reset(w[caught], aggr - 1)
         reset(w[caught], aggr + 1)

@@ -83,7 +83,7 @@ def test_criterion_02_trr_bypass_reproduction():
     totals = {}
     for technique, setup_of in (
         ("rh", lambda: make_rh_setup(pairs=1)),
-        ("simra", lambda: make_simra_setup(groups, 32, count=4)),
+        ("simra", lambda: make_simra_setup(groups, 32)),
     ):
         off = on = 0
         for s in range(5):
@@ -135,7 +135,7 @@ def test_criterion_03_bisection_equals_linear_scan():
     for theta_units in (10, 500, 10_000, 100_000):
         profile = _flat({RH: theta_units / 2.0})  # double-sided: 2 units/hammer
         thresholds = sample_thresholds(profile, layout, seed=1)
-        exp = Experiment(profile, layout, None, seed=1)
+        exp = Experiment(profile, layout, SimraGroupMap(layout, ()), seed=1)
         got = find_hcfirst(spec, 32, exp, repeats=2)
         # independent route: deposit one double-sided hammer at a time
         state = DisturbanceState(rows=64)
@@ -273,8 +273,8 @@ def test_criterion_07_prac_latency_model():
     ao = PracState(PracConfig(mode="ao", rdt=10**6), rows=64, t_rc=49.5)
     po = PracState(PracConfig(mode="po", rdt=10**6), rows=64, t_rc=49.5)
     ok = (
-        ao.on_op(SIMRA, rows).latency == 32 * 49.5
-        and po.on_op(SIMRA, rows).latency == 49.5
+        ao.on_op(SIMRA, rows) == 32 * 49.5
+        and po.on_op(SIMRA, rows) == 49.5
     )
     _verdict("7", "AO group update blocks 32 x tRC, PO blocks tRC", ok)
 
@@ -311,7 +311,7 @@ def test_criterion_09_calibration_fidelity():
         profile = load_profile(name)
         thresholds = sample_thresholds(profile, layout, seed=42)
         for kind, (lo, mean) in profile.thresholds.items():
-            hc = thresholds.hc(kind, profile)
+            hc = thresholds.theta[kind] / profile.units_per_hammer(kind)
             worst_min = max(worst_min, abs(float(hc.min()) - lo) / lo)
             worst_mean = max(worst_mean, abs(float(hc.mean()) - mean) / mean)
     ok = worst_min <= 0.20 and worst_mean <= 0.05

@@ -137,7 +137,7 @@ def test_zero_variance_profile_is_exact():
     layout = SubarrayLayout.uniform(256, 64)
     prof = flat_profile(rh=1000.0)
     ts = sample_thresholds(prof, layout, seed=1)
-    assert np.allclose(ts.hc(RH, prof), 1000.0)
+    assert np.allclose(ts.theta[RH] / prof.units_per_hammer(RH), 1000.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -145,7 +145,7 @@ def test_sampled_population_hits_min_and_mean(profile, seed):
     layout = SubarrayLayout.uniform(4096, 512)
     ts = sample_thresholds(profile, layout, seed)
     for kind, (lo, mean) in profile.thresholds.items():
-        hc = ts.hc(kind, profile)
+        hc = ts.theta[kind] / profile.units_per_hammer(kind)
         assert hc.min() == pytest.approx(lo, rel=1e-9)
         assert hc.mean() == pytest.approx(mean, rel=1e-9)
         assert (hc > 0).all()
@@ -166,7 +166,7 @@ def test_region_multiplier_scales_thresholds():
     prof = flat_profile(rh=1000.0)
     prof.region_mult["End"] = 0.5
     ts = sample_thresholds(prof, layout, seed=0)
-    hc = ts.hc(RH, prof)
+    hc = ts.theta[RH] / prof.units_per_hammer(RH)
     assert np.allclose(hc[:20], 1000.0)
     assert np.allclose(hc[80:], 500.0)
 

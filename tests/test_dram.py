@@ -52,7 +52,7 @@ class Seq:
 
     def cmd(self, kind, row=None, payload=None, dt=1.0):
         self.t += dt
-        ev = CommandEvent(time=self.t, kind=kind, bank=0, row=row, payload=payload)
+        ev = CommandEvent(time=self.t, kind=kind, row=row, payload=payload)
         out = self.bank.apply(ev)
         self.effects.extend(out)
         return out
@@ -247,7 +247,8 @@ def reference_victims(layout, table, n, per_subarray):
 
 def reference_simra_setup(table, n, count):
     """The interior row of each sorted group of n, in key order, skipping
-    interiors already chosen or inside a chosen group."""
+    interiors already chosen or inside a chosen group, each with its
+    group, sorted by interior row."""
     chosen = {}
     for r2 in sorted(table):
         grp = sorted(table[r2])
@@ -261,7 +262,7 @@ def reference_simra_setup(table, n, count):
         chosen[interior] = tuple(grp)
         if len(chosen) >= count:
             break
-    return tuple(sorted(chosen)), chosen
+    return dict(sorted(chosen.items()))
 
 
 _MAPS = {
@@ -283,12 +284,11 @@ def test_victims_and_trr_groups_match_the_per_row_scans(name):
     for per_subarray in (1, 3, 100):
         got = [(v, spec.aggressors) for v, spec in _victims_for(exp, template, per_subarray)]
         assert got == reference_victims(layout, table, n, per_subarray)
-    available = sum(len(g) == n for g in groups.groups)
-    for count in (1, 4, available):
-        setup = make_simra_setup(groups, n, count)
-        assert (setup.aggressors, setup.groups) == reference_simra_setup(table, n, count)
-    with pytest.raises(ConfigError, match=f"only {available} groups"):
-        make_simra_setup(groups, n, available + 1)
+    setup = make_simra_setup(groups, n)
+    assert list(setup.opened.items()) == list(reference_simra_setup(table, n, 4).items())
+    few = SimraGroupMap(layout, [g for g in groups.groups if len(g) == n][:3])
+    with pytest.raises(ConfigError, match="only 3 groups"):
+        make_simra_setup(few, n)
 
 
 # -- nominal command streams are free of multi-row effects -------------------

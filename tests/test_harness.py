@@ -46,7 +46,7 @@ def flat_experiment(theta, rows=64):
         dp_mult={},
     )
     layout = SubarrayLayout.uniform(rows, rows)
-    return Experiment(prof, layout, seed=0)
+    return Experiment(prof, layout, SimraGroupMap(layout, ()), seed=0)
 
 
 def linear_scan(exp, spec, victim, cap):
@@ -193,7 +193,7 @@ def test_sweep_records_unknown_kinds_as_failures(worstcase, layout, groups):
 
 
 def test_sweep_records_failures_instead_of_raising(worstcase, layout):
-    exp = Experiment(worstcase, layout, None, seed=1)
+    exp = Experiment(worstcase, layout, SimraGroupMap(layout, ()), seed=1)
     rows, failures = run_sweep(exp, ("simra",), TEMPLATE)
     assert failures and not rows
 

@@ -71,8 +71,8 @@ def test_ao_and_po_counters_identical(ops):
 def test_latency_differs_by_mode():
     ao, po = make_prac("ao"), make_prac("po")
     rows = tuple(range(32))
-    assert ao.on_op(SIMRA, rows).latency == pytest.approx(32 * T_RC)
-    assert po.on_op(SIMRA, rows).latency == pytest.approx(T_RC)
+    assert ao.on_op(SIMRA, rows) == pytest.approx(32 * T_RC)
+    assert po.on_op(SIMRA, rows) == pytest.approx(T_RC)
 
 
 @given(ops_strategy)
@@ -96,12 +96,12 @@ def test_unweighted_mode_counts_one_per_row():
 def test_backoff_asserts_at_rdt_and_rfm_clears_top():
     st_ = make_prac(rdt=30)
     for _ in range(3):
-        upd = st_.on_op(RH, (50,))
-    assert not upd.backoff
+        st_.on_op(RH, (50,))
+    assert not st_.backoff_pending
     st_.on_op(RH, (52,))
     for _ in range(29):
-        upd = st_.on_op(RH, (50,))
-    assert upd.backoff and st_.backoff_pending
+        st_.on_op(RH, (50,))
+    assert st_.backoff_pending
     refreshed = st_.rfm()
     assert set(refreshed) == {48, 49, 51, 52}
     assert 50 not in st_.counters
@@ -173,7 +173,7 @@ class ReferencePrac:
         self.config, self.rows, self.t_rc = config, rows, t_rc
         self.counters = {}
         self.backoff_pending = False
-        self.backoffs = self.rfms = 0
+        self.backoffs = 0
 
     def on_op(self, kind, opened):
         cfg = self.config
@@ -189,7 +189,6 @@ class ReferencePrac:
         return latency, self.backoff_pending
 
     def rfm(self):
-        self.rfms += 1
         if not self.counters:
             self.backoff_pending = False
             return ()
@@ -229,8 +228,8 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
     fast, slow = PracState(cfg, rows=64), ReferencePrac(cfg, rows=64)
     for step in steps:
         if step[0] == "op":
-            upd = fast.on_op(step[1], step[2])
-            assert (upd.latency, upd.backoff) == slow.on_op(step[1], step[2])
+            latency = fast.on_op(step[1], step[2])
+            assert (latency, fast.backoff_pending) == slow.on_op(step[1], step[2])
         elif step[0] == "rfm":
             assert fast.rfm() == slow.rfm()
         else:
@@ -239,7 +238,7 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
             slow.on_refresh(rows)
         assert fast.counters == slow.counters
         assert fast.backoff_pending == slow.backoff_pending
-    assert (fast.backoffs, fast.rfms) == (slow.backoffs, slow.rfms)
+    assert fast.backoffs == slow.backoffs
 
 
 # -- secure back-off threshold -----------------------------------------------------

@@ -1,14 +1,19 @@
 """No function, class or method of the package sits unused.
 
-An AST scan of `src/pudsim` lists each top-level function and class,
-and each method that is not a dunder, whose name occurs nowhere else in
-`src/pudsim` or `perfbench/*.py`: no reference, attribute access or
-import of it.  Tests do not count as users, and neither do the package's
-`__init__.py` re-exports.  The list must equal ALLOWED, which names what
-is kept although the package does not use it, and why.
+An AST scan of `src/pudsim` lists each top-level function and class
+whose name occurs nowhere else in `src/pudsim` or `perfbench/*.py` (no
+reference, attribute access or import of it), and each method that is
+not a dunder and that no attribute access there names.  Tests do not
+count as users, and neither do the package's `__init__.py` re-exports.
+The list must equal ALLOWED, which names what is kept although the
+package does not use it, and why.
 
 A second scan lists each field of a dataclass of `src/pudsim` that no
 attribute read in those sources names, and must equal ALLOWED_FIELDS.
+
+A third counts the package's settable values, which must equal
+SETTABLE_VALUES: a change that adds a knob raises that number and says
+why.
 """
 
 import ast
@@ -35,8 +40,6 @@ ALLOWED_FIELDS = {
     "weak bit and the escalation over distinct bits",
     "disturbance.Bitflip.direction": "the value change of a flip by kind; "
     "tests pin the direction of each kind",
-    "mitigation.PracUpdate.backoff": "the device's back-off signal; the perf "
-    "model reads PracState.backoff_pending, tests pin both",
     "trreval.BypassResult.per_victim": "flips victim by victim; the TRR pins "
     "compare run_bypass with its references on it",
 }
@@ -50,43 +53,59 @@ def _sources():
 
 
 def _used_names(tree):
-    """Every identifier the module refers to, imports or accesses."""
-    names = Counter()
+    """Every identifier the module refers to, imports or accesses, and
+    every name it accesses as an attribute."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.keyword) and node.arg:
             names[node.arg] += 1
-    return names
+    return names, attrs
 
 
 def _definitions(module, tree):
-    """(qualified name, name) of each top-level function and class and
-    each non-dunder method."""
+    """(qualified name, name, owning class or None) of each top-level
+    function and class and each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, node
+
+
+def _class_level_names(cls):
+    """Names the class body refers to outside its methods, such as a
+    dispatch table of its methods."""
+    return {n.id for item in cls.body if not isinstance(item, ast.FunctionDef)
+            for n in ast.walk(item) if isinstance(n, ast.Name)}
 
 
 def unused_definitions():
-    used = Counter()
+    # a method is used only where it is accessed as an attribute or named
+    # in its class body: a local variable of the same name does not use it
+    used, accessed = Counter(), Counter()
     for path in _sources():
-        used.update(_used_names(ast.parse(path.read_text(encoding="utf-8"))))
+        names, attrs = _used_names(ast.parse(path.read_text(encoding="utf-8")))
+        used.update(names)
+        accessed.update(attrs)
     unused = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualname, name in _definitions(path.stem, tree):
-            if not used[name]:
+        for qualname, name, cls in _definitions(path.stem, tree):
+            if cls is None:
+                if not used[name]:
+                    unused.add(qualname)
+            elif not accessed[name] and name not in _class_level_names(cls):
                 unused.add(qualname)
     return unused
 
@@ -123,3 +142,27 @@ def test_every_definition_is_used_or_allowed():
 
 def test_every_dataclass_field_is_read_or_allowed():
     assert unread_fields() == set(ALLOWED_FIELDS)
+
+
+# Settable values of the package: each annotated field of a dataclass,
+# each default of a function's parameters, and each command-line option.
+SETTABLE_VALUES = 146
+
+
+def settable_values():
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+            elif isinstance(node, ast.FunctionDef):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                count += 1
+    return count
+
+
+def test_settable_values_are_counted():
+    assert settable_values() == SETTABLE_VALUES

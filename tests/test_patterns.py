@@ -89,9 +89,10 @@ def read_trace_line(line):
     """The event one trace line describes: `<time> <CMD> <bank> [<row>]
     [0x<payload>]`."""
     time, kind, bank, *rest = line.split()
+    assert bank == "0"
     row = int(rest.pop(0)) if rest and not rest[0].startswith("0x") else None
     payload = bytes.fromhex(rest[0][2:]) if rest else None
-    return CommandEvent(float(time), kind, int(bank), row, payload)
+    return CommandEvent(float(time), kind, row, payload)
 
 
 def test_trace_round_trip():
@@ -105,9 +106,9 @@ def test_trace_round_trip():
 @given(st.binary(min_size=1, max_size=8))
 def test_trace_round_trip_preserves_payload(payload):
     events = [
-        CommandEvent(1.0, "ACT", 0, 5),
-        CommandEvent(2.0, "WR", 0, 5, payload),
-        CommandEvent(40.0, "PRE", 0),
+        CommandEvent(1.0, "ACT", 5),
+        CommandEvent(2.0, "WR", 5, payload),
+        CommandEvent(40.0, "PRE"),
     ]
     text = events_to_trace(events)
     assert [read_trace_line(line) for line in text.splitlines()] == events

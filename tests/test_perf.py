@@ -289,7 +289,7 @@ def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
         if prac is not None:
             u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
             u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
-            service += u1.latency + u2.latency
+            service += u1 + u2
         done = start + service
         completed += 1
         if completed == 1:

@@ -92,3 +92,35 @@ def test_profile_named_by_path_is_checked_alike(tmp_path, caplog, args):
 def test_unknown_profile_name_ends_the_run(tmp_path, caplog, args):
     message = _run_expecting_one_error(tmp_path, caplog, args, "nope")
     assert message.startswith("no profile named 'nope'")
+
+
+# one bad number per line, for every key family; the error names the line's key
+_BAD_NUMBERS = [
+    *(line.format(v) for v in ("nan", "inf") for line in (
+        "threshold.rh = {} 14800",
+        "threshold.rh = 6700 {}",
+        "t_on.rh = 36:1 144:{}",
+        "t_on.rh = {}:1",
+        "dp_mult.rh = 0x55:{}",
+        "temp_step.rh = {}",
+        "region_mult.Middle = {}",
+    )),
+    "temp_step.rh = -1",
+    "temp_step.rh = 0",
+    "region_mult.Middle = -1",
+    "region_mult.Middle = 0",
+    "dp_mult.rh = 0x55:-1",
+    "threshold.rh = 0 14800",
+    "t_on.rh = 36:2 144:1",
+    "t_on.rh = 0:1",
+]
+
+
+@pytest.mark.parametrize("args", _SUBCOMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize("line", _BAD_NUMBERS)
+def test_bad_profile_number_names_its_key(tmp_path, caplog, monkeypatch, args, line):
+    key, _, value = line.partition(" = ")
+    values = {"name": "bad_chip", "threshold.rh": "6700 14800", key: value}
+    (tmp_path / "bad_chip.profile").write_text(keyval.dumps(values))
+    monkeypatch.setenv("PUDSIM_PROFILE_DIR", str(tmp_path))
+    assert _run_expecting_one_error(tmp_path, caplog, args, "bad_chip").startswith(key)

@@ -5,10 +5,12 @@ from dataclasses import fields
 
 import pytest
 
+from pudsim import keyval
 from pudsim.cli import main
-from pudsim.config import _SCHEMA, RunConfig, finite
+from pudsim.config import _SCHEMA, RunConfig
 from pudsim.errors import ConfigError, ShapeError
 from pudsim.harness import NO_FLIP, RESULT_COLUMNS
+from pudsim.keyval import finite
 from pudsim.dram import TimingParams
 from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
@@ -425,9 +427,10 @@ def test_cli_non_finite_number_is_bad_input(tmp_path, caplog, args, settings, na
 
 
 @pytest.mark.parametrize("args, settings, message", [
-    (["characterize"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
-    (["trr-eval"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
-    (["attack", "--victim", "100"], {"pattern.t_aggon_ns": 0}, "t_aggon must be positive"),
+    (["characterize"], {"pattern.t_aggon_ns": 0}, "pattern.t_aggon_ns must be positive"),
+    (["trr-eval"], {"pattern.t_aggon_ns": 0}, "pattern.t_aggon_ns must be positive"),
+    (["attack", "--victim", "100"], {"pattern.t_aggon_ns": 0},
+     "pattern.t_aggon_ns must be positive"),
     (["trace-gen"], {"pattern.kind": "comra", "pattern.t_aggon_ns": 10},
      "copy source must stay open at least tRAS"),
     (["attack", "--victim", "100"], {"pattern.kind": "comra", "pattern.t_aggon_ns": 10},
@@ -440,14 +443,45 @@ def test_cli_bad_pattern_leaves_no_manifest(tmp_path, caplog, args, settings, me
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("args", [
+_EVERY_SUBCOMMAND = [
     ["characterize"],
     ["attack", "--victim", "255"],
     ["mitigation-eval"],
     ["trace-gen"],
     ["report", "--kind", "trr-eval", "--input", "missing.csv"],
     ["trr-eval", "--windows", "4"],
-])
+]
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND, ids=lambda a: a[0])
+@pytest.mark.parametrize("key", ["pattern.t_aggon_ns", "pattern.act_gap_ns",
+                                 "pattern.pre_act_gap_ns"])
+def test_cli_zero_pattern_time_names_its_key(tmp_path, caplog, args, key):
+    """The config's pattern is checked when the config loads, so a zero
+    time ends every subcommand, including those that run no pattern."""
+    cfg = _cfg_file(tmp_path, **{key: 0})
+    assert main([*args, "--config", str(cfg)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{key} must be positive"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_period_is_recorded_and_replays(tmp_path):
+    """`--period` sets `perf.periods`, so the manifest replays the run."""
+    cfg = _cfg_file(tmp_path, **{"perf.mixes": 1, "perf.target_reqs": 100})
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["mitigation-eval", "--config", str(cfg), "--period", "250",
+                 "--out", str(first)]) == 0
+    manifest = keyval.load(first / "manifest.cfg")
+    assert manifest["perf.periods"] == "250"
+    assert main(["mitigation-eval", "--config", str(first / "manifest.cfg"),
+                 "--out", str(replay)]) == 0
+    assert (replay / "perf.csv").read_bytes() == (first / "perf.csv").read_bytes()
+    rows = csv.DictReader((first / "perf.csv").read_text().splitlines())
+    assert {r["period_ns"] for r in rows} == {"250.0"}
+
+
+@pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
 def test_cli_jobs_is_only_for_trr_eval(tmp_path, caplog, args):
     # every subcommand, trr-eval included, runs in one process
     cfg = _cfg_file(tmp_path)

@@ -57,7 +57,8 @@ def bus_reference(exp, setup, windows, trr):
     aggressor."""
     t = exp.timing
     acts, slot = t.acts_per_refi, t.t_rc
-    simra = setup.technique == "simra"
+    simra = setup.kind == SIMRA
+    aggressors = list(setup.opened)
     bank = exp.fresh_bank()
     state = DisturbanceState(rows=exp.layout.rows)
     ring = deque(maxlen=trr.sampler_size) if trr is not None else None
@@ -66,7 +67,7 @@ def bus_reference(exp, setup, windows, trr):
     decoy = 0
 
     def play(time, kind, row=None):
-        effects = bank.apply(CommandEvent(time, kind, 0, row))
+        effects = bank.apply(CommandEvent(time, kind, row))
         if effects:
             accumulate(state, effects, exp.thresholds, exp.profile,
                        temp_c=exp.temp_c, dp=exp.dp_aggr)
@@ -77,7 +78,7 @@ def bus_reference(exp, setup, windows, trr):
         base = w * t.t_refi
         if w % 4 == 0:
             for i in range(acts // 2 if simra else acts):
-                a = setup.aggressors[i % len(setup.aggressors)]
+                a = aggressors[i % len(aggressors)]
                 if simra:  # ACT-PRE-ACT inside the multi-activation window
                     start = base + 2 * i * slot
                     play(start, "ACT", a)
@@ -96,7 +97,7 @@ def bus_reference(exp, setup, windows, trr):
         play(ref, "REF")
         if ring is not None:
             pick = ring[-1 - int(rng.integers(len(ring)))]
-            caught += pick in setup.aggressors
+            caught += pick in setup.opened
             rows = tuple(v for v in (pick - 1, pick + 1) if 0 <= v < exp.layout.rows)
             accumulate(state, [RefreshEffect(rows, ref)], exp.thresholds, exp.profile)
     return state, caught
@@ -109,7 +110,7 @@ def flips_per_row(state):
 def setup_for(exp, technique):
     if technique == "rh":
         return make_rh_setup(pairs=4)
-    return make_simra_setup(exp.groups, n=32, count=4)
+    return make_simra_setup(exp.groups, n=32)
 
 
 def assert_routes_agree(fast, state, caught, skip=frozenset()):
@@ -148,7 +149,7 @@ def test_simra_routes_agree_without_trr(chip, agg_windows):
 
 
 def _group_rows(setup):
-    return frozenset().union(*setup.groups.values())
+    return frozenset().union(*setup.opened.values())
 
 
 @pytest.mark.parametrize("trr", [None, TrrConfig()], ids=["trr-off", "trr-on"])
@@ -231,9 +232,8 @@ def test_bypass_is_deterministic_per_seed(chip):
 
 
 def test_simra_setup_uses_interior_bus_rows(chip):
-    setup = make_simra_setup(chip.groups, n=32, count=4)
-    for bus_row in setup.aggressors:
-        members = sorted(setup.groups[bus_row])
+    setup = make_simra_setup(chip.groups, n=32)
+    for bus_row, members in setup.opened.items():
         assert members[0] < bus_row < members[-1]
 
 
@@ -247,15 +247,16 @@ def reference_bypass(exp, setup, trr, windows, t_on):
     neighbours and the periodic refresh slice."""
     timing = exp.timing
     rows = exp.layout.rows
-    kind = SIMRA if setup.technique == "simra" else RH
+    kind = setup.kind
     theta = exp.thresholds.theta[kind]
     dose_units = _window_doses(exp, setup, t_on)
     victims = sorted(dose_units)
     dose = {v: dose_units[v] / float(theta[v]) for v in victims}
     rng = substream(exp.seed, "trr.sampler")
     acts = timing.acts_per_refi
-    n_aggr = len(setup.aggressors)
-    per_op = 2 if setup.technique == "simra" else 1
+    aggressors = list(setup.opened)
+    n_aggr = len(aggressors)
+    per_op = 2 if kind == SIMRA else 1
 
     damage = {v: 0.0 for v in victims}
     flipped = {v: 0 for v in victims}
@@ -280,7 +281,7 @@ def reference_bypass(exp, setup, trr, windows, t_on):
             back_w = w - j // acts
             pos = (acts - 1) - (j % acts)  # position within that window
             if back_w % 4 == 0:
-                a = setup.aggressors[(pos // per_op) % n_aggr]
+                a = aggressors[(pos // per_op) % n_aggr]
                 trr_refreshes += 1
                 for v in (a - 1, a + 1):
                     if v in damage:
@@ -303,7 +304,7 @@ def reference_bypass(exp, setup, trr, windows, t_on):
 def assert_matches_reference(exp, setup, trr, windows):
     fast = run_bypass(exp, setup, trr, windows, exp.timing.t_ras)
     slow = reference_bypass(exp, setup, trr, windows, exp.timing.t_ras)
-    assert fast == slow, (setup.technique, trr, windows)
+    assert fast == slow, (setup.kind, trr, windows)
     assert list(fast.per_victim) == list(slow.per_victim)
     return fast
 
@@ -315,7 +316,7 @@ def grid_chip(profile, rows, timing=TimingParams(), **conditions):
 
 
 def grid_setups(exp):
-    return (make_rh_setup(1), make_rh_setup(4), make_simra_setup(exp.groups, n=32, count=4))
+    return (make_rh_setup(1), make_rh_setup(4), make_simra_setup(exp.groups, n=32))
 
 
 SAMPLERS = (None, TrrConfig(1), TrrConfig(450), TrrConfig(100000))
@@ -377,7 +378,7 @@ def test_segment_damage_is_the_running_sum(profile):
     by a few ulps, so victim 1001 gets a threshold where they fall on
     opposite sides of the flip point."""
     exp = grid_chip(profile, 8192)
-    setup = BypassSetup(technique="rh", aggressors=(1000, 1002))
+    setup = BypassSetup(RH, {1000: (1000,), 1002: (1002,)})
     units = _window_doses(exp, setup, exp.timing.t_ras)[1001]
     doses = 100  # 397 windows end before row 1001's periodic refresh
 
