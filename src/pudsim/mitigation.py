@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .disturbance import BLAST_DECAY, COMRA, MAX_DISTANCE, RH, SIMRA
 from .dram import TimingParams
@@ -59,6 +59,8 @@ class PracState:
         self.t_rc = t_rc
         self.counters: dict[int, int] = {}
         self._at_rdt = 0  # counters at or above the back-off threshold
+        # the counters' (count, row), ascending, for an RFM burst; None once stale
+        self._order: Optional[list[tuple[int, int]]] = None
         self.backoff_pending = False
         self.backoffs = 0
 
@@ -74,12 +76,18 @@ class PracState:
         """
         cfg = self.config
         w = cfg.weights.get(kind, 1) if cfg.weighted else 1
-        rows = set(opened)
-        if not rows:
-            raise ConfigError("an operation must open at least one row")
-        if min(rows) < 0 or max(rows) >= self.rows:
+        rows = tuple(opened)
+        if len(rows) == 1:
+            lo = hi = rows[0]
+        else:
+            rows = set(rows)
+            if not rows:
+                raise ConfigError("an operation must open at least one row")
+            lo, hi = min(rows), max(rows)
+        if lo < 0 or hi >= self.rows:
             bad = min(r for r in rows if not 0 <= r < self.rows)
             raise ConfigError(f"row {bad} outside [0, {self.rows})")
+        self._order = None
         counters = self.counters
         rdt = cfg.rdt
         for r in rows:
@@ -97,13 +105,20 @@ class PracState:
             self._at_rdt -= 1
 
     def rfm(self) -> tuple[int, ...]:
-        """Service one RFM: refresh neighbors of the hottest row and clear
-        its counter.  Returns the refreshed victim rows."""
+        """Service one RFM: refresh neighbors of the hottest row (highest
+        count, ties broken toward the higher row address) and clear its
+        counter.  Returns the refreshed victim rows.
+
+        Back-to-back RFMs, with no op or refresh between them, share one
+        order: the first sorts the counters by (count, row) and each
+        pops the hottest row left, the row a scan would find.
+        """
         if not self.counters:
             self.backoff_pending = False
             return ()
-        # highest count; ties broken toward the higher row address
-        _, target = max(zip(self.counters.values(), self.counters.keys()))
+        if self._order is None:
+            self._order = sorted(zip(self.counters.values(), self.counters.keys()))
+        _, target = self._order.pop()
         self._clear(target)
         self.backoff_pending = self._at_rdt > 0
         return tuple(
@@ -115,6 +130,7 @@ class PracState:
 
     def on_refresh(self, rows: Iterable[int]) -> None:
         """Periodic refresh clears the refreshed rows' counters."""
+        self._order = None
         for r in rows:
             self._clear(r)
         self.backoff_pending = self._at_rdt > 0

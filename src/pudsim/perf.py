@@ -16,10 +16,14 @@ A run with conventional cores ends when the last of them completes its
 `target_reqs`-th request.  The PuD core is served until then: its ops
 and RFMs are those whose scheduling key (start, ready, core id) sorts
 before the key of that final request.  Without conventional cores it
-runs `target_reqs` ops.  One `evaluate_mixes` call draws each core's
-row stream once per mix and runs its timeline once per mitigation
-variant; it makes the PuD bank's PRAC steps, which see only the PuD
-core's ops, once per variant, and each (mix, period) only times them.
+runs `target_reqs` ops.  PRAC never reads the time, so a bank's counter
+updates and RFMs follow from its ops alone, and its times are then one
+`np.cumsum`, which rounds each partial sum in turn as the tests'
+request-by-request loops do.  One `evaluate_mixes` call draws each
+core's row stream once per mix and runs its timeline once per
+mitigation variant; it makes the PuD bank's PRAC steps, which see only
+the PuD core's ops, once per variant, and each (mix, period) only times
+them.
 """
 
 from __future__ import annotations
@@ -172,41 +176,39 @@ def _conventional(
     core_id: int,
     rows: list[int],
     mitigation: Optional[PracConfig],
-    target_reqs: int,
 ) -> tuple[float, int, int, float, tuple[float, float, int]]:
-    """One conventional core's timeline over `rows`: its rate, back-offs,
-    RFMs, the completion time and the scheduling key of its last request."""
+    """One conventional core's timeline over `rows`, one request each:
+    its rate, back-offs, RFMs, the completion time and the scheduling
+    key of its last request.
+
+    Only this core uses the bank, so a request starts when it is issued,
+    the previous completion plus the gap, after any RFMs pending from
+    the previous miss.  One pass over the misses makes the counter
+    updates and RFMs; the times are one prefix sum of 0.0 and, per
+    request, its RFMs, its service and the gap to the next."""
     prac = _prac(mitigation)
-    t_rc = _TIMING.t_rc
-    ready = free = 0.0
-    open_row = -1
-    rfms = completed = 0
-    while True:
-        row = rows[completed]
-        start = max(ready, free)
-        # a pending RFM blocks the bank before the request is served
-        while prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac)
-            rfms += 1
-            start = max(ready, free)
-        _watchdog(start)
-        if row == open_row:
-            done = start + T_HIT
-        else:
-            done = start + t_rc
-            open_row = row
-            if prac is not None:
-                # counter update hides in the precharge slot for
-                # single-row activations; no extra service time
-                prac.on_op(RH, (row,))
-        completed += 1
-        if completed >= target_reqs:
-            break
-        free = done
-        ready = done + spec.gap_ns
-    rate = completed * INSTR_PER_REQ / done
+    n = len(rows)
+    row = np.asarray(rows)
+    miss = np.concatenate(([True], row[1:] != row[:-1]))
+    inc = np.zeros(2 * n)
+    inc[1::2] = np.where(miss, _TIMING.t_rc, T_HIT)
+    inc[2::2] = spec.gap_ns
+    rfm_at, rfm_ns = [], []  # where in `inc` each RFM goes, and its time
+    if prac is not None:
+        for i in np.flatnonzero(miss).tolist():
+            # counter update hides in the precharge slot for single-row
+            # activations; no extra service time
+            prac.on_op(RH, (rows[i],))
+            while i + 1 < n and prac.backoff_pending:
+                rfm_at.append(2 * i + 3)
+                rfm_ns.append(_rfm(prac))
+    t = np.cumsum(np.insert(inc, rfm_at, rfm_ns))
+    # the last request became ready before the RFMs that precede it
+    start, ready = float(t[-2]), float(t[-2 - rfm_at.count(2 * n - 1)])
+    _watchdog(start)
+    done = float(t[-1])
     backoffs = prac.backoffs if prac is not None else 0
-    return rate, backoffs, rfms, done, (start, ready, core_id)
+    return n * INSTR_PER_REQ / done, backoffs, len(rfm_at), done, (start, ready, core_id)
 
 
 def _pud_steps(prac: Optional[PracState]) -> Iterator[tuple[bool, float, int]]:
@@ -225,11 +227,13 @@ def _pud_steps(prac: Optional[PracState]) -> Iterator[tuple[bool, float, int]]:
 
 class _PudSteps(list):
     """The PuD bank's steps under one PRAC configuration, made by `more`
-    as runs need them; no step depends on the period or the other cores."""
+    as walks first consume them and kept as a float array in `columns`;
+    no step depends on the period or the other cores."""
 
     def __init__(self, mitigation: Optional[PracConfig]):
         super().__init__()
         self.more = _pud_steps(_prac(mitigation))
+        self.columns = np.zeros((0, 3))
 
 
 def _with_pud(
@@ -239,35 +243,55 @@ def _with_pud(
     target_reqs: int,
 ) -> PerfResult:
     """Add the PuD core's timeline, timing `steps`, to a run of the
-    conventional cores (`conv`, which has no PuD core); returns both."""
+    conventional cores (`conv`, which has no PuD core); returns both.
+
+    A step starts when the bank is free and the core ready: an RFM holds
+    the bank for its service, an op for its service or the period,
+    whichever is longer, since rounding is monotone:
+    fl(t + max(s, p)) == max(fl(t + s), fl(t + p)).  The starts are one
+    prefix sum of the holds.  The run consumes the steps before the
+    first whose key (start, ready, core id) sorts after `conv.stop_key`
+    or, without one, through its `target_reqs`-th op; it makes and times
+    one by one the steps it needs beyond those made."""
     pud_id = len(conv.shared_rates)
-    ready = free = 0.0
-    first = last = 0.0
-    k = backoffs = rfms = completed = 0
+    stop = conv.stop_key
     while True:
-        # max() as conditionals, which take the same value without a call
-        start = free if free > ready else ready
-        if conv.stop_key is None:
-            if completed >= target_reqs:
-                break
-        elif (start, ready, pud_id) > conv.stop_key:
+        if len(steps.columns) < len(steps):
+            steps.columns = np.array(steps, dtype=float)
+        is_rfm, service = steps.columns[:, 0] > 0, steps.columns[:, 1]
+        is_op = ~is_rfm
+        hold = np.where(is_rfm, service, np.maximum(service, period_ns))
+        t = np.cumsum(np.concatenate(([0.0], hold)))  # start of each step and the next
+        ops = np.concatenate(([0], np.cumsum(is_op)))  # ops before each
+        # the core is ready at the start of the step after its last op
+        after_op = np.concatenate(([0], np.where(is_op, np.arange(1, len(t)), 0)))
+        ready = t[np.maximum.accumulate(after_op)]
+        if stop is None:
+            past = ops >= target_reqs
+        else:
+            s0, r0, c0 = stop
+            past = (t > s0) | (t == s0) & ((ready > r0) | (ready == r0) & (pud_id > c0))
+        hits = np.flatnonzero(past)
+        if len(hits):
             break
-        _watchdog(start)
-        if k == len(steps):
+        now, ready_now, done_ops = float(t[-1]), float(ready[-1]), int(ops[-1])
+        while not (done_ops >= target_reqs if stop is None
+                   else (now, ready_now, pud_id) > stop):
+            _watchdog(now)
             steps.append(next(steps.more))
-        is_rfm, service, backoffs = steps[k]
-        k += 1
-        if is_rfm:
-            free = start + service
-            rfms += 1
-            continue
-        done = start + service
-        completed += 1
-        if completed == 1:
-            first = done
-        last = done
-        ready = start + period_ns if start + period_ns > done else done
-        free = done
+            rfm, service_ns, _ = steps[-1]
+            now = now + (service_ns if rfm else max(service_ns, period_ns))
+            if not rfm:
+                ready_now, done_ops = now, done_ops + 1
+    k = int(hits[0])  # steps consumed
+    if k:
+        _watchdog(float(t[k - 1]))
+    op_idx = np.flatnonzero(is_op[:k])
+    completed = len(op_idx)
+    first = last = 0.0
+    if completed:
+        first = float(t[op_idx[0]] + service[op_idx[0]])
+        last = float(t[op_idx[-1]] + service[op_idx[-1]])
     end = max(conv.end_time, last)
     if completed >= 2 and last > first:
         # rate over whole inter-completion periods: exact for a
@@ -277,8 +301,8 @@ def _with_pud(
         rate = completed / end if end > 0 else 0.0
     return PerfResult(
         shared_rates={**conv.shared_rates, pud_id: rate},
-        backoffs=conv.backoffs + backoffs,
-        rfm_count=conv.rfm_count + rfms,
+        backoffs=conv.backoffs + (steps[k - 1][2] if k else 0),
+        rfm_count=conv.rfm_count + (k - completed),
         end_time=end,
         stop_key=conv.stop_key,
     )
@@ -289,7 +313,7 @@ def run_mix(
     mitigation: Optional[PracConfig],
     period_ns: Optional[float],
     seed: int,
-    target_reqs: int = 2000,
+    target_reqs: int,
     *,
     rows: Optional[list[list[int]]] = None,
     steps: Optional[_PudSteps] = None,
@@ -306,7 +330,7 @@ def run_mix(
     if rows is None:
         rows = [_core_rows(spec, i, seed, target_reqs) for i, spec in enumerate(conv_cores)]
     lines = [
-        _conventional(spec, i, core_rows, mitigation, target_reqs)
+        _conventional(spec, i, core_rows, mitigation)
         for i, (spec, core_rows) in enumerate(zip(conv_cores, rows))
     ]
     res = PerfResult(
@@ -343,9 +367,9 @@ def default_variants() -> dict[str, Optional[PracConfig]]:
 
 def evaluate_mixes(
     mixes: list[Mix],
-    periods: tuple[float, ...] = (125.0, 250.0, 1000.0, 4000.0, 16000.0),
+    periods: tuple[float, ...],
+    target_reqs: int,
     variants: Optional[dict[str, Optional[PracConfig]]] = None,
-    target_reqs: int = 2000,
 ) -> list[dict]:
     """Sweep mixes x periods x variants; overhead is relative to the
     unmitigated run of the same mix and period.  Alone-run baselines use

@@ -281,7 +281,7 @@ def test_criterion_07_prac_latency_model():
 
 def test_criterion_08_performance_ordering():
     periods = (125.0, 250.0, 1000.0, 4000.0, 16000.0)
-    rows = evaluate_mixes(make_mixes(20, seed=5), periods=periods)
+    rows = evaluate_mixes(make_mixes(20, seed=5), periods=periods, target_reqs=2000)
     ok = True
     for m in range(20):
         for p in periods:

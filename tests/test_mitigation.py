@@ -139,6 +139,17 @@ def test_rfm_recomputes_pending_for_remaining_rows():
     assert not st_.backoff_pending
 
 
+def test_rfm_after_a_refresh_rescans():
+    st_ = make_prac(rdt=5)
+    for _ in range(5):
+        for row in (10, 20, 30):
+            st_.on_op(RH, (row,))
+    st_.rfm()
+    st_.on_refresh(range(16, 24))
+    assert st_.rfm() == (9, 11, 8, 12)
+    assert not st_.backoff_pending
+
+
 def test_refresh_clears_slice_counters():
     st_ = make_prac(rdt=5)
     for _ in range(5):
@@ -152,6 +163,22 @@ def test_refresh_clears_slice_counters():
 def test_empty_op_rejected():
     with pytest.raises(ConfigError):
         make_prac().on_op(RH, ())
+
+
+@pytest.mark.parametrize("row", [-1, 256])
+def test_out_of_range_single_row_rejected(row):
+    st_ = make_prac()
+    with pytest.raises(ConfigError, match=rf"^row {row} outside \[0, 256\)$"):
+        st_.on_op(RH, (row,))
+    assert st_.counters == {}
+
+
+def test_single_row_op_counts_from_any_iterable():
+    st_ = make_prac()
+    st_.on_op(RH, [7])
+    st_.on_op(RH, iter([7]))
+    st_.on_op(COMRA, {7})
+    assert st_.counters == {7: 12}
 
 
 def test_out_of_range_row_rejected():
@@ -215,6 +242,8 @@ _prac_step = st.one_of(
     st.tuples(st.just("op"), st.sampled_from([RH, COMRA, SIMRA]),
               st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40)),
     st.tuples(st.just("rfm")),
+    # back-to-back RFMs: every one after the first pops the burst's order
+    st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
     st.tuples(st.just("ref"), st.integers(min_value=0, max_value=63),
               st.integers(min_value=1, max_value=16)),
 )
@@ -232,6 +261,11 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
             assert (latency, fast.backoff_pending) == slow.on_op(step[1], step[2])
         elif step[0] == "rfm":
             assert fast.rfm() == slow.rfm()
+        elif step[0] == "burst":
+            for _ in range(step[1]):
+                assert fast.rfm() == slow.rfm()
+                assert fast.counters == slow.counters
+                assert fast.backoff_pending == slow.backoff_pending
         else:
             rows = range(step[1], min(64, step[1] + step[2]))
             fast.on_refresh(rows)

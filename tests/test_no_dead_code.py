@@ -146,7 +146,7 @@ def test_every_dataclass_field_is_read_or_allowed():
 
 # Settable values of the package: each annotated field of a dataclass,
 # each default of a function's parameters, and each command-line option.
-SETTABLE_VALUES = 146
+SETTABLE_VALUES = 143
 
 
 def settable_values():

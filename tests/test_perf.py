@@ -5,18 +5,22 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pudsim.disturbance import COMRA, SIMRA
-from pudsim.errors import ConfigError
+from pudsim.disturbance import COMRA, RH, SIMRA
+from pudsim.errors import ConfigError, PudsimError
 from pudsim.mitigation import PracConfig
 from pudsim.perf import (
     _PUD_COMRA_ROWS,
     _PUD_OP_NS,
     _PUD_SIMRA_ROWS,
     CORE_KINDS,
+    INSTR_PER_REQ,
     PERF_COLUMNS,
     RANK_TURNAROUND,
+    T_HIT,
+    _TIMING,
     CoreSpec,
     PerfResult,
+    _conventional,
     _core_rows,
     _prac,
     _PudSteps,
@@ -67,7 +71,8 @@ def test_run_mix_is_deterministic():
 def test_isolated_cores_run_near_alone_speed():
     """Private banks: an unmitigated core runs exactly at its alone speed,
     so the unmitigated weighted speedup of a five-core mix is exactly 5."""
-    rows = evaluate_mixes(make_mixes(3, seed=0), target_reqs=400)
+    rows = evaluate_mixes(make_mixes(3, seed=0),
+                          periods=(125.0, 250.0, 1000.0, 4000.0, 16000.0), target_reqs=400)
     none = [r for r in rows if r["mitigation"] == "none"]
     assert len(none) == 15
     assert all(r["weighted_speedup"] == 5.0 for r in none)
@@ -205,6 +210,7 @@ def test_variants_must_include_baseline():
         evaluate_mixes(
             make_mixes(1, seed=1),
             periods=(1000.0,),
+            target_reqs=300,
             variants={"trr": None},
         )
     # the baseline doubles as the alone run, so it must be unmitigated
@@ -212,6 +218,7 @@ def test_variants_must_include_baseline():
         evaluate_mixes(
             make_mixes(1, seed=1),
             periods=(1000.0,),
+            target_reqs=300,
             variants={"none": default_variants()["prac-po-wc"]},
         )
 
@@ -311,6 +318,38 @@ def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
     )
 
 
+def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
+                           mitigation: Optional[PracConfig], target_reqs: int):
+    """A conventional core run request by request on fresh PRAC counters."""
+    prac = _prac(mitigation)
+    ready = free = 0.0
+    open_row = -1
+    rfms = completed = 0
+    while True:
+        row = rows[completed]
+        start = max(ready, free)
+        while prac is not None and prac.backoff_pending:
+            free = start + _rfm(prac)
+            rfms += 1
+            start = max(ready, free)
+        _watchdog(start)
+        if row == open_row:
+            done = start + T_HIT
+        else:
+            done = start + _TIMING.t_rc
+            open_row = row
+            if prac is not None:
+                prac.on_op(RH, (row,))
+        completed += 1
+        if completed >= target_reqs:
+            break
+        free = done
+        ready = done + spec.gap_ns
+    rate = completed * INSTR_PER_REQ / done
+    backoffs = prac.backoffs if prac is not None else 0
+    return rate, backoffs, rfms, done, (start, ready, core_id)
+
+
 def _fields(res: PerfResult):
     return repr(res.shared_rates), res.backoffs, res.rfm_count, res.end_time, res.stop_key
 
@@ -340,6 +379,113 @@ def test_step_walk_matches_reference_with_pud(variant, with_conv, target_reqs):
     for period in _PUD_PERIODS:
         got = _with_pud(conv, steps, period, target_reqs)
         assert _fields(got) == _fields(reference_with_pud(conv, mit, period, target_reqs))
+
+
+def _outcome(run, *args):
+    try:
+        return _fields(run(*args))
+    except PudsimError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("variant", ["none", "naive", "ao"])
+def test_step_walk_stops_on_key_ties_as_the_reference(variant):
+    """Stop keys equal to a step's own start and ready time, against a
+    conventional core ranked before or after the PuD core."""
+    mit = _PUD_VARIANTS[variant]
+    steps = _PudSteps(mit)
+    _with_pud(PerfResult({}, 0, 0, 0.0), steps, 125.0, 40)
+    keys, t, ready = [], 0.0, 0.0
+    for is_rfm, service, _ in steps:
+        keys.append((t, ready))
+        t += service if is_rfm else max(service, 125.0)
+        ready = ready if is_rfm else t
+    for t, ready in keys:
+        for key in ((t, ready, 0), (t, ready, 1), (t, ready - 0.5, 1), (t, t + 1.0, 0)):
+            conv = PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=key)
+            assert _fields(_with_pud(conv, steps, 125.0, 40)) == _fields(
+                reference_with_pud(conv, mit, 125.0, 40))
+
+
+@pytest.mark.parametrize("variant", ["none", "naive"])
+def test_step_walk_watchdog_matches_reference(variant):
+    """A run raises exactly when a start it consumes passes the watchdog,
+    whether it makes that step or an earlier run made it."""
+    mit = _PUD_VARIANTS[variant]
+    steps = _PudSteps(mit)
+    outcomes = set()
+    for period in (1e6, 1e7, 0.999e7):
+        for target_reqs in (450, 501, 502, 600):
+            for stop_key in (None, (5e9, 5e9, 0), (6e9, 0.0, 0)):
+                conv = (PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=stop_key) if stop_key
+                        else PerfResult({}, 0, 0, 0.0))
+                want = _outcome(reference_with_pud, conv, mit, period, target_reqs)
+                assert _outcome(_with_pud, conv, steps, period, target_reqs) == want
+                outcomes.add(type(want))
+    assert outcomes == {str, tuple}
+    # a run that raises makes no step past the start that raised
+    steps = _PudSteps(None)
+    with pytest.raises(PudsimError, match="watchdog"):
+        _with_pud(PerfResult({}, 0, 0, 0.0), steps, 1e7, 600)
+    assert len(steps) == 501
+
+
+@pytest.mark.parametrize("kind", CORE_KINDS)
+@pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
+def test_conventional_timeline_matches_reference(variant, kind):
+    mit = _PUD_VARIANTS[variant]
+    for gap in (0.0, 199.0):
+        for locality in (0.0, 1.0):
+            spec = CoreSpec(kind=kind, gap_ns=gap, locality=locality, footprint=8,
+                            row_base=256)
+            for target_reqs in (1, 2, 400, 2000):
+                rows = _core_rows(spec, 2, 5, target_reqs)
+                got = _conventional(spec, 2, rows, mit)
+                assert repr(got) == repr(
+                    reference_conventional(spec, 2, rows, mit, target_reqs))
+
+
+def test_conventional_leaves_a_back_off_after_the_last_request_unserved():
+    spec = CoreSpec(kind="stream")
+    rdt1 = _PUD_VARIANTS["rdt1"]
+    for n in (1, 9):
+        rows = _core_rows(spec, 0, 1, n)
+        assert repr(_conventional(spec, 0, rows, rdt1)) == repr(
+            reference_conventional(spec, 0, rows, rdt1, n))
+    # the first request's miss raises a back-off that no RFM serves
+    assert _conventional(spec, 0, [3], rdt1)[1:3] == (1, 0)
+    # the ninth request misses again: two back-offs, only the first served
+    assert _conventional(spec, 0, _core_rows(spec, 0, 1, 9), rdt1)[1:3] == (2, 1)
+
+
+@pytest.mark.parametrize("variant", ["none", "naive"])
+def test_conventional_watchdog_matches_reference(variant):
+    spec = CoreSpec(kind="random", gap_ns=1e9)
+    rows = _core_rows(spec, 0, 3, 10)
+    mit = _PUD_VARIANTS[variant]
+    with pytest.raises(PudsimError, match="watchdog"):
+        reference_conventional(spec, 0, rows, mit, 10)
+    with pytest.raises(PudsimError, match="watchdog"):
+        _conventional(spec, 0, rows, mit)
+    # a start at 5e9 itself is still progress
+    spec = CoreSpec(kind="stream", gap_ns=5e9 - _TIMING.t_rc)
+    assert repr(_conventional(spec, 0, [0, 0], mit)) == repr(
+        reference_conventional(spec, 0, [0, 0], mit, 2))
+
+
+def test_cumsum_adds_left_to_right():
+    """The prefix-sum timelines are exact only because `np.cumsum` adds
+    float64 left to right, rounding each partial sum once, as a running
+    Python sum does; a summation in any other order differs here."""
+    rng = np.random.default_rng(0)
+    inc = [1e16, 1.0, -1e16, 0.1, 1.0, 1e-3, 2.5e15, 0.7, -2.5e15, 0.3]
+    inc += (rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 17, 2000)).tolist()
+    want, acc = [], 0.0
+    for x in inc:
+        acc += x
+        want.append(acc)
+    assert np.cumsum(np.array(inc)).tolist() == want
+    assert float(np.sum(inc)) != want[-1] or float(np.sum(inc[::-1])) != want[-1]
 
 
 @pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
