@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -428,3 +429,33 @@ def accumulate(
             flipped[v] = nf
     state.flips.extend(out)
     return out
+
+
+def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
+                   thresholds: ThresholdSet, profile: ChipProfile, temp_c: float,
+                   dp: Optional[int]) -> tuple[float, int]:
+    """One row's share of `accumulate`, its reference: the row's damage
+    fraction and flipped bits after the batch, from `damage` and `flipped`
+    before it, bit for bit as `accumulate` leaves them in `state`.  A
+    group op's aggressors must be sorted, as `Bank` emits them."""
+    for eff in effects:
+        refresh = isinstance(eff, RefreshEffect)
+        if row in (eff.rows if refresh else eff.aggressors):
+            damage, flipped = 0.0, 0
+            continue
+        theta = None if refresh else thresholds.theta_list(eff.kind)
+        if theta is None:
+            continue
+        agg, kind = eff.aggressors, eff.kind
+        if kind == SIMRA:  # one deposit, at the nearest member
+            i = bisect_left(agg, row)
+            dists = [min(abs(a - row) for a in agg[max(i - 1, 0):i + 1])]
+            n_factor = profile.simra_n_factor(len(set(agg)))
+        else:
+            dists, n_factor = [abs(a - row) for a in set(agg)], 1.0
+        for d in dists:
+            if d <= MAX_DISTANCE:
+                damage += contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor / theta[row]
+        if damage >= FLIP_AT:
+            flipped = bits_flipped(damage, flipped)
+    return damage, flipped

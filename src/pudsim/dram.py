@@ -19,6 +19,7 @@ recorded in `Bank.diagnostics`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -204,21 +205,19 @@ class SimraGroupMap:
         return f"SimraGroupMap({len(self.groups)} groups)"
 
 
-@dataclass(frozen=True)
-class CommandEvent:
-    """One bus command to the bank.  time is absolute nanoseconds;
-    row/payload are optional depending on the command kind."""
+class CommandEvent(namedtuple("CommandEvent", "time kind row payload")):
+    """One bus command to the bank, a checked tuple.  time is absolute
+    nanoseconds; row/payload are optional depending on the command kind."""
 
-    time: float
-    kind: str
-    row: Optional[int] = None
-    payload: Optional[bytes] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace check too
 
-    def __post_init__(self):
-        if self.kind not in COMMANDS:
-            raise ConfigError(f"unknown command kind {self.kind!r}")
-        if self.kind in ("ACT", "WR") and self.row is None:
-            raise ConfigError(f"{self.kind} requires a row")
+    def __new__(cls, time: float, kind: str, row: Optional[int] = None, payload=None):
+        if kind not in COMMANDS:
+            raise ConfigError(f"unknown command kind {kind!r}")
+        if row is None and kind in ("ACT", "WR"):
+            raise ConfigError(f"{kind} requires a row")
+        return tuple.__new__(cls, (time, kind, row, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +364,11 @@ class Bank:
         rows = grp
         if gap1 <= PARTIAL_GAP_MAX:
             draws = self.rng.random(len(grp)).tolist()
-            keep = [r for r, x in zip(grp, draws) if x < P_ACT]
+            keep = [r for r, x in zip(grp, draws) if x < P_ACT]  # sorted, as grp
             if cmd.row not in keep:
                 keep.append(cmd.row)  # the directly addressed row always opens
-            rows = tuple(sorted(keep))
+                keep.sort()
+            rows = tuple(keep)
         self.open = _Activation(rows, cmd.time, "simra")
         return []
 

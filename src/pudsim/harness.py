@@ -2,14 +2,15 @@
 subarray boundaries and activation groups, and victim sweeps.
 
 An Experiment is one chip under fixed conditions: it owns its
-thresholds and seed and builds a fresh bank and damage state for every
-replay, so searches on it are independent and reproducible.
+thresholds and seed and builds a fresh bank for every replay, so
+searches on it are independent and reproducible.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, Optional
 
 from .dram import (
@@ -26,6 +27,7 @@ from .disturbance import (
     ChipProfile,
     DisturbanceState,
     accumulate,
+    accumulate_row,
     bits_flipped,
     classify_region,
     hammers_to_flip,
@@ -52,7 +54,8 @@ class Experiment:
     """One simulated chip under fixed experiment conditions: the object
     `characterize`, `attack` and `trr-eval` build from their config and
     read the chip, its thresholds and its conditions from.  A chip
-    without activation groups has `SimraGroupMap(layout, ())`."""
+    without activation groups has `SimraGroupMap(layout, ())`.  A probe
+    folds its replayed ops into the victim's damage alone."""
 
     def __init__(
         self,
@@ -79,27 +82,25 @@ class Experiment:
 
     # -- replay ------------------------------------------------------------
 
-    def _replay(self, spec: PatternSpec, label: str, n: int,
-                victim: Optional[int]) -> DisturbanceState:
-        """Damage state after `n` hammers of the pattern, replayed op by op
-        on a fresh bank drawing from substream `label`, stopped after the
-        hammer that first flips `victim`, then flushed."""
+    def _replay(self, spec: PatternSpec, label: str, n: int, fold) -> None:
+        """Replay `n` hammers of the pattern op by op on a fresh bank
+        drawing from substream `label`, handing each command's effects,
+        then the bank's flush, to `fold(effects, thresholds, profile,
+        temp_c, dp)`; stops after a hammer whose last fold returned true."""
         bank = self.fresh_bank(label)
-        state = DisturbanceState(rows=self.layout.rows)
+        conditions = (self.thresholds, self.profile, self.temp_c, self.dp_aggr)
         one = generate(replace(spec, hammers=1), self.timing)
         hammer = [(e.time, e.kind, e.row, e.payload) for e in one.events]
+        done = False
         for i in range(n):
             shift = i * one.end_time
             for time, kind, row, payload in hammer:
                 effects = bank.apply(CommandEvent(time + shift, kind, row, payload))
                 if effects:
-                    accumulate(state, effects, self.thresholds, self.profile,
-                               temp_c=self.temp_c, dp=self.dp_aggr)
-            if state.flipped.get(victim):
+                    done = fold(effects, *conditions)
+            if done:
                 break
-        accumulate(state, bank.flush(), self.thresholds, self.profile,
-                   temp_c=self.temp_c, dp=self.dp_aggr)
-        return state
+        fold(bank.flush(), *conditions)
 
     def hammer_damage(self, spec: PatternSpec) -> dict[int, float]:
         """Damage fraction one hammer of the pattern deposits per victim,
@@ -111,7 +112,9 @@ class Experiment:
         """
         damage = self._damage.get(spec)
         if damage is None:
-            damage = self._damage[spec] = self._replay(spec, "bank", 1, None).damage
+            state = DisturbanceState(rows=self.layout.rows)
+            self._replay(spec, "bank", 1, partial(accumulate, state))
+            damage = self._damage[spec] = state.damage
         return damage
 
     def is_stochastic(self, spec: PatternSpec) -> bool:
@@ -120,9 +123,20 @@ class Experiment:
     def probe(self, spec: PatternSpec, victim: int, n: int, rep: int = 0) -> bool:
         """Does `n` hammers flip the victim at least once?  Replayed op by
         op on a fresh bank drawing from the repeat's substream, since a
-        stochastic pattern's op strength varies per draw."""
-        state = self._replay(spec, f"probe.{rep}.{victim}", n, victim)
-        return bool(state.flipped.get(victim))
+        stochastic pattern's op strength varies per draw, and folded into
+        the victim's damage alone (`accumulate_row`).  A victim outside
+        the bank never flips, as `accumulate` skips it."""
+        if not 0 <= victim < self.layout.rows:
+            return False
+        damage, flipped = 0.0, 0
+
+        def fold(effects, *conditions) -> bool:
+            nonlocal damage, flipped
+            damage, flipped = accumulate_row(victim, damage, flipped, effects, *conditions)
+            return flipped > 0
+
+        self._replay(spec, f"probe.{rep}.{victim}", n, fold)
+        return flipped > 0
 
 
 def find_hcfirst(

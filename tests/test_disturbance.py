@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pudsim import SubarrayLayout, load_profile, sample_thresholds
@@ -24,6 +24,7 @@ from pudsim.disturbance import (
     DisturbanceState,
     _sample_hc,
     accumulate,
+    accumulate_row,
     classify_region,
     contribution,
 )
@@ -427,3 +428,47 @@ def test_accumulate_matches_reference_loop(batches, missing, dp, temp_c, seed):
         assert list(fast.flipped.items()) == list(slow.flipped.items())
     assert fast.flips == slow.flips
     assert fast.skipped_victims == slow.skipped_victims
+
+
+def _as_the_bank_emits(eff):
+    """Group ops as `Bank` emits them: members ascending, each once."""
+    if isinstance(eff, HammerEffect) and eff.kind == KIND_SIMRA:
+        return replace(eff, aggressors=tuple(sorted(set(eff.aggressors))))
+    return eff
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_effect.map(_as_the_bank_emits), max_size=4), min_size=1, max_size=40),
+    st.sampled_from([RH, COMRA, SIMRA]),
+    st.sampled_from([None, 0x00, 0x55, 0xFF]),
+    st.sampled_from([50.0, 80.0, 95.0]),
+    st.integers(min_value=0, max_value=3),
+)
+@example(
+    batches=[
+        [HammerEffect(KIND_COMRA, (9, 7), 36.0, 1.0)] * 8,
+        [HammerEffect(KIND_RH, (0, 47), 144.0, 2.0), HammerEffect(KIND_SIMRA, (16, 18), 1.0, 3.0)],
+        [RefreshEffect((6, 20), 4.0), HammerEffect(KIND_SIMRA, (17, 19, 20), 36.0, 5.0)] * 3,
+    ],
+    missing=RH, dp=0x00, temp_c=95.0, seed=1,
+)
+def test_accumulate_row_matches_accumulate(batches, missing, dp, temp_c, seed):
+    """Every row's damage fraction and flipped bits from the one-row fold
+    equal, bit for bit, what `accumulate` leaves for the row after each
+    batch: edge rows, rows out of reach, refreshed rows and aggressors
+    included, with one kind inexpressible on the module."""
+    prof = ChipProfile(
+        name="ref",
+        thresholds={k: v for k, v in {RH: (4.0, 9.0), COMRA: (2.0, 5.0),
+                                      SIMRA: (0.5, 2.0)}.items() if k != missing},
+    )
+    ts = sample_thresholds(prof, SubarrayLayout.uniform(REF_ROWS, 16), seed)
+    state = DisturbanceState(rows=REF_ROWS)
+    rows = [(0.0, 0)] * REF_ROWS
+    for effects in batches:
+        accumulate(state, effects, ts, prof, temp_c=temp_c, dp=dp)
+        rows = [accumulate_row(r, f, nf, effects, ts, prof, temp_c, dp)
+                for r, (f, nf) in enumerate(rows)]
+        for r, (f, nf) in enumerate(rows):
+            assert (f.hex(), nf) == (state.damage.get(r, 0.0).hex(), state.flipped.get(r, 0))

@@ -537,3 +537,43 @@ def test_partial_group_opens_rows_of_scalar_draws(seed):
     (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
     keep = [r for r in range(32) if reference.random() < P_ACT]
     assert op.aggressors == tuple(sorted(set(keep) | {31}))
+
+
+@pytest.mark.parametrize("n,stride", [(2, 1), (8, 2), (32, 1)])
+def test_partial_group_ops_list_their_rows_ascending(n, stride):
+    """A partial op lists the rows it opened in ascending order, without
+    repeats, whichever group row is addressed: the one-row fold of the
+    damage model finds a victim's nearest member by bisection."""
+    layout = SubarrayLayout.uniform(64, 64)
+    groups = SimraGroupMap.aligned_blocks(layout, n, stride)
+    for grp in groups.groups[:2]:
+        for r2 in grp:
+            b = Bank(TIMING, layout, groups, rng=substream(r2, "probe.0"))
+            s = Seq(b)
+            for _ in range(20):
+                group_op(s, grp[-1], r2, gap=1.0)
+            ops = [e.aggressors for e in s.drain() if e.kind == KIND_SIMRA]
+            assert len(ops) == 20 and all(r2 in rows for rows in ops)
+            assert all(rows == tuple(sorted(set(rows))) for rows in ops)
+            assert any(rows != grp for rows in ops)
+
+
+def test_command_event_checks_kind_and_row_and_is_immutable():
+    with pytest.raises(ConfigError, match="unknown command kind 'NOP'"):
+        CommandEvent(1.0, "NOP")
+    for kind in ("ACT", "WR"):
+        with pytest.raises(ConfigError, match=f"{kind} requires a row"):
+            CommandEvent(1.0, kind)
+    ev = CommandEvent(1.0, "WR", 3, payload=b"\x01")
+    assert (ev.time, ev.kind, ev.row, ev.payload) == (1.0, "WR", 3, b"\x01")
+    assert CommandEvent(2.0, "PRE").row is None
+    with pytest.raises(AttributeError):
+        ev.time = 2.0
+    with pytest.raises(AttributeError):
+        ev.extra = 1
+    # the tuple's own constructors run the same checks
+    assert ev._replace(time=2.0) == CommandEvent(2.0, "WR", 3, b"\x01")
+    with pytest.raises(ConfigError, match="WR requires a row"):
+        ev._replace(row=None)
+    with pytest.raises(ConfigError, match="unknown command kind 'NOP'"):
+        CommandEvent._make((1.0, "NOP", None, None))

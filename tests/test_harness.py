@@ -11,6 +11,7 @@ from pudsim import (
     PatternSpec,
     SimraGroupMap,
     SubarrayLayout,
+    TimingParams,
     find_hcfirst,
 )
 from pudsim import harness
@@ -313,3 +314,41 @@ def test_stochastic_search_matches_hammer_by_hammer_oracle(seed):
             assert find_hcfirst(spec, victim, exp, repeats) == min(per_rep[:repeats])
     # repeats draw differently, so search.repeats can lower the minimum
     assert any(a != b for a, b in oracles.values()), oracles
+
+
+@pytest.mark.parametrize("dp_aggr", [None, 0xFF])
+@pytest.mark.parametrize("temp_c", [50.0, 80.0])
+@pytest.mark.parametrize("n", [4, 8, 32])
+@pytest.mark.parametrize("gap", [0.5, 1.0, 1.5])
+def test_stochastic_search_matches_oracle_across_conditions(gap, n, temp_c, dp_aggr):
+    """Over the partial window's gaps, group sizes, temperatures and data
+    patterns, and for 1 to 3 repeats, the search finds the minimum of the
+    oracle's per-repeat counts.  Two groups of n rows are followed by
+    two ungrouped rows; the victims are the first row of the second
+    group (hammering the first) and the rows at distance 1 and 2 above
+    the second group.  A one-refresh-window budget of 16 REFs keeps the
+    distance-2 searches short."""
+    layout = SubarrayLayout.uniform(2 * n + 2, 2 * n + 2)
+    prof = ChipProfile(name="grid", thresholds={RH: (6700.0, 14800.0), SIMRA: (0.5, 1.0)})
+    timing = TimingParams(t_refw=16 * TimingParams().t_refi)
+    exp = Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, n), timing=timing,
+                     seed=3, temp_c=temp_c, dp_aggr=dp_aggr)
+    for r2, victim in ((n - 1, n), (2 * n - 1, 2 * n), (2 * n - 1, 2 * n + 1)):
+        spec = PatternSpec(kind="simra", aggressors=(r2, r2), n=n, act_gap=gap)
+        assert exp.is_stochastic(spec)
+        per_rep = [replay_oracle(exp, spec, victim, rep, limit=256) for rep in range(3)]
+        assert None not in per_rep
+        for repeats in (1, 2, 3):
+            assert find_hcfirst(spec, victim, exp, repeats) == min(per_rep[:repeats])
+
+
+def test_victims_outside_the_bank_never_flip():
+    """Both search routes report no flip for a row beyond either bank
+    edge, next to a hammered group, as `accumulate` skips such rows."""
+    exp = golden_experiment(1)
+    for r2, victim in ((0, -1), (127, 128)):
+        for gap in (1.0, 2.0):
+            spec = replace(golden_spec(r2), act_gap=gap)
+            assert exp.is_stochastic(spec) == (gap == 1.0)
+            assert find_hcfirst(spec, victim, exp, 2) is None
+        assert not exp.probe(golden_spec(r2), victim, harness.default_cap(exp.timing))

@@ -140,14 +140,17 @@ def test_rfm_recomputes_pending_for_remaining_rows():
 
 
 def test_rfm_after_a_refresh_rescans():
-    st_ = make_prac(rdt=5)
-    for _ in range(5):
-        for row in (10, 20, 30):
-            st_.on_op(RH, (row,))
-    st_.rfm()
-    st_.on_refresh(range(16, 24))
-    assert st_.rfm() == (9, 11, 8, 12)
-    assert not st_.backoff_pending
+    # a refresh after one RFM of a burst or after two drops the burst's order
+    for burst in ((30,), (40, 30)):
+        st_ = make_prac(rdt=5)
+        for _ in range(5):
+            for row in (10, 20, *burst):
+                st_.on_op(RH, (row,))
+        for row in burst:
+            assert st_.rfm() == (row - 1, row + 1, row - 2, row + 2)
+        st_.on_refresh(range(16, 24))
+        assert st_.rfm() == (9, 11, 8, 12)
+        assert not st_.backoff_pending
 
 
 def test_refresh_clears_slice_counters():

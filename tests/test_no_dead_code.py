@@ -8,8 +8,9 @@ count as users, and neither do the package's `__init__.py` re-exports.
 The list must equal ALLOWED, which names what is kept although the
 package does not use it, and why.
 
-A second scan lists each field of a dataclass of `src/pudsim` that no
-attribute read in those sources names, and must equal ALLOWED_FIELDS.
+A second scan lists each field of a record class of `src/pudsim` (a
+dataclass, or a class built on `namedtuple`) that no attribute read in
+those sources names, and must equal ALLOWED_FIELDS.
 
 A third counts the package's settable values, which must equal
 SETTABLE_VALUES: a change that adds a knob raises that number and says
@@ -118,6 +119,23 @@ def _is_dataclass(cls):
     return False
 
 
+def _namedtuple_fields(cls):
+    """Fields of a class built on `namedtuple(name, "field ...")`."""
+    for base in cls.bases:
+        if (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                and base.func.id == "namedtuple"):
+            return base.args[1].value.split()
+    return []
+
+
+def _fields(cls):
+    """Field names of a record class, in order; none for other classes."""
+    if _is_dataclass(cls):
+        return [item.target.id for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return _namedtuple_fields(cls)
+
+
 def unread_fields():
     read = set()
     for path in _sources():
@@ -127,12 +145,9 @@ def unread_fields():
     unread = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            for item in cls.body:
-                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                        and item.target.id not in read):
-                    unread.add(f"{path.stem}.{cls.name}.{item.target.id}")
+            if isinstance(cls, ast.ClassDef):
+                unread.update(f"{path.stem}.{cls.name}.{name}"
+                              for name in _fields(cls) if name not in read)
     return unread
 
 
@@ -144,18 +159,25 @@ def test_every_dataclass_field_is_read_or_allowed():
     assert unread_fields() == set(ALLOWED_FIELDS)
 
 
-# Settable values of the package: each annotated field of a dataclass,
-# each default of a function's parameters, and each command-line option.
+# Settable values of the package: each field of a record class, each
+# default of a function's parameters, and each command-line option.  The
+# defaults of a namedtuple class's `__new__` are its fields' defaults, so
+# they count once, with the fields, as a dataclass field's default does.
 SETTABLE_VALUES = 143
 
 
 def settable_values():
     count = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
-            elif isinstance(node, ast.FunctionDef):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        restated = {id(item) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) and _namedtuple_fields(cls)
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__new__"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                count += len(_fields(node))
+            elif isinstance(node, ast.FunctionDef) and id(node) not in restated:
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
