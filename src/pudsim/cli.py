@@ -16,14 +16,13 @@ import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 from .config import RunConfig, dumps_config, load_config
 from .disturbance import ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
-from .patterns import PATTERN_KINDS, events_to_trace, generate
+from .patterns import PATTERN_KINDS, events_to_trace, generate, hammer_events
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
@@ -93,14 +92,10 @@ def _write_manifest(cfg: RunConfig) -> Path:
     return path
 
 
-def _experiment(cfg: RunConfig, profile: ChipProfile,
-                groups: Optional[SimraGroupMap] = None) -> Experiment:
-    """The config's chip, with its profile, under its conditions, on
-    `groups` if the caller has built the config's group map already."""
-    groups = groups or cfg.groups()
+def _experiment(cfg: RunConfig, profile: ChipProfile, groups: SimraGroupMap) -> Experiment:
+    """The config's chip on its group map, with its profile, under its conditions."""
     return Experiment(
         profile,
-        groups.layout,
         groups,
         timing=cfg.timing(),
         seed=cfg.seed,
@@ -119,7 +114,7 @@ def cmd_characterize(args) -> int:
             raise ConfigError(
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
-    exp = _experiment(cfg, load_profile(cfg.profile))
+    exp = _experiment(cfg, load_profile(cfg.profile), cfg.groups())
     template = cfg.pattern()
     _write_manifest(cfg)
     rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
@@ -133,7 +128,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load(args)
-    exp = _experiment(cfg, load_profile(cfg.profile))
+    exp = _experiment(cfg, load_profile(cfg.profile), cfg.groups())
     template = cfg.pattern()
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
     generate(spec, exp.timing)  # a copy checks its timing here
@@ -159,7 +154,7 @@ def cmd_trr_eval(args) -> int:
     if args.technique == "simra":
         setup = make_simra_setup(groups, cfg.group_n)
     else:
-        setup = make_rh_setup(pairs=1)
+        setup = make_rh_setup(groups.layout, pairs=1)
     _write_manifest(cfg)
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
     off, on = [], []
@@ -216,10 +211,13 @@ def cmd_mitigation_eval(args) -> int:
 
 def cmd_trace_gen(args) -> int:
     cfg = _load(args)
-    stream = generate(cfg.pattern(hammers=args.hammers), cfg.timing())
+    if args.hammers < 0:
+        raise ConfigError("hammers must be >= 0")
+    one = generate(cfg.pattern(), cfg.timing())
     _write_manifest(cfg)
     path = Path(cfg.out_dir) / "trace.txt"
-    path.write_text(events_to_trace(stream.events), encoding="utf-8")
+    events = [e for i in range(args.hammers) for e in hammer_events(one, i)]
+    path.write_text(events_to_trace(events), encoding="utf-8")
     print(path)
     return 0
 

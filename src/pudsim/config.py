@@ -62,6 +62,8 @@ class RunConfig:
             raise ConfigError(f"groups.n must be one of {SIMRA_SIZES}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if not 0x00 <= self.dp_aggr <= 0xFF:
+            raise ConfigError(f"pattern.dp_aggr must be one byte, 0x00 to 0xFF, got {self.dp_aggr}")
         if self.pattern_kind not in PATTERN_KINDS:
             raise ConfigError(f"pattern.kind must be one of {PATTERN_KINDS}")
         if self.act_gap_ns > SIMRA_GAP_MAX:
@@ -108,7 +110,7 @@ class RunConfig:
     def trr(self) -> TrrConfig:
         return TrrConfig(sampler_size=self.sampler_size)
 
-    def pattern(self, hammers: int = 1) -> PatternSpec:
+    def pattern(self) -> PatternSpec:
         """The config's pattern, placed at the middle row for `trace-gen`;
         `characterize` and `attack` place it against each victim, and
         `trr-eval` takes its on-time.  An error names the key at fault."""
@@ -118,7 +120,6 @@ class RunConfig:
             return PatternSpec(
                 kind=self.pattern_kind,
                 aggressors=placed.get(self.pattern_kind, (mid - 1, mid + 1)),
-                hammers=hammers,
                 t_aggon=self.t_aggon_ns,
                 act_gap=self.act_gap_ns,
                 pre_act_gap=self.pre_act_gap_ns,

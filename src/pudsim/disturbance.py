@@ -15,7 +15,8 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +52,8 @@ BASE_UNITS = {RH: 1.0, COMRA: 10.0, SIMRA: 200.0}
 # attenuation per row of distance past the first
 MAX_DISTANCE = 2
 BLAST_DECAY = 0.05
+# a group op over 32 rows is this much stronger than one over 2 (log-interpolated)
+SIMRA_N32_MULT = 1.47
 # each further bit of a row needs this factor more damage than the last
 BIT_ESCALATION = 1.05
 # the bit value change of a flip, by the kind that caused it
@@ -99,9 +102,6 @@ class ChipProfile:
             SIMRA: {0x00: 1.0, 0xFF: 0.6, 0x55: 1.0 / 57.8, 0xAA: 1.0 / 57.8},
         }
     )
-    # group-op strength scaling: ops over 32-row groups are this much more
-    # effective than over 2-row groups (log-interpolated in between)
-    simra_n32_mult: float = 1.47
     region_mult: dict[str, float] = field(
         default_factory=lambda: {r: 1.0 for r in REGIONS}
     )
@@ -121,7 +121,6 @@ class ChipProfile:
                 raise ConfigError(f"t_on.{kind}: anchors must be positive")
         positive = {f"temp_step.{k}": m for k, m in self.temp_step.items()}
         positive.update({f"region_mult.{r}": m for r, m in self.region_mult.items()})
-        positive["simra_n32_mult"] = self.simra_n32_mult
         for key, m in positive.items():
             if m <= 0:
                 raise ConfigError(f"{key} must be positive, got {m:g}")
@@ -162,18 +161,19 @@ class ChipProfile:
             return 1.0
         return self.dp_mult.get(kind, {}).get(dp & 0xFF, 1.0)
 
-    def simra_n_factor(self, n: int) -> float:
-        """Strength multiplier for a group op that activated n rows.
 
-        The calibrated thresholds describe the strongest case (N=32), so
-        the factor is 1.0 there and decays geometrically toward N=2,
-        where an op is `simra_n32_mult` times weaker.  Keeping the factor
-        <= 1 also keeps one op's damage within its counting weight, which
-        the back-off security bound relies on.
-        """
-        if n < 2:
-            n = 2  # a degenerate partial activation acts like the smallest group
-        return self.simra_n32_mult ** (math.log2(min(n, 32) / 32.0) / 4.0)
+def simra_n_factor(n: int) -> float:
+    """Strength multiplier for a group op that activated n rows.
+
+    The calibrated thresholds describe the strongest case (N=32), so
+    the factor is 1.0 there and decays geometrically toward N=2, where
+    an op is `SIMRA_N32_MULT` times weaker.  Keeping the factor <= 1
+    also keeps one op's damage within its counting weight, which the
+    back-off security bound relies on.
+    """
+    if n < 2:
+        n = 2  # a degenerate partial activation acts like the smallest group
+    return SIMRA_N32_MULT ** (math.log2(min(n, 32) / 32.0) / 4.0)
 
 
 def contribution(
@@ -182,19 +182,20 @@ def contribution(
     temp_c: float,
     t_on: float,
     dist: int,
+    opened: int,
     profile: ChipProfile,
 ) -> float:
     """Effective units one event of `kind` deposits on a victim at `dist`.
 
     For activations and copy cycles this is per aggressor row; for a group
     op it is per op, with dist the victim's distance to the nearest group
-    member.
+    member, and scaled by the number of rows the op `opened`.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown disturbance kind {kind!r}")
     if dist < 1:
         raise ConfigError("distance must be >= 1")
-    key = (kind, dp, temp_c, t_on, dist)
+    key = (kind, dp, temp_c, t_on, dist, opened if kind == SIMRA else None)
     cache = profile._contrib_cache
     hit = cache.get(key)
     if hit is not None:
@@ -205,6 +206,7 @@ def contribution(
         * profile.temp_factor(kind, temp_c)
         * profile.t_on_factor(kind, t_on)
         * BLAST_DECAY ** (dist - 1)
+        * (simra_n_factor(opened) if kind == SIMRA else 1.0)
     )
     cache[key] = c
     return c
@@ -215,20 +217,42 @@ def contribution(
 _AROUND = tuple((side * d, d) for d in range(1, MAX_DISTANCE + 1) for side in (-1, 1))
 
 
-def victim_distances(kind: str, agg: set[int]):
-    """(victim, distance) pairs one hammer of `kind` over the rows `agg`
-    disturbs, rows past the bank's edges included.  Activations and copy
-    cycles disturb per aggressor; a group op disturbs each victim once,
-    at its distance to the nearest member."""
+def nearest_member(members: Sequence[int], row: int) -> int:
+    """Distance from `row` to the nearest of the ascending `members`."""
+    i = bisect_left(members, row)
+    if i == len(members):
+        return row - members[-1]
+    return members[i] - row if i == 0 else min(members[i] - row, row - members[i - 1])
+
+
+def victim_distances(kind: str, aggressors: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """(victim, distance) pairs one hammer of `kind` over the rows
+    `aggressors` disturbs, rows past the bank's edges included; each
+    aggressor's neighbours come nearest first, below first.  Activations
+    and copy cycles disturb per aggressor; a group op disturbs each
+    victim once, at its distance to the nearest member."""
+    return _victim_distances(kind, tuple(aggressors))
+
+
+# memoized: an attack, and a PRAC back-off, repeat a few ops many times
+@lru_cache(maxsize=1024)
+def _victim_distances(kind: str, aggressors: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    agg = set(aggressors)
     if kind != SIMRA:
-        return [(a + o, d) for a in agg for o, d in _AROUND if a + o not in agg]
-    hits: dict[int, int] = {}
-    for a in agg:
-        for offset, d in _AROUND:
-            v = a + offset
-            if v not in agg and hits.get(v, d + 1) > d:
-                hits[v] = d
-    return hits.items()
+        return tuple([(a + o, d) for a in agg for o, d in _AROUND if a + o not in agg])
+    victims = dict.fromkeys([v for a in agg for o, _ in _AROUND if (v := a + o) not in agg])
+    members = sorted(agg)
+    return tuple([(v, nearest_member(members, v)) for v in victims])
+
+
+def deposits(kind: str, aggressors: tuple[int, ...], t_on: float, dp: Optional[int],
+             temp_c: float, profile: ChipProfile) -> list[tuple[int, float]]:
+    """(row, units) of every row one hammer of `kind` over `aggressors`,
+    held open `t_on`, disturbs, in `victim_distances` order."""
+    opened = len(set(aggressors))
+    units = [contribution(kind, dp, temp_c, t_on, d, opened, profile)
+             for d in range(1, MAX_DISTANCE + 1)]
+    return [(v, units[d - 1]) for v, d in victim_distances(kind, aggressors)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +407,6 @@ def accumulate(
     bitflips they caused (also appended to state.flips)."""
     out: list[Bitflip] = []
     slack = FLIP_AT
-    dists = range(1, MAX_DISTANCE + 1)
     rows = state.rows
     damage = state.damage
     flipped = state.flipped
@@ -402,17 +425,11 @@ def accumulate(
             flipped.pop(a, None)
         if theta is None:
             continue  # kind not expressible on this module
-        agg = set(eff.aggressors)
-        n_factor = profile.simra_n_factor(len(agg)) if kind == SIMRA else 1.0
-        # units deposited at each distance, before the victim's threshold
-        per_dist = [0.0]
-        for d in dists:
-            per_dist.append(contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor)
-        for v, d in victim_distances(kind, agg):
+        for v, units in deposits(kind, eff.aggressors, eff.t_on, dp, temp_c, profile):
             if not 0 <= v < rows:
                 state.skipped_victims += 1
                 continue
-            f = damage.get(v, 0.0) + per_dist[d] / theta[v]
+            f = damage.get(v, 0.0) + units / theta[v]
             damage[v] = f
             if f < slack:
                 continue  # below even the first bit's threshold
@@ -447,15 +464,12 @@ def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
         if theta is None:
             continue
         agg, kind = eff.aggressors, eff.kind
-        if kind == SIMRA:  # one deposit, at the nearest member
-            i = bisect_left(agg, row)
-            dists = [min(abs(a - row) for a in agg[max(i - 1, 0):i + 1])]
-            n_factor = profile.simra_n_factor(len(set(agg)))
-        else:
-            dists, n_factor = [abs(a - row) for a in set(agg)], 1.0
+        opened = len(set(agg))
+        # a group op deposits once, at the nearest member
+        dists = [nearest_member(agg, row)] if kind == SIMRA else [abs(a - row) for a in set(agg)]
         for d in dists:
             if d <= MAX_DISTANCE:
-                damage += contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor / theta[row]
+                damage += contribution(kind, dp, temp_c, eff.t_on, d, opened, profile) / theta[row]
         if damage >= FLIP_AT:
             flipped = bits_flipped(damage, flipped)
     return damage, flipped

@@ -278,17 +278,17 @@ class Bank:
     Classification of an incoming ACT looks one closed row back, so a
     nominal activation's disturbance is emitted only once the next
     command rules out it being the first half of a copy or group op.
+    Its rows are its group map's layout (`SimraGroupMap(layout, ())` without groups).
     """
 
     def __init__(
         self,
         timing: TimingParams,
-        layout: SubarrayLayout,
-        groups: Optional[SimraGroupMap] = None,
+        groups: SimraGroupMap,
         rng: Optional[np.random.Generator] = None,
     ):
         self.timing = timing
-        self.layout = layout
+        self.layout = groups.layout
         self.groups = groups
         self.rng = rng or np.random.default_rng(0)
         self.data: dict[int, bytes] = {}
@@ -353,7 +353,7 @@ class Bank:
 
     def _act_simra(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
         r1, gap1, _closed = prev
-        grp = self.groups.group(r1, cmd.row) if self.groups is not None else None
+        grp = self.groups.group(r1, cmd.row)
         if grp is None:
             self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {cmd.row})")
             out = self.flush()

@@ -34,7 +34,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PatternSpec, generate
+from .patterns import PatternSpec, generate, hammer_events
 from .rng import substream
 
 
@@ -53,14 +53,13 @@ def default_cap(timing: TimingParams) -> int:
 class Experiment:
     """One simulated chip under fixed experiment conditions: the object
     `characterize`, `attack` and `trr-eval` build from their config and
-    read the chip, its thresholds and its conditions from.  A chip
-    without activation groups has `SimraGroupMap(layout, ())`.  A probe
-    folds its replayed ops into the victim's damage alone."""
+    read the chip, its thresholds and its conditions from; its layout is
+    its group map's, `SimraGroupMap(layout, ())` for a chip without
+    groups.  A probe folds its replayed ops into the victim's damage alone."""
 
     def __init__(
         self,
         profile: ChipProfile,
-        layout: SubarrayLayout,
         groups: SimraGroupMap,
         timing: Optional[TimingParams] = None,
         seed: int = 0,
@@ -68,17 +67,17 @@ class Experiment:
         dp_aggr: Optional[int] = None,
     ):
         self.profile = profile
-        self.layout = layout
+        self.layout = groups.layout
         self.groups = groups
         self.timing = timing or TimingParams()
         self.seed = seed
         self.temp_c = temp_c
         self.dp_aggr = dp_aggr
-        self.thresholds = sample_thresholds(profile, layout, seed)
+        self.thresholds = sample_thresholds(profile, self.layout, seed)
         self._damage: dict[PatternSpec, dict[int, float]] = {}
 
     def fresh_bank(self, label: str = "bank") -> Bank:
-        return Bank(self.timing, self.layout, self.groups, rng=substream(self.seed, label))
+        return Bank(self.timing, self.groups, rng=substream(self.seed, label))
 
     # -- replay ------------------------------------------------------------
 
@@ -89,13 +88,11 @@ class Experiment:
         temp_c, dp)`; stops after a hammer whose last fold returned true."""
         bank = self.fresh_bank(label)
         conditions = (self.thresholds, self.profile, self.temp_c, self.dp_aggr)
-        one = generate(replace(spec, hammers=1), self.timing)
-        hammer = [(e.time, e.kind, e.row, e.payload) for e in one.events]
+        one = generate(spec, self.timing)
         done = False
         for i in range(n):
-            shift = i * one.end_time
-            for time, kind, row, payload in hammer:
-                effects = bank.apply(CommandEvent(time + shift, kind, row, payload))
+            for cmd in hammer_events(one, i):
+                effects = bank.apply(cmd)
                 if effects:
                     done = fold(effects, *conditions)
             if done:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .disturbance import BLAST_DECAY, COMRA, MAX_DISTANCE, RH, SIMRA
+from .disturbance import BLAST_DECAY, COMRA, RH, SIMRA, victim_distances
 from .dram import TimingParams
 from .errors import ConfigError
 
@@ -105,8 +105,9 @@ class PracState:
             self._at_rdt -= 1
 
     def rfm(self) -> tuple[int, ...]:
-        """Service one RFM: refresh neighbors of the hottest row (highest
-        count, ties broken toward the higher row address) and clear its
+        """Service one RFM: refresh the rows a hammer of the hottest row
+        (highest count, ties broken toward the higher row address)
+        disturbs, as `victim_distances` orders them, and clear its
         counter.  Returns the refreshed victim rows.
 
         Back-to-back RFMs, with no op or refresh between them, share one
@@ -121,12 +122,7 @@ class PracState:
         _, target = self._order.pop()
         self._clear(target)
         self.backoff_pending = self._at_rdt > 0
-        return tuple(
-            v
-            for d in range(1, MAX_DISTANCE + 1)
-            for v in (target - d, target + d)
-            if 0 <= v < self.rows
-        )
+        return tuple(v for v, _ in victim_distances(RH, (target,)) if 0 <= v < self.rows)
 
     def on_refresh(self, rows: Iterable[int]) -> None:
         """Periodic refresh clears the refreshed rows' counters."""

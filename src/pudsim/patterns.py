@@ -1,9 +1,10 @@
 """Access-pattern generators and the command-trace text format.
 
-All generators emit plain command streams with the time at which a
-next hammer may start, so a harness can repeat one hammer's stream.
-One hammer is: a double-sided activation pair (or single activation),
-one complete copy cycle, or one complete multi-activation op.
+Every generator emits the command stream of one hammer with the time at
+which the next may start; hammer i of a repeated pattern is that stream
+shifted by i times that time (`hammer_events`).  One hammer is: a
+double-sided activation pair (or single activation), one complete copy
+cycle, or one complete multi-activation op.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class PatternSpec:
 
     kind: str
     aggressors: tuple[int, ...] = ()
-    hammers: int = 1
     t_aggon: Optional[float] = None
     pre_act_gap: float = 7.5  # violated PRE->ACT gap for copy cycles
     act_gap: float = 3.0  # both gaps of a multi-activation op
@@ -33,8 +33,6 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
             raise ConfigError(f"unknown pattern kind {self.kind!r}")
-        if self.hammers < 0:
-            raise ConfigError("hammers must be >= 0")
         for name in ("t_aggon", "pre_act_gap", "act_gap"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -60,73 +58,66 @@ class CommandStream:
     end_time: float = 0.0
 
 
-def _hammer_pair(
-    events: list[CommandEvent],
-    t: float,
-    rows: Iterable[int],
-    t_on: float,
-    gap: float,
-) -> float:
-    for r in rows:
-        events.append(CommandEvent(t, "ACT", row=r))
-        events.append(CommandEvent(t + t_on, "PRE"))
-        t += t_on + gap
-    return t
-
-
 def gen_rowhammer(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     """Single- or double-sided activation hammering; rowpress is the same
     shape with a long aggressor-on time (identical stream at t_on=tRAS)."""
     t_on = spec.t_on(timing)
     events: list[CommandEvent] = []
     t = 0.0
-    for _ in range(spec.hammers):
-        t = _hammer_pair(events, t, spec.aggressors, t_on, timing.t_rp)
+    for r in spec.aggressors:
+        events.append(CommandEvent(t, "ACT", row=r))
+        events.append(CommandEvent(t + t_on, "PRE"))
+        t += t_on + timing.t_rp
     return CommandStream(events, t)
 
 
 def gen_comra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
-    """Repeated copy cycles src -> dst through a violated PRE->ACT gap."""
+    """A copy cycle src -> dst through a violated PRE->ACT gap."""
     t_on = spec.t_on(timing)
     if t_on + 1e-9 < timing.t_ras:
         raise ConfigError("copy source must stay open at least tRAS")
     if spec.pre_act_gap >= timing.t_rp:
         raise ConfigError("copy gap must violate tRP")
     src, dst = spec.aggressors
-    events: list[CommandEvent] = []
-    t = 0.0
-    for _ in range(spec.hammers):
-        events.append(CommandEvent(t, "ACT", row=src))
-        events.append(CommandEvent(t + t_on, "PRE"))
-        t += t_on + spec.pre_act_gap
-        events.append(CommandEvent(t, "ACT", row=dst))
-        events.append(CommandEvent(t + t_on, "PRE"))
-        t += t_on + timing.t_rp
-    return CommandStream(events, t)
+    t = t_on + spec.pre_act_gap
+    events = [
+        CommandEvent(0.0, "ACT", row=src),
+        CommandEvent(t_on, "PRE"),
+        CommandEvent(t, "ACT", row=dst),
+        CommandEvent(t + t_on, "PRE"),
+    ]
+    return CommandStream(events, t + (t_on + timing.t_rp))
 
 
 def gen_simra(spec: PatternSpec, timing: TimingParams) -> CommandStream:
-    """Repeated group activations via back-to-back ACT-PRE-ACT."""
+    """A group activation via back-to-back ACT-PRE-ACT."""
     t_on = spec.t_on(timing)
     r1, r2 = spec.aggressors
-    events: list[CommandEvent] = []
-    t = 0.0
-    for _ in range(spec.hammers):
-        events.append(CommandEvent(t, "ACT", row=r1))
-        events.append(CommandEvent(t + spec.act_gap, "PRE"))
-        events.append(CommandEvent(t + 2 * spec.act_gap, "ACT", row=r2))
-        events.append(CommandEvent(t + 2 * spec.act_gap + t_on, "PRE"))
-        t += 2 * spec.act_gap + t_on + timing.t_rp
-    return CommandStream(events, t)
+    t = 2 * spec.act_gap
+    events = [
+        CommandEvent(0.0, "ACT", row=r1),
+        CommandEvent(spec.act_gap, "PRE"),
+        CommandEvent(t, "ACT", row=r2),
+        CommandEvent(t + t_on, "PRE"),
+    ]
+    return CommandStream(events, t + t_on + timing.t_rp)
 
 
 def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:
-    """The command stream of the spec's `hammers` hammers."""
+    """The command stream of one hammer of the spec."""
     if spec.kind == "comra":
         return gen_comra(spec, timing)
     if spec.kind == "simra":
         return gen_simra(spec, timing)
     return gen_rowhammer(spec, timing)  # rowhammer and rowpress
+
+
+def hammer_events(stream: CommandStream, i: int) -> list[CommandEvent]:
+    """Hammer `i` (0-based) of a repeated pattern: the events of the
+    one-hammer `stream` shifted by `i` times its end time."""
+    shift = i * stream.end_time
+    return [CommandEvent(time + shift, kind, row, payload)
+            for time, kind, row, payload in stream.events]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, contribution, victim_distances
-from .dram import SimraGroupMap
+from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, deposits
+from .dram import SimraGroupMap, SubarrayLayout
 from .errors import ConfigError
 from .harness import Experiment
 from .rng import substream
@@ -63,9 +63,12 @@ _RH_SPACING = 8
 _SIMRA_GROUPS = 4
 
 
-def make_rh_setup(pairs: int) -> BypassSetup:
-    """`pairs` double-sided aggressor pairs, each sandwiching one victim."""
+def make_rh_setup(layout: SubarrayLayout, pairs: int) -> BypassSetup:
+    """`pairs` double-sided aggressor pairs, each sandwiching one victim,
+    all inside the bank."""
     bases = [_RH_BASE + i * _RH_SPACING for i in range(pairs)]
+    if bases and bases[-1] + 2 >= layout.rows:
+        raise ConfigError(f"aggressor row {bases[-1] + 2} outside the bank of {layout.rows} rows")
     return BypassSetup(RH, {a: (a,) for b in bases for a in (b, b + 2)})
 
 
@@ -95,12 +98,10 @@ def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int,
     restored = set() if simra else set(setup.opened)
     dose: dict[int, float] = {}
     for i, opened in enumerate(setup.opened.values()):
-        nf = profile.simra_n_factor(len(opened)) if simra else 1.0
-        for v, d in victim_distances(kind, set(opened)):
+        for v, units in deposits(kind, opened, t_on, exp.dp_aggr, exp.temp_c, profile):
             if v in restored or not 0 <= v < rows:
                 continue
-            c = contribution(kind, exp.dp_aggr, exp.temp_c, t_on, d, profile) * nf
-            dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * c
+            dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * units
     return dose
 
 

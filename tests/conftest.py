@@ -30,5 +30,5 @@ def groups(layout):
 
 
 @pytest.fixture()
-def experiment(profile, layout, groups):
-    return Experiment(profile, layout, groups, seed=7)
+def experiment(profile, groups):
+    return Experiment(profile, groups, seed=7)

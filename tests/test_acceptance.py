@@ -82,12 +82,12 @@ def test_criterion_02_trr_bypass_reproduction():
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
     totals = {}
     for technique, setup_of in (
-        ("rh", lambda: make_rh_setup(pairs=1)),
+        ("rh", lambda: make_rh_setup(layout, pairs=1)),
         ("simra", lambda: make_simra_setup(groups, 32)),
     ):
         off = on = 0
         for s in range(5):
-            exp = Experiment(profile, layout, groups, seed=100 + s)
+            exp = Experiment(profile, groups, seed=100 + s)
             t_on = exp.timing.t_ras
             off += run_bypass(exp, setup_of(), None, 8204, t_on).bitflips
             on += run_bypass(exp, setup_of(), TrrConfig(sampler_size=450), 8204, t_on).bitflips
@@ -135,7 +135,7 @@ def test_criterion_03_bisection_equals_linear_scan():
     for theta_units in (10, 500, 10_000, 100_000):
         profile = _flat({RH: theta_units / 2.0})  # double-sided: 2 units/hammer
         thresholds = sample_thresholds(profile, layout, seed=1)
-        exp = Experiment(profile, layout, SimraGroupMap(layout, ()), seed=1)
+        exp = Experiment(profile, SimraGroupMap(layout, ()), seed=1)
         got = find_hcfirst(spec, 32, exp, repeats=2)
         # independent route: deposit one double-sided hammer at a time
         state = DisturbanceState(rows=64)
@@ -160,7 +160,7 @@ def test_criterion_04_reverse_engineering_oracle():
     ok = True
     for seed in range(100):
         layout, groups = random_layout_and_groups(512, seed=seed)
-        bank = Experiment(profile, layout, groups, seed=seed).fresh_bank()
+        bank = Experiment(profile, groups, seed=seed).fresh_bank()
         found = discover_subarrays(bank)
         ok &= found == layout and discover_simra_groups(bank, found) == groups
         if not ok:
@@ -330,7 +330,7 @@ def test_criterion_10a_temperature_trend():
     template = PatternSpec(kind="simra", aggressors=(0, 0), n=32)
     by_temp: dict[float, list[int]] = {}
     for temp in (50.0, 80.0):
-        exp = Experiment(profile, layout, groups, seed=3, temp_c=temp)
+        exp = Experiment(profile, groups, seed=3, temp_c=temp)
         rows, _ = run_sweep(exp, ("simra",), template)
         by_temp[temp] = [int(r["hcfirst"]) for r in rows if r["hcfirst"] != NO_FLIP]
     ratio = (sum(by_temp[50.0]) / len(by_temp[50.0])) / (
@@ -342,8 +342,8 @@ def test_criterion_10a_temperature_trend():
 
 def test_criterion_10b_t_aggon_trend():
     profile = load_profile(DEFAULT_PROFILE)
-    lo = contribution(SIMRA, None, 80.0, 36.0, 1, profile)
-    hi = contribution(SIMRA, None, 80.0, 70_200.0, 1, profile)
+    lo = contribution(SIMRA, None, 80.0, 36.0, 1, 32, profile)
+    hi = contribution(SIMRA, None, 80.0, 70_200.0, 1, 32, profile)
     ratio = hi / lo
     ok = 144.0 <= ratio <= 271.0
     _verdict("10b", "t_AggON 36ns->70.2us group gain in [144, 271]", ok, f"{ratio:.1f}")
@@ -353,7 +353,7 @@ def test_criterion_10c_combined_pattern_trend():
     profile = load_profile(DEFAULT_PROFILE)
     layout = SubarrayLayout.uniform(1024, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32, 1)
-    exp = Experiment(profile, layout, groups, seed=7)
+    exp = Experiment(profile, groups, seed=7)
     rh_total = combined_total = 0
     for v in (96, 160, 320, 480):
         rh = find_hcfirst(PatternSpec(kind="rowhammer", aggressors=(v - 1, v + 1)), v, exp)

@@ -1,5 +1,6 @@
 """Threshold calibration, contribution scaling, and damage accrual."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from pudsim.disturbance import (
     RH,
     ROW_BITS,
     SIMRA,
+    SIMRA_N32_MULT,
     Bitflip,
     ChipProfile,
     DisturbanceState,
@@ -27,6 +29,7 @@ from pudsim.disturbance import (
     accumulate_row,
     classify_region,
     contribution,
+    simra_n_factor,
 )
 from pudsim.dram import (
     KIND_COMRA,
@@ -48,7 +51,6 @@ def flat_profile(**thresholds):
         temp_step={RH: 1.0, COMRA: 1.0, SIMRA: 1.0},
         t_on_anchors={},
         dp_mult={},
-        simra_n32_mult=1.0,
     )
 
 
@@ -75,24 +77,24 @@ def test_region_partition_within_one_of_fifth(count):
 
 
 def test_contribution_base_rates(profile):
-    assert contribution(RH, None, 80.0, 36.0, 1, profile) == 1.0
-    assert contribution(COMRA, None, 80.0, 36.0, 1, profile) == 10.0
-    assert contribution(SIMRA, None, 80.0, 36.0, 1, profile) == 200.0
+    assert contribution(RH, None, 80.0, 36.0, 1, 1, profile) == 1.0
+    assert contribution(COMRA, None, 80.0, 36.0, 1, 2, profile) == 10.0
+    assert contribution(SIMRA, None, 80.0, 36.0, 1, 32, profile) == 200.0
 
 
 def test_contribution_blast_decay(profile):
-    near = contribution(RH, None, 80.0, 36.0, 1, profile)
-    far = contribution(RH, None, 80.0, 36.0, 2, profile)
+    near = contribution(RH, None, 80.0, 36.0, 1, 1, profile)
+    far = contribution(RH, None, 80.0, 36.0, 2, 1, profile)
     assert far == pytest.approx(near * BLAST_DECAY)
 
 
 def test_temperature_scaling_is_per_kind(profile):
-    hot = contribution(SIMRA, None, 90.0, 36.0, 1, profile)
-    ref = contribution(SIMRA, None, 80.0, 36.0, 1, profile)
+    hot = contribution(SIMRA, None, 90.0, 36.0, 1, 32, profile)
+    ref = contribution(SIMRA, None, 80.0, 36.0, 1, 32, profile)
     assert hot / ref == pytest.approx(profile.temp_step[SIMRA])
     # rowhammer on this module is far less temperature sensitive
-    assert contribution(RH, None, 90.0, 36.0, 1, profile) / contribution(
-        RH, None, 80.0, 36.0, 1, profile
+    assert contribution(RH, None, 90.0, 36.0, 1, 1, profile) / contribution(
+        RH, None, 80.0, 36.0, 1, 1, profile
     ) == pytest.approx(profile.temp_step[RH])
 
 
@@ -111,12 +113,12 @@ def test_t_on_factor_clamps_outside_anchors():
     assert prof.t_on_factor(RH, 1e9) == prof.t_on_factor(RH, 70200.0)
 
 
-def test_group_size_factor_reference_and_ratio(profile):
-    assert profile.simra_n_factor(32) == pytest.approx(1.0)
-    ratio = profile.simra_n_factor(32) / profile.simra_n_factor(2)
-    assert ratio == pytest.approx(profile.simra_n32_mult)
+def test_group_size_factor_reference_and_ratio():
+    assert simra_n_factor(32) == pytest.approx(1.0)
+    ratio = simra_n_factor(32) / simra_n_factor(2)
+    assert ratio == pytest.approx(SIMRA_N32_MULT)
     sizes = [2, 4, 8, 16, 32]
-    factors = [profile.simra_n_factor(n) for n in sizes]
+    factors = [simra_n_factor(n) for n in sizes]
     assert factors == sorted(factors)
 
 
@@ -241,11 +243,13 @@ def test_double_sided_flips_at_half_threshold():
 
 def test_group_op_min_distance_single_deposit():
     layout = SubarrayLayout.uniform(16, 16)
-    prof = flat_profile(simra=3.0)  # 3 ops of 200 units against 600 units
+    prof = flat_profile(simra=3.0)  # 600 units: 3 ops of 200 units over 32 rows
     ts = sample_thresholds(prof, layout, seed=0)
     state = DisturbanceState(rows=16)
     grp = tuple(range(4, 8))
-    for i in range(3):
+    # an op over 4 rows deposits this share of a 32-row op's units
+    share = SIMRA_N32_MULT ** (math.log2(4 / 32) / 4)
+    for i in range(math.ceil(3 / share)):
         accumulate(state, [hammer(None, KIND_SIMRA, aggressors=grp, time=i + 1)], ts, prof)
     assert {f.row for f in state.flips} == {3, 8}
     assert all(f.direction == "0to1" for f in state.flips)
@@ -352,12 +356,15 @@ def reference_accumulate(state, effects, thresholds, profile, temp_c=80.0, dp=No
                 for v, d in victims_of(a):
                     if v not in agg:
                         pairs.append((v, d))
-        n_factor = profile.simra_n_factor(len(agg)) if kind == SIMRA else 1.0
+        # the group-size factor, from the model constant; a 32-row count
+        # leaves `contribution`'s own factor at 1
+        n = min(max(len(agg), 2), 32)
+        n_factor = SIMRA_N32_MULT ** (math.log2(n / 32.0) / 4.0) if kind == SIMRA else 1.0
         for v, d in pairs:
             if not 0 <= v < state.rows:
                 state.skipped_victims += 1
                 continue
-            c = contribution(kind, dp, temp_c, eff.t_on, d, profile) * n_factor
+            c = contribution(kind, dp, temp_c, eff.t_on, d, 32, profile) * n_factor
             f = state.damage.get(v, 0.0) + c / theta[v]
             state.damage[v] = f
             nf = state.flipped.get(v, 0)

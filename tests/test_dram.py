@@ -38,8 +38,9 @@ TIMING = TimingParams()
 
 def make_bank(rows=64, groups_n=None, sub_rows=32):
     layout = SubarrayLayout.uniform(rows, sub_rows)
-    groups = SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n else None
-    return Bank(TIMING, layout, groups)
+    groups = (SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n
+              else SimraGroupMap(layout, ()))
+    return Bank(TIMING, groups)
 
 
 class Seq:
@@ -215,7 +216,7 @@ def test_aligned_blocks_by_hand():
 def test_discovery_recovers_a_stride_2_map():
     layout = SubarrayLayout.uniform(64, 32)
     truth = SimraGroupMap.aligned_blocks(layout, 4, 2)
-    found = discover_simra_groups(Bank(TIMING, layout, truth), layout)
+    found = discover_simra_groups(Bank(TIMING, truth), layout)
     assert found.groups == truth.groups
     assert found.groups[:2] == ((0, 2, 4, 6), (8, 10, 12, 14))
 
@@ -279,7 +280,7 @@ def test_victims_and_trr_groups_match_the_per_row_scans(name):
     layout, n, stride = _MAPS[name]
     groups = SimraGroupMap.aligned_blocks(layout, n, stride)
     table = reference_aligned_blocks(layout, n, stride)
-    exp = Experiment(load_profile(DEFAULT_PROFILE), layout, groups)
+    exp = Experiment(load_profile(DEFAULT_PROFILE), groups)
     template = PatternSpec(kind="simra", aggressors=(0, 0), n=n)
     for per_subarray in (1, 3, 100):
         got = [(v, spec.aggressors) for v, spec in _victims_for(exp, template, per_subarray)]
@@ -507,7 +508,7 @@ def test_bank_refs_follow_the_window_array_rule():
     """REF k of the bank refreshes what `ref_rows` gives for k in an array
     of REF numbers, as `run_bypass` reads it, wrap-around included."""
     timing = TimingParams(t_refw=10 * TIMING.t_refi)  # 7 rows a REF, 64 rows
-    b = Bank(timing, SubarrayLayout.uniform(64, 32))
+    b = Bank(timing, SimraGroupMap(SubarrayLayout.uniform(64, 32), ()))
     s = Seq(b)
     per_window = timing.ref_rows(np.arange(25), 64)
     for k in range(25):
@@ -548,7 +549,7 @@ def test_partial_group_ops_list_their_rows_ascending(n, stride):
     groups = SimraGroupMap.aligned_blocks(layout, n, stride)
     for grp in groups.groups[:2]:
         for r2 in grp:
-            b = Bank(TIMING, layout, groups, rng=substream(r2, "probe.0"))
+            b = Bank(TIMING, groups, rng=substream(r2, "probe.0"))
             s = Seq(b)
             for _ in range(20):
                 group_op(s, grp[-1], r2, gap=1.0)

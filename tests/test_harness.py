@@ -34,7 +34,7 @@ from pudsim.harness import (
     run_combined,
     run_sweep,
 )
-from pudsim.patterns import generate
+from pudsim.patterns import generate, hammer_events
 from pudsim.reports import emit_report
 
 
@@ -47,7 +47,7 @@ def flat_experiment(theta, rows=64):
         dp_mult={},
     )
     layout = SubarrayLayout.uniform(rows, rows)
-    return Experiment(prof, layout, SimraGroupMap(layout, ()), seed=0)
+    return Experiment(prof, SimraGroupMap(layout, ()), seed=0)
 
 
 def linear_scan(exp, spec, victim, cap):
@@ -87,7 +87,7 @@ def low_threshold_experiment():
     prof = ChipProfile(name="low", thresholds={RH: (20.0, 40.0), COMRA: (8.0, 16.0),
                                                SIMRA: (4.0, 8.0)})
     layout = SubarrayLayout.uniform(64, 64)
-    return Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 8), seed=3)
+    return Experiment(prof, SimraGroupMap.aligned_blocks(layout, 8), seed=3)
 
 
 @pytest.mark.parametrize("spec, victim", [
@@ -142,7 +142,7 @@ def test_discovery_recovers_configured_ground_truth(experiment):
 def test_discovery_on_two_subarrays_of_eight_rows(profile):
     layout = SubarrayLayout.uniform(16, 8)
     groups = SimraGroupMap.aligned_blocks(layout, 4)
-    exp = Experiment(profile, layout, groups, seed=1)
+    exp = Experiment(profile, groups, seed=1)
     bank = exp.fresh_bank()
     assert discover_subarrays(bank) == layout
     assert discover_simra_groups(bank, layout) == groups
@@ -162,7 +162,7 @@ def test_discovery_preserves_stored_data(experiment):
 def test_random_layouts_recovered_exactly(seed):
     layout, groups = random_layout_and_groups(256, seed)
     prof = ChipProfile(name="x", thresholds={RH: (10.0, 20.0)})
-    exp = Experiment(prof, layout, groups, seed=seed)
+    exp = Experiment(prof, groups, seed=seed)
     bank = exp.fresh_bank()
     found_layout = discover_subarrays(bank)
     assert found_layout == layout
@@ -177,7 +177,7 @@ TEMPLATE = PatternSpec(kind="simra", aggressors=(0, 0), n=32)
 
 
 def test_sweep_produces_schema_rows(worstcase, layout, groups):
-    exp = Experiment(worstcase, layout, groups, seed=1)
+    exp = Experiment(worstcase, groups, seed=1)
     rows, failures = run_sweep(exp, ("rowhammer", "simra"), TEMPLATE, per_subarray=1)
     assert rows and not failures
     for row in rows:
@@ -187,14 +187,14 @@ def test_sweep_produces_schema_rows(worstcase, layout, groups):
 
 
 def test_sweep_records_unknown_kinds_as_failures(worstcase, layout, groups):
-    exp = Experiment(worstcase, layout, groups, seed=1)
+    exp = Experiment(worstcase, groups, seed=1)
     rows, failures = run_sweep(exp, ("rowhammer", "bogus"), TEMPLATE, per_subarray=1)
     assert {r["kind"] for r in rows} == {"rowhammer"}
     assert failures == ["bogus: unknown pattern kind 'bogus'"]
 
 
 def test_sweep_records_failures_instead_of_raising(worstcase, layout):
-    exp = Experiment(worstcase, layout, SimraGroupMap(layout, ()), seed=1)
+    exp = Experiment(worstcase, SimraGroupMap(layout, ()), seed=1)
     rows, failures = run_sweep(exp, ("simra",), TEMPLATE)
     assert failures and not rows
 
@@ -209,7 +209,7 @@ def test_sweep_searches_the_template_under_the_experiment(
         harness, "find_hcfirst",
         lambda spec, victim, exp, repeats: seen.append((spec, exp)) or None,
     )
-    exp = Experiment(worstcase, layout, groups, seed=1, temp_c=50.0, dp_aggr=0x55)
+    exp = Experiment(worstcase, groups, seed=1, temp_c=50.0, dp_aggr=0x55)
     template = PatternSpec(kind="rowhammer", aggressors=(1, 3), t_aggon=60.0,
                            pre_act_gap=5.0, act_gap=1.0, n=32)
     rows, _ = run_sweep(exp, ("comra", "simra"), template, per_subarray=1)
@@ -223,7 +223,7 @@ def test_sweep_searches_the_template_under_the_experiment(
 
 
 def test_sweep_rows_write_results_csv(worstcase, layout, groups, tmp_path):
-    exp = Experiment(worstcase, layout, groups, seed=1)
+    exp = Experiment(worstcase, groups, seed=1)
     rows, _ = run_sweep(exp, ("simra",), TEMPLATE, per_subarray=1)
     emit_report(rows, "characterize", tmp_path)
     lines = (tmp_path / "results.csv").read_text().splitlines()
@@ -232,7 +232,7 @@ def test_sweep_rows_write_results_csv(worstcase, layout, groups, tmp_path):
 
 
 def test_combined_pattern_beats_rowhammer_alone(worstcase, layout, groups):
-    exp = Experiment(worstcase, layout, groups, seed=3)
+    exp = Experiment(worstcase, groups, seed=3)
     victim = 64  # adjacent to the first 32-row group
     out = run_combined(
         exp,
@@ -262,7 +262,7 @@ STOCHASTIC_HCFIRST = {
 def golden_experiment(seed):
     prof = ChipProfile(name="g", thresholds={RH: (6700.0, 14800.0), SIMRA: (100.0, 120.0)})
     layout = SubarrayLayout.uniform(128, 128)
-    return Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
+    return Experiment(prof, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
 
 
 def golden_spec(r2):
@@ -287,8 +287,9 @@ def replay_oracle(exp, spec, victim, rep, limit=2048):
     which the victim has flipped, or None within `limit` hammers."""
     bank = exp.fresh_bank(f"probe.{rep}.{victim}")
     state = DisturbanceState(rows=exp.layout.rows)
-    events = generate(replace(spec, hammers=limit), exp.timing).events
-    per_hammer = len(events) // limit
+    one = generate(spec, exp.timing)
+    events = [e for h in range(limit) for e in hammer_events(one, h)]
+    per_hammer = len(one.events)
     for i, e in enumerate(events):
         effects = bank.apply(e)
         if (i + 1) % per_hammer == 0:
@@ -331,7 +332,7 @@ def test_stochastic_search_matches_oracle_across_conditions(gap, n, temp_c, dp_a
     layout = SubarrayLayout.uniform(2 * n + 2, 2 * n + 2)
     prof = ChipProfile(name="grid", thresholds={RH: (6700.0, 14800.0), SIMRA: (0.5, 1.0)})
     timing = TimingParams(t_refw=16 * TimingParams().t_refi)
-    exp = Experiment(prof, layout, SimraGroupMap.aligned_blocks(layout, n), timing=timing,
+    exp = Experiment(prof, SimraGroupMap.aligned_blocks(layout, n), timing=timing,
                      seed=3, temp_c=temp_c, dp_aggr=dp_aggr)
     for r2, victim in ((n - 1, n), (2 * n - 1, 2 * n), (2 * n - 1, 2 * n + 1)):
         spec = PatternSpec(kind="simra", aggressors=(r2, r2), n=n, act_gap=gap)

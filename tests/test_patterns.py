@@ -14,15 +14,16 @@ from pudsim import (
 )
 from pudsim.dram import KIND_COMRA, KIND_SIMRA, CommandEvent, HammerEffect
 from pudsim.errors import ConfigError
-from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra
+from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra, hammer_events
 
 TIMING = TimingParams()
 
 
 def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
     layout = SubarrayLayout.uniform(rows, sub_rows)
-    groups = SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n else None
-    bank = Bank(TIMING, layout, groups)
+    groups = (SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n
+              else SimraGroupMap(layout, ()))
+    bank = Bank(TIMING, groups)
     for row, payload in (data or {}).items():
         bank.set_row_data(row, payload)
     effects = []
@@ -32,28 +33,33 @@ def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
     return bank, effects
 
 
+def repeated(stream, hammers):
+    """The events of `hammers` hammers of a one-hammer stream."""
+    return [e for i in range(hammers) for e in hammer_events(stream, i)]
+
+
 # -- generators ---------------------------------------------------------------
 
 
 def test_rowhammer_stream_has_one_act_pre_per_aggressor():
-    spec = PatternSpec(kind="rowhammer", aggressors=(10, 12), hammers=3)
-    s = gen_rowhammer(spec, TIMING)
-    assert len(s.events) == 3 * 2 * 2
-    kinds = [e.kind for e in s.events]
+    spec = PatternSpec(kind="rowhammer", aggressors=(10, 12))
+    events = repeated(gen_rowhammer(spec, TIMING), 3)
+    assert len(events) == 3 * 2 * 2
+    kinds = [e.kind for e in events]
     assert kinds == ["ACT", "PRE"] * 6
 
 
 def test_rowpress_stream_holds_rows_open_longer():
-    spec = PatternSpec(kind="rowpress", aggressors=(10, 12), hammers=1, t_aggon=7800.0)
+    spec = PatternSpec(kind="rowpress", aggressors=(10, 12), t_aggon=7800.0)
     s = gen_rowhammer(spec, TIMING)
     act, pre = s.events[0], s.events[1]
     assert pre.time - act.time == pytest.approx(7800.0)
 
 
 def test_comra_stream_copies_when_applied():
-    spec = PatternSpec(kind="comra", aggressors=(5, 6), hammers=2)
-    s = gen_comra(spec, TIMING)
-    bank, effects = apply_stream(s.events, data={5: b"\xa5" * 8})
+    spec = PatternSpec(kind="comra", aggressors=(5, 6))
+    events = repeated(gen_comra(spec, TIMING), 2)
+    bank, effects = apply_stream(events, data={5: b"\xa5" * 8})
     assert bank.row_data(6) == b"\xa5" * 8
     # each copy cycle is one hammer of both rows, and nothing else
     assert [(e.kind, e.aggressors) for e in effects] == [(KIND_COMRA, (5, 6))] * 2
@@ -66,9 +72,9 @@ def test_comra_rejects_non_violating_gap():
 
 
 def test_simra_stream_opens_whole_group():
-    spec = PatternSpec(kind="simra", aggressors=(9, 9), hammers=2, n=4)
-    s = gen_simra(spec, TIMING)
-    bank, effects = apply_stream(s.events, groups_n=4, data={11: b"\xff" * 8})
+    spec = PatternSpec(kind="simra", aggressors=(9, 9), n=4)
+    events = repeated(gen_simra(spec, TIMING), 2)
+    bank, effects = apply_stream(events, groups_n=4, data={11: b"\xff" * 8})
     assert all(bank.row_data(r) == b"\x00" * 8 for r in range(8, 12))
     ops = [e for e in effects if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
     assert len(ops) == 2
@@ -96,8 +102,8 @@ def read_trace_line(line):
 
 
 def test_trace_round_trip():
-    spec = PatternSpec(kind="comra", aggressors=(5, 6), hammers=3)
-    events = gen_comra(spec, TIMING).events
+    spec = PatternSpec(kind="comra", aggressors=(5, 6))
+    events = repeated(gen_comra(spec, TIMING), 3)
     text = events_to_trace(events)
     assert [read_trace_line(line) for line in text.splitlines()] == events
 

@@ -12,7 +12,7 @@ from pudsim.errors import ConfigError, ShapeError
 from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.keyval import finite
 from pudsim.dram import TimingParams
-from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer
+from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer, hammer_events
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
 
 
@@ -121,8 +121,8 @@ def test_cli_trace_gen_round_trips(tmp_path):
     out = tmp_path / "out"
     assert (out / "manifest.cfg").exists()
     # the default pattern hammers both neighbours of the middle row
-    spec = PatternSpec(kind="rowhammer", aggressors=(255, 257), hammers=5)
-    expected = events_to_trace(gen_rowhammer(spec, TimingParams()).events)
+    one = gen_rowhammer(PatternSpec(kind="rowhammer", aggressors=(255, 257)), TimingParams())
+    expected = events_to_trace([e for i in range(5) for e in hammer_events(one, i)])
     assert (out / "trace.txt").read_text() == expected
 
 
@@ -215,6 +215,37 @@ def test_cli_trr_eval_simra_setup_the_chip_cannot_hold_leaves_no_manifest(
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [message]
     assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (8, "aggressor row 10 outside the bank of 8 rows"),
+    (10, "aggressor row 10 outside the bank of 10 rows"),
+    (11, None),
+])
+def test_cli_trr_eval_rh_pair_outside_the_bank_leaves_no_manifest(
+        tmp_path, caplog, rows, message):
+    """The RowHammer bypass hammers rows 8 and 10 around victim 9; a chip
+    without row 10 ends the run before the manifest is written."""
+    cfg = _cfg_file(tmp_path, **{"geometry.rows": rows})
+    rc = main(["trr-eval", "--technique", "rh", "--seeds", "1", "--windows", "4",
+               "--config", str(cfg)])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert (rc, errors) == ((0, []) if message is None else (1, [message]))
+    assert (tmp_path / "out" / "manifest.cfg").exists() == (message is None)
+
+
+@pytest.mark.parametrize("value, ok", [
+    ("0x00", True), ("0xFF", True), ("0x100", False), ("0x1FF", False), ("-1", False),
+])
+def test_cli_data_pattern_outside_one_byte_leaves_no_manifest(tmp_path, caplog, value, ok):
+    """`pattern.dp_aggr` is one byte: another value would label results
+    with bytes the run never wrote, and its manifest would not replay."""
+    cfg = _cfg_file(tmp_path, **{"pattern.dp_aggr": value})
+    rc = main(["trace-gen", "--hammers", "1", "--config", str(cfg)])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    message = f"pattern.dp_aggr must be one byte, 0x00 to 0xFF, got {int(value, 0)}"
+    assert (rc, errors) == ((0, []) if ok else (1, [message]))
+    assert (tmp_path / "out" / "manifest.cfg").exists() == ok
 
 
 def test_cli_report_reaggregates(tmp_path):

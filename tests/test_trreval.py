@@ -26,7 +26,7 @@ T_ON = TimingParams().t_ras
 def chip(worstcase):
     layout = SubarrayLayout.uniform(2048, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32)
-    return Experiment(worstcase, layout, groups, seed=11)
+    return Experiment(worstcase, groups, seed=11)
 
 
 def weak(profile):
@@ -40,7 +40,7 @@ def weak_chip(worstcase):
     profile = weak(worstcase)
     layout = SubarrayLayout.uniform(2048, 256)
     groups = SimraGroupMap.aligned_blocks(layout, 32)
-    return Experiment(profile, layout, groups, seed=11)
+    return Experiment(profile, groups, seed=11)
 
 
 def bus_reference(exp, setup, windows, trr):
@@ -109,7 +109,7 @@ def flips_per_row(state):
 
 def setup_for(exp, technique):
     if technique == "rh":
-        return make_rh_setup(pairs=4)
+        return make_rh_setup(exp.layout, pairs=4)
     return make_simra_setup(exp.groups, n=32)
 
 
@@ -172,7 +172,7 @@ def test_routes_agree_past_the_sampler_fill(weak_chip, technique, windows, trr):
 @pytest.mark.parametrize("technique", ["rh", "simra"])
 def test_routes_agree_at_other_conditions(weak_chip, technique):
     """Temperature and data pattern scale both routes alike."""
-    exp = Experiment(weak_chip.profile, weak_chip.layout, weak_chip.groups,
+    exp = Experiment(weak_chip.profile, weak_chip.groups,
                      seed=11, temp_c=90.0, dp_aggr=0xFF)
     setup = setup_for(exp, technique)
     fast = run_bypass(exp, setup, TrrConfig(), 21, T_ON)
@@ -222,8 +222,8 @@ def test_trr_suppresses_rh_but_not_simra(chip):
 
 
 def test_bypass_is_deterministic_per_seed(chip):
-    setup = make_rh_setup(pairs=2)
-    other = Experiment(chip.profile, chip.layout, chip.groups, seed=12)
+    setup = make_rh_setup(chip.layout, pairs=2)
+    other = Experiment(chip.profile, chip.groups, seed=12)
     a = run_bypass(chip, setup, TrrConfig(), 2000, T_ON)
     b = run_bypass(chip, setup, TrrConfig(), 2000, T_ON)
     c = run_bypass(other, setup, TrrConfig(), 2000, T_ON)
@@ -312,11 +312,12 @@ def assert_matches_reference(exp, setup, trr, windows):
 def grid_chip(profile, rows, timing=TimingParams(), **conditions):
     layout = SubarrayLayout.uniform(rows, min(rows, 1024))
     groups = SimraGroupMap.aligned_blocks(layout, 32)
-    return Experiment(profile, layout, groups, timing=timing, seed=rows % 5, **conditions)
+    return Experiment(profile, groups, timing=timing, seed=rows % 5, **conditions)
 
 
 def grid_setups(exp):
-    return (make_rh_setup(1), make_rh_setup(4), make_simra_setup(exp.groups, n=32))
+    return (make_rh_setup(exp.layout, 1), make_rh_setup(exp.layout, 4),
+            make_simra_setup(exp.groups, n=32))
 
 
 SAMPLERS = (None, TrrConfig(1), TrrConfig(450), TrrConfig(100000))
