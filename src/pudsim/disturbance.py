@@ -454,7 +454,8 @@ def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
     """One row's share of `accumulate`, its reference: the row's damage
     fraction and flipped bits after the batch, from `damage` and `flipped`
     before it, bit for bit as `accumulate` leaves them in `state`.  A
-    group op's aggressors must be sorted, as `Bank` emits them."""
+    group op's aggressors must be distinct and sorted, as `Bank` emits
+    them."""
     for eff in effects:
         refresh = isinstance(eff, RefreshEffect)
         if row in (eff.rows if refresh else eff.aggressors):
@@ -464,9 +465,11 @@ def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
         if theta is None:
             continue
         agg, kind = eff.aggressors, eff.kind
-        opened = len(set(agg))
-        # a group op deposits once, at the nearest member
-        dists = [nearest_member(agg, row)] if kind == SIMRA else [abs(a - row) for a in set(agg)]
+        if kind == SIMRA:  # a group op deposits once, at the nearest member
+            opened, dists = len(agg), (nearest_member(agg, row),)
+        else:
+            members = set(agg)
+            opened, dists = len(members), [abs(a - row) for a in members]
         for d in dists:
             if d <= MAX_DISTANCE:
                 damage += contribution(kind, dp, temp_c, eff.t_on, d, opened, profile) / theta[row]

@@ -87,12 +87,13 @@ class Experiment:
         then the bank's flush, to `fold(effects, thresholds, profile,
         temp_c, dp)`; stops after a hammer whose last fold returned true."""
         bank = self.fresh_bank(label)
+        apply = bank.apply
         conditions = (self.thresholds, self.profile, self.temp_c, self.dp_aggr)
         one = generate(spec, self.timing)
         done = False
         for i in range(n):
             for cmd in hammer_events(one, i):
-                effects = bank.apply(cmd)
+                effects = apply(cmd)
                 if effects:
                     done = fold(effects, *conditions)
             if done:

@@ -1,5 +1,7 @@
 """Bank state machine and the analog-effect classifier."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,10 +16,13 @@ from pudsim import (
 )
 from pudsim.config import RunConfig
 from pudsim.dram import (
+    DEFAULT_FILL,
+    DRAW_BLOCK,
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
     P_ACT,
+    ROW_BYTES,
     HammerEffect,
     majority_overwrite,
 )
@@ -528,7 +533,7 @@ def test_ref_requires_precharged_bank():
 @pytest.mark.parametrize("seed", range(50))
 def test_partial_group_opens_rows_of_scalar_draws(seed):
     """Inside the partial window each group row opens with probability
-    p_act: the bank's one vector draw picks the rows one scalar draw per
+    p_act: the bank's block of draws picks the rows one scalar draw per
     row, in row order, would pick."""
     b = make_bank(groups_n=32)
     b.rng = substream(seed, "probe.0.32")
@@ -538,6 +543,90 @@ def test_partial_group_opens_rows_of_scalar_draws(seed):
     (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
     keep = [r for r in range(32) if reference.random() < P_ACT]
     assert op.aggressors == tuple(sorted(set(keep) | {31}))
+
+
+@pytest.mark.parametrize("sizes", [(4,), (8,), (32,), (4, 8, 32)])
+def test_partial_ops_across_draw_blocks_open_rows_of_scalar_draws(sizes):
+    """Op after op, past the ends of several of the bank's draw blocks,
+    a partial op opens the rows that one scalar draw per group row, in
+    row order, picks from the bank's substream, whichever row it
+    addresses; an op outside the partial window opens its whole group
+    and takes no draw.  With groups of several sizes, ops straddle the
+    blocks' ends."""
+    grouped, starts = 0, []
+    for n in itertools.cycle(sizes):
+        if grouped + n > 128:
+            break
+        starts.append((grouped, n))
+        grouped += n
+    layout = SubarrayLayout.uniform(128, 128)
+    groups = SimraGroupMap(layout, [range(a, a + n) for a, n in starts])
+    b = Bank(TIMING, groups, rng=substream(len(sizes), "probe.0.7"))
+    reference = substream(len(sizes), "probe.0.7")
+    s = Seq(b)
+    draws, i = 0, 0
+    while draws <= (1 + 2 + 4) * DRAW_BLOCK:  # the first three blocks, as they double
+        grp = groups.groups[i % len(groups.groups)]
+        r2 = grp[3 * i % len(grp)]
+        if i % 5 == 4:
+            group_op(s, grp[-1], r2, gap=3.0)
+            want = grp
+        else:
+            group_op(s, grp[-1], r2, gap=1.0)
+            want = tuple(r for r in grp if reference.random() < P_ACT or r == r2)
+            draws += len(grp)
+        ops = [e for e in s.drain() if isinstance(e, HammerEffect)]
+        assert len(ops) == i + 1 and ops[-1].aggressors == want, f"op {i}"
+        i += 1
+
+
+def test_partial_ops_over_unwritten_rows_keep_the_default_fill():
+    b = make_bank(groups_n=8)
+    s = Seq(b)
+    for i in range(40):
+        grp = b.groups.groups[i % len(b.groups.groups)]
+        group_op(s, grp[-1], grp[i % 8], gap=1.0)
+    assert [b.row_data(r) for r in range(64)] == [DEFAULT_FILL] * 64
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_partial_op_over_a_written_row_writes_the_majority(seed):
+    """An op whose opened rows include a written row overwrites each of
+    them with their bitwise majority, unwritten rows reading the default
+    fill; the rows it leaves closed keep their contents."""
+    layout = SubarrayLayout.uniform(64, 32)
+    b = Bank(TIMING, SimraGroupMap.aligned_blocks(layout, 8), rng=substream(seed, "probe.0.9"))
+    reference = substream(seed, "probe.0.9")
+    for r in (8, 9, 10, 12, 13, 15):  # rows 11 and 14 stay unwritten
+        b.set_row_data(r, bytes([r * 0x25 & 0xFF, r, 0xF0, 0x0F, r << 4 & 0xFF, 0, 0xFF, r]))
+    before = [b.row_data(r) for r in range(64)]
+    opened = [r for r in range(8, 16) if reference.random() < P_ACT or r == 13]
+    s = Seq(b)
+    group_op(s, 15, 13, gap=1.0)
+    (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
+    assert op.aggressors == tuple(opened)
+    maj = majority_bitcount([before[r] for r in opened], 0)
+    assert [b.row_data(r) for r in range(64)] == [
+        maj if r in opened else before[r] for r in range(64)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rows_an_op_leaves_closed_do_not_reach_its_opened_rows(seed):
+    """Writing the group rows a partial op leaves closed changes none of
+    the rows it opens, even where they are most of the group."""
+    b = make_bank(groups_n=32)
+    b.rng = substream(seed, "probe.0.32")
+    reference = substream(seed, "probe.0.32")
+    opened = [r for r in range(32) if reference.random() < P_ACT or r == 31]
+    closed = [r for r in range(32) if r not in opened]
+    for r in closed:
+        b.set_row_data(r, b"\xff" * ROW_BYTES)
+    s = Seq(b)
+    group_op(s, 0, 31, gap=1.0)
+    (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
+    assert op.aggressors == tuple(opened)
+    assert [b.row_data(r) for r in opened] == [DEFAULT_FILL] * len(opened)
+    assert [b.row_data(r) for r in closed] == [b"\xff" * ROW_BYTES] * len(closed)
 
 
 @pytest.mark.parametrize("n,stride", [(2, 1), (8, 2), (32, 1)])

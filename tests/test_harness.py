@@ -1,5 +1,6 @@
 """First-flip search, reverse-engineering probes, and victim sweeps."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from pudsim import (
     find_hcfirst,
 )
 from pudsim import harness
+from pudsim.cli import main
 from pudsim.disturbance import (
     COMRA,
     FLIP_AT,
@@ -353,3 +355,38 @@ def test_victims_outside_the_bank_never_flip():
             assert exp.is_stochastic(spec) == (gap == 1.0)
             assert find_hcfirst(spec, victim, exp, 2) is None
         assert not exp.probe(golden_spec(r2), victim, harness.default_cap(exp.timing))
+
+
+# A whole stochastic `characterize`: 128 rows in one subarray, a 1.0 ns
+# gap, one repeat, on a chip whose SiMRA first-flip counts lie between
+# 100 and a mean of 120 (so every search is short).  The SHA-256 of its
+# `results.csv` per seed was recorded from the op-by-op replay before
+# the bank drew its partial activations in blocks; any change to the
+# replay path's draws, arithmetic or cells moves it.
+_STOCHASTIC_CHIP = """\
+name = stochastic_chip
+vendor = test
+threshold.rh = 6700 14800
+threshold.comra = 5260 10610
+threshold.simra = 100 120
+"""
+STOCHASTIC_RESULTS_SHA256 = {
+    0: "9c030f3243dd3beb85210b1035384d5d8c3ad399fa85f4bba18130ece89e61fd",
+    1: "a3e2ba174bc4be13cbcd7d11c75e8e516db5b5228c0b13fe3d80f8b53dec6005",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STOCHASTIC_RESULTS_SHA256))
+def test_stochastic_characterize_writes_its_recorded_bytes(seed, tmp_path, monkeypatch):
+    (tmp_path / "profiles").mkdir()
+    (tmp_path / "profiles" / "stochastic_chip.profile").write_text(_STOCHASTIC_CHIP)
+    monkeypatch.setenv("PUDSIM_PROFILE_DIR", str(tmp_path / "profiles"))
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text("profile = stochastic_chip\ngeometry.rows = 128\nlayout.subarrays = 1\n"
+                   f"pattern.act_gap_ns = 1.0\nsearch.repeats = 1\nseed = {seed}\n")
+    out = tmp_path / "out"
+    rc = main(["characterize", "--kinds", "rowhammer comra simra",
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == STOCHASTIC_RESULTS_SHA256[seed]

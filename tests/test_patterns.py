@@ -14,7 +14,14 @@ from pudsim import (
 )
 from pudsim.dram import KIND_COMRA, KIND_SIMRA, CommandEvent, HammerEffect
 from pudsim.errors import ConfigError
-from pudsim.patterns import gen_comra, gen_rowhammer, gen_simra, hammer_events
+from pudsim.patterns import (
+    PATTERN_KINDS,
+    gen_comra,
+    gen_rowhammer,
+    gen_simra,
+    generate,
+    hammer_events,
+)
 
 TIMING = TimingParams()
 
@@ -79,6 +86,28 @@ def test_simra_stream_opens_whole_group():
     ops = [e for e in effects if isinstance(e, HammerEffect) and e.kind == KIND_SIMRA]
     assert len(ops) == 2
     assert all(set(op.aggressors) == {8, 9, 10, 11} for op in ops)
+
+
+_SPECS = {
+    "rowhammer": PatternSpec(kind="rowhammer", aggressors=(10, 12)),
+    "rowpress": PatternSpec(kind="rowpress", aggressors=(10, 12), t_aggon=7800.0),
+    "comra": PatternSpec(kind="comra", aggressors=(5, 6)),
+    "simra": PatternSpec(kind="simra", aggressors=(9, 9), n=4, act_gap=1.0),
+}
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("i", [0, 1, 10**6])
+def test_shifted_events_are_checked_command_events(kind, i):
+    """Hammer i's events are `CommandEvent`s equal, field for field, to
+    the ones the checked constructor builds from the shifted time."""
+    one = generate(_SPECS[kind], TIMING)
+    shifted = hammer_events(one, i)
+    assert len(shifted) == len(one.events)
+    for got, e in zip(shifted, one.events):
+        want = CommandEvent(e.time + i * one.end_time, e.kind, e.row, e.payload)
+        assert type(got) is CommandEvent
+        assert got._asdict() == want._asdict()
 
 
 def test_generator_rejects_wrong_aggressor_count():
