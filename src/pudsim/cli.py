@@ -5,7 +5,8 @@ trace-gen, report.  Every run writes a manifest (the fully resolved
 configuration, seeds included) next to its CSVs; rerunning from a
 manifest reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 1 configuration error, 2 simulation diagnostic.
+Exit codes: 0 success, 1 configuration error or an OS error on a path
+(`--config`, `--out`, `--input`), 2 simulation diagnostic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, dumps_config, load_config
-from .disturbance import ChipProfile
+from .disturbance import COMRA, RH, SIMRA, ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
@@ -104,6 +105,20 @@ def _experiment(cfg: RunConfig, profile: ChipProfile, groups: SimraGroupMap) -> 
     )
 
 
+def _check_temp(cfg: RunConfig, profile: ChipProfile, kinds: list[str]) -> None:
+    """Refuse a `pattern.temp_c` at which the temperature factor of a
+    disturbance kind the run deposits overflows.  `kinds` names patterns
+    or TRR techniques; each deposits its own kind, `rh` when it hammers
+    by activations."""
+    for name in kinds:
+        kind = {"comra": COMRA, "simra": SIMRA}.get(name, RH)
+        try:
+            profile.temp_factor(kind, cfg.temp_c)
+        except OverflowError:
+            raise ConfigError(f"pattern.temp_c = {cfg.temp_c:g} overflows the {kind} "
+                              f"temperature factor of profile {profile.name}") from None
+
+
 def cmd_characterize(args) -> int:
     cfg = _load(args)
     kinds = args.kinds.split()
@@ -114,7 +129,11 @@ def cmd_characterize(args) -> int:
             raise ConfigError(
                 f"unknown pattern kind {kind!r}; expected one of {PATTERN_KINDS}"
             )
-    exp = _experiment(cfg, load_profile(cfg.profile), cfg.groups())
+        if kinds.count(kind) > 1:
+            raise ConfigError(f"--kinds names {kind!r} more than once")
+    profile = load_profile(cfg.profile)
+    _check_temp(cfg, profile, kinds)
+    exp = _experiment(cfg, profile, cfg.groups())
     template = cfg.pattern()
     _write_manifest(cfg)
     rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
@@ -128,7 +147,9 @@ def cmd_characterize(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = _load(args)
-    exp = _experiment(cfg, load_profile(cfg.profile), cfg.groups())
+    profile = load_profile(cfg.profile)
+    _check_temp(cfg, profile, [cfg.pattern_kind])
+    exp = _experiment(cfg, profile, cfg.groups())
     template = cfg.pattern()
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
     generate(spec, exp.timing)  # a copy checks its timing here
@@ -155,8 +176,16 @@ def cmd_trr_eval(args) -> int:
         setup = make_simra_setup(groups, cfg.group_n)
     else:
         setup = make_rh_setup(groups.layout, pairs=1)
-    _write_manifest(cfg)
+    _check_temp(cfg, profile, [setup.kind])
     windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
+    # the sampler counts the ACTs before each window's REF in int64
+    most = (2**63 - 1) // cfg.acts_per_refi - 1
+    if windows > most:
+        raise ConfigError(
+            f"--windows must be at most {most}, got {windows}" if args.windows is not None
+            else f"timing.t_refw // timing.t_refi gives {windows:.3g} refresh windows, more "
+                 f"than the {most} the TRR sampler counts at timing.acts_per_refi")
+    _write_manifest(cfg)
     off, on = [], []
     for s in range(args.seeds):
         exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
@@ -251,7 +280,7 @@ def main(argv=None) -> int:
         if args.jobs != 1:
             raise ConfigError("--jobs must be 1: every subcommand runs in one process")
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         log.error("%s", e)
         return 1
     except PudsimError as e:

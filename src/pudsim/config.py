@@ -200,13 +200,8 @@ def config_from_values(values: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def loads_config(text: str) -> RunConfig:
-    return config_from_values(keyval.loads(text))
-
-
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+    return config_from_values(keyval.load(path))
 
 
 def dumps_config(cfg: RunConfig) -> str:

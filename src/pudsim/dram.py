@@ -360,28 +360,32 @@ class Bank:
             raise ProtocolError("ACT while a row is open (PRE first)")
         gap = float("inf") if self.last_pre is None else cmd.time - self.last_pre
         prev = self._pending
-
-        if prev is not None and gap <= SIMRA_GAP_MAX and prev[1] <= SIMRA_GAP_MAX:
-            return self._act_simra(cmd, prev)
-        if prev is not None and gap < self.timing.t_rp:
-            return self._act_copy(cmd, prev)
-        if gap < self.timing.t_rp:
+        if prev is not None:
+            act = None
+            if gap <= SIMRA_GAP_MAX and prev[1] <= SIMRA_GAP_MAX:
+                act = self._act_simra(cmd, prev)
+            elif gap < self.timing.t_rp:
+                act = self._act_copy(cmd, prev)
+            if act is not None:
+                # the pending half-activation is part of this op, not its own hammer
+                self._pending = None
+                self.open = act
+                return []
+        elif gap < self.timing.t_rp:
             # a violating gap after no nominal activation
             self.diagnostics.append(f"unmodeled gap {gap:.3g} ns before ACT row {cmd.row}")
         out = self.flush()
         self.open = _Activation((cmd.row,), cmd.time, "nominal")
         return out
 
-    def _act_simra(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
+    def _act_simra(self, cmd: CommandEvent,
+                   prev: tuple[int, float, float]) -> Optional[_Activation]:
+        """The group op the pair opens, or None, diagnosed, for an ungrouped pair."""
         r1, gap1, _closed = prev
         grp = self.groups.group(r1, cmd.row)
         if grp is None:
             self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {cmd.row})")
-            out = self.flush()
-            self.open = _Activation((cmd.row,), cmd.time, "nominal")
-            return out
-        # the pending half-activation is part of this op, not its own hammer
-        self._pending = None
+            return None
         rows = grp
         if gap1 <= PARTIAL_GAP_MAX:
             opens = self._draw_opens(len(grp))
@@ -390,8 +394,7 @@ class Bank:
             # iterator is resized in place, which fragments memory: peak RSS
             # rose 2.6 MB over a 128-row stochastic `characterize`
             rows = tuple([*compress(grp, opens)])
-        self.open = _Activation(rows, cmd.time, "simra")
-        return []
+        return _Activation(rows, cmd.time, "simra")
 
     def _draw_opens(self, n: int) -> list[bool]:
         """Whether each of the next `n` draws of `rng` opens its group
@@ -410,27 +413,23 @@ class Bank:
         self._next = end
         return opens[start:end]
 
-    def _act_copy(self, cmd: CommandEvent, prev: tuple[int, float, float]) -> list:
+    def _act_copy(self, cmd: CommandEvent,
+                  prev: tuple[int, float, float]) -> Optional[_Activation]:
+        """The copy into the destination, or None when it activates nominally."""
         src, src_t_on, _closed = prev
         if src_t_on + 1e-9 < self.timing.t_ras:
             # source was not fully restored; no clean data to copy
             self.diagnostics.append(
                 f"copy gap after short activation ({src_t_on:.3g} ns) of row {src}"
             )
-            out = self.flush()
-            self.open = _Activation((cmd.row,), cmd.time, "nominal")
-            return out
+            return None
         if not self.layout.same_subarray(src, cmd.row):
             # sense amplifiers are per subarray; the destination just
             # activates normally and keeps its own data
-            out = self.flush()
-            self.open = _Activation((cmd.row,), cmd.time, "nominal")
-            return out
-        self._pending = None
+            return None
         self.data[cmd.row] = self.row_data(src)
-        self.open = _Activation((cmd.row,), cmd.time, "copy", src=src)
         # the PRE's hammer of both rows restores the destination
-        return []
+        return _Activation((cmd.row,), cmd.time, "copy", src=src)
 
     def _cmd_pre(self, cmd: CommandEvent) -> list:
         act = self.open

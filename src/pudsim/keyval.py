@@ -39,8 +39,8 @@ def dumps(values: dict[str, str]) -> str:
 def load(path: str | Path) -> dict[str, str]:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as e:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {p}: {e}") from e
     return loads(text, source=str(p))
 

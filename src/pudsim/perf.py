@@ -21,15 +21,16 @@ updates and RFMs follow from its ops alone, and its times are then one
 `np.cumsum`, which rounds each partial sum in turn as the tests'
 request-by-request loops do.  One `evaluate_mixes` call draws each
 core's row stream once per mix and runs its timeline once per
-mitigation variant; it makes the PuD bank's PRAC steps, which see only
-the PuD core's ops, once per variant, and each (mix, period) only times
-them.
+mitigation variant.  It makes the PuD bank's PRAC steps once per variant
+into a table, at the shortest period and as far as the latest stop, and
+cuts each (mix, period) run from that table by one stop rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -211,39 +212,39 @@ def _conventional(
     return n * INSTR_PER_REQ / done, backoffs, len(rfm_at), done, (start, ready, core_id)
 
 
-def _pud_steps(prac: Optional[PracState]) -> Iterator[tuple[bool, float, int]]:
-    """The PuD bank's endless steps: (is RFM, service time, back-offs so far)."""
-    op_time = _PUD_OP_NS + RANK_TURNAROUND
-    while prac is None:
-        yield False, op_time, 0
-    while True:
-        if prac.backoff_pending:
-            yield True, _rfm(prac), prac.backoffs
+def _pud_steps(mitigation: Optional[PracConfig], period_ns: float, horizon: float,
+               target_reqs: int) -> np.ndarray:
+    """The PuD bank's steps on fresh PRAC counters, a read-only table of
+    (is RFM, service time, back-offs so far), made until `target_reqs`
+    ops are done and, holds taken at `period_ns`, the next start passes
+    `horizon`.  No start falls as the period grows, so the table reaches
+    the cut of every longer-period run whose stop starts by `horizon`.
+    The watchdog raises before a step a run must consume (an op before
+    `target_reqs`, a start before `horizon`); the cut checks the rest."""
+    prac = _prac(mitigation)
+    rows: list[tuple[bool, float, int]] = []
+    now, ops = 0.0, 0
+    while ops < target_reqs or now <= horizon:
+        if ops < target_reqs or now < horizon:
+            _watchdog(now)
+        if prac is not None and prac.backoff_pending:
+            rows.append((True, _rfm(prac), prac.backoffs))
+            now = now + rows[-1][1]
             continue
-        u1 = prac.on_op(SIMRA, _PUD_SIMRA_ROWS)
-        u2 = prac.on_op(COMRA, _PUD_COMRA_ROWS)
-        yield False, op_time + (u1 + u2), prac.backoffs
+        service = _PUD_OP_NS + RANK_TURNAROUND
+        if prac is not None:
+            service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
+        rows.append((False, service, 0 if prac is None else prac.backoffs))
+        now, ops = now + max(service, period_ns), ops + 1
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    table.flags.writeable = False
+    return table
 
 
-class _PudSteps(list):
-    """The PuD bank's steps under one PRAC configuration, made by `more`
-    as walks first consume them and kept as a float array in `columns`;
-    no step depends on the period or the other cores."""
-
-    def __init__(self, mitigation: Optional[PracConfig]):
-        super().__init__()
-        self.more = _pud_steps(_prac(mitigation))
-        self.columns = np.zeros((0, 3))
-
-
-def _with_pud(
-    conv: PerfResult,
-    steps: _PudSteps,
-    period_ns: float,
-    target_reqs: int,
-) -> PerfResult:
-    """Add the PuD core's timeline, timing `steps`, to a run of the
-    conventional cores (`conv`, which has no PuD core); returns both.
+def _with_pud(conv: PerfResult, steps: np.ndarray, period_ns: float,
+              target_reqs: int) -> PerfResult:
+    """Add the PuD core's timeline, cut from the table `steps`, to a run
+    of the conventional cores (`conv`, which has no PuD core).
 
     A step starts when the bank is free and the core ready: an RFM holds
     the bank for its service, an op for its service or the period,
@@ -251,47 +252,27 @@ def _with_pud(
     fl(t + max(s, p)) == max(fl(t + s), fl(t + p)).  The starts are one
     prefix sum of the holds.  The run consumes the steps before the
     first whose key (start, ready, core id) sorts after `conv.stop_key`
-    or, without one, through its `target_reqs`-th op; it makes and times
-    one by one the steps it needs beyond those made."""
+    or, without one, through its `target_reqs`-th op."""
     pud_id = len(conv.shared_rates)
-    stop = conv.stop_key
-    while True:
-        if len(steps.columns) < len(steps):
-            steps.columns = np.array(steps, dtype=float)
-        is_rfm, service = steps.columns[:, 0] > 0, steps.columns[:, 1]
-        is_op = ~is_rfm
-        hold = np.where(is_rfm, service, np.maximum(service, period_ns))
-        t = np.cumsum(np.concatenate(([0.0], hold)))  # start of each step and the next
-        ops = np.concatenate(([0], np.cumsum(is_op)))  # ops before each
+    is_rfm, service = steps[:, 0] > 0, steps[:, 1]
+    is_op = ~is_rfm
+    hold = np.where(is_rfm, service, np.maximum(service, period_ns))
+    t = np.cumsum(np.concatenate(([0.0], hold)))  # start of each step and the next
+    if conv.stop_key is None:
+        past = np.concatenate(([0], np.cumsum(is_op))) >= target_reqs  # by ops before each
+    else:
         # the core is ready at the start of the step after its last op
         after_op = np.concatenate(([0], np.where(is_op, np.arange(1, len(t)), 0)))
         ready = t[np.maximum.accumulate(after_op)]
-        if stop is None:
-            past = ops >= target_reqs
-        else:
-            s0, r0, c0 = stop
-            past = (t > s0) | (t == s0) & ((ready > r0) | (ready == r0) & (pud_id > c0))
-        hits = np.flatnonzero(past)
-        if len(hits):
-            break
-        now, ready_now, done_ops = float(t[-1]), float(ready[-1]), int(ops[-1])
-        while not (done_ops >= target_reqs if stop is None
-                   else (now, ready_now, pud_id) > stop):
-            _watchdog(now)
-            steps.append(next(steps.more))
-            rfm, service_ns, _ = steps[-1]
-            now = now + (service_ns if rfm else max(service_ns, period_ns))
-            if not rfm:
-                ready_now, done_ops = now, done_ops + 1
-    k = int(hits[0])  # steps consumed
+        s0, r0, c0 = conv.stop_key
+        past = (t > s0) | (t == s0) & ((ready > r0) | (ready == r0) & (pud_id > c0))
+    k = int(np.flatnonzero(past)[0])  # steps consumed
     if k:
         _watchdog(float(t[k - 1]))
     op_idx = np.flatnonzero(is_op[:k])
     completed = len(op_idx)
-    first = last = 0.0
-    if completed:
-        first = float(t[op_idx[0]] + service[op_idx[0]])
-        last = float(t[op_idx[-1]] + service[op_idx[-1]])
+    done = (t[op_idx] + service[op_idx]).tolist() or [0.0]  # each op's completion
+    first, last = done[0], done[-1]
     end = max(conv.end_time, last)
     if completed >= 2 and last > first:
         # rate over whole inter-completion periods: exact for a
@@ -301,7 +282,7 @@ def _with_pud(
         rate = completed / end if end > 0 else 0.0
     return PerfResult(
         shared_rates={**conv.shared_rates, pud_id: rate},
-        backoffs=conv.backoffs + (steps[k - 1][2] if k else 0),
+        backoffs=conv.backoffs + (int(steps[k - 1, 2]) if k else 0),
         rfm_count=conv.rfm_count + (k - completed),
         end_time=end,
         stop_key=conv.stop_key,
@@ -316,13 +297,14 @@ def run_mix(
     target_reqs: int,
     *,
     rows: Optional[list[list[int]]] = None,
-    steps: Optional[_PudSteps] = None,
+    steps: Optional[np.ndarray] = None,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
     free-runs and is measured by rate.  Every bank counts with
     `mitigation`'s PRAC configuration, or not at all when it is None.
-    Unless given, the run makes its own core `rows` and PuD `steps`."""
+    Unless given, the run makes its own core `rows` and PuD step table
+    (`_pud_steps`), which must reach its stop at `period_ns`."""
     if len(conv_cores) > CONV_BANKS:
         raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
     if target_reqs < 1:
@@ -341,7 +323,10 @@ def run_mix(
         stop_key=max((line[4] for line in lines), default=None),
     )
     if period_ns is not None:
-        steps = _PudSteps(mitigation) if steps is None else steps
+        if steps is None:
+            stop = res.stop_key
+            steps = _pud_steps(mitigation, period_ns, stop[0] if stop else -math.inf,
+                               0 if stop else target_reqs)
         res = _with_pud(res, steps, period_ns, target_reqs)
     return res
 
@@ -380,26 +365,36 @@ def evaluate_mixes(
         raise ConfigError("variants must include the unmitigated baseline 'none'")
     if variants["none"] is not None:
         raise ConfigError("the baseline variant 'none' must be unmitigated")
-    steps = {name: _PudSteps(mit) for name, mit in variants.items()}
-    # the PuD core alone reads no seed, so its rate depends only on the period
+    # 1. every mix's conventional timelines, which do not depend on the PuD period
+    convs = []
+    for mix in mixes:
+        rows = [_core_rows(spec, i, mix.seed, target_reqs) for i, spec in enumerate(mix.cores)]
+        convs.append({
+            name: run_mix(mix.cores, mit, None, mix.seed, target_reqs, rows=rows)
+            for name, mit in variants.items()
+        })
+    # 2. one step table per variant at the shortest period, to the latest
+    # stop; a run without conventional cores takes `target_reqs` ops
+    tables = {}
+    for name, mit in variants.items():
+        stops = [conv[name].stop_key for conv in convs]
+        horizon = max((stop[0] for stop in stops if stop), default=-math.inf)
+        ops = target_reqs if name == "none" or None in stops else 0
+        tables[name] = _pud_steps(mit, min(periods), horizon, ops)
+    # 3. every run cut from its variant's table; the PuD core alone reads
+    # no seed, so its rate depends only on the period
     pud_alone = {
-        period: run_mix((), None, period, 0, target_reqs, steps=steps["none"]).shared_rates[0]
+        period: run_mix((), None, period, 0, target_reqs, steps=tables["none"]).shared_rates[0]
         for period in periods
     }
     out = []
-    for mix in mixes:
-        rows = [_core_rows(spec, i, mix.seed, target_reqs) for i, spec in enumerate(mix.cores)]
-        # conventional timelines do not depend on the PuD period
-        conv = {
-            name: run_mix(mix.cores, mit, None, mix.seed, target_reqs, rows=rows)
-            for name, mit in variants.items()
-        }
+    for mix, conv in zip(mixes, convs):
         alone = dict(conv["none"].shared_rates)
         for period in periods:
             alone[len(mix.cores)] = pud_alone[period]
             ws_by_variant: dict[str, tuple[float, PerfResult]] = {}
             for name in variants:
-                res = _with_pud(conv[name], steps[name], period, target_reqs)
+                res = _with_pud(conv[name], tables[name], period, target_reqs)
                 ws_by_variant[name] = (weighted_speedup(res.shared_rates, alone), res)
             ws_base = ws_by_variant["none"][0]
             for name, (ws, res) in ws_by_variant.items():

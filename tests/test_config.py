@@ -13,7 +13,6 @@ from pudsim.config import (
     config_from_values,
     dumps_config,
     load_config,
-    loads_config,
 )
 from pudsim.disturbance import T_REF_C
 from pudsim.dram import SIMRA_GAP_MAX, SubarrayLayout, TimingParams
@@ -22,6 +21,11 @@ from pudsim.harness import REPEATS
 from pudsim.patterns import PatternSpec
 from pudsim.profiles import DEFAULT_PROFILE
 from pudsim.trreval import TrrConfig
+
+
+def loads_config(text: str) -> RunConfig:
+    """The run config of `key = value` text, read as `load_config` reads a file."""
+    return config_from_values(keyval.loads(text))
 
 
 # -- keyval -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Multi-core performance model: weighted speedup and mitigation cost."""
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from pudsim.perf import (
     _conventional,
     _core_rows,
     _prac,
-    _PudSteps,
+    _pud_steps,
     _rfm,
     _watchdog,
     _with_pud,
@@ -350,6 +351,14 @@ def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
     return rate, backoffs, rfms, done, (start, ready, core_id)
 
 
+def _table(mit: Optional[PracConfig], conv: PerfResult, period_ns: float,
+           target_reqs: int):
+    """The step table `run_mix` makes to cut `conv`'s run at `period_ns`."""
+    stop = conv.stop_key
+    return _pud_steps(mit, period_ns, stop[0] if stop else -math.inf,
+                      0 if stop else target_reqs)
+
+
 def _fields(res: PerfResult):
     return repr(res.shared_rates), res.backoffs, res.rfm_count, res.end_time, res.stop_key
 
@@ -368,14 +377,14 @@ _PUD_PERIODS = (1.0, 125.0, 16000.0, 1e6)
 @pytest.mark.parametrize("with_conv", [False, True], ids=["pud-alone", "mix"])
 @pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
 def test_step_walk_matches_reference_with_pud(variant, with_conv, target_reqs):
-    """Every period walks one step list of the variant, which earlier
-    periods have grown or left short, and matches a run on fresh
-    counters field for field."""
+    """Every period cuts one step table of the variant, made at the
+    shortest period, and matches a run on fresh counters field for
+    field."""
     mit = _PUD_VARIANTS[variant]
     mix = make_mixes(1, seed=4)[0]
     cores = mix.cores if with_conv else ()
     conv = run_mix(cores, mit, None, mix.seed, target_reqs)
-    steps = _PudSteps(mit)
+    steps = _table(mit, conv, min(_PUD_PERIODS), target_reqs)
     for period in _PUD_PERIODS:
         got = _with_pud(conv, steps, period, target_reqs)
         assert _fields(got) == _fields(reference_with_pud(conv, mit, period, target_reqs))
@@ -391,43 +400,63 @@ def _outcome(run, *args):
 @pytest.mark.parametrize("variant", ["none", "naive", "ao"])
 def test_step_walk_stops_on_key_ties_as_the_reference(variant):
     """Stop keys equal to a step's own start and ready time, against a
-    conventional core ranked before or after the PuD core."""
+    conventional core ranked before or after the PuD core, cut from the
+    table of 40 ops and from a table made to the stop's own start."""
     mit = _PUD_VARIANTS[variant]
-    steps = _PudSteps(mit)
-    _with_pud(PerfResult({}, 0, 0, 0.0), steps, 125.0, 40)
+    steps = _pud_steps(mit, 125.0, -math.inf, 40)
     keys, t, ready = [], 0.0, 0.0
-    for is_rfm, service, _ in steps:
+    for is_rfm, service, _ in steps.tolist():
         keys.append((t, ready))
         t += service if is_rfm else max(service, 125.0)
         ready = ready if is_rfm else t
     for t, ready in keys:
         for key in ((t, ready, 0), (t, ready, 1), (t, ready - 0.5, 1), (t, t + 1.0, 0)):
             conv = PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=key)
-            assert _fields(_with_pud(conv, steps, 125.0, 40)) == _fields(
-                reference_with_pud(conv, mit, 125.0, 40))
+            want = _fields(reference_with_pud(conv, mit, 125.0, 40))
+            for table in (steps, _table(mit, conv, 125.0, 40)):
+                assert _fields(_with_pud(conv, table, 125.0, 40)) == want
 
 
 @pytest.mark.parametrize("variant", ["none", "naive"])
 def test_step_walk_watchdog_matches_reference(variant):
     """A run raises exactly when a start it consumes passes the watchdog,
-    whether it makes that step or an earlier run made it."""
+    whether its table raises making that step or its cut consumes it."""
     mit = _PUD_VARIANTS[variant]
-    steps = _PudSteps(mit)
     outcomes = set()
+
+    def cut(conv, period, target_reqs):
+        return _with_pud(conv, _table(mit, conv, period, target_reqs), period, target_reqs)
+
     for period in (1e6, 1e7, 0.999e7):
         for target_reqs in (450, 501, 502, 600):
             for stop_key in (None, (5e9, 5e9, 0), (6e9, 0.0, 0)):
                 conv = (PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=stop_key) if stop_key
                         else PerfResult({}, 0, 0, 0.0))
                 want = _outcome(reference_with_pud, conv, mit, period, target_reqs)
-                assert _outcome(_with_pud, conv, steps, period, target_reqs) == want
+                assert _outcome(cut, conv, period, target_reqs) == want
                 outcomes.add(type(want))
     assert outcomes == {str, tuple}
-    # a run that raises makes no step past the start that raised
-    steps = _PudSteps(None)
-    with pytest.raises(PudsimError, match="watchdog"):
-        _with_pud(PerfResult({}, 0, 0, 0.0), steps, 1e7, 600)
-    assert len(steps) == 501
+
+
+def test_step_table_raises_before_a_step_a_run_must_consume_past_the_watchdog():
+    """Ops start every 1e7 ns, so op i starts at i * 1e7 and op 501 at
+    5.01e9, past the watchdog."""
+    assert len(_pud_steps(None, 1e7, -math.inf, 501)) == 501
+    assert len(_pud_steps(None, 1e7, 5e9, 0)) == 501
+    for horizon, target_reqs in ((-math.inf, 502), (5.02e9, 0), (5.01e9, 502)):
+        with pytest.raises(PudsimError, match="watchdog"):
+            _pud_steps(None, 1e7, horizon, target_reqs)
+    # a stop at 5.01e9 may leave the op that starts there: the table makes
+    # it, and the cut raises only for a run that consumes it
+    steps = _pud_steps(None, 1e7, 5.01e9, 0)
+    assert len(steps) == 502
+    outcomes = []
+    for core_id in (0, 2):  # the PuD core, id 1, sorts after and before the stop
+        conv = PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=(5.01e9, 5.01e9, core_id))
+        want = _outcome(reference_with_pud, conv, None, 1e7, 0)
+        assert _outcome(_with_pud, conv, steps, 1e7, 0) == want
+        outcomes.append(type(want))
+    assert outcomes == [tuple, str]
 
 
 @pytest.mark.parametrize("kind", CORE_KINDS)
@@ -490,13 +519,24 @@ def test_cumsum_adds_left_to_right():
 
 @pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
 def test_step_list_serves_long_and_short_runs_in_either_order(variant):
+    """One table serves every run it reaches: runs of 2 and 400 ops in
+    either order, and, made at the shortest period for the latest stop,
+    every earlier stop at every longer period."""
     mit = _PUD_VARIANTS[variant]
     conv = {n: run_mix((), mit, None, 0, n) for n in (2, 400)}
     want = {n: _fields(reference_with_pud(conv[n], mit, 125.0, n)) for n in (2, 400)}
+    steps = _pud_steps(mit, 125.0, -math.inf, 400)
+    assert not steps.flags.writeable  # no cut can change what the next one reads
     for order in ((400, 2), (2, 400)):
-        steps = _PudSteps(mit)
         for n in order:
             assert _fields(_with_pud(conv[n], steps, 125.0, n)) == want[n]
+    runs = [run_mix(m.cores, mit, None, m.seed, n)
+            for m in make_mixes(3, seed=2) for n in (2, 50, 400)]
+    steps = _pud_steps(mit, 1.0, max(run.stop_key[0] for run in runs), 0)
+    for run in runs:
+        for period in (1.0, 125.0, 777.7, 16000.0):
+            assert _fields(_with_pud(run, steps, period, 0)) == _fields(
+                reference_with_pud(run, mit, period, 0))
 
 
 def test_stable_hash_each_matches_the_scalar_hash():
@@ -530,8 +570,8 @@ def test_core_rows_match_reference_row(kind, locality):
 
 
 def test_evaluate_mixes_equals_independent_runs():
-    """Sharing row streams and PuD steps inside one call gives the rows
-    that separate runs on fresh streams and counters give."""
+    """Sharing row streams and PuD step tables inside one call gives the
+    rows that separate runs on fresh streams and counters give."""
     mixes = make_mixes(3, seed=13)
     periods = (125.0, 4000.0)
     variants = default_variants()
@@ -544,7 +584,7 @@ def test_evaluate_mixes_equals_independent_runs():
             runs = {}
             for name, mit in variants.items():
                 conv = run_mix(mix.cores, mit, None, mix.seed, target)
-                res = _with_pud(conv, _PudSteps(mit), period, target)
+                res = _with_pud(conv, _table(mit, conv, period, target), period, target)
                 assert _fields(res) == _fields(
                     run_mix(mix.cores, mit, period, mix.seed, target))
                 runs[name] = (weighted_speedup(res.shared_rates, alone), res)

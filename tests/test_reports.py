@@ -169,12 +169,35 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["mitigation-eval", "--variant", "bogus"], "unknown variant 'bogus'"),
     (["mitigation-eval", "--period", "0"], "--period must be positive, got 0"),
     (["mitigation-eval", "--period", "-5"], "--period must be positive, got -5"),
+    (["characterize", "--kinds", "rowhammer rowhammer", "geometry.rows=64"],
+     "--kinds names 'rowhammer' more than once"),
+    (["trr-eval", "--windows", "10000000000000000000"],
+     "--windows must be at most 59124179723428049, got 10000000000000000000"),
+    (["trr-eval", "timing.t_refw=1e300"],
+     "timing.t_refw // timing.t_refi gives 1.28e+296 refresh windows, more than the "
+     "59124179723428049 the TRR sampler counts at timing.acts_per_refi"),
+    (["characterize", "pattern.temp_c=1e308"],
+     "pattern.temp_c = 1e+308 overflows the comra temperature factor"),
+    (["attack", "--victim", "9", "pattern.kind=simra", "pattern.temp_c=1e308"],
+     "pattern.temp_c = 1e+308 overflows the simra temperature factor"),
+    (["trr-eval", "--technique", "simra", "pattern.temp_c=1e308"],
+     "pattern.temp_c = 1e+308 overflows the simra temperature factor"),
+    (["mitigation-eval", "--out", "afile"], "[Errno 17] File exists: 'afile'"),
+    (["mitigation-eval", "--out", "afile/sub"], "[Errno 20] Not a directory: 'afile/sub'"),
+    (["attack", "--victim", "9", "--config", "adir"], "cannot read adir: [Errno 21] Is a"),
+    (["report", "--kind", "perf", "--input", "adir"], "[Errno 21] Is a directory: 'adir'"),
 ])
-def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, args, message):
+def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
-    so no manifest describes a run that never happened."""
-    cfg = _cfg_file(tmp_path)
-    assert main([*args, "--config", str(cfg)]) == 1
+    so no manifest describes a run that never happened.  An argument
+    `key=value` sets that key of the run's config, and a row's own
+    `--config` replaces it; `afile` names a file and `adir` a directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    (tmp_path / "adir").mkdir()
+    cfg = _cfg_file(tmp_path, **dict(a.split("=", 1) for a in args if "=" in a))
+    args = [a for a in args if "=" not in a]
+    assert main([args[0], "--config", str(cfg), *args[1:]]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith(message)
