@@ -19,6 +19,7 @@ recorded in `Bank.diagnostics`.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
@@ -77,6 +78,9 @@ class TimingParams:
                 raise ConfigError(f"{name} must be positive")
         if self.acts_per_refi < 1:
             raise ConfigError("acts_per_refi must be >= 1")
+        if not math.isfinite(self.t_refw / self.t_refi):
+            raise ConfigError("timing.t_refw / timing.t_refi must be a finite count of "
+                              "refreshes per refresh window")
 
     @property
     def t_rc(self) -> float:

@@ -23,7 +23,12 @@ request-by-request loops do.  One `evaluate_mixes` call draws each
 core's row stream once per mix and runs its timeline once per
 mitigation variant.  It makes the PuD bank's PRAC steps once per variant
 into a table, at the shortest period and as far as the latest stop, and
-cuts each (mix, period) run from that table by one stop rule.
+cuts each (mix, period) run from that table by one stop rule.  Every
+PuD op opens the same rows, so the counters before an op fix all the
+steps after it: once the counters after a back-off burst equal those
+after an earlier burst (or at the start), the steps between repeat
+exactly, and the table steps PRAC through that cycle once and repeats it
+to the stop.
 """
 
 from __future__ import annotations
@@ -220,9 +225,19 @@ def _pud_steps(mitigation: Optional[PracConfig], period_ns: float, horizon: floa
     `horizon`.  No start falls as the period grows, so the table reaches
     the cut of every longer-period run whose stop starts by `horizon`.
     The watchdog raises before a step a run must consume (an op before
-    `target_reqs`, a start before `horizon`); the cut checks the rest."""
+    `target_reqs`, a start before `horizon`); the cut checks the rest.
+
+    Every op opens the same rows and PRAC never reads the time, so the
+    counters before an op fix every step after it.  Once the counters
+    before the run's first op, or before the first op after a back-off
+    burst, equal those at an earlier such op, the steps between the two
+    repeat exactly for good, each repeat adding their back-offs again;
+    `_repeat` lays them out to the stop instead of stepping PRAC, and
+    takes the starts from one `np.cumsum`, rounded as the running sum."""
     prac = _prac(mitigation)
     rows: list[tuple[bool, float, int]] = []
+    seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
+    cycle = None
     now, ops = 0.0, 0
     while ops < target_reqs or now <= horizon:
         if ops < target_reqs or now < horizon:
@@ -231,14 +246,58 @@ def _pud_steps(mitigation: Optional[PracConfig], period_ns: float, horizon: floa
             rows.append((True, _rfm(prac), prac.backoffs))
             now = now + rows[-1][1]
             continue
+        # key the run's first op, each first op after a burst, and,
+        # without PRAC, every op
+        if prac is None or not rows or rows[-1][0]:
+            key = () if prac is None else frozenset(prac.counters.items())
+            backoffs = 0 if prac is None else prac.backoffs
+            if key in seen:
+                first, before = seen[key]
+                cycle = first, backoffs - before
+                break
+            seen[key] = len(rows), backoffs
         service = _PUD_OP_NS + RANK_TURNAROUND
         if prac is not None:
             service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
         rows.append((False, service, 0 if prac is None else prac.backoffs))
         now, ops = now + max(service, period_ns), ops + 1
     table = np.array(rows, dtype=float).reshape(-1, 3)
+    if cycle is not None:
+        table = _repeat(table, *cycle, now, ops, period_ns, horizon, target_reqs)
     table.flags.writeable = False
     return table
+
+
+def _repeat(head: np.ndarray, first: int, backoffs: int, now: float, ops: int,
+            period_ns: float, horizon: float, target_reqs: int) -> np.ndarray:
+    """`head`, the steps before a start at `now` after `ops` ops, followed
+    by repeats of its steps from `first` on, each repeat `backoffs` more
+    back-offs along, up to the step where `_pud_steps` stops.  Raises the
+    watchdog where that loop would."""
+    cycle = head[first:]
+    is_op = cycle[:, 0] == 0
+    hold = np.where(is_op, np.maximum(cycle[:, 1], period_ns), cycle[:, 1])
+    span = float(hold.sum())
+
+    def reps_past(t: float) -> int:
+        # whole repeats after which the start passes t, plus one to spare
+        # for the running sum's rounding, half an ulp a step, far less
+        # than a repeat's hold
+        return math.floor(max(t - now, 0.0) / span) + 2
+
+    # every op done and past the horizon, or past the watchdog
+    need_ops = -(-(target_reqs - ops) // int(is_op.sum()))
+    reps = min(max(need_ops, reps_past(min(horizon, _WATCHDOG_NS))), reps_past(_WATCHDOG_NS))
+    t = np.cumsum(np.concatenate(([now], np.tile(hold, reps))))  # start of each step
+    done = ops + np.concatenate(([0], np.cumsum(np.tile(is_op, reps))))  # ops before it
+    stop = (done >= target_reqs) & (t > horizon)
+    watched = (done < target_reqs) | (t < horizon)
+    k = int(np.flatnonzero(stop | watched & (t > _WATCHDOG_NS))[0])
+    if not stop[k]:
+        _watchdog(float(t[k]))
+    tail = np.tile(cycle, (-(-k // len(cycle)), 1))[:k]
+    tail[:, 2] += (np.arange(k) // len(cycle) + 1) * backoffs
+    return np.concatenate((head, tail))
 
 
 def _with_pud(conv: PerfResult, steps: np.ndarray, period_ns: float,

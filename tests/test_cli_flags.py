@@ -137,3 +137,17 @@ def test_trr_eval_windows_default_to_one_refresh_window(outputs, settings):
     explicit = outputs([*args, "--windows", str(timing.refs_per_refw)], settings)
     assert outputs(args, settings) == explicit
     assert outputs([*args, "--windows", str(timing.refs_per_refw - 1)], settings) != explicit
+
+
+@pytest.mark.parametrize("args", [["trr-eval"], ["attack", "--victim", "9"]],
+                         ids=lambda a: a[0])
+def test_infinite_refresh_count_exits_with_one_line(tmp_path, caplog, args):
+    """A refresh window that holds infinitely many REFs ends the run with
+    one line naming both keys, before any file is written."""
+    values = {**_CONFIG, "timing.t_refi": "1e-300", "timing.t_refw": "1e300"}
+    (tmp_path / "in.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main([*args, "--config", str(tmp_path / "in.cfg"), "--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "timing.t_refw / timing.t_refi must be a finite count of refreshes per refresh window"]
+    assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 
 from pudsim.disturbance import COMRA, RH, SIMRA
 from pudsim.errors import ConfigError, PudsimError
+from pudsim import perf
 from pudsim.mitigation import PracConfig
 from pudsim.perf import (
     _PUD_COMRA_ROWS,
@@ -351,6 +352,28 @@ def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
     return rate, backoffs, rfms, done, (start, ready, core_id)
 
 
+def reference_pud_steps(mitigation: Optional[PracConfig], period_ns: float,
+                        horizon: float, target_reqs: int) -> np.ndarray:
+    """The PuD bank's step table, made step by step on fresh PRAC
+    counters to the stop."""
+    prac = _prac(mitigation)
+    rows: list[tuple[bool, float, int]] = []
+    now, ops = 0.0, 0
+    while ops < target_reqs or now <= horizon:
+        if ops < target_reqs or now < horizon:
+            _watchdog(now)
+        if prac is not None and prac.backoff_pending:
+            rows.append((True, _rfm(prac), prac.backoffs))
+            now = now + rows[-1][1]
+            continue
+        service = _PUD_OP_NS + RANK_TURNAROUND
+        if prac is not None:
+            service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
+        rows.append((False, service, 0 if prac is None else prac.backoffs))
+        now, ops = now + max(service, period_ns), ops + 1
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
 def _table(mit: Optional[PracConfig], conv: PerfResult, period_ns: float,
            target_reqs: int):
     """The step table `run_mix` makes to cut `conv`'s run at `period_ns`."""
@@ -457,6 +480,79 @@ def test_step_table_raises_before_a_step_a_run_must_consume_past_the_watchdog():
         assert _outcome(_with_pud, conv, steps, 1e7, 0) == want
         outcomes.append(type(want))
     assert outcomes == [tuple, str]
+
+
+def _steps_or_error(make, *args):
+    try:
+        return make(*args).tolist()
+    except PudsimError as e:
+        return str(e)
+
+
+_NEVER_REPEATS = PracConfig(rdt=10**6)  # no back-off fires, so no state repeats
+
+
+@pytest.mark.parametrize("variant", [*sorted(_PUD_VARIANTS), "never-repeats"])
+def test_pud_steps_match_reference_pud_steps(variant):
+    """The table that repeats the PuD bank's cycle equals the one made
+    step by step, array for array: run lengths inside and across the
+    cycle, and the stops of three mixes at short and odd periods."""
+    mit = _PUD_VARIANTS.get(variant, _NEVER_REPEATS)
+    cases = [(-math.inf, n) for n in (1, 2, 400)]
+    if variant == "wc":  # its cycle is 400 ops and 642 RFMs
+        cases += [(-math.inf, 2000), (-math.inf, 5000)]
+    cases += [(run_mix(m.cores, mit, None, m.seed, n).stop_key[0], 0)
+              for m in make_mixes(3, seed=2) for n in (400, 2000)]
+    for period in (1.0, 125.0, 777.7):
+        for horizon, target_reqs in cases:
+            got = _pud_steps(mit, period, horizon, target_reqs)
+            want = reference_pud_steps(mit, period, horizon, target_reqs)
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist()
+
+
+def test_pud_steps_repeat_the_cycle_from_step_zero(monkeypatch):
+    """Without PRAC one op repeats; naive counting repeats 20 ops and 34
+    RFMs with one back-off, weighted counting 400 ops and 642 RFMs with
+    20; a threshold no op reaches never repeats."""
+    cycles = []
+    repeat = perf._repeat
+
+    def spy(head, first, backoffs, *args):
+        cycle = head[first:]
+        cycles.append((first, int((cycle[:, 0] == 0).sum()), int(cycle[:, 0].sum()), backoffs))
+        return repeat(head, first, backoffs, *args)
+
+    monkeypatch.setattr(perf, "_repeat", spy)
+    for mit in (None, _PUD_VARIANTS["naive"], _PUD_VARIANTS["wc"], _NEVER_REPEATS):
+        _pud_steps(mit, 125.0, -math.inf, 5000)
+    assert cycles == [(0, 1, 0, 0), (0, 20, 34, 1), (0, 400, 642, 20)]
+
+
+@pytest.mark.parametrize("variant", ["none", "naive"])
+def test_repeated_steps_raise_the_watchdog_where_reference_pud_steps_does(
+        variant, monkeypatch):
+    """At a period of about 1e7 ns the 500th op starts near the watchdog,
+    5e9 ns, long after the cycle closed: the repeated table raises where
+    the step-by-step one raises, and has its rows where it does not, for
+    targets and horizons on either side, and a horizon equal to a start
+    past the watchdog."""
+    mit = _PUD_VARIANTS[variant]
+    with monkeypatch.context() as m:
+        m.setattr(perf, "_WATCHDOG_NS", math.inf)
+        steps = reference_pud_steps(mit, 1e7, 5.03e9, 0)
+    hold = np.where(steps[:, 0] > 0, steps[:, 1], np.maximum(steps[:, 1], 1e7))
+    starts = np.cumsum(np.concatenate(([0.0], hold)))
+    past = starts[starts > 5e9][:3].tolist()
+    outcomes = set()
+    for period in (1e7, 0.999e7):
+        for horizon in (-math.inf, 4.9e9, 5e9, *past, 6e9):
+            for target_reqs in (0, 450, 499, 500, 501, 502, 600):
+                want = _steps_or_error(reference_pud_steps, mit, period, horizon, target_reqs)
+                assert _steps_or_error(_pud_steps, mit, period, horizon, target_reqs) == want
+                outcomes.add(type(want))
+    assert outcomes == {str, list}
 
 
 @pytest.mark.parametrize("kind", CORE_KINDS)
