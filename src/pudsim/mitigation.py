@@ -110,23 +110,16 @@ class PracState:
         disturbs, as `victim_distances` orders them, and clear its
         counter.  Returns the refreshed victim rows.
 
-        Each RFM of a burst clears one counter at or above the threshold,
-        so a burst that starts with one such counter ends with its first
-        RFM, which scans for the hottest row.  The RFMs of a longer burst,
-        with no op or refresh between them, share one order: the first
-        sorts the counters by (count, row) and each pops the hottest row
-        left, the row a scan would find.
+        Back-to-back RFMs, with no op or refresh between them, share one
+        order: the first sorts the counters by (count, row) and each
+        pops the hottest row left, the row a scan would find.
         """
         if not self.counters:
             self.backoff_pending = False
             return ()
-        pairs = zip(self.counters.values(), self.counters.keys())
-        if self._order is None and self._at_rdt < 2:
-            _, target = max(pairs)
-        else:
-            if self._order is None:
-                self._order = sorted(pairs)
-            _, target = self._order.pop()
+        if self._order is None:
+            self._order = sorted(zip(self.counters.values(), self.counters.keys()))
+        _, target = self._order.pop()
         self._clear(target)
         self.backoff_pending = self._at_rdt > 0
         return tuple(v for v, _ in victim_distances(RH, (target,)) if 0 <= v < self.rows)

@@ -164,6 +164,19 @@ def _watchdog(t0: float) -> None:
         raise PudsimError("perf watchdog: no forward progress")
 
 
+# The PuD table's stop and watchdog rules, on a step's start `t` after
+# `done` ops; written with `&` and `|`, so that they take Python scalars
+# in the stepping loop and numpy arrays in `_repeat` alike.
+def _stops(done, t, target_reqs: int, horizon: float):
+    """Every op done and the start past the horizon: the table ends here."""
+    return (done >= target_reqs) & (t > horizon)
+
+
+def _watched(done, t, target_reqs: int, horizon: float):
+    """A step every run must consume: the watchdog checks its start."""
+    return (done < target_reqs) | (t < horizon)
+
+
 def _prac(config: Optional[PracConfig]) -> Optional[PracState]:
     """Fresh PRAC counters for one bank, or None when PRAC is off."""
     if config is None:
@@ -239,8 +252,8 @@ def _pud_steps(mitigation: Optional[PracConfig], period_ns: float, horizon: floa
     seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
     cycle = None
     now, ops = 0.0, 0
-    while ops < target_reqs or now <= horizon:
-        if ops < target_reqs or now < horizon:
+    while not _stops(ops, now, target_reqs, horizon):
+        if _watched(ops, now, target_reqs, horizon):
             _watchdog(now)
         if prac is not None and prac.backoff_pending:
             rows.append((True, _rfm(prac), prac.backoffs))
@@ -290,9 +303,8 @@ def _repeat(head: np.ndarray, first: int, backoffs: int, now: float, ops: int,
     reps = min(max(need_ops, reps_past(min(horizon, _WATCHDOG_NS))), reps_past(_WATCHDOG_NS))
     t = np.cumsum(np.concatenate(([now], np.tile(hold, reps))))  # start of each step
     done = ops + np.concatenate(([0], np.cumsum(np.tile(is_op, reps))))  # ops before it
-    stop = (done >= target_reqs) & (t > horizon)
-    watched = (done < target_reqs) | (t < horizon)
-    k = int(np.flatnonzero(stop | watched & (t > _WATCHDOG_NS))[0])
+    stop = _stops(done, t, target_reqs, horizon)
+    k = int(np.flatnonzero(stop | _watched(done, t, target_reqs, horizon) & (t > _WATCHDOG_NS))[0])
     if not stop[k]:
         _watchdog(float(t[k]))
     tail = np.tile(cycle, (-(-k // len(cycle)), 1))[:k]
