@@ -10,6 +10,7 @@ load(dump(cfg)) == cfg trivially.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 
 from . import keyval
@@ -87,6 +88,14 @@ class RunConfig:
             raise ConfigError(f"perf.periods must be positive, got {min(periods):g}")
         if not periods or len(set(periods)) < len(periods):
             raise ConfigError("perf.periods must list distinct positive periods")
+        # the PuD core alone runs perf.target_reqs ops, one a period apart
+        try:
+            finite = math.isfinite(max(periods) * self.perf_target_reqs)
+        except OverflowError:  # a target past the largest float
+            finite = False
+        if not finite:
+            raise ConfigError(f"perf.periods x perf.target_reqs must be a finite count of ns, "
+                              f"got {max(periods):g} x {self.perf_target_reqs}")
 
     def layout(self) -> SubarrayLayout:
         """`subarrays` equal subarrays, each at least one group span."""

@@ -16,24 +16,19 @@ A run with conventional cores ends when the last of them completes its
 `target_reqs`-th request.  The PuD core is served until then: its ops
 and RFMs are those whose scheduling key (start, ready, core id) sorts
 before the key of that final request.  Without conventional cores it
-runs `target_reqs` ops.  PRAC never reads the time, so a bank's counter
-updates and RFMs follow from its ops alone, and its times are then one
-`np.cumsum`, which rounds each partial sum in turn as the tests'
-request-by-request loops do.  One `evaluate_mixes` call draws each
-core's row stream once per mix and runs its timeline once per
-mitigation variant.  It makes the PuD bank's PRAC steps once per variant
-into a table, at the shortest period and as far as the latest stop, and
-cuts each (mix, period) run from that table by one stop rule.  Every
-PuD op opens the same rows, so the counters before an op fix all the
-steps after it: once the counters after a back-off burst equal those
-after an earlier burst (or at the start), the steps between repeat
-exactly, and the table steps PRAC through that cycle once and repeats it
-to the stop.
+runs `target_reqs` ops.  Simulated time has no cap.  One
+`evaluate_mixes` call draws each core's row stream once per mix and
+runs its timeline once per mitigation variant.  PRAC never reads the
+time, and every PuD op opens the same rows, so the PuD bank's counter
+updates and RFMs follow from its ops alone and repeat once its counters
+do: each variant's PuD cycle of ops and RFMs is made once, whatever the
+period, and each (mix, period) run lays it out to its own stop.  The
+starts are one `np.cumsum` of the holds, which rounds each partial sum
+in turn as the tests' request-by-request loops do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +36,7 @@ import numpy as np
 
 from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
-from .errors import ConfigError, PudsimError
+from .errors import ConfigError
 from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec
 from .rng import stable_hash, stable_hash_each
@@ -156,25 +151,6 @@ def weighted_speedup(shared: dict[int, float], alone: dict[int, float]) -> float
 _PUD_SIMRA_ROWS = tuple(range(0, 32))
 _PUD_COMRA_ROWS = (64, 66)
 _ROWS = 4096  # rows of each bank
-_WATCHDOG_NS = 5e9
-
-
-def _watchdog(t0: float) -> None:
-    if t0 > _WATCHDOG_NS:
-        raise PudsimError("perf watchdog: no forward progress")
-
-
-# The PuD table's stop and watchdog rules, on a step's start `t` after
-# `done` ops; written with `&` and `|`, so that they take Python scalars
-# in the stepping loop and numpy arrays in `_repeat` alike.
-def _stops(done, t, target_reqs: int, horizon: float):
-    """Every op done and the start past the horizon: the table ends here."""
-    return (done >= target_reqs) & (t > horizon)
-
-
-def _watched(done, t, target_reqs: int, horizon: float):
-    """A step every run must consume: the watchdog checks its start."""
-    return (done < target_reqs) | (t < horizon)
 
 
 def _prac(config: Optional[PracConfig]) -> Optional[PracState]:
@@ -224,136 +200,103 @@ def _conventional(
     t = np.cumsum(np.insert(inc, rfm_at, rfm_ns))
     # the last request became ready before the RFMs that precede it
     start, ready = float(t[-2]), float(t[-2 - rfm_at.count(2 * n - 1)])
-    _watchdog(start)
     done = float(t[-1])
     backoffs = prac.backoffs if prac is not None else 0
     return n * INSTR_PER_REQ / done, backoffs, len(rfm_at), done, (start, ready, core_id)
 
 
-def _pud_steps(mitigation: Optional[PracConfig], period_ns: float, horizon: float,
-               target_reqs: int) -> np.ndarray:
-    """The PuD bank's steps on fresh PRAC counters, a read-only table of
-    (is RFM, service time, back-offs so far), made until `target_reqs`
-    ops are done and, holds taken at `period_ns`, the next start passes
-    `horizon`.  No start falls as the period grows, so the table reaches
-    the cut of every longer-period run whose stop starts by `horizon`.
-    The watchdog raises before a step a run must consume (an op before
-    `target_reqs`, a start before `horizon`); the cut checks the rest.
+def _pud_cycle(mitigation: Optional[PracConfig]) -> tuple[np.ndarray, int, int]:
+    """The PuD bank's steps on fresh PRAC counters until they repeat: a
+    read-only table of (is RFM, service time, back-offs so far), the step
+    its repeat starts at, and the back-offs each repeat adds.  The steps
+    from that one on repeat for good.
 
     Every op opens the same rows and PRAC never reads the time, so the
-    counters before an op fix every step after it.  Once the counters
-    before the run's first op, or before the first op after a back-off
-    burst, equal those at an earlier such op, the steps between the two
-    repeat exactly for good, each repeat adding their back-offs again;
-    `_repeat` lays them out to the stop instead of stepping PRAC, and
-    takes the starts from one `np.cumsum`, rounded as the running sum."""
+    counters before an op fix every step after it.  They are keyed before
+    the run's first op and before the first op after each back-off burst
+    (without PRAC, before every op), and the cycle closes at the first
+    key seen twice.  Every op raises its rows' counters and RFMs bound
+    them, so back-offs recur and every configuration repeats."""
     prac = _prac(mitigation)
     rows: list[tuple[bool, float, int]] = []
     seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
-    cycle = None
-    now, ops = 0.0, 0
-    while not _stops(ops, now, target_reqs, horizon):
-        if _watched(ops, now, target_reqs, horizon):
-            _watchdog(now)
+    while True:
         if prac is not None and prac.backoff_pending:
             rows.append((True, _rfm(prac), prac.backoffs))
-            now = now + rows[-1][1]
             continue
-        # key the run's first op, each first op after a burst, and,
-        # without PRAC, every op
         if prac is None or not rows or rows[-1][0]:
             key = () if prac is None else frozenset(prac.counters.items())
             backoffs = 0 if prac is None else prac.backoffs
             if key in seen:
                 first, before = seen[key]
-                cycle = first, backoffs - before
-                break
+                steps = np.array(rows, dtype=float)
+                steps.flags.writeable = False
+                return steps, first, backoffs - before
             seen[key] = len(rows), backoffs
         service = _PUD_OP_NS + RANK_TURNAROUND
         if prac is not None:
             service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
         rows.append((False, service, 0 if prac is None else prac.backoffs))
-        now, ops = now + max(service, period_ns), ops + 1
-    table = np.array(rows, dtype=float).reshape(-1, 3)
-    if cycle is not None:
-        table = _repeat(table, *cycle, now, ops, period_ns, horizon, target_reqs)
-    table.flags.writeable = False
-    return table
 
 
-def _repeat(head: np.ndarray, first: int, backoffs: int, now: float, ops: int,
-            period_ns: float, horizon: float, target_reqs: int) -> np.ndarray:
-    """`head`, the steps before a start at `now` after `ops` ops, followed
-    by repeats of its steps from `first` on, each repeat `backoffs` more
-    back-offs along, up to the step where `_pud_steps` stops.  Raises the
-    watchdog where that loop would."""
-    cycle = head[first:]
-    is_op = cycle[:, 0] == 0
-    hold = np.where(is_op, np.maximum(cycle[:, 1], period_ns), cycle[:, 1])
-    span = float(hold.sum())
-
-    def reps_past(t: float) -> int:
-        # whole repeats after which the start passes t, plus one to spare
-        # for the running sum's rounding, half an ulp a step, far less
-        # than a repeat's hold
-        return math.floor(max(t - now, 0.0) / span) + 2
-
-    # every op done and past the horizon, or past the watchdog
-    need_ops = -(-(target_reqs - ops) // int(is_op.sum()))
-    reps = min(max(need_ops, reps_past(min(horizon, _WATCHDOG_NS))), reps_past(_WATCHDOG_NS))
-    t = np.cumsum(np.concatenate(([now], np.tile(hold, reps))))  # start of each step
-    done = ops + np.concatenate(([0], np.cumsum(np.tile(is_op, reps))))  # ops before it
-    stop = _stops(done, t, target_reqs, horizon)
-    k = int(np.flatnonzero(stop | _watched(done, t, target_reqs, horizon) & (t > _WATCHDOG_NS))[0])
-    if not stop[k]:
-        _watchdog(float(t[k]))
-    tail = np.tile(cycle, (-(-k // len(cycle)), 1))[:k]
-    tail[:, 2] += (np.arange(k) // len(cycle) + 1) * backoffs
-    return np.concatenate((head, tail))
-
-
-def _with_pud(conv: PerfResult, steps: np.ndarray, period_ns: float,
+def _with_pud(conv: PerfResult, cycle: tuple[np.ndarray, int, int], period_ns: float,
               target_reqs: int) -> PerfResult:
-    """Add the PuD core's timeline, cut from the table `steps`, to a run
-    of the conventional cores (`conv`, which has no PuD core).
+    """Add the PuD core's timeline, its `cycle` (`_pud_cycle`) laid out
+    to this run's stop, to a run of the conventional cores (`conv`, which
+    has no PuD core).
 
     A step starts when the bank is free and the core ready: an RFM holds
     the bank for its service, an op for its service or the period,
     whichever is longer, since rounding is monotone:
     fl(t + max(s, p)) == max(fl(t + s), fl(t + p)).  The starts are one
-    prefix sum of the holds.  The run consumes the steps before the
-    first whose key (start, ready, core id) sorts after `conv.stop_key`
-    or, without one, through its `target_reqs`-th op."""
+    prefix sum of the holds, over enough repeats of the cycle to pass the
+    stop, plus two to spare for the running sum's rounding, half an ulp a
+    step, far less than a repeat's hold.  The run consumes the steps
+    before the first whose key (start, ready, core id) sorts after
+    `conv.stop_key` or, without one, through its `target_reqs`-th op."""
+    steps, first, cycle_backoffs = cycle
     pud_id = len(conv.shared_rates)
-    is_rfm, service = steps[:, 0] > 0, steps[:, 1]
-    is_op = ~is_rfm
-    hold = np.where(is_rfm, service, np.maximum(service, period_ns))
-    t = np.cumsum(np.concatenate(([0.0], hold)))  # start of each step and the next
+    is_op = steps[:, 0] == 0
+    hold = np.where(is_op, np.maximum(steps[:, 1], period_ns), steps[:, 1])
+    # a repeat's total hold, and the starts past the stop, may overflow; no cut reads them
+    with np.errstate(over="ignore"):
+        if conv.stop_key is None:
+            reps = -(-target_reqs // int(is_op[first:].sum()))
+        else:
+            reps = int(conv.stop_key[0] // hold[first:].sum())
+        # each step's row of `steps`, over the repeats that pass the stop and two more
+        at = np.concatenate((np.arange(first),
+                             np.tile(np.arange(first, len(steps)), reps + 2)))
+        t = np.cumsum(np.concatenate(([0.0], hold[at])))  # start of each step and the next
+    op = is_op[at]
     if conv.stop_key is None:
-        past = np.concatenate(([0], np.cumsum(is_op))) >= target_reqs  # by ops before each
+        past = np.concatenate(([0], np.cumsum(op))) >= target_reqs  # by ops before each
     else:
         # the core is ready at the start of the step after its last op
-        after_op = np.concatenate(([0], np.where(is_op, np.arange(1, len(t)), 0)))
+        after_op = np.concatenate(([0], np.where(op, np.arange(1, len(t)), 0)))
         ready = t[np.maximum.accumulate(after_op)]
         s0, r0, c0 = conv.stop_key
         past = (t > s0) | (t == s0) & ((ready > r0) | (ready == r0) & (pud_id > c0))
     k = int(np.flatnonzero(past)[0])  # steps consumed
-    if k:
-        _watchdog(float(t[k - 1]))
-    op_idx = np.flatnonzero(is_op[:k])
+    op_idx = np.flatnonzero(op[:k])
     completed = len(op_idx)
-    done = (t[op_idx] + service[op_idx]).tolist() or [0.0]  # each op's completion
-    first, last = done[0], done[-1]
+    done = (t[op_idx] + steps[at[op_idx], 1]).tolist() or [0.0]  # each op's completion
+    first_done, last = done[0], done[-1]
     end = max(conv.end_time, last)
-    if completed >= 2 and last > first:
+    if completed >= 2 and last > first_done:
         # rate over whole inter-completion periods: exact for a
         # periodic core, free of end-of-run partial-period noise
-        rate = (completed - 1) / (last - first)
+        rate = (completed - 1) / (last - first_done)
     else:
         rate = completed / end if end > 0 else 0.0
+    # back-offs by the last step consumed: its row's, plus whole repeats'
+    backoffs = 0
+    if k:
+        repeats = max(k - 1 - first, 0) // (len(steps) - first)
+        backoffs = int(steps[at[k - 1], 2]) + repeats * cycle_backoffs
     return PerfResult(
         shared_rates={**conv.shared_rates, pud_id: rate},
-        backoffs=conv.backoffs + (int(steps[k - 1, 2]) if k else 0),
+        backoffs=conv.backoffs + backoffs,
         rfm_count=conv.rfm_count + (k - completed),
         end_time=end,
         stop_key=conv.stop_key,
@@ -368,14 +311,12 @@ def run_mix(
     target_reqs: int,
     *,
     rows: Optional[list[list[int]]] = None,
-    steps: Optional[np.ndarray] = None,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)
     free-runs and is measured by rate.  Every bank counts with
     `mitigation`'s PRAC configuration, or not at all when it is None.
-    Unless given, the run makes its own core `rows` and PuD step table
-    (`_pud_steps`), which must reach its stop at `period_ns`."""
+    Unless given, the run makes its own core `rows`."""
     if len(conv_cores) > CONV_BANKS:
         raise ConfigError(f"at most {CONV_BANKS} conventional cores, one per bank")
     if target_reqs < 1:
@@ -394,11 +335,7 @@ def run_mix(
         stop_key=max((line[4] for line in lines), default=None),
     )
     if period_ns is not None:
-        if steps is None:
-            stop = res.stop_key
-            steps = _pud_steps(mitigation, period_ns, stop[0] if stop else -math.inf,
-                               0 if stop else target_reqs)
-        res = _with_pud(res, steps, period_ns, target_reqs)
+        res = _with_pud(res, _pud_cycle(mitigation), period_ns, target_reqs)
     return res
 
 
@@ -444,18 +381,12 @@ def evaluate_mixes(
             name: run_mix(mix.cores, mit, None, mix.seed, target_reqs, rows=rows)
             for name, mit in variants.items()
         })
-    # 2. one step table per variant at the shortest period, to the latest
-    # stop; a run without conventional cores takes `target_reqs` ops
-    tables = {}
-    for name, mit in variants.items():
-        stops = [conv[name].stop_key for conv in convs]
-        horizon = max((stop[0] for stop in stops if stop), default=-math.inf)
-        ops = target_reqs if name == "none" or None in stops else 0
-        tables[name] = _pud_steps(mit, min(periods), horizon, ops)
-    # 3. every run cut from its variant's table; the PuD core alone reads
-    # no seed, so its rate depends only on the period
+    # 2. each variant's PuD cycle, which does not depend on the period either
+    cycles = {name: _pud_cycle(mit) for name, mit in variants.items()}
+    # 3. every run lays its variant's cycle out to its own stop; the PuD
+    # core alone reads no seed, so its rate depends only on the period
     pud_alone = {
-        period: run_mix((), None, period, 0, target_reqs, steps=tables["none"]).shared_rates[0]
+        period: run_mix((), None, period, 0, target_reqs).shared_rates[0]
         for period in periods
     }
     out = []
@@ -465,7 +396,7 @@ def evaluate_mixes(
             alone[len(mix.cores)] = pud_alone[period]
             ws_by_variant: dict[str, tuple[float, PerfResult]] = {}
             for name in variants:
-                res = _with_pud(conv[name], tables[name], period, target_reqs)
+                res = _with_pud(conv[name], cycles[name], period, target_reqs)
                 ws_by_variant[name] = (weighted_speedup(res.shared_rates, alone), res)
             ws_base = ws_by_variant["none"][0]
             for name, (ws, res) in ws_by_variant.items():

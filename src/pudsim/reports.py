@@ -96,16 +96,24 @@ _NOT_A_NUMBER = {"hcfirst": NO_FLIP, "N": "", "gap_ns": ""}
 
 def read_results(path: str | Path, kind: str) -> list[dict]:
     """The rows of a results CSV that report `kind` aggregates; a
-    ConfigError names the first column or value that does not fit."""
+    ConfigError names the first column or value that does not fit, or
+    the text that is not UTF-8 or not CSV."""
     columns, ints, numbers = _INPUTS[kind]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if sorted(header) != sorted(columns):
-            missing = [c for c in columns if c not in header]
-            raise ConfigError(f"{path}: not a {kind} results file: missing columns "
-                              f"{missing}, unexpected {sorted(set(header) - set(columns))}")
-        rows = list(reader)
+        try:
+            header = reader.fieldnames or []
+            if sorted(header) != sorted(columns):
+                missing = [c for c in columns if c not in header]
+                raise ConfigError(f"{path}: not a {kind} results file: missing columns "
+                                  f"{missing}, unexpected {sorted(set(header) - set(columns))}")
+            rows = list(reader)
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+        except csv.Error as e:
+            # the DictReader counts the lines of the rows it returned,
+            # its csv reader those it has read
+            raise ConfigError(f"{path} line {reader.reader.line_num}: {e}") from None
     for line, row in enumerate(rows, start=2):
         if None in row or None in row.values():
             raise ConfigError(f"{path} line {line}: {len(columns)} fields expected")

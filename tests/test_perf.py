@@ -1,14 +1,12 @@
 """Multi-core performance model: weighted speedup and mitigation cost."""
 
-import math
 from typing import Optional
 
 import numpy as np
 import pytest
 
 from pudsim.disturbance import COMRA, RH, SIMRA
-from pudsim.errors import ConfigError, PudsimError
-from pudsim import perf
+from pudsim.errors import ConfigError
 from pudsim.mitigation import PracConfig
 from pudsim.perf import (
     _PUD_COMRA_ROWS,
@@ -25,9 +23,8 @@ from pudsim.perf import (
     _conventional,
     _core_rows,
     _prac,
-    _pud_steps,
+    _pud_cycle,
     _rfm,
-    _watchdog,
     _with_pud,
     default_variants,
     evaluate_mixes,
@@ -289,7 +286,6 @@ def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
                 break
         elif (start, ready, pud_id) > conv.stop_key:
             break
-        _watchdog(start)
         if prac is not None and prac.backoff_pending:
             free = start + _rfm(prac)
             rfms += 1
@@ -334,7 +330,6 @@ def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
             free = start + _rfm(prac)
             rfms += 1
             start = max(ready, free)
-        _watchdog(start)
         if row == open_row:
             done = start + T_HIT
         else:
@@ -352,34 +347,20 @@ def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
     return rate, backoffs, rfms, done, (start, ready, core_id)
 
 
-def reference_pud_steps(mitigation: Optional[PracConfig], period_ns: float,
-                        horizon: float, target_reqs: int) -> np.ndarray:
-    """The PuD bank's step table, made step by step on fresh PRAC
-    counters to the stop."""
+def reference_pud_steps(mitigation: Optional[PracConfig], n: int) -> list:
+    """The PuD bank's first `n` steps, (is RFM, service time, back-offs
+    so far), made one by one on fresh PRAC counters."""
     prac = _prac(mitigation)
     rows: list[tuple[bool, float, int]] = []
-    now, ops = 0.0, 0
-    while ops < target_reqs or now <= horizon:
-        if ops < target_reqs or now < horizon:
-            _watchdog(now)
+    while len(rows) < n:
         if prac is not None and prac.backoff_pending:
             rows.append((True, _rfm(prac), prac.backoffs))
-            now = now + rows[-1][1]
             continue
         service = _PUD_OP_NS + RANK_TURNAROUND
         if prac is not None:
             service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
         rows.append((False, service, 0 if prac is None else prac.backoffs))
-        now, ops = now + max(service, period_ns), ops + 1
-    return np.array(rows, dtype=float).reshape(-1, 3)
-
-
-def _table(mit: Optional[PracConfig], conv: PerfResult, period_ns: float,
-           target_reqs: int):
-    """The step table `run_mix` makes to cut `conv`'s run at `period_ns`."""
-    stop = conv.stop_key
-    return _pud_steps(mit, period_ns, stop[0] if stop else -math.inf,
-                      0 if stop else target_reqs)
+    return rows
 
 
 def _fields(res: PerfResult):
@@ -393,166 +374,87 @@ _PUD_VARIANTS = {
     "ao": PracConfig(mode="ao"),
     "rdt1": PracConfig(rdt=1),
 }
-_PUD_PERIODS = (1.0, 125.0, 16000.0, 1e6)
+# 400 ops at 4e305 ns stay finite, but a repeat of 400 `wc` ops does not
+_PUD_PERIODS = (1.0, 125.0, 16000.0, 1e6, 4e305)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("target_reqs", [1, 2, 400])
 @pytest.mark.parametrize("with_conv", [False, True], ids=["pud-alone", "mix"])
 @pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
 def test_step_walk_matches_reference_with_pud(variant, with_conv, target_reqs):
-    """Every period cuts one step table of the variant, made at the
-    shortest period, and matches a run on fresh counters field for
-    field."""
+    """Every period lays out the variant's one PuD cycle and matches a
+    run on fresh counters field for field, as does the same cycle with
+    its first repeat written out as steps before the repeat starts."""
     mit = _PUD_VARIANTS[variant]
     mix = make_mixes(1, seed=4)[0]
     cores = mix.cores if with_conv else ()
     conv = run_mix(cores, mit, None, mix.seed, target_reqs)
-    steps = _table(mit, conv, min(_PUD_PERIODS), target_reqs)
+    steps, first, backoffs = _pud_cycle(mit)
+    headed = (np.concatenate((steps, steps[first:] + [0, 0, backoffs])), len(steps), backoffs)
     for period in _PUD_PERIODS:
-        got = _with_pud(conv, steps, period, target_reqs)
-        assert _fields(got) == _fields(reference_with_pud(conv, mit, period, target_reqs))
-
-
-def _outcome(run, *args):
-    try:
-        return _fields(run(*args))
-    except PudsimError as e:
-        return str(e)
+        want = _fields(reference_with_pud(conv, mit, period, target_reqs))
+        for cycle in ((steps, first, backoffs), headed):
+            assert _fields(_with_pud(conv, cycle, period, target_reqs)) == want
 
 
 @pytest.mark.parametrize("variant", ["none", "naive", "ao"])
 def test_step_walk_stops_on_key_ties_as_the_reference(variant):
-    """Stop keys equal to a step's own start and ready time, against a
-    conventional core ranked before or after the PuD core, cut from the
-    table of 40 ops and from a table made to the stop's own start."""
+    """Stop keys equal to the own start and ready time of each step
+    through the 40th op, against a conventional core ranked before or
+    after the PuD core."""
     mit = _PUD_VARIANTS[variant]
-    steps = _pud_steps(mit, 125.0, -math.inf, 40)
-    keys, t, ready = [], 0.0, 0.0
-    for is_rfm, service, _ in steps.tolist():
+    cycle = _pud_cycle(mit)
+    keys, t, ready, ops = [], 0.0, 0.0, 0
+    for is_rfm, service, _ in reference_pud_steps(mit, 400):
         keys.append((t, ready))
         t += service if is_rfm else max(service, 125.0)
         ready = ready if is_rfm else t
+        ops += not is_rfm
+        if ops == 40:
+            break
     for t, ready in keys:
         for key in ((t, ready, 0), (t, ready, 1), (t, ready - 0.5, 1), (t, t + 1.0, 0)):
             conv = PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=key)
             want = _fields(reference_with_pud(conv, mit, 125.0, 40))
-            for table in (steps, _table(mit, conv, 125.0, 40)):
-                assert _fields(_with_pud(conv, table, 125.0, 40)) == want
+            assert _fields(_with_pud(conv, cycle, 125.0, 40)) == want
 
 
-@pytest.mark.parametrize("variant", ["none", "naive"])
-def test_step_walk_watchdog_matches_reference(variant):
-    """A run raises exactly when a start it consumes passes the watchdog,
-    whether its table raises making that step or its cut consumes it."""
-    mit = _PUD_VARIANTS[variant]
-    outcomes = set()
-
-    def cut(conv, period, target_reqs):
-        return _with_pud(conv, _table(mit, conv, period, target_reqs), period, target_reqs)
-
-    for period in (1e6, 1e7, 0.999e7):
-        for target_reqs in (450, 501, 502, 600):
-            for stop_key in (None, (5e9, 5e9, 0), (6e9, 0.0, 0)):
-                conv = (PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=stop_key) if stop_key
-                        else PerfResult({}, 0, 0, 0.0))
-                want = _outcome(reference_with_pud, conv, mit, period, target_reqs)
-                assert _outcome(cut, conv, period, target_reqs) == want
-                outcomes.add(type(want))
-    assert outcomes == {str, tuple}
+def _tiled(cycle, n: int) -> list:
+    """The first `n` steps that `cycle` stands for: its steps, then its
+    steps from the repeat's first on, again and again, each repeat adding
+    its back-offs to the third column."""
+    steps, first, backoffs = cycle
+    rows, repeat = steps[:first].tolist(), 0
+    while len(rows) < n:
+        rows += [[is_rfm, service, b + repeat * backoffs]
+                 for is_rfm, service, b in steps[first:].tolist()]
+        repeat += 1
+    return rows[:n]
 
 
-def test_step_table_raises_before_a_step_a_run_must_consume_past_the_watchdog():
-    """Ops start every 1e7 ns, so op i starts at i * 1e7 and op 501 at
-    5.01e9, past the watchdog."""
-    assert len(_pud_steps(None, 1e7, -math.inf, 501)) == 501
-    assert len(_pud_steps(None, 1e7, 5e9, 0)) == 501
-    for horizon, target_reqs in ((-math.inf, 502), (5.02e9, 0), (5.01e9, 502)):
-        with pytest.raises(PudsimError, match="watchdog"):
-            _pud_steps(None, 1e7, horizon, target_reqs)
-    # a stop at 5.01e9 may leave the op that starts there: the table makes
-    # it, and the cut raises only for a run that consumes it
-    steps = _pud_steps(None, 1e7, 5.01e9, 0)
-    assert len(steps) == 502
-    outcomes = []
-    for core_id in (0, 2):  # the PuD core, id 1, sorts after and before the stop
-        conv = PerfResult({0: 1.0}, 0, 0, 10.0, stop_key=(5.01e9, 5.01e9, core_id))
-        want = _outcome(reference_with_pud, conv, None, 1e7, 0)
-        assert _outcome(_with_pud, conv, steps, 1e7, 0) == want
-        outcomes.append(type(want))
-    assert outcomes == [tuple, str]
+@pytest.mark.parametrize("variant", [*sorted(_PUD_VARIANTS), "rdt1e4"])
+def test_tiled_pud_cycle_matches_reference_pud_steps(variant):
+    """The cycle, tiled to 5,000 steps, equals the steps made one by one,
+    row for row: past several repeats of every variant, and past one of
+    a 1,000-op cycle."""
+    mit = _PUD_VARIANTS.get(variant, PracConfig(rdt=10**4))
+    cycle = _pud_cycle(mit)
+    assert not cycle[0].flags.writeable  # no run can change what the next one reads
+    want = np.array(reference_pud_steps(mit, 5000), dtype=float).tolist()
+    assert _tiled(cycle, 5000) == want
 
 
-def _steps_or_error(make, *args):
-    try:
-        return make(*args).tolist()
-    except PudsimError as e:
-        return str(e)
-
-
-_NEVER_REPEATS = PracConfig(rdt=10**6)  # no back-off fires, so no state repeats
-
-
-@pytest.mark.parametrize("variant", [*sorted(_PUD_VARIANTS), "never-repeats"])
-def test_pud_steps_match_reference_pud_steps(variant):
-    """The table that repeats the PuD bank's cycle equals the one made
-    step by step, array for array: run lengths inside and across the
-    cycle, and the stops of three mixes at short and odd periods."""
-    mit = _PUD_VARIANTS.get(variant, _NEVER_REPEATS)
-    cases = [(-math.inf, n) for n in (1, 2, 400)]
-    if variant == "wc":  # its cycle is 400 ops and 642 RFMs
-        cases += [(-math.inf, 2000), (-math.inf, 5000)]
-    cases += [(run_mix(m.cores, mit, None, m.seed, n).stop_key[0], 0)
-              for m in make_mixes(3, seed=2) for n in (400, 2000)]
-    for period in (1.0, 125.0, 777.7):
-        for horizon, target_reqs in cases:
-            got = _pud_steps(mit, period, horizon, target_reqs)
-            want = reference_pud_steps(mit, period, horizon, target_reqs)
-            assert not got.flags.writeable
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tolist() == want.tolist()
-
-
-def test_pud_steps_repeat_the_cycle_from_step_zero(monkeypatch):
+def test_pud_steps_repeat_the_cycle_from_step_zero():
     """Without PRAC one op repeats; naive counting repeats 20 ops and 34
     RFMs with one back-off, weighted counting 400 ops and 642 RFMs with
-    20; a threshold no op reaches never repeats."""
-    cycles = []
-    repeat = perf._repeat
-
-    def spy(head, first, backoffs, *args):
-        cycle = head[first:]
-        cycles.append((first, int((cycle[:, 0] == 0).sum()), int(cycle[:, 0].sum()), backoffs))
-        return repeat(head, first, backoffs, *args)
-
-    monkeypatch.setattr(perf, "_repeat", spy)
-    for mit in (None, _PUD_VARIANTS["naive"], _PUD_VARIANTS["wc"], _NEVER_REPEATS):
-        _pud_steps(mit, 125.0, -math.inf, 5000)
-    assert cycles == [(0, 1, 0, 0), (0, 20, 34, 1), (0, 400, 642, 20)]
-
-
-@pytest.mark.parametrize("variant", ["none", "naive"])
-def test_repeated_steps_raise_the_watchdog_where_reference_pud_steps_does(
-        variant, monkeypatch):
-    """At a period of about 1e7 ns the 500th op starts near the watchdog,
-    5e9 ns, long after the cycle closed: the repeated table raises where
-    the step-by-step one raises, and has its rows where it does not, for
-    targets and horizons on either side, and a horizon equal to a start
-    past the watchdog."""
-    mit = _PUD_VARIANTS[variant]
-    with monkeypatch.context() as m:
-        m.setattr(perf, "_WATCHDOG_NS", math.inf)
-        steps = reference_pud_steps(mit, 1e7, 5.03e9, 0)
-    hold = np.where(steps[:, 0] > 0, steps[:, 1], np.maximum(steps[:, 1], 1e7))
-    starts = np.cumsum(np.concatenate(([0.0], hold)))
-    past = starts[starts > 5e9][:3].tolist()
-    outcomes = set()
-    for period in (1e7, 0.999e7):
-        for horizon in (-math.inf, 4.9e9, 5e9, *past, 6e9):
-            for target_reqs in (0, 450, 499, 500, 501, 502, 600):
-                want = _steps_or_error(reference_pud_steps, mit, period, horizon, target_reqs)
-                assert _steps_or_error(_pud_steps, mit, period, horizon, target_reqs) == want
-                outcomes.add(type(want))
-    assert outcomes == {str, list}
+    20, as (first step, ops, RFMs, back-offs)."""
+    shapes = []
+    for variant in ("none", "naive", "wc"):
+        steps, first, backoffs = _pud_cycle(_PUD_VARIANTS[variant])
+        is_rfm = steps[first:, 0]
+        shapes.append((first, int((is_rfm == 0).sum()), int(is_rfm.sum()), backoffs))
+    assert shapes == [(0, 1, 0, 0), (0, 20, 34, 1), (0, 400, 642, 20)]
 
 
 @pytest.mark.parametrize("kind", CORE_KINDS)
@@ -585,14 +487,13 @@ def test_conventional_leaves_a_back_off_after_the_last_request_unserved():
 
 @pytest.mark.parametrize("variant", ["none", "naive"])
 def test_conventional_watchdog_matches_reference(variant):
+    """Simulated time has no cap: requests 1e9 ns apart, and a start at
+    5e9 ns, run as the reference runs them."""
+    mit = _PUD_VARIANTS[variant]
     spec = CoreSpec(kind="random", gap_ns=1e9)
     rows = _core_rows(spec, 0, 3, 10)
-    mit = _PUD_VARIANTS[variant]
-    with pytest.raises(PudsimError, match="watchdog"):
-        reference_conventional(spec, 0, rows, mit, 10)
-    with pytest.raises(PudsimError, match="watchdog"):
-        _conventional(spec, 0, rows, mit)
-    # a start at 5e9 itself is still progress
+    assert repr(_conventional(spec, 0, rows, mit)) == repr(
+        reference_conventional(spec, 0, rows, mit, 10))
     spec = CoreSpec(kind="stream", gap_ns=5e9 - _TIMING.t_rc)
     assert repr(_conventional(spec, 0, [0, 0], mit)) == repr(
         reference_conventional(spec, 0, [0, 0], mit, 2))
@@ -615,23 +516,20 @@ def test_cumsum_adds_left_to_right():
 
 @pytest.mark.parametrize("variant", sorted(_PUD_VARIANTS))
 def test_step_list_serves_long_and_short_runs_in_either_order(variant):
-    """One table serves every run it reaches: runs of 2 and 400 ops in
-    either order, and, made at the shortest period for the latest stop,
-    every earlier stop at every longer period."""
+    """One cycle serves every run: runs of 2 and 400 ops in either
+    order, and the stops of three mixes at short and long periods."""
     mit = _PUD_VARIANTS[variant]
     conv = {n: run_mix((), mit, None, 0, n) for n in (2, 400)}
     want = {n: _fields(reference_with_pud(conv[n], mit, 125.0, n)) for n in (2, 400)}
-    steps = _pud_steps(mit, 125.0, -math.inf, 400)
-    assert not steps.flags.writeable  # no cut can change what the next one reads
+    cycle = _pud_cycle(mit)
     for order in ((400, 2), (2, 400)):
         for n in order:
-            assert _fields(_with_pud(conv[n], steps, 125.0, n)) == want[n]
+            assert _fields(_with_pud(conv[n], cycle, 125.0, n)) == want[n]
     runs = [run_mix(m.cores, mit, None, m.seed, n)
             for m in make_mixes(3, seed=2) for n in (2, 50, 400)]
-    steps = _pud_steps(mit, 1.0, max(run.stop_key[0] for run in runs), 0)
     for run in runs:
         for period in (1.0, 125.0, 777.7, 16000.0):
-            assert _fields(_with_pud(run, steps, period, 0)) == _fields(
+            assert _fields(_with_pud(run, cycle, period, 0)) == _fields(
                 reference_with_pud(run, mit, period, 0))
 
 
@@ -666,7 +564,7 @@ def test_core_rows_match_reference_row(kind, locality):
 
 
 def test_evaluate_mixes_equals_independent_runs():
-    """Sharing row streams and PuD step tables inside one call gives the
+    """Sharing row streams and PuD cycles inside one call gives the
     rows that separate runs on fresh streams and counters give."""
     mixes = make_mixes(3, seed=13)
     periods = (125.0, 4000.0)
@@ -680,7 +578,7 @@ def test_evaluate_mixes_equals_independent_runs():
             runs = {}
             for name, mit in variants.items():
                 conv = run_mix(mix.cores, mit, None, mix.seed, target)
-                res = _with_pud(conv, _table(mit, conv, period, target), period, target)
+                res = _with_pud(conv, _pud_cycle(mit), period, target)
                 assert _fields(res) == _fields(
                     run_mix(mix.cores, mit, period, mix.seed, target))
                 runs[name] = (weighted_speedup(res.shared_rates, alone), res)

@@ -169,6 +169,8 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["mitigation-eval", "--variant", "bogus"], "unknown variant 'bogus'"),
     (["mitigation-eval", "--period", "0"], "--period must be positive, got 0"),
     (["mitigation-eval", "--period", "-5"], "--period must be positive, got -5"),
+    (["mitigation-eval", "--period", "1e306"],
+     "--period x perf.target_reqs must be a finite count of ns, got 1e+306 x 2000"),
     (["characterize", "--kinds", "rowhammer rowhammer", "geometry.rows=64"],
      "--kinds names 'rowhammer' more than once"),
     (["trr-eval", "--windows", "10000000000000000000"],
@@ -211,8 +213,13 @@ def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args
     ({"perf.periods": ""}, "perf.periods must list distinct positive periods"),
     ({"perf.periods": "1000 1000"}, "perf.periods must list distinct positive periods"),
     ({"perf.periods": "1000 125 1e3"}, "perf.periods must list distinct positive periods"),
+    ({"perf.periods": "125 1e306"},
+     "perf.periods x perf.target_reqs must be a finite count of ns, got 1e+306 x 2000"),
+    ({"perf.target_reqs": 10**400},
+     f"perf.periods x perf.target_reqs must be a finite count of ns, got 16000 x {10**400}"),
 ], ids=["target-0", "target-negative", "mixes-0", "periods-empty",
-        "periods-repeated", "periods-repeated-spelled-apart"])
+        "periods-repeated", "periods-repeated-spelled-apart", "periods-overflow-the-timeline",
+        "target-past-every-float"])
 def test_cli_mitigation_eval_bad_perf_key_leaves_no_manifest(tmp_path, caplog, extra, message):
     """A `perf.*` value the sweep cannot use ends the run with one line
     naming the key, before the manifest is written."""
@@ -294,10 +301,10 @@ def test_cli_trr_eval_rejects_windows_below_one(tmp_path, caplog, windows):
     assert not (tmp_path / "out").exists()
 
 
-def _bad_report_input(tmp_path, kind, text, caplog):
-    """Run `report --kind` on a CSV of `text`; its one error line."""
+def _bad_report_input(tmp_path, kind, data, caplog):
+    """Run `report --kind` on a CSV of the bytes `data`; its one error line."""
     src = tmp_path / "in.csv"
-    src.write_text(text)
+    src.write_bytes(data)
     out = tmp_path / "again"
     assert main(["report", "--kind", kind, "--input", str(src), "--out", str(out)]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -308,14 +315,25 @@ def _bad_report_input(tmp_path, kind, text, caplog):
 
 @pytest.mark.parametrize("kind", ["characterize", "trr-eval", "perf"])
 def test_cli_report_rejects_a_csv_without_its_columns(tmp_path, caplog, kind):
-    msg = _bad_report_input(tmp_path, kind, "seed\n0\n", caplog)
+    msg = _bad_report_input(tmp_path, kind, b"seed\n0\n", caplog)
     assert f"not a {kind} results file: missing columns" in msg
 
 
 def test_cli_report_rejects_a_count_that_is_not_a_number(tmp_path, caplog):
     text = ",".join(TRR_COLUMNS) + "\nsimra,0,0,3,0\nsimra,1,0,x,2\n"
-    msg = _bad_report_input(tmp_path, "trr-eval", text, caplog)
+    msg = _bad_report_input(tmp_path, "trr-eval", text.encode(), caplog)
     assert msg.endswith("line 3: bitflips = 'x' is not an integer")
+
+
+def test_cli_report_rejects_a_file_that_is_not_utf8(tmp_path, caplog):
+    msg = _bad_report_input(tmp_path, "perf", b"\xff\xfe", caplog)
+    assert msg.startswith(f"{tmp_path / 'in.csv'}: not UTF-8 text: 'utf-8' codec")
+
+
+def test_cli_report_rejects_a_field_past_the_csv_field_limit(tmp_path, caplog):
+    text = ",".join(TRR_COLUMNS) + "\nsimra,0,0,3,0\n" + "x" * 200_000 + ",1,0,3,0\n"
+    msg = _bad_report_input(tmp_path, "trr-eval", text.encode(), caplog)
+    assert msg == f"{tmp_path / 'in.csv'} line 3: field larger than field limit (131072)"
 
 
 @pytest.mark.parametrize("hcfirst", ["12.5", "never", ""])
@@ -325,7 +343,7 @@ def test_cli_report_rejects_a_first_flip_that_is_neither_count_nor_noflip(
     rows = [_result_row("rowhammer", 10, 500), _result_row("rowhammer", 11, hcfirst)]
     write_csv(tmp_path / "results.csv", RESULT_COLUMNS, rows)
     msg = _bad_report_input(
-        tmp_path, "characterize", (tmp_path / "results.csv").read_text(), caplog
+        tmp_path, "characterize", (tmp_path / "results.csv").read_bytes(), caplog
     )
     assert msg.endswith(f"line 3: hcfirst = {hcfirst!r} is not an integer")
 
@@ -533,6 +551,15 @@ def test_cli_period_is_recorded_and_replays(tmp_path):
     assert (replay / "perf.csv").read_bytes() == (first / "perf.csv").read_bytes()
     rows = csv.DictReader((first / "perf.csv").read_text().splitlines())
     assert {r["period_ns"] for r in rows} == {"250.0"}
+
+
+def test_cli_period_past_five_seconds_of_simulated_time_runs(tmp_path):
+    """Simulated time has no cap: at the default 2000 ops, a 3e6 ns
+    period runs the PuD core alone for 6e9 ns."""
+    cfg = _cfg_file(tmp_path, **{"perf.mixes": 1})
+    assert main(["mitigation-eval", "--config", str(cfg), "--period", "3e6"]) == 0
+    rows = csv.DictReader((tmp_path / "out" / "perf.csv").read_text().splitlines())
+    assert [r["mitigation"] for r in rows] == ["none", "prac-po-naive", "prac-po-wc"]
 
 
 @pytest.mark.parametrize("args", _EVERY_SUBCOMMAND)
