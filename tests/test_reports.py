@@ -169,8 +169,6 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["mitigation-eval", "--variant", "bogus"], "unknown variant 'bogus'"),
     (["mitigation-eval", "--period", "0"], "--period must be positive, got 0"),
     (["mitigation-eval", "--period", "-5"], "--period must be positive, got -5"),
-    (["mitigation-eval", "--period", "1e306"],
-     "--period x perf.target_reqs must be a finite count of ns, got 1e+306 x 2000"),
     (["characterize", "--kinds", "rowhammer rowhammer", "geometry.rows=64"],
      "--kinds names 'rowhammer' more than once"),
     (["trr-eval", "--windows", "10000000000000000000"],
@@ -188,6 +186,8 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["mitigation-eval", "--out", "afile/sub"], "[Errno 20] Not a directory: 'afile/sub'"),
     (["attack", "--victim", "9", "--config", "adir"], "cannot read adir: [Errno 21] Is a"),
     (["report", "--kind", "perf", "--input", "adir"], "[Errno 21] Is a directory: 'adir'"),
+    (["mitigation-eval", "--period", "1e306"],
+     "--period x perf.target_reqs must be a finite count of ns, got 1e+306 x 2000"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
