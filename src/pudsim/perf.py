@@ -12,6 +12,15 @@ updates and the RFMs that block its bank follow from its own trace
 alone.  Each PuD op pays the bus turnaround once, because it always
 follows rank-0 traffic.
 
+PRAC counts in bulk between back-offs, by the rules of
+`mitigation.PracState`.  A conventional core's misses are one-row
+activations, and each of its back-offs is served before its next
+request, so `PracState.on_activations` finds the misses that raise a
+back-off in one pass; each such back-off is one RFM on the missed row.
+The PuD bank counts the repeats of its op that raise no back-off in one
+step (`PracState.on_repeats`); the op that does goes through `on_op`,
+and its burst through `rfm`.
+
 A run with conventional cores ends when the last of them completes its
 `target_reqs`-th request.  The PuD core is served until then: its ops
 and RFMs are those whose scheduling key (start, ready, core id) sorts
@@ -37,7 +46,7 @@ import numpy as np
 from .disturbance import COMRA, RH, SIMRA
 from .dram import TimingParams
 from .errors import ConfigError
-from .mitigation import PracConfig, PracState
+from .mitigation import PracConfig, PracState, rfm_victims
 from .patterns import PatternSpec
 from .rng import stable_hash, stable_hash_each
 
@@ -150,6 +159,7 @@ def weighted_speedup(shared: dict[int, float], alone: dict[int, float]) -> float
 # group and copy rows the PuD core drives (inside its own bank)
 _PUD_SIMRA_ROWS = tuple(range(0, 32))
 _PUD_COMRA_ROWS = (64, 66)
+_PUD_OPS = ((SIMRA, _PUD_SIMRA_ROWS), (COMRA, _PUD_COMRA_ROWS))
 _ROWS = 4096  # rows of each bank
 
 
@@ -160,10 +170,10 @@ def _prac(config: Optional[PracConfig]) -> Optional[PracState]:
     return PracState(config, rows=_ROWS, t_rc=_TIMING.t_rc)
 
 
-def _rfm(prac: PracState) -> float:
-    """Service one RFM; it blocks the bank one tRC per refreshed row
-    (at least one)."""
-    return _TIMING.t_rc * max(1, len(prac.rfm()))
+def _rfm_ns(victims: tuple[int, ...]) -> float:
+    """An RFM that refreshes `victims` blocks the bank one tRC per
+    refreshed row (at least one)."""
+    return _TIMING.t_rc * max(1, len(victims))
 
 
 def _conventional(
@@ -177,10 +187,12 @@ def _conventional(
     key of its last request.
 
     Only this core uses the bank, so a request starts when it is issued,
-    the previous completion plus the gap, after any RFMs pending from
-    the previous miss.  One pass over the misses makes the counter
-    updates and RFMs; the times are one prefix sum of 0.0 and, per
-    request, its RFMs, its service and the gap to the next."""
+    the previous completion plus the gap, after the RFM of a back-off
+    raised by the previous miss.  The misses are counted in bulk
+    (`PracState.on_activations`); the counter update of a one-row
+    activation hides in its precharge slot, so it adds no service time.
+    The times are one prefix sum of 0.0 and, per request, its RFM, its
+    service and the gap to the next."""
     prac = _prac(mitigation)
     n = len(rows)
     row = np.asarray(rows)
@@ -188,21 +200,19 @@ def _conventional(
     inc = np.zeros(2 * n)
     inc[1::2] = np.where(miss, _TIMING.t_rc, T_HIT)
     inc[2::2] = spec.gap_ns
-    rfm_at, rfm_ns = [], []  # where in `inc` each RFM goes, and its time
+    backoffs, served = 0, np.zeros(0, dtype=int)  # requests whose back-off an RFM serves
     if prac is not None:
-        for i in np.flatnonzero(miss).tolist():
-            # counter update hides in the precharge slot for single-row
-            # activations; no extra service time
-            prac.on_op(RH, (rows[i],))
-            while i + 1 < n and prac.backoff_pending:
-                rfm_at.append(2 * i + 3)
-                rfm_ns.append(_rfm(prac))
-    t = np.cumsum(np.insert(inc, rfm_at, rfm_ns))
-    # the last request became ready before the RFMs that precede it
-    start, ready = float(t[-2]), float(t[-2 - rfm_at.count(2 * n - 1)])
+        misses = np.flatnonzero(miss)
+        raised = misses[prac.on_activations(row[misses])]
+        backoffs = len(raised)
+        served = raised[raised + 1 < n]  # a back-off on the last request stays unserved
+    # each RFM refreshes around the row that raised its back-off
+    rfm_ns = [_rfm_ns(rfm_victims(r, _ROWS)) for r in row[served].tolist()]
+    t = np.cumsum(np.insert(inc, 2 * served + 3, rfm_ns))
+    # the last request became ready before the RFM that precedes it
+    start, ready = float(t[-2]), float(t[-2 - int((served == n - 2).sum())])
     done = float(t[-1])
-    backoffs = prac.backoffs if prac is not None else 0
-    return n * INSTR_PER_REQ / done, backoffs, len(rfm_at), done, (start, ready, core_id)
+    return n * INSTR_PER_REQ / done, backoffs, len(served), done, (start, ready, core_id)
 
 
 def _pud_cycle(mitigation: Optional[PracConfig]) -> tuple[np.ndarray, int, int]:
@@ -216,13 +226,17 @@ def _pud_cycle(mitigation: Optional[PracConfig]) -> tuple[np.ndarray, int, int]:
     the run's first op and before the first op after each back-off burst
     (without PRAC, before every op), and the cycle closes at the first
     key seen twice.  Every op raises its rows' counters and RFMs bound
-    them, so back-offs recur and every configuration repeats."""
+    them, so back-offs recur and every configuration repeats.
+
+    After a burst, the ops before the one that raises the next back-off
+    are counted in one step (`PracState.on_repeats`); that op is counted
+    by `on_op`, and every op's service is the same."""
     prac = _prac(mitigation)
     rows: list[tuple[bool, float, int]] = []
     seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
     while True:
         if prac is not None and prac.backoff_pending:
-            rows.append((True, _rfm(prac), prac.backoffs))
+            rows.append((True, _rfm_ns(prac.rfm()), prac.backoffs))
             continue
         if prac is None or not rows or rows[-1][0]:
             key = () if prac is None else frozenset(prac.counters.items())
@@ -234,9 +248,12 @@ def _pud_cycle(mitigation: Optional[PracConfig]) -> tuple[np.ndarray, int, int]:
                 return steps, first, backoffs - before
             seen[key] = len(rows), backoffs
         service = _PUD_OP_NS + RANK_TURNAROUND
-        if prac is not None:
-            service += prac.on_op(SIMRA, _PUD_SIMRA_ROWS) + prac.on_op(COMRA, _PUD_COMRA_ROWS)
-        rows.append((False, service, 0 if prac is None else prac.backoffs))
+        if prac is None:
+            rows.append((False, service, 0))
+            continue
+        quiet, before = prac.on_repeats(_PUD_OPS), prac.backoffs
+        service += sum(prac.on_op(kind, opened) for kind, opened in _PUD_OPS)
+        rows += [(False, service, before)] * quiet + [(False, service, prac.backoffs)]
 
 
 def _with_pud(conv: PerfResult, cycle: tuple[np.ndarray, int, int], period_ns: float,
@@ -288,7 +305,9 @@ def _with_pud(conv: PerfResult, cycle: tuple[np.ndarray, int, int], period_ns: f
         # periodic core, free of end-of-run partial-period noise
         rate = (completed - 1) / (last - first_done)
     else:
-        rate = completed / end if end > 0 else 0.0
+        # a periodic core completes at most one op per period
+        span = max(end, period_ns)
+        rate = completed / span if span > 0 else 0.0
     # back-offs by the last step consumed: its row's, plus whole repeats'
     backoffs = 0
     if k:

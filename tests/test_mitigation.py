@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pudsim import PracConfig, PracState
 from pudsim.disturbance import COMRA, MAX_DISTANCE, RH, SIMRA, victim_distances
 from pudsim.errors import ConfigError
-from pudsim.mitigation import secure_rdt, weight
+from pudsim.mitigation import rfm_victims, secure_rdt, weight
 
 T_RC = 49.5
 
@@ -276,6 +276,79 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
         assert fast.counters == slow.counters
         assert fast.backoff_pending == slow.backoff_pending
     assert fast.backoffs == slow.backoffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 2, 30, 62, 63]), max_size=200),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=7),
+       st.booleans())
+def test_bulk_activations_match_op_by_op_counting(rows, rdt, w, weighted):
+    """`on_activations` leaves the state that `on_op` per activation,
+    with every back-off but one on the last activation served by `rfm`,
+    leaves, and each served back-off takes one RFM on its own row."""
+    cfg = PracConfig(rdt=rdt, weights={RH: w}, weighted=weighted)
+    bulk, step = PracState(cfg, rows=64), PracState(cfg, rows=64)
+    raised, targets = [], []
+    for i, r in enumerate(rows):
+        step.on_op(RH, (r,))
+        if step.backoff_pending:
+            raised.append(i)
+        while i + 1 < len(rows) and step.backoff_pending:
+            targets.append(r)
+            assert step.rfm() == rfm_victims(r, 64)
+    assert targets == [rows[i] for i in raised if i + 1 < len(rows)]
+    assert bulk.on_activations(rows).tolist() == raised
+    assert bulk.counters == step.counters
+    assert (bulk.backoffs, bulk.backoff_pending) == (step.backoffs, step.backoff_pending)
+    # an RFM, then more ops, after the bulk count go as after op-by-op counting
+    assert bulk.rfm() == step.rfm() and bulk.counters == step.counters
+    for r in rows:
+        bulk.on_op(RH, (r,))
+        step.on_op(RH, (r,))
+        assert (bulk.backoffs, bulk.backoff_pending) == (step.backoffs, step.backoff_pending)
+
+
+def test_bulk_activations_need_fresh_counters_and_in_bank_rows():
+    st_ = make_prac(rdt=5)
+    with pytest.raises(ConfigError, match=r"^row 300 outside \[0, 256\)$"):
+        st_.on_activations([3, 300, 7, -4])
+    assert st_.counters == {} and st_.backoffs == 0
+    st_.on_op(RH, (3,))
+    with pytest.raises(ValueError):
+        st_.on_activations([3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([RH, COMRA, SIMRA]), st.integers(0, 6)),
+                max_size=30),
+       st.lists(st.tuples(st.sampled_from([RH, COMRA, SIMRA]), st.integers(0, 6)),
+                min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=400), st.booleans())
+def test_bulk_repeats_stop_before_the_repeat_that_reaches_rdt(before, repeat, rdt, weighted):
+    """`on_repeats` counts the repeats that `on_op` counts before the
+    first repeat that brings a row it opens to the threshold."""
+    bulk, step, ahead = (make_prac(rdt=rdt, weighted=weighted) for _ in range(3))
+    ops = [(kind, rows_for(kind, idx)) for kind, idx in repeat]
+    opened = {r for _, rows in ops for r in rows}
+    for prac in (bulk, step, ahead):
+        for kind, idx in before:
+            prac.on_op(kind, rows_for(kind, idx))
+    quiet = 0
+    for kind, rows in ops:  # `ahead` runs one repeat ahead of `step`
+        ahead.on_op(kind, rows)
+    while all(ahead.counters[r] < rdt for r in opened):
+        for kind, rows in ops:
+            ahead.on_op(kind, rows)
+            step.on_op(kind, rows)
+        quiet += 1
+    pending = bulk.backoff_pending
+    assert bulk.on_repeats(ops) == quiet
+    assert bulk.counters == step.counters
+    assert (bulk.backoffs, bulk.backoff_pending) == (step.backoffs, pending)
+    if not pending:
+        for kind, rows in ops:
+            bulk.on_op(kind, rows)
+        assert bulk.backoff_pending
 
 
 # -- secure back-off threshold -----------------------------------------------------

@@ -1,5 +1,7 @@
 """Multi-core performance model: weighted speedup and mitigation cost."""
 
+import hashlib
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from pudsim.disturbance import COMRA, RH, SIMRA
 from pudsim.errors import ConfigError
-from pudsim.mitigation import PracConfig
+from pudsim.mitigation import PracConfig, PracState
 from pudsim.perf import (
     _PUD_COMRA_ROWS,
     _PUD_OP_NS,
@@ -24,7 +26,7 @@ from pudsim.perf import (
     _core_rows,
     _prac,
     _pud_cycle,
-    _rfm,
+    _rfm_ns,
     _with_pud,
     default_variants,
     evaluate_mixes,
@@ -167,6 +169,17 @@ def test_run_mix_matches_reference_values(key):
     )
 
 
+@pytest.mark.parametrize("period", [3e6, 1e6, 1e7, 1.7e305])
+def test_a_pud_core_slower_than_the_run_keeps_speedup_within_the_core_count(period):
+    """A PuD core that completes fewer than two ops before the run stops
+    still progresses at most one op per period, as it does alone."""
+    target = 1000 if period > 1e300 else 2000
+    rows = evaluate_mixes(make_mixes(1, seed=1), periods=(period,), target_reqs=target)
+    ws = {r["mitigation"]: r["weighted_speedup"] for r in rows}
+    assert ws["none"] == 5.0
+    assert 0 < ws["prac-po-naive"] <= 5.0 and 0 < ws["prac-po-wc"] <= 5.0
+
+
 def test_run_mix_rejects_more_cores_than_banks():
     cores = tuple(CoreSpec(kind="stream", row_base=i * 256) for i in range(8))
     with pytest.raises(ConfigError):
@@ -287,7 +300,7 @@ def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
         elif (start, ready, pud_id) > conv.stop_key:
             break
         if prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac)
+            free = start + _rfm_ns(prac.rfm())
             rfms += 1
             continue
         service = op_time
@@ -306,7 +319,8 @@ def reference_with_pud(conv: PerfResult, mitigation: Optional[PracConfig],
     if completed >= 2 and last > first:
         rate = (completed - 1) / (last - first)
     else:
-        rate = completed / end if end > 0 else 0.0
+        span = max(end, period_ns)
+        rate = completed / span if span > 0 else 0.0
     return PerfResult(
         shared_rates={**conv.shared_rates, pud_id: rate},
         backoffs=conv.backoffs + (prac.backoffs if prac is not None else 0),
@@ -327,7 +341,7 @@ def reference_conventional(spec: CoreSpec, core_id: int, rows: list[int],
         row = rows[completed]
         start = max(ready, free)
         while prac is not None and prac.backoff_pending:
-            free = start + _rfm(prac)
+            free = start + _rfm_ns(prac.rfm())
             rfms += 1
             start = max(ready, free)
         if row == open_row:
@@ -354,7 +368,7 @@ def reference_pud_steps(mitigation: Optional[PracConfig], n: int) -> list:
     rows: list[tuple[bool, float, int]] = []
     while len(rows) < n:
         if prac is not None and prac.backoff_pending:
-            rows.append((True, _rfm(prac), prac.backoffs))
+            rows.append((True, _rfm_ns(prac.rfm()), prac.backoffs))
             continue
         service = _PUD_OP_NS + RANK_TURNAROUND
         if prac is not None:
@@ -455,6 +469,91 @@ def test_pud_steps_repeat_the_cycle_from_step_zero():
         is_rfm = steps[first:, 0]
         shapes.append((first, int((is_rfm == 0).sum()), int(is_rfm.sum()), backoffs))
     assert shapes == [(0, 1, 0, 0), (0, 20, 34, 1), (0, 400, 642, 20)]
+
+
+# (rdt, first step, ops, RFMs, back-offs, SHA-256 of the steps' bytes),
+# recorded from the PuD bank stepped op by op
+_LONG_PUD_CYCLES = [
+    (10**4, 0, 1000, 642, 20,
+     "9c5ee49edbe8c935468c92c6c53db1583117036999116128bbfcd4611454c3de"),
+    (10**6, 0, 100000, 642, 20,
+     "0e8721b2b964443d570c599dae2d4325c40dad471bc772384c99cdce5b13b448"),
+]
+
+
+@pytest.mark.parametrize("rdt, first, ops, rfms, backoffs, digest", _LONG_PUD_CYCLES,
+                         ids=["rdt1e4", "rdt1e6"])
+def test_long_pud_cycles_stay_as_recorded(rdt, first, ops, rfms, backoffs, digest):
+    steps, got_first, got_backoffs = _pud_cycle(PracConfig(rdt=rdt))
+    is_rfm = steps[got_first:, 0]
+    assert (got_first, int((is_rfm == 0).sum()), int(is_rfm.sum()), got_backoffs) == (
+        first, ops, rfms, backoffs)
+    assert hashlib.sha256(steps.tobytes()).hexdigest() == digest
+
+
+def test_prac_counts_in_bulk_between_back_offs(monkeypatch):
+    """A PuD cycle counts through `on_op` only the op that raises each
+    back-off, two calls, and serves every RFM through `rfm`; a
+    conventional core calls neither."""
+    calls = Counter()
+    for name in ("on_op", "rfm"):
+        def spy(self, *a, _real=getattr(PracState, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *a)
+
+        monkeypatch.setattr(PracState, name, spy)
+    for variant, want in (("naive", (2, 34)), ("wc", (40, 642))):
+        calls.clear()
+        _pud_cycle(_PUD_VARIANTS[variant])
+        assert (calls["on_op"], calls["rfm"]) == want
+    calls.clear()
+    spec = CoreSpec(kind="random", footprint=8)
+    res = _conventional(spec, 0, _core_rows(spec, 0, 1, 2000), _PUD_VARIANTS["naive"])
+    assert res[2] > 0 and not calls
+
+
+# rows a random stream draws from: the bank's edges and a few inner rows
+_STREAM_ROWS = (0, 1, 2, 3, 100, 101, 2048, 4093, 4094, 4095)
+
+
+def _random_prac(draw) -> PracConfig:
+    rdt = int(draw.choice([*range(1, 61), 4000, 10**4]))
+    return PracConfig(mode=str(draw.choice(["ao", "po"])), rdt=rdt,
+                      weights={RH: int(draw.integers(1, 8)), COMRA: 10, SIMRA: 200},
+                      weighted=bool(draw.integers(2)))
+
+
+def test_bulk_conventional_matches_reference_on_random_configs():
+    """Random PRAC configurations and row streams with repeats, bank-edge
+    rows and, in every other stream, a back-off on the last request."""
+    draw = np.random.default_rng(25)
+    last_raised = 0
+    for case in range(300):
+        mit = _random_prac(draw)
+        pool = draw.choice(_STREAM_ROWS, size=int(draw.integers(1, 5)), replace=False)
+        rows = draw.choice(pool, size=int(draw.integers(1, 300))).tolist()
+        if case % 2:
+            # end on the miss that brings a row to the threshold since its last clear
+            r, o = draw.choice(_STREAM_ROWS, size=2, replace=False).tolist()
+            per_backoff = -(-mit.rdt // mit.increment(RH))
+            misses = sum(x == r and (i == 0 or rows[i - 1] != r) for i, x in enumerate(rows))
+            rows += [o, r] * (per_backoff - misses % per_backoff)
+        spec = CoreSpec(kind="random", gap_ns=float(draw.integers(0, 200)))
+        got = _conventional(spec, 3, rows, mit)
+        assert repr(got) == repr(reference_conventional(spec, 3, rows, mit, len(rows)))
+        last_raised += got[1] == got[2] + 1
+    assert last_raised >= 150
+
+
+@pytest.mark.parametrize("rows", [[5, 4097, 3, -2], [-2], [4095, 4095, 4096], [7, -3, 9000]])
+def test_bulk_conventional_names_the_first_row_outside_the_bank(rows):
+    spec = CoreSpec(kind="random")
+    mit = _PUD_VARIANTS["naive"]
+    with pytest.raises(ConfigError) as want:
+        reference_conventional(spec, 0, rows, mit, len(rows))
+    with pytest.raises(ConfigError) as got:
+        _conventional(spec, 0, rows, mit)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("kind", CORE_KINDS)

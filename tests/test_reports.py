@@ -1,6 +1,7 @@
 """CSV report writers and the command-line front end."""
 
 import csv
+import hashlib
 from dataclasses import fields
 
 import pytest
@@ -551,6 +552,25 @@ def test_cli_period_is_recorded_and_replays(tmp_path):
     assert (replay / "perf.csv").read_bytes() == (first / "perf.csv").read_bytes()
     rows = csv.DictReader((first / "perf.csv").read_text().splitlines())
     assert {r["period_ns"] for r in rows} == {"250.0"}
+
+
+# SHA-256 of perf.csv for four mixes, recorded before PRAC counted in bulk
+_PERF_CSV_SHA256 = {
+    "default": ((), "a25db67bfabb4d55e6a0ee67a4ecd42ecdfed656e8abd8af6a025a3158898768"),
+    "wc-333-seed1": (("--variant", "prac-po-wc", "--period", "333", "--seed", "1"),
+                     "db921f09a1fd66b66ba72e79da90064600331afac6efd65fa571bb6bf313c7c6"),
+    "wc-333-seed7": (("--variant", "prac-po-wc", "--period", "333", "--seed", "7"),
+                     "bd530995e518a3413c1efd6b26c6ba8faa57dab5b7c337e8909f206227fca5e1"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PERF_CSV_SHA256))
+def test_cli_mitigation_eval_perf_csv_is_byte_identical(tmp_path, run):
+    args, digest = _PERF_CSV_SHA256[run]
+    cfg = _cfg_file(tmp_path, **{"perf.mixes": 4})
+    assert main(["mitigation-eval", "--config", str(cfg), *args]) == 0
+    data = (tmp_path / "out" / "perf.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cli_period_past_five_seconds_of_simulated_time_runs(tmp_path):
