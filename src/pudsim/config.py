@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import keyval
-from .dram import SIMRA_GAP_MAX, SIMRA_SIZES, SimraGroupMap, SubarrayLayout, TimingParams
+from .dram import MAX_ROWS, SIMRA_GAP_MAX, SIMRA_SIZES, SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import REPEATS
 from .disturbance import T_REF_C
@@ -74,6 +74,9 @@ class RunConfig:
             )
         if self.repeats < 1:
             raise ConfigError("search.repeats must be >= 1")
+        # before the layout, which allocates per row
+        if self.rows > MAX_ROWS:
+            raise ConfigError(f"geometry.rows must be at most {MAX_ROWS}, got {self.rows}")
         # delegate range checks to the component types
         self.layout()
         self.timing()

@@ -128,6 +128,7 @@ class ChipProfile:
             if any(m < 0 for m in table.values()):
                 raise ConfigError(f"dp_mult.{kind} must not be negative")
         self._contrib_cache: dict = {}
+        self._deposit_cache: dict = {}
 
     def units_per_hammer(self, kind: str) -> float:
         """Effective units one calibration hammer deposits on the reference
@@ -245,14 +246,31 @@ def _victim_distances(kind: str, aggressors: tuple[int, ...]) -> tuple[tuple[int
     return tuple([(v, nearest_member(members, v)) for v in victims])
 
 
+# distinct ops whose deposits a profile keeps; past that it forgets them
+# all, so that a scatter stream over a large bank cannot grow the memo
+# without limit
+DEPOSIT_MEMO_SIZE = 1024
+
+
 def deposits(kind: str, aggressors: tuple[int, ...], t_on: float, dp: Optional[int],
-             temp_c: float, profile: ChipProfile) -> list[tuple[int, float]]:
+             temp_c: float, profile: ChipProfile) -> tuple[tuple[int, float], ...]:
     """(row, units) of every row one hammer of `kind` over `aggressors`,
-    held open `t_on`, disturbs, in `victim_distances` order."""
+    held open `t_on`, disturbs, in `victim_distances` order.
+
+    Memoized per profile, as `contribution` is, so the profile must not
+    change once in use: a PRAC stream repeats a few ops many times."""
+    key = (kind, tuple(aggressors), t_on, dp, temp_c)
+    cache = profile._deposit_cache
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     opened = len(set(aggressors))
     units = [contribution(kind, dp, temp_c, t_on, d, opened, profile)
              for d in range(1, MAX_DISTANCE + 1)]
-    return [(v, units[d - 1]) for v, d in victim_distances(kind, aggressors)]
+    if len(cache) >= DEPOSIT_MEMO_SIZE:
+        cache.clear()
+    hit = cache[key] = tuple([(v, units[d - 1]) for v, d in victim_distances(kind, key[1])])
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +429,13 @@ def accumulate(
     damage = state.damage
     flipped = state.flipped
     for eff in effects:
+        # a restored row loses its damage and flipped bits; `flipped`
+        # stays empty until a row flips, so it is popped only then
         if isinstance(eff, RefreshEffect):
             for r in eff.rows:
                 damage.pop(r, None)
-                flipped.pop(r, None)
+                if flipped:
+                    flipped.pop(r, None)
             continue
         if not isinstance(eff, HammerEffect):
             raise ConfigError(f"unknown effect {type(eff).__name__}")
@@ -422,7 +443,8 @@ def accumulate(
         theta = thresholds.theta_list(kind)
         for a in eff.aggressors:
             damage.pop(a, None)
-            flipped.pop(a, None)
+            if flipped:
+                flipped.pop(a, None)
         if theta is None:
             continue  # kind not expressible on this module
         for v, units in deposits(kind, eff.aggressors, eff.t_on, dp, temp_c, profile):

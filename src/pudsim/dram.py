@@ -36,6 +36,12 @@ KIND_SIMRA = "simra"
 
 SIMRA_SIZES = (2, 4, 8, 16, 32)
 
+# most rows a bank may have: the model keeps a few values per row (its
+# subarray, thresholds and weak bit, damage), and the default
+# `characterize` peaks near 300 MB at this size; a DDR4 bank has at most
+# 2**17 rows
+MAX_ROWS = 2**20
+
 COMMANDS = ("ACT", "PRE", "WR", "REF")
 
 # bytes each row stores
@@ -242,25 +248,23 @@ class CommandEvent(namedtuple("CommandEvent", "time kind row payload")):
 # Analog effects emitted by the bank model
 
 
-@dataclass(frozen=True)
-class HammerEffect:
-    """One charge-disturbance event seen by aggressor neighbors.
+class HammerEffect(namedtuple("HammerEffect", "kind aggressors t_on time")):
+    """One charge-disturbance event seen by aggressor neighbors, an
+    immutable tuple.
 
     kind: KIND_RH (one nominal activation), KIND_COMRA (one complete
     copy cycle, both rows acted as aggressors), KIND_SIMRA (one complete
-    multi-activation op over the whole group).
+    multi-activation op over the whole group); aggressors: the rows it
+    opened; t_on: how long they stayed open, in ns; time: when it ended.
     """
 
-    kind: str
-    aggressors: tuple[int, ...]
-    t_on: float
-    time: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RefreshEffect:
-    rows: tuple[int, ...]
-    time: float
+class RefreshEffect(namedtuple("RefreshEffect", "rows time")):
+    """The rows a refresh or RFM restored at `time`, an immutable tuple."""
+
+    __slots__ = ()
 
 
 def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:

@@ -121,10 +121,11 @@ class PracState:
         self._order = None
         counters = self.counters
         rdt = cfg.rdt
+        lo = rdt - w  # a counter from here up to rdt - 1 reaches rdt
         for r in rows:
             old = counters.get(r, 0)
             counters[r] = old + w
-            if old < rdt <= old + w:
+            if lo <= old < rdt:
                 self._at_rdt += 1
         if self._at_rdt and not self.backoff_pending:
             self.backoff_pending = True

@@ -119,19 +119,19 @@ def make_mixes(count: int, seed: int) -> list[Mix]:
     return mixes
 
 
-def _core_rows(spec: CoreSpec, core_id: int, seed: int, n: int) -> list[int]:
+def _core_rows(spec: CoreSpec, core_id: int, seed: int, n: int) -> np.ndarray:
     """Deterministic rows of a core's first n requests, in its private
-    bank; request i hashes (core seed, core id, i)."""
-    i = np.arange(n)
+    bank, as int64; request i hashes (core seed, core id, i)."""
+    i = np.arange(n, dtype=np.int64)
     if spec.kind == "stream":
-        return (spec.row_base + (i // 8) % spec.footprint).tolist()
+        return spec.row_base + (i // 8) % spec.footprint
     h = stable_hash_each(stable_hash(seed, core_id), core_id, i)
     if spec.kind == "random":
-        return (spec.row_base + (h >> 8) % spec.footprint).tolist()
+        return (spec.row_base + (h >> 8) % spec.footprint).astype(np.int64)
     # rowlocal: a request keeps the previous row with probability `locality`
     fresh = np.where(h % 1000 < int(spec.locality * 1000), 0, i)
     rows = spec.row_base + (h >> 12) % spec.footprint
-    return rows[np.maximum.accumulate(fresh)].tolist()
+    return rows[np.maximum.accumulate(fresh)].astype(np.int64)
 
 
 @dataclass
@@ -179,12 +179,12 @@ def _rfm_ns(victims: tuple[int, ...]) -> float:
 def _conventional(
     spec: CoreSpec,
     core_id: int,
-    rows: list[int],
+    row: np.ndarray,
     mitigation: Optional[PracConfig],
 ) -> tuple[float, int, int, float, tuple[float, float, int]]:
-    """One conventional core's timeline over `rows`, one request each:
-    its rate, back-offs, RFMs, the completion time and the scheduling
-    key of its last request.
+    """One conventional core's timeline over `row`, the int64 row of each
+    request: its rate, back-offs, RFMs, the completion time and the
+    scheduling key of its last request.
 
     Only this core uses the bank, so a request starts when it is issued,
     the previous completion plus the gap, after the RFM of a back-off
@@ -194,8 +194,7 @@ def _conventional(
     The times are one prefix sum of 0.0 and, per request, its RFM, its
     service and the gap to the next."""
     prac = _prac(mitigation)
-    n = len(rows)
-    row = np.asarray(rows)
+    n = len(row)
     miss = np.concatenate(([True], row[1:] != row[:-1]))
     inc = np.zeros(2 * n)
     inc[1::2] = np.where(miss, _TIMING.t_rc, T_HIT)
@@ -329,7 +328,7 @@ def run_mix(
     seed: int,
     target_reqs: int,
     *,
-    rows: Optional[list[list[int]]] = None,
+    rows: Optional[list[np.ndarray]] = None,
 ) -> PerfResult:
     """Simulate the given cores to completion of `target_reqs` requests
     per conventional core; the PuD core (enabled when period_ns is set)

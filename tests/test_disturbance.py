@@ -21,6 +21,7 @@ from pudsim.disturbance import (
     ROW_BITS,
     SIMRA,
     SIMRA_N32_MULT,
+    DEPOSIT_MEMO_SIZE,
     Bitflip,
     ChipProfile,
     DisturbanceState,
@@ -29,6 +30,7 @@ from pudsim.disturbance import (
     accumulate_row,
     classify_region,
     contribution,
+    deposits,
     simra_n_factor,
 )
 from pudsim.dram import (
@@ -440,7 +442,7 @@ def test_accumulate_matches_reference_loop(batches, missing, dp, temp_c, seed):
 def _as_the_bank_emits(eff):
     """Group ops as `Bank` emits them: members ascending, each once."""
     if isinstance(eff, HammerEffect) and eff.kind == KIND_SIMRA:
-        return replace(eff, aggressors=tuple(sorted(set(eff.aggressors))))
+        return eff._replace(aggressors=tuple(sorted(set(eff.aggressors))))
     return eff
 
 
@@ -479,3 +481,52 @@ def test_accumulate_row_matches_accumulate(batches, missing, dp, temp_c, seed):
                 for r, (f, nf) in enumerate(rows)]
         for r, (f, nf) in enumerate(rows):
             assert (f.hex(), nf) == (state.damage.get(r, 0.0).hex(), state.flipped.get(r, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(_effect, max_size=4), st.sampled_from([None, 0x00, 0x55, 0xFF]),
+                       st.sampled_from([50.0, 80.0, 95.0])), min_size=1, max_size=40),
+    st.sampled_from([RH, COMRA, SIMRA]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_accumulate_on_a_warm_deposit_memo_matches_a_cold_one(batches, missing, seed):
+    """Folding a stream twice over on one profile, whose `deposits` memo
+    fills and then serves the second pass, leaves the damage, flipped
+    bits, bitflips and skipped victims that folding it effect by effect
+    leaves with the memo cleared before every call.  Each batch has its
+    own data pattern and temperature, and the second pass folds each
+    batch under the next one's, so the memo must tell them apart."""
+    thresholds = {k: v for k, v in {RH: (4.0, 9.0), COMRA: (2.0, 5.0),
+                                    SIMRA: (0.5, 2.0)}.items() if k != missing}
+    temp_step = {RH: 1.2, COMRA: 1.3, SIMRA: 1.467}
+    warm_prof = ChipProfile("warm", thresholds=thresholds, temp_step=temp_step)
+    cold_prof = ChipProfile("cold", thresholds=thresholds, temp_step=temp_step)
+    ts = sample_thresholds(warm_prof, SubarrayLayout.uniform(REF_ROWS, 16), seed)
+    warm, cold = DisturbanceState(rows=REF_ROWS), DisturbanceState(rows=REF_ROWS)
+    replay = [(effects, *conditions)
+              for (effects, *_), (_, *conditions) in zip(batches, batches[1:] + batches[:1])]
+    for effects, dp, temp_c in batches + replay:
+        got = accumulate(warm, effects, ts, warm_prof, temp_c=temp_c, dp=dp)
+        want = []
+        for eff in effects:
+            cold_prof._deposit_cache.clear()
+            want += accumulate(cold, [eff], ts, cold_prof, temp_c=temp_c, dp=dp)
+        assert got == want
+        assert list(warm.damage.items()) == list(cold.damage.items())
+        assert list(warm.flipped.items()) == list(cold.flipped.items())
+    assert warm.flips == cold.flips
+    assert warm.skipped_victims == cold.skipped_victims
+
+
+def test_deposit_memo_stays_within_its_bound():
+    """More distinct ops than the memo holds never grow it past its
+    bound, and an op forgotten when it fills deposits the same again."""
+    prof = flat_profile(rh=100.0)
+    first = deposits(RH, (0,), 36.0, None, 80.0, prof)
+    for row in range(1, 2 * DEPOSIT_MEMO_SIZE + 3):
+        deposits(RH, (row,), 36.0, None, 80.0, prof)
+        assert len(prof._deposit_cache) <= DEPOSIT_MEMO_SIZE
+    assert (RH, (0,), 36.0, None, 80.0) not in prof._deposit_cache
+    assert deposits(RH, (0,), 36.0, None, 80.0, prof) == first
+    assert first == ((-1, 1.0), (1, 1.0), (-2, BLAST_DECAY), (2, BLAST_DECAY))

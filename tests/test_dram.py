@@ -24,6 +24,7 @@ from pudsim.dram import (
     P_ACT,
     ROW_BYTES,
     HammerEffect,
+    RefreshEffect,
     majority_overwrite,
 )
 from pudsim.errors import (
@@ -667,3 +668,16 @@ def test_command_event_checks_kind_and_row_and_is_immutable():
         ev._replace(row=None)
     with pytest.raises(ConfigError, match="unknown command kind 'NOP'"):
         CommandEvent._make((1.0, "NOP", None, None))
+
+
+def test_effect_records_are_immutable_keyword_built_tuples():
+    ham = HammerEffect(kind=KIND_RH, aggressors=(4,), t_on=36.0, time=1.0)
+    ref = RefreshEffect(rows=(4,), time=1.0)
+    assert (ham.kind, ham.aggressors, ham.t_on, ham.time) == (KIND_RH, (4,), 36.0, 1.0)
+    assert ham == HammerEffect(KIND_RH, (4,), 36.0, 1.0)
+    assert (ref.rows, ref.time) == ((4,), 1.0)
+    for eff, field in ((ham, "time"), (ref, "rows"), (ham, "extra"), (ref, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(eff, field, 2.0)
+    # a hammer and a refresh of the same rows at the same time differ
+    assert ham != ref and ref != ham

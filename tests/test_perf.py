@@ -539,7 +539,7 @@ def test_bulk_conventional_matches_reference_on_random_configs():
             misses = sum(x == r and (i == 0 or rows[i - 1] != r) for i, x in enumerate(rows))
             rows += [o, r] * (per_backoff - misses % per_backoff)
         spec = CoreSpec(kind="random", gap_ns=float(draw.integers(0, 200)))
-        got = _conventional(spec, 3, rows, mit)
+        got = _conventional(spec, 3, np.array(rows), mit)
         assert repr(got) == repr(reference_conventional(spec, 3, rows, mit, len(rows)))
         last_raised += got[1] == got[2] + 1
     assert last_raised >= 150
@@ -552,7 +552,7 @@ def test_bulk_conventional_names_the_first_row_outside_the_bank(rows):
     with pytest.raises(ConfigError) as want:
         reference_conventional(spec, 0, rows, mit, len(rows))
     with pytest.raises(ConfigError) as got:
-        _conventional(spec, 0, rows, mit)
+        _conventional(spec, 0, np.array(rows), mit)
     assert str(got.value) == str(want.value)
 
 
@@ -579,7 +579,7 @@ def test_conventional_leaves_a_back_off_after_the_last_request_unserved():
         assert repr(_conventional(spec, 0, rows, rdt1)) == repr(
             reference_conventional(spec, 0, rows, rdt1, n))
     # the first request's miss raises a back-off that no RFM serves
-    assert _conventional(spec, 0, [3], rdt1)[1:3] == (1, 0)
+    assert _conventional(spec, 0, np.array([3]), rdt1)[1:3] == (1, 0)
     # the ninth request misses again: two back-offs, only the first served
     assert _conventional(spec, 0, _core_rows(spec, 0, 1, 9), rdt1)[1:3] == (2, 1)
 
@@ -594,7 +594,7 @@ def test_conventional_watchdog_matches_reference(variant):
     assert repr(_conventional(spec, 0, rows, mit)) == repr(
         reference_conventional(spec, 0, rows, mit, 10))
     spec = CoreSpec(kind="stream", gap_ns=5e9 - _TIMING.t_rc)
-    assert repr(_conventional(spec, 0, [0, 0], mit)) == repr(
+    assert repr(_conventional(spec, 0, np.array([0, 0]), mit)) == repr(
         reference_conventional(spec, 0, [0, 0], mit, 2))
 
 
@@ -657,9 +657,8 @@ def test_core_rows_match_reference_row(kind, locality):
                             prev = reference_row(spec, core_id, core_seed, i, prev)
                             want.append(prev)
                         got = _core_rows(spec, core_id, seed, n)
-                        assert got == want
-                        # plain ints: rows key the PRAC counters
-                        assert all(type(r) is int for r in got)
+                        assert got.dtype == np.int64
+                        assert got.tolist() == want
 
 
 def test_evaluate_mixes_equals_independent_runs():

@@ -189,6 +189,10 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["report", "--kind", "perf", "--input", "adir"], "[Errno 21] Is a directory: 'adir'"),
     (["mitigation-eval", "--period", "1e306"],
      "--period x perf.target_reqs must be a finite count of ns, got 1e+306 x 2000"),
+    (["characterize", "geometry.rows=1000000000"],
+     "geometry.rows must be at most 1048576, got 1000000000"),
+    (["trr-eval", "geometry.rows=20000000"],
+     "geometry.rows must be at most 1048576, got 20000000"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
