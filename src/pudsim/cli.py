@@ -23,11 +23,11 @@ from .disturbance import COMRA, RH, SIMRA, ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
-from .patterns import PATTERN_KINDS, events_to_trace, generate, hammer_events
+from .patterns import MAX_TRACE_EVENTS, PATTERN_KINDS, events_to_trace, generate, repeated_events
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
-from .trreval import make_rh_setup, make_simra_setup, run_bypass
+from .trreval import make_rh_setup, make_simra_setup, max_windows, run_bypass
 
 log = logging.getLogger("pudsim")
 
@@ -177,14 +177,19 @@ def cmd_trr_eval(args) -> int:
     else:
         setup = make_rh_setup(groups.layout, pairs=1)
     _check_temp(cfg, profile, [setup.kind])
-    windows = args.windows if args.windows is not None else cfg.timing().refs_per_refw
-    # the sampler counts the ACTs before each window's REF in int64
-    most = (2**63 - 1) // cfg.acts_per_refi - 1
-    if windows > most:
-        raise ConfigError(
-            f"--windows must be at most {most}, got {windows}" if args.windows is not None
-            else f"timing.t_refw // timing.t_refi gives {windows:.3g} refresh windows, more "
-                 f"than the {most} the TRR sampler counts at timing.acts_per_refi")
+    timing = cfg.timing()
+    windows = args.windows if args.windows is not None else timing.refs_per_refw
+    # the sampler counts the ACTs before each window's REF in int64, and
+    # `run_bypass` keeps a few int64 values a window
+    for most, what in (
+            ((2**63 - 1) // cfg.acts_per_refi - 1, "the TRR sampler counts at timing.acts_per_refi"),
+            (max_windows(timing, cfg.rows), f"a bank of {cfg.rows} rows holds in memory")):
+        if windows > most:
+            raise ConfigError(
+                f"--windows must be at most {most}, got {windows}, the most {what}"
+                if args.windows is not None
+                else f"timing.t_refw // timing.t_refi gives {windows:.3g} refresh windows, "
+                     f"more than the {most} {what}")
     _write_manifest(cfg)
     off, on = [], []
     for s in range(args.seeds):
@@ -243,10 +248,13 @@ def cmd_trace_gen(args) -> int:
     if args.hammers < 0:
         raise ConfigError("hammers must be >= 0")
     one = generate(cfg.pattern(), cfg.timing())
+    most = MAX_TRACE_EVENTS // len(one.events)
+    if args.hammers > most:
+        raise ConfigError(f"--hammers must be at most {most}, got {args.hammers}: a trace "
+                          f"holds at most {MAX_TRACE_EVENTS} commands")
     _write_manifest(cfg)
     path = Path(cfg.out_dir) / "trace.txt"
-    events = [e for i in range(args.hammers) for e in hammer_events(one, i)]
-    path.write_text(events_to_trace(events), encoding="utf-8")
+    path.write_text(events_to_trace(repeated_events(one, range(args.hammers))), encoding="utf-8")
     print(path)
     return 0
 

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .harness import REPEATS
 from .disturbance import T_REF_C
 from .patterns import PATTERN_KINDS, PatternSpec
+from .perf import MAX_TARGET_REQS
 from .profiles import DEFAULT_PROFILE
 from .trreval import TrrConfig
 
@@ -99,6 +100,9 @@ class RunConfig:
         if not finite:
             raise ConfigError(f"perf.periods x perf.target_reqs must be a finite count of ns, "
                               f"got {max(periods):g} x {self.perf_target_reqs}")
+        if self.perf_target_reqs > MAX_TARGET_REQS:
+            raise ConfigError(f"perf.target_reqs must be at most {MAX_TARGET_REQS}, "
+                              f"got {self.perf_target_reqs}")
 
     def layout(self) -> SubarrayLayout:
         """`subarrays` equal subarrays, each at least one group span."""

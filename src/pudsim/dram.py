@@ -97,12 +97,17 @@ class TimingParams:
     def refs_per_refw(self) -> int:
         return max(1, int(self.t_refw // self.t_refi))
 
+    def rows_per_ref(self, rows: int) -> int:
+        """How many rows each REF refreshes in a bank of `rows` rows:
+        ceil(rows / refs_per_refw), so the REFs of a tREFW cover every row."""
+        return -(-rows // self.refs_per_refw)
+
     def ref_rows(self, k, rows: int) -> list:
         """The rows REF number `k` (0-based; an int, or an array of REF
         numbers) refreshes in a bank of `rows` rows, one entry per row.
-        Each REF takes the next ceil(rows / refs_per_refw) rows, wrapping
-        around, so the REFs of a tREFW cover every row."""
-        per_ref = -(-rows // self.refs_per_refw)  # ceil
+        Each REF takes the next `rows_per_ref(rows)` rows, wrapping
+        around."""
+        per_ref = self.rows_per_ref(rows)
         start = k * per_ref % rows
         return [(start + i) % rows for i in range(per_ref)]
 
@@ -157,7 +162,12 @@ class SubarrayLayout:
         return self.extents[self.subarray_of(row)]
 
     def same_subarray(self, a: int, b: int) -> bool:
-        return self.subarray_of(a) == self.subarray_of(b)
+        rows = self.rows
+        if not (0 <= a < rows and 0 <= b < rows):
+            self.check_row(a)  # raises for the first row outside the bank
+            self.check_row(b)
+        index = self._index
+        return index[a] == index[b]
 
     def __eq__(self, other):
         return isinstance(other, SubarrayLayout) and self.extents == other.extents
@@ -244,6 +254,11 @@ class CommandEvent(namedtuple("CommandEvent", "time kind row payload")):
         return tuple.__new__(cls, (time, kind, row, payload))
 
 
+# builds a record from a tuple of its fields, skipping the record's own
+# checks; for values those checks have already passed
+_new = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Analog effects emitted by the bank model
 
@@ -282,15 +297,11 @@ def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
     return np.packbits(maj.astype(np.uint8)).tobytes()
 
 
-@dataclass
-class _Activation:
-    """The rows one ACT opened: a whole group for a group op."""
+class _Activation(namedtuple("_Activation", "rows opened mode src")):
+    """The rows one ACT opened: a whole group for a group op.  mode is
+    'nominal', 'copy' or 'simra'; src is the copy source of a copy."""
 
-    rows: tuple[int, ...]
-    opened: float
-    mode: str  # 'nominal' | 'copy' | 'simra'
-    src: Optional[int] = None  # copy source for 'copy'
-    written: bool = False
+    __slots__ = ()
 
 
 class Bank:
@@ -322,6 +333,8 @@ class Bank:
         self._block = DRAW_BLOCK
         self.data: dict[int, bytes] = {}
         self.open: Optional[_Activation] = None
+        # whether a WR drove the open group since it opened
+        self._written = False
         self.last_pre: Optional[float] = None
         self.last_time: float = float("-inf")
         # last row closed nominally, waiting for context to resolve
@@ -347,10 +360,18 @@ class Bank:
 
     def apply(self, cmd: CommandEvent) -> list:
         """Apply one command; returns the analog effects it produced."""
-        if cmd.time <= self.last_time:
-            raise ProtocolError(f"command at {cmd.time} not after {self.last_time}")
-        effects = self._HANDLERS[cmd.kind](self, cmd)
-        self.last_time = cmd.time
+        time, kind, row, payload = cmd
+        if time <= self.last_time:
+            raise ProtocolError(f"command at {time} not after {self.last_time}")
+        if kind == "ACT":
+            effects = self._cmd_act(time, row)
+        elif kind == "PRE":
+            effects = self._cmd_pre(time)
+        elif kind == "WR":
+            effects = self._cmd_wr(row, payload)
+        else:
+            effects = self._cmd_ref(time)
+        self.last_time = time
         return effects
 
     def flush(self) -> list:
@@ -360,20 +381,21 @@ class Bank:
             return []
         row, t_on, closed = self._pending
         self._pending = None
-        return [HammerEffect(KIND_RH, (row,), t_on, closed)]
+        return [_new(HammerEffect, (KIND_RH, (row,), t_on, closed))]
 
-    def _cmd_act(self, cmd: CommandEvent) -> list:
-        self.layout.check_row(cmd.row)
+    def _cmd_act(self, time: float, row: int) -> list:
+        if not 0 <= row < self.layout.rows:
+            self.layout.check_row(row)  # raises
         if self.open is not None:
             raise ProtocolError("ACT while a row is open (PRE first)")
-        gap = float("inf") if self.last_pre is None else cmd.time - self.last_pre
+        gap = math.inf if self.last_pre is None else time - self.last_pre
         prev = self._pending
         if prev is not None:
             act = None
             if gap <= SIMRA_GAP_MAX and prev[1] <= SIMRA_GAP_MAX:
-                act = self._act_simra(cmd, prev)
+                act = self._act_simra(time, row, prev)
             elif gap < self.timing.t_rp:
-                act = self._act_copy(cmd, prev)
+                act = self._act_copy(time, row, prev)
             if act is not None:
                 # the pending half-activation is part of this op, not its own hammer
                 self._pending = None
@@ -381,28 +403,29 @@ class Bank:
                 return []
         elif gap < self.timing.t_rp:
             # a violating gap after no nominal activation
-            self.diagnostics.append(f"unmodeled gap {gap:.3g} ns before ACT row {cmd.row}")
-        out = self.flush()
-        self.open = _Activation((cmd.row,), cmd.time, "nominal")
+            self.diagnostics.append(f"unmodeled gap {gap:.3g} ns before ACT row {row}")
+        out = self.flush() if prev is not None else []
+        self.open = _new(_Activation, ((row,), time, "nominal", None))
         return out
 
-    def _act_simra(self, cmd: CommandEvent,
+    def _act_simra(self, time: float, row: int,
                    prev: tuple[int, float, float]) -> Optional[_Activation]:
         """The group op the pair opens, or None, diagnosed, for an ungrouped pair."""
         r1, gap1, _closed = prev
-        grp = self.groups.group(r1, cmd.row)
+        grp = self.groups.group(r1, row)
         if grp is None:
-            self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {cmd.row})")
+            self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {row})")
             return None
         rows = grp
         if gap1 <= PARTIAL_GAP_MAX:
             opens = self._draw_opens(len(grp))
-            opens[grp.index(cmd.row)] = True  # the directly addressed row always opens
+            opens[grp.index(row)] = True  # the directly addressed row always opens
             # sorted, as grp; through a list, since a tuple grown from an
             # iterator is resized in place, which fragments memory: peak RSS
             # rose 2.6 MB over a 128-row stochastic `characterize`
             rows = tuple([*compress(grp, opens)])
-        return _Activation(rows, cmd.time, "simra")
+        self._written = False
+        return _new(_Activation, (rows, time, "simra", None))
 
     def _draw_opens(self, n: int) -> list[bool]:
         """Whether each of the next `n` draws of `rng` opens its group
@@ -421,7 +444,7 @@ class Bank:
         self._next = end
         return opens[start:end]
 
-    def _act_copy(self, cmd: CommandEvent,
+    def _act_copy(self, time: float, row: int,
                   prev: tuple[int, float, float]) -> Optional[_Activation]:
         """The copy into the destination, or None when it activates nominally."""
         src, src_t_on, _closed = prev
@@ -431,26 +454,28 @@ class Bank:
                 f"copy gap after short activation ({src_t_on:.3g} ns) of row {src}"
             )
             return None
-        if not self.layout.same_subarray(src, cmd.row):
+        if not self.layout.same_subarray(src, row):
             # sense amplifiers are per subarray; the destination just
             # activates normally and keeps its own data
             return None
-        self.data[cmd.row] = self.row_data(src)
+        self.data[row] = self.row_data(src)
         # the PRE's hammer of both rows restores the destination
-        return _Activation((cmd.row,), cmd.time, "copy", src=src)
+        return _new(_Activation, ((row,), time, "copy", src))
 
-    def _cmd_pre(self, cmd: CommandEvent) -> list:
+    def _cmd_pre(self, time: float) -> list:
         act = self.open
+        self.last_pre = time
         if act is None:
-            self.last_pre = cmd.time
             return []
-        effects: list = []
-        t_on = cmd.time - act.opened
-        if act.mode == "simra":
-            rows = act.rows
+        rows, mode = act.rows, act.mode
+        t_on = time - act.opened
+        if mode == "nominal":
+            effects = self.flush() if self._pending is not None else []
+            self._pending = (rows[0], t_on, time)
+        elif mode == "simra":
             data = self.data
             # rows never written all read DEFAULT_FILL, their own majority
-            if not act.written and not data.keys().isdisjoint(rows):
+            if data and not self._written and not data.keys().isdisjoint(rows):
                 contents = [data.get(r, DEFAULT_FILL) for r in rows]
                 # the majority of identical rows is that row, at any tie bias
                 if contents.count(contents[0]) != len(contents):
@@ -458,44 +483,33 @@ class Bank:
                     for r in rows:
                         data[r] = maj
             # one hammer of the whole group; `accumulate` restores its rows
-            effects.append(HammerEffect(KIND_SIMRA, rows, t_on, cmd.time))
-        elif act.mode == "copy":
-            effects.append(HammerEffect(KIND_COMRA, (act.src, act.rows[0]), t_on, cmd.time))
-        else:
-            effects.extend(self.flush())
-            self._pending = (act.rows[0], t_on, cmd.time)
+            effects = [_new(HammerEffect, (KIND_SIMRA, rows, t_on, time))]
+        else:  # copy
+            effects = [_new(HammerEffect, (KIND_COMRA, (act.src, rows[0]), t_on, time))]
         self.open = None
-        self.last_pre = cmd.time
         return effects
 
-    def _cmd_wr(self, cmd: CommandEvent) -> list:
+    def _cmd_wr(self, row: int, payload) -> list:
         act = self.open
         if act is None:
             raise ProtocolError("WR with no open row")
-        payload = self._pad(cmd.payload or b"")
+        payload = self._pad(payload or b"")
         if act.mode == "simra":
             # the write drives every open row in the group
             for r in act.rows:
                 self.data[r] = payload
-            act.written = True
+            self._written = True
             return []
-        if cmd.row not in act.rows:
-            raise ProtocolError(f"WR to closed row {cmd.row}")
-        self.data[cmd.row] = payload
+        if row not in act.rows:
+            raise ProtocolError(f"WR to closed row {row}")
+        self.data[row] = payload
         return []
 
-    def _cmd_ref(self, cmd: CommandEvent) -> list:
+    def _cmd_ref(self, time: float) -> list:
         if self.open is not None:
             raise ProtocolError("REF requires all rows precharged")
         effects = self.flush()
         rows = tuple(self.timing.ref_rows(self._refs, self.layout.rows))
         self._refs += 1
-        effects.append(RefreshEffect(rows, cmd.time))
+        effects.append(RefreshEffect(rows, time))
         return effects
-
-    _HANDLERS = {
-        "ACT": _cmd_act,
-        "PRE": _cmd_pre,
-        "WR": _cmd_wr,
-        "REF": _cmd_ref,
-    }

@@ -34,7 +34,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PatternSpec, generate, hammer_events
+from .patterns import PatternSpec, generate, repeated_events
 from .rng import substream
 
 
@@ -84,21 +84,20 @@ class Experiment:
     def _replay(self, spec: PatternSpec, label: str, n: int, fold) -> None:
         """Replay `n` hammers of the pattern op by op on a fresh bank
         drawing from substream `label`, handing each command's effects,
-        then the bank's flush, to `fold(effects, thresholds, profile,
-        temp_c, dp)`; stops after a hammer whose last fold returned true."""
+        then the bank's flush, to `fold(effects)`; stops after a hammer
+        whose last fold returned true."""
         bank = self.fresh_bank(label)
-        apply = bank.apply
-        conditions = (self.thresholds, self.profile, self.temp_c, self.dp_aggr)
         one = generate(spec, self.timing)
         done = False
-        for i in range(n):
-            for cmd in hammer_events(one, i):
-                effects = apply(cmd)
+        applied = map(bank.apply, repeated_events(one, range(n)))
+        # the effect lists of one hammer's commands at a time
+        for hammer in zip(*[applied] * len(one.events)):
+            for effects in hammer:
                 if effects:
-                    done = fold(effects, *conditions)
+                    done = fold(effects)
             if done:
                 break
-        fold(bank.flush(), *conditions)
+        fold(bank.flush())
 
     def hammer_damage(self, spec: PatternSpec) -> dict[int, float]:
         """Damage fraction one hammer of the pattern deposits per victim,
@@ -111,7 +110,9 @@ class Experiment:
         damage = self._damage.get(spec)
         if damage is None:
             state = DisturbanceState(rows=self.layout.rows)
-            self._replay(spec, "bank", 1, partial(accumulate, state))
+            self._replay(spec, "bank", 1, partial(
+                accumulate, state, thresholds=self.thresholds, profile=self.profile,
+                temp_c=self.temp_c, dp=self.dp_aggr))
             damage = self._damage[spec] = state.damage
         return damage
 
@@ -127,10 +128,12 @@ class Experiment:
         if not 0 <= victim < self.layout.rows:
             return False
         damage, flipped = 0.0, 0
+        thresholds, profile, temp_c, dp = self.thresholds, self.profile, self.temp_c, self.dp_aggr
 
-        def fold(effects, *conditions) -> bool:
+        def fold(effects) -> bool:
             nonlocal damage, flipped
-            damage, flipped = accumulate_row(victim, damage, flipped, effects, *conditions)
+            damage, flipped = accumulate_row(victim, damage, flipped, effects,
+                                             thresholds, profile, temp_c, dp)
             return flipped > 0
 
         self._replay(spec, f"probe.{rep}.{victim}", n, fold)

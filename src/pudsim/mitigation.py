@@ -9,6 +9,7 @@ the neighbors of the highest-count row and clears its counter.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,8 +85,9 @@ class PracState:
         self.t_rc = t_rc
         self.counters: dict[int, int] = {}
         self._at_rdt = 0  # counters at or above the back-off threshold
-        # the counters' (count, row), ascending, for an RFM burst; None once stale
-        self._order: Optional[list[tuple[int, int]]] = None
+        # a heap of the counters' -(count * rows + row), the hottest row on
+        # top, for an RFM burst; None once stale
+        self._order: Optional[list[int]] = None
         self.backoff_pending = False
         self.backoffs = 0
 
@@ -202,15 +204,19 @@ class PracState:
         counter.  Returns the refreshed victim rows.
 
         Back-to-back RFMs, with no op or refresh between them, share one
-        order: the first sorts the counters by (count, row) and each
+        order: the first heaps the counters by (count, row) and each
         pops the hottest row left, the row a scan would find.
         """
         if not self.counters:
             self.backoff_pending = False
             return ()
         if self._order is None:
-            self._order = sorted(zip(self.counters.values(), self.counters.keys()))
-        _, target = self._order.pop()
+            # count * rows + row orders as the pair (count, row), since every
+            # counted row lies in the bank, and ints compare faster than pairs
+            rows = self.rows
+            self._order = [-(count * rows + row) for row, count in self.counters.items()]
+            heapq.heapify(self._order)
+        target = -heapq.heappop(self._order) % self.rows
         self._clear(target)
         self.backoff_pending = self._at_rdt > 0
         return rfm_victims(target, self.rows)

@@ -2,7 +2,7 @@
 
 Every generator emits the command stream of one hammer with the time at
 which the next may start; hammer i of a repeated pattern is that stream
-shifted by i times that time (`hammer_events`).  One hammer is: a
+shifted by i times that time (`repeated_events`).  One hammer is: a
 double-sided activation pair (or single activation), one complete copy
 cycle, or one complete multi-activation op.
 """
@@ -10,9 +10,11 @@ cycle, or one complete multi-activation op.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain, cycle, repeat
+from operator import add
+from typing import Iterable, Iterator, Optional
 
-from .dram import SIMRA_SIZES, CommandEvent, TimingParams
+from .dram import SIMRA_SIZES, CommandEvent, TimingParams, _new
 from .errors import ConfigError
 
 PATTERN_KINDS = ("rowhammer", "rowpress", "comra", "simra")
@@ -112,21 +114,28 @@ def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:
     return gen_rowhammer(spec, timing)  # rowhammer and rowpress
 
 
-_new = tuple.__new__
-
-
-def hammer_events(stream: CommandStream, i: int) -> list[CommandEvent]:
-    """Hammer `i` (0-based) of a repeated pattern: the events of the
-    one-hammer `stream` shifted by `i` times its end time."""
-    shift = i * stream.end_time
+def repeated_events(stream: CommandStream, hammers: Iterable[int]) -> Iterator[CommandEvent]:
+    """The events of the given hammers (0-based, such as `range(n)`) of a
+    repeated pattern, in order: hammer i is the one-hammer `stream` with
+    every time shifted by i times its end time."""
+    events = stream.events
+    if not events:
+        return iter(())
+    times, kinds, rows, payloads = zip(*events)
+    end = stream.end_time
+    shifts = chain.from_iterable(repeat(i * end, len(events)) for i in hammers)
     # only the time changes, so the checks the stream's events passed hold
-    return [_new(CommandEvent, (time + shift, kind, row, payload))
-            for time, kind, row, payload in stream.events]
+    return map(_new, repeat(CommandEvent), zip(
+        map(add, cycle(times), shifts), cycle(kinds), cycle(rows), cycle(payloads)))
 
 
 # ---------------------------------------------------------------------------
 # Trace text format: <time_ns> <CMD> <bank> [<row>] [<hex payload>]; the
 # model has one bank, bank 0
+
+# most commands one trace holds: `events_to_trace` builds the text in
+# memory, about 100 bytes a command, so 2**21 of them peak near 250 MB
+MAX_TRACE_EVENTS = 2**21
 
 
 def format_event(e: CommandEvent) -> str:

@@ -119,6 +119,12 @@ def make_mixes(count: int, seed: int) -> list[Mix]:
     return mixes
 
 
+# most requests a run may take of each core: the sweep keeps about 130
+# bytes a request (the cores' row streams and the PuD core's timeline),
+# and `mitigation-eval` peaks near 300 MB at this count
+MAX_TARGET_REQS = 2**21
+
+
 def _core_rows(spec: CoreSpec, core_id: int, seed: int, n: int) -> np.ndarray:
     """Deterministic rows of a core's first n requests, in its private
     bank, as int64; request i hashes (core seed, core id, i)."""

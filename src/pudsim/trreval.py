@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, deposits
-from .dram import SimraGroupMap, SubarrayLayout
+from .dram import SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import Experiment
 from .rng import substream
@@ -103,6 +103,17 @@ def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int,
                 continue
             dose[v] = dose.get(v, 0.0) + ops_per_aggr[i] * units
     return dose
+
+
+# most int64 values `run_bypass` keeps for a run's refresh windows: one a
+# window for each row a REF refreshes, and about eight more a window (REF
+# numbers, TRR draws, segment ends); 2**24 of them take 128 MB
+MAX_WINDOW_VALUES = 2**24
+
+
+def max_windows(timing: TimingParams, rows: int) -> int:
+    """Most refresh windows `run_bypass` advances on a bank of `rows` rows."""
+    return MAX_WINDOW_VALUES // (timing.rows_per_ref(rows) + 8)
 
 
 def run_bypass(

@@ -497,6 +497,48 @@ def test_non_monotonic_time_rejected():
         b.apply(CommandEvent(time=10.0, kind="PRE"))
 
 
+@pytest.mark.parametrize("row", [-1, 64, 1000])
+@pytest.mark.parametrize("gap", [50.0, 1.0], ids=["nominal", "after-a-pending-row"])
+def test_act_outside_the_bank_is_an_address_error(row, gap):
+    """An ACT to a row outside the bank raises before it is classified,
+    whether or not a closed row waits for context."""
+    s = Seq(make_bank(groups_n=4))
+    s.act(1)
+    s.pre(after=gap)
+    with pytest.raises(AddressError) as e:
+        s.act(row, gap=gap)
+    assert str(e.value) == f"row {row} outside [0, 64)"
+
+
+@pytest.mark.parametrize("a, b, bad", [(64, 3, 64), (3, 64, 64), (-1, 70, -1), (70, -1, 70)])
+def test_lookups_of_a_pair_reject_its_first_row_outside_the_bank(a, b, bad):
+    layout = SubarrayLayout.uniform(64, 32)
+    groups = SimraGroupMap.aligned_blocks(layout, 4)
+    for lookup in (layout.same_subarray, groups.group):
+        with pytest.raises(AddressError) as e:
+            lookup(a, b)
+        assert str(e.value) == f"row {bad} outside [0, 64)"
+
+
+def test_write_with_no_open_row_is_a_protocol_error():
+    s = Seq(make_bank())
+    s.act(2)
+    s.pre()
+    with pytest.raises(ProtocolError) as e:
+        s.cmd("WR", row=2, payload=b"\x01")
+    assert str(e.value) == "WR with no open row"
+    assert s.bank.row_data(2) == DEFAULT_FILL
+
+
+def test_write_to_a_closed_row_is_a_protocol_error():
+    s = Seq(make_bank())
+    s.act(2)
+    with pytest.raises(ProtocolError) as e:
+        s.cmd("WR", row=3, payload=b"\x01")
+    assert str(e.value) == "WR to closed row 3"
+    assert s.bank.row_data(3) == DEFAULT_FILL
+
+
 # -- refresh ------------------------------------------------------------------
 
 

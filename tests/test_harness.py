@@ -36,7 +36,7 @@ from pudsim.harness import (
     run_combined,
     run_sweep,
 )
-from pudsim.patterns import generate, hammer_events
+from pudsim.patterns import generate, repeated_events
 from pudsim.reports import emit_report
 
 
@@ -290,7 +290,7 @@ def replay_oracle(exp, spec, victim, rep, limit=2048):
     bank = exp.fresh_bank(f"probe.{rep}.{victim}")
     state = DisturbanceState(rows=exp.layout.rows)
     one = generate(spec, exp.timing)
-    events = [e for h in range(limit) for e in hammer_events(one, h)]
+    events = list(repeated_events(one, range(limit)))
     per_hammer = len(one.events)
     for i, e in enumerate(events):
         effects = bank.apply(e)

@@ -163,7 +163,7 @@ def test_every_dataclass_field_is_read_or_allowed():
 # default of a function's parameters, and each command-line option.  The
 # defaults of a namedtuple class's `__new__` are its fields' defaults, so
 # they count once, with the fields, as a dataclass field's default does.
-SETTABLE_VALUES = 137
+SETTABLE_VALUES = 136
 
 
 def settable_values():

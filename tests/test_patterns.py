@@ -20,7 +20,7 @@ from pudsim.patterns import (
     gen_rowhammer,
     gen_simra,
     generate,
-    hammer_events,
+    repeated_events,
 )
 
 TIMING = TimingParams()
@@ -42,7 +42,7 @@ def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
 
 def repeated(stream, hammers):
     """The events of `hammers` hammers of a one-hammer stream."""
-    return [e for i in range(hammers) for e in hammer_events(stream, i)]
+    return list(repeated_events(stream, range(hammers)))
 
 
 # -- generators ---------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_shifted_events_are_checked_command_events(kind, i):
     """Hammer i's events are `CommandEvent`s equal, field for field, to
     the ones the checked constructor builds from the shifted time."""
     one = generate(_SPECS[kind], TIMING)
-    shifted = hammer_events(one, i)
+    shifted = list(repeated_events(one, [i]))
     assert len(shifted) == len(one.events)
     for got, e in zip(shifted, one.events):
         want = CommandEvent(e.time + i * one.end_time, e.kind, e.row, e.payload)

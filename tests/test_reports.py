@@ -13,7 +13,7 @@ from pudsim.errors import ConfigError, ShapeError
 from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.keyval import finite
 from pudsim.dram import TimingParams
-from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer, hammer_events
+from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer, repeated_events
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
 
 
@@ -123,8 +123,26 @@ def test_cli_trace_gen_round_trips(tmp_path):
     assert (out / "manifest.cfg").exists()
     # the default pattern hammers both neighbours of the middle row
     one = gen_rowhammer(PatternSpec(kind="rowhammer", aggressors=(255, 257)), TimingParams())
-    expected = events_to_trace([e for i in range(5) for e in hammer_events(one, i)])
+    expected = events_to_trace(repeated_events(one, range(5)))
     assert (out / "trace.txt").read_text() == expected
+
+
+@pytest.mark.parametrize("extra, trace", [
+    ({}, [
+        "0 ACT 0 255", "36 PRE 0", "49.5 ACT 0 257", "85.5 PRE 0",
+        "99 ACT 0 255", "135 PRE 0", "148.5 ACT 0 257", "184.5 PRE 0",
+        "198 ACT 0 255", "234 PRE 0", "247.5 ACT 0 257", "283.5 PRE 0",
+    ]),
+    ({"pattern.kind": "simra", "pattern.act_gap_ns": 1.0}, [
+        "0 ACT 0 256", "1 PRE 0", "2 ACT 0 256", "38 PRE 0",
+        "51.5 ACT 0 256", "52.5 PRE 0", "53.5 ACT 0 256", "89.5 PRE 0",
+        "103 ACT 0 256", "104 PRE 0", "105 ACT 0 256", "141 PRE 0",
+    ]),
+], ids=["rowhammer", "simra"])
+def test_cli_trace_gen_writes_the_pinned_trace(tmp_path, extra, trace):
+    cfg = _cfg_file(tmp_path, **extra)
+    assert main(["trace-gen", "--config", str(cfg), "--hammers", "3"]) == 0
+    assert (tmp_path / "out" / "trace.txt").read_text() == "".join(f"{line}\n" for line in trace)
 
 
 def test_cli_attack_writes_csv(tmp_path):
@@ -193,6 +211,14 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
      "geometry.rows must be at most 1048576, got 1000000000"),
     (["trr-eval", "geometry.rows=20000000"],
      "geometry.rows must be at most 1048576, got 20000000"),
+    (["trr-eval", "--windows", "1000000000000000"],
+     "--windows must be at most 1864135, got 1000000000000000, the most a bank of 512 rows "
+     "holds in memory"),
+    (["mitigation-eval", "perf.target_reqs=1000000000000"],
+     "perf.target_reqs must be at most 2097152, got 1000000000000"),
+    (["trace-gen", "--hammers", "100000000000"],
+     "--hammers must be at most 524288, got 100000000000: a trace holds at most 2097152 "
+     "commands"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
