@@ -22,8 +22,9 @@ from .config import RunConfig, dumps_config, load_config
 from .disturbance import COMRA, RH, SIMRA, ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
-from .harness import Experiment, aggressors_for, run_sweep, sweep_cell
-from .patterns import MAX_TRACE_EVENTS, PATTERN_KINDS, events_to_trace, generate, repeated_events
+from .harness import Experiment, aggressors_for, default_cap, run_sweep, sweep_cell
+from .patterns import (MAX_TRACE_EVENTS, PATTERN_KINDS, CommandStream, events_to_trace,
+                       generate, keeps_order, repeated_events)
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
@@ -119,6 +120,17 @@ def _check_temp(cfg: RunConfig, profile: ChipProfile, kinds: list[str]) -> None:
                               f"temperature factor of profile {profile.name}") from None
 
 
+def _check_order(cfg: RunConfig, one: CommandStream, kind: str, hammers: int) -> None:
+    """Refuse a pattern whose command times stop increasing within
+    `hammers` hammers of `one`: `Bank.apply` would reject its replay, and
+    a trace would list two commands at one time."""
+    if not keeps_order(one, hammers):
+        raise ConfigError(
+            f"pattern.t_aggon_ns = {cfg.t_aggon_ns:g} puts two commands of {hammers} {kind} "
+            f"hammers at one time (pattern.act_gap_ns = {cfg.act_gap_ns:g}, "
+            f"pattern.pre_act_gap_ns = {cfg.pre_act_gap_ns:g})")
+
+
 def cmd_characterize(args) -> int:
     cfg = _load(args)
     kinds = args.kinds.split()
@@ -135,6 +147,12 @@ def cmd_characterize(args) -> int:
     _check_temp(cfg, profile, kinds)
     exp = _experiment(cfg, profile, cfg.groups())
     template = cfg.pattern()
+    for kind in kinds:
+        try:
+            one = generate(replace(template, kind=kind), exp.timing)
+        except ConfigError:  # a copy's timing: the sweep records the kind as failed
+            continue
+        _check_order(cfg, one, kind, default_cap(exp.timing))
     _write_manifest(cfg)
     rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
     for f in failures:
@@ -152,7 +170,8 @@ def cmd_attack(args) -> int:
     exp = _experiment(cfg, profile, cfg.groups())
     template = cfg.pattern()
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
-    generate(spec, exp.timing)  # a copy checks its timing here
+    # a copy checks its timing here
+    _check_order(cfg, generate(spec, exp.timing), spec.kind, default_cap(exp.timing))
     _write_manifest(cfg)
     row = sweep_cell(exp, spec, args.victim, cfg.repeats)
     write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),
@@ -252,6 +271,7 @@ def cmd_trace_gen(args) -> int:
     if args.hammers > most:
         raise ConfigError(f"--hammers must be at most {most}, got {args.hammers}: a trace "
                           f"holds at most {MAX_TRACE_EVENTS} commands")
+    _check_order(cfg, one, cfg.pattern_kind, args.hammers)
     _write_manifest(cfg)
     path = Path(cfg.out_dir) / "trace.txt"
     path.write_text(events_to_trace(repeated_events(one, range(args.hammers))), encoding="utf-8")

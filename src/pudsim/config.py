@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .harness import REPEATS
 from .disturbance import T_REF_C
 from .patterns import PATTERN_KINDS, PatternSpec
-from .perf import MAX_TARGET_REQS
+from .perf import MAX_MIX_PERIODS, MAX_TARGET_REQS
 from .profiles import DEFAULT_PROFILE
 from .trreval import TrrConfig
 
@@ -103,6 +103,9 @@ class RunConfig:
         if self.perf_target_reqs > MAX_TARGET_REQS:
             raise ConfigError(f"perf.target_reqs must be at most {MAX_TARGET_REQS}, "
                               f"got {self.perf_target_reqs}")
+        if self.perf_mixes * len(periods) > MAX_MIX_PERIODS:
+            raise ConfigError(f"perf.mixes x perf.periods must be at most {MAX_MIX_PERIODS} "
+                              f"(mix, period) pairs, got {self.perf_mixes} x {len(periods)}")
 
     def layout(self) -> SubarrayLayout:
         """`subarrays` equal subarrays, each at least one group span."""

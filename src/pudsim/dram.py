@@ -348,14 +348,6 @@ class Bank:
         self.layout.check_row(row)
         return self.data.get(row, DEFAULT_FILL)
 
-    def set_row_data(self, row: int, value: bytes) -> None:
-        self.layout.check_row(row)
-        self.data[row] = self._pad(value)
-
-    @staticmethod
-    def _pad(value: bytes) -> bytes:
-        return bytes(value[:ROW_BYTES]).ljust(ROW_BYTES, b"\0")
-
     # -- command application -------------------------------------------------
 
     def apply(self, cmd: CommandEvent) -> list:
@@ -493,7 +485,8 @@ class Bank:
         act = self.open
         if act is None:
             raise ProtocolError("WR with no open row")
-        payload = self._pad(payload or b"")
+        # a row holds ROW_BYTES bytes: a payload is cut or zero-padded to them
+        payload = bytes((payload or b"")[:ROW_BYTES]).ljust(ROW_BYTES, b"\0")
         if act.mode == "simra":
             # the write drives every open row in the group
             for r in act.rows:

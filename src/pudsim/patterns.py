@@ -9,6 +9,7 @@ cycle, or one complete multi-activation op.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from operator import add
@@ -127,6 +128,18 @@ def repeated_events(stream: CommandStream, hammers: Iterable[int]) -> Iterator[C
     # only the time changes, so the checks the stream's events passed hold
     return map(_new, repeat(CommandEvent), zip(
         map(add, cycle(times), shifts), cycle(kinds), cycle(rows), cycle(payloads)))
+
+
+def keeps_order(stream: CommandStream, hammers: int) -> bool:
+    """Whether `hammers` repeats of the stream (`repeated_events`) keep
+    every command strictly after the one before it, as `Bank.apply` and a
+    trace need.  A shifted time rounds the shift and then the sum, so a
+    gap between successive commands, a hammer's last and the next
+    hammer's first included, closes by less than twice the float spacing
+    at the last hammer's end (every stream starts at 0)."""
+    times = [e.time for e in stream.events] + [stream.end_time]
+    most = 2 * math.ulp(hammers * stream.end_time)
+    return all(b - a > most for a, b in zip(times, times[1:]))
 
 
 # ---------------------------------------------------------------------------

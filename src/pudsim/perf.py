@@ -124,6 +124,12 @@ def make_mixes(count: int, seed: int) -> list[Mix]:
 # and `mitigation-eval` peaks near 300 MB at this count
 MAX_TARGET_REQS = 2**21
 
+# most (mix, period) pairs a sweep may take: `evaluate_mixes` keeps about
+# 1 KB a pair (its result row of each variant) and 2.5 KB a mix (its
+# cores and conventional runs), and `mitigation-eval` peaks near 300 MB
+# at this count of mixes of one period
+MAX_MIX_PERIODS = 2**16
+
 
 def _core_rows(spec: CoreSpec, core_id: int, seed: int, n: int) -> np.ndarray:
     """Deterministic rows of a core's first n requests, in its private

@@ -34,8 +34,10 @@ class TrrConfig:
     sampler_size: int = 450  # bus ACT addresses the sampler remembers
 
     def __post_init__(self):
-        if self.sampler_size < 1:
-            raise ConfigError("sampler_size must be >= 1")
+        # `run_bypass` draws each sample below the size in int64
+        if not 1 <= self.sampler_size <= 2**63 - 1:
+            raise ConfigError(f"mitigation.sampler_size must be from 1 to {2**63 - 1}, "
+                              f"got {self.sampler_size}")
 
 
 @dataclass

@@ -31,22 +31,20 @@ from pudsim.dram import (
     SimraGroupMap,
     SubarrayLayout,
 )
-from pudsim.harness import (
-    NO_FLIP,
-    Experiment,
-    discover_simra_groups,
-    discover_subarrays,
-    find_hcfirst,
-    random_layout_and_groups,
-    run_combined,
-    run_sweep,
-)
+from pudsim.harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
 from pudsim.mitigation import PracConfig, PracState, secure_rdt, weight
 from pudsim.patterns import PatternSpec
 from pudsim.perf import evaluate_mixes, make_mixes
 from pudsim.profiles import DEFAULT_PROFILE, available_profiles, load_profile
 from pudsim.rng import substream
 from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
+
+from methodology import (
+    discover_simra_groups,
+    discover_subarrays,
+    random_layout_and_groups,
+    run_combined,
+)
 
 
 def _verdict(num: str, desc: str, ok: bool, detail: str = "") -> None:

@@ -33,11 +33,13 @@ from pudsim.errors import (
     ProtocolError,
     ShapeError,
 )
-from pudsim.harness import Experiment, _victims_for, discover_simra_groups
+from pudsim.harness import Experiment, _victims_for
 from pudsim.patterns import PatternSpec
 from pudsim.profiles import DEFAULT_PROFILE, load_profile
 from pudsim.rng import substream
 from pudsim.trreval import make_simra_setup
+
+from methodology import discover_simra_groups
 
 TIMING = TimingParams()
 
@@ -336,8 +338,8 @@ def comra_hammers(effects):
 
 def test_copy_moves_data_within_subarray():
     b = make_bank()
-    b.set_row_data(2, b"\xa5" * 8)
-    b.set_row_data(3, b"\x00" * 8)
+    b.data[2] = b"\xa5" * 8
+    b.data[3] = b"\x00" * 8
     s = Seq(b)
     copy_cycle(s, 2, 3)
     assert b.row_data(3) == b"\xa5" * 8
@@ -347,7 +349,7 @@ def test_copy_moves_data_within_subarray():
 
 def test_copy_is_idempotent():
     b = make_bank()
-    b.set_row_data(2, b"\xa5" * 8)
+    b.data[2] = b"\xa5" * 8
     s = Seq(b)
     copy_cycle(s, 2, 3)
     first = b.row_data(3)
@@ -357,7 +359,7 @@ def test_copy_is_idempotent():
 
 def test_cross_subarray_copy_does_not_move_data():
     b = make_bank(rows=64, sub_rows=32)
-    b.set_row_data(31, b"\xa5" * 8)
+    b.data[31] = b"\xa5" * 8
     before = b.row_data(32)
     s = Seq(b)
     copy_cycle(s, 31, 32)
@@ -367,7 +369,7 @@ def test_cross_subarray_copy_does_not_move_data():
 
 def test_short_source_open_time_fails_copy():
     b = make_bank()
-    b.set_row_data(2, b"\xa5" * 8)
+    b.data[2] = b"\xa5" * 8
     before = b.row_data(3)
     s = Seq(b)
     copy_cycle(s, 2, 3, t_on=10.0)  # source closed before full restore
@@ -421,7 +423,7 @@ def test_group_gap_on_ungrouped_pair_is_a_diagnostic():
 
 def test_copy_after_short_activation_is_a_diagnostic():
     b = make_bank()
-    b.set_row_data(2, b"\xa5" * 8)
+    b.data[2] = b"\xa5" * 8
     s = Seq(b)
     s.act(2, gap=50.0)
     s.cmd("PRE", dt=10.0)  # closed before tRAS
@@ -445,7 +447,7 @@ def group_op(s, r1, r2, gap=3.0, t_on=TIMING.t_ras, write=None):
 def test_group_op_overwrites_members_with_majority():
     b = make_bank(groups_n=4)
     for r, v in zip(range(4, 8), [b"\xff" * 8, b"\xff" * 8, b"\xff" * 8, b"\x00" * 8]):
-        b.set_row_data(r, v)
+        b.data[r] = v
     s = Seq(b)
     group_op(s, 4, 6)
     for r in range(4, 8):
@@ -458,7 +460,7 @@ def test_group_op_overwrites_members_with_majority():
 
 def test_group_op_is_destructive_on_minority_rows():
     b = make_bank(groups_n=4)
-    b.set_row_data(5, b"\xa5" * 8)  # minority content is lost
+    b.data[5] = b"\xa5" * 8  # minority content is lost
     s = Seq(b)
     group_op(s, 4, 6)
     assert b.row_data(5) == b"\x00" * 8
@@ -475,7 +477,7 @@ def test_write_during_group_overwrites_all_open_rows():
 def test_group_needs_both_gaps_inside_window():
     b = make_bank(groups_n=4)
     s = Seq(b)
-    b.set_row_data(7, b"\xff" * 8)  # the minority of rows 4-7
+    b.data[7] = b"\xff" * 8  # the minority of rows 4-7
     group_op(s, 4, 6, gap=4.0)  # just outside the 3 ns window
     assert b.row_data(7) == b"\xff" * 8
     assert not [e for e in s.drain()
@@ -641,7 +643,7 @@ def test_partial_op_over_a_written_row_writes_the_majority(seed):
     b = Bank(TIMING, SimraGroupMap.aligned_blocks(layout, 8), rng=substream(seed, "probe.0.9"))
     reference = substream(seed, "probe.0.9")
     for r in (8, 9, 10, 12, 13, 15):  # rows 11 and 14 stay unwritten
-        b.set_row_data(r, bytes([r * 0x25 & 0xFF, r, 0xF0, 0x0F, r << 4 & 0xFF, 0, 0xFF, r]))
+        b.data[r] = bytes([r * 0x25 & 0xFF, r, 0xF0, 0x0F, r << 4 & 0xFF, 0, 0xFF, r])
     before = [b.row_data(r) for r in range(64)]
     opened = [r for r in range(8, 16) if reference.random() < P_ACT or r == 13]
     s = Seq(b)
@@ -663,7 +665,7 @@ def test_rows_an_op_leaves_closed_do_not_reach_its_opened_rows(seed):
     opened = [r for r in range(32) if reference.random() < P_ACT or r == 31]
     closed = [r for r in range(32) if r not in opened]
     for r in closed:
-        b.set_row_data(r, b"\xff" * ROW_BYTES)
+        b.data[r] = b"\xff" * ROW_BYTES
     s = Seq(b)
     group_op(s, 0, 31, gap=1.0)
     (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]

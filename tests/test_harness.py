@@ -27,17 +27,16 @@ from pudsim.disturbance import (
     accumulate,
     bits_flipped,
 )
-from pudsim.harness import (
-    RESULT_COLUMNS,
-    default_cap,
+from pudsim.harness import RESULT_COLUMNS, default_cap, run_sweep
+from pudsim.patterns import generate, repeated_events
+from pudsim.reports import emit_report
+
+from methodology import (
     discover_simra_groups,
     discover_subarrays,
     random_layout_and_groups,
     run_combined,
-    run_sweep,
 )
-from pudsim.patterns import generate, repeated_events
-from pudsim.reports import emit_report
 
 
 def flat_experiment(theta, rows=64):
@@ -152,8 +151,8 @@ def test_discovery_on_two_subarrays_of_eight_rows(profile):
 
 def test_discovery_preserves_stored_data(experiment):
     bank = experiment.fresh_bank()
-    bank.set_row_data(5, b"\xde\xad\xbe\xef")
-    bank.set_row_data(300, b"\x01\x02\x03\x04")
+    bank.data[5] = b"\xde\xad\xbe\xef\0\0\0\0"
+    bank.data[300] = b"\x01\x02\x03\x04\0\0\0\0"
     discover_simra_groups(bank, discover_subarrays(bank))
     assert bank.row_data(5) == (b"\xde\xad\xbe\xef" + bank.row_data(5)[4:])
     assert bank.row_data(300)[:4] == b"\x01\x02\x03\x04"

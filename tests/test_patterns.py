@@ -1,5 +1,7 @@
 """Pattern generators and the command-trace text format."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from pudsim.patterns import (
     gen_rowhammer,
     gen_simra,
     generate,
+    keeps_order,
     repeated_events,
 )
 
@@ -32,7 +35,7 @@ def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
               else SimraGroupMap(layout, ()))
     bank = Bank(TIMING, groups)
     for row, payload in (data or {}).items():
-        bank.set_row_data(row, payload)
+        bank.data[row] = payload
     effects = []
     for e in events:
         effects.extend(bank.apply(e))
@@ -108,6 +111,29 @@ def test_shifted_events_are_checked_command_events(kind, i):
         want = CommandEvent(e.time + i * one.end_time, e.kind, e.row, e.payload)
         assert type(got) is CommandEvent
         assert got._asdict() == want._asdict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PATTERN_KINDS), st.floats(-12.0, 18.0), st.floats(-12.0, 0.4),
+       st.integers(0, 400))
+def test_a_pattern_that_keeps_order_replays_in_order(kind, on_exp, gap_exp, hammers):
+    """Every command of the hammers of a pattern that `keeps_order`
+    passes comes strictly after the one before it, the shifted times
+    rounded as the replay rounds them."""
+    t_on = 10**on_exp + (TIMING.t_ras if kind == "comra" else 0.0)
+    spec = replace(_SPECS[kind], t_aggon=t_on, act_gap=10**gap_exp, pre_act_gap=10**gap_exp)
+    one = generate(spec, TIMING)
+    if keeps_order(one, hammers):
+        times = [e.time for e in repeated_events(one, range(hammers))]
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+
+def test_keeps_order_refuses_commands_that_meet():
+    """At 1e300 ns, a row's PRE and the next ACT round to one time; at
+    1e-300 ns, an ACT and its PRE do."""
+    assert keeps_order(generate(_SPECS["rowhammer"], TIMING), 10**6)
+    for kind, t_on in (("rowhammer", 1e300), ("simra", 1e-300)):
+        assert not keeps_order(generate(replace(_SPECS[kind], t_aggon=t_on), TIMING), 1)
 
 
 def test_generator_rejects_wrong_aggressor_count():

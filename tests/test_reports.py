@@ -219,6 +219,17 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["trace-gen", "--hammers", "100000000000"],
      "--hammers must be at most 524288, got 100000000000: a trace holds at most 2097152 "
      "commands"),
+    (["trr-eval", f"mitigation.sampler_size={10**24}"],
+     f"mitigation.sampler_size must be from 1 to 9223372036854775807, got {10**24}"),
+    (["characterize", "--kinds", "rowhammer", "pattern.t_aggon_ns=1e300"],
+     "pattern.t_aggon_ns = 1e+300 puts two commands of 639990 rowhammer hammers at one time"),
+    (["characterize", "--kinds", "simra", "pattern.t_aggon_ns=1e-300"],
+     "pattern.t_aggon_ns = 1e-300 puts two commands of 639990 simra hammers at one time"),
+    (["trace-gen", "pattern.kind=simra", "pattern.t_aggon_ns=1e-300"],
+     "pattern.t_aggon_ns = 1e-300 puts two commands of 100 simra hammers at one time"),
+    (["mitigation-eval", "perf.mixes=1000000000000"],
+     "perf.mixes x perf.periods must be at most 65536 (mix, period) pairs, "
+     "got 1000000000000 x 5"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
