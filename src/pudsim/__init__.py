@@ -26,7 +26,7 @@ from .errors import (
 )
 from .harness import Experiment, find_hcfirst, run_sweep
 from .mitigation import PracConfig, PracState
-from .patterns import PatternSpec, events_to_trace
+from .patterns import PatternSpec, trace_lines
 from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
 from .trreval import TrrConfig
 
@@ -56,10 +56,10 @@ __all__ = [
     "accumulate",
     "available_profiles",
     "contribution",
-    "events_to_trace",
     "find_hcfirst",
     "load_profile",
     "run_sweep",
     "sample_thresholds",
+    "trace_lines",
     "__version__",
 ]

@@ -23,8 +23,8 @@ from .disturbance import COMRA, RH, SIMRA, ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
 from .harness import Experiment, aggressors_for, default_cap, run_sweep, sweep_cell
-from .patterns import (MAX_TRACE_EVENTS, PATTERN_KINDS, CommandStream, events_to_trace,
-                       generate, keeps_order, repeated_events)
+from .patterns import (MAX_TRACE_EVENTS, PATTERN_KINDS, CommandStream, generate,
+                       keeps_order, repeated_events, trace_lines)
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
@@ -274,7 +274,8 @@ def cmd_trace_gen(args) -> int:
     _check_order(cfg, one, cfg.pattern_kind, args.hammers)
     _write_manifest(cfg)
     path = Path(cfg.out_dir) / "trace.txt"
-    path.write_text(events_to_trace(repeated_events(one, range(args.hammers))), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(trace_lines(repeated_events(one, range(args.hammers))))
     print(path)
     return 0
 

@@ -192,15 +192,15 @@ def contribution(
     op it is per op, with dist the victim's distance to the nearest group
     member, and scaled by the number of rows the op `opened`.
     """
+    key = (kind, dp, temp_c, t_on, dist, opened if kind == SIMRA else None)
+    cache = profile._contrib_cache
+    hit = cache.get(key)
+    if hit is not None:  # a cached key has passed the checks below
+        return hit
     if kind not in KINDS:
         raise ConfigError(f"unknown disturbance kind {kind!r}")
     if dist < 1:
         raise ConfigError("distance must be >= 1")
-    key = (kind, dp, temp_c, t_on, dist, opened if kind == SIMRA else None)
-    cache = profile._contrib_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     c = (
         BASE_UNITS[kind]
         * profile.dp_factor(kind, dp)
@@ -479,12 +479,9 @@ def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
     group op's aggressors must be distinct and sorted, as `Bank` emits
     them."""
     for eff in effects:
-        refresh = isinstance(eff, RefreshEffect)
-        if row in (eff.rows if refresh else eff.aggressors):
-            damage, flipped = 0.0, 0
-            continue
-        theta = None if refresh else thresholds.theta_list(eff.kind)
-        if theta is None:
+        if isinstance(eff, RefreshEffect):
+            if row in eff.rows:
+                damage, flipped = 0.0, 0
             continue
         agg, kind = eff.aggressors, eff.kind
         if kind == SIMRA:  # a group op deposits once, at the nearest member
@@ -492,6 +489,12 @@ def accumulate_row(row: int, damage: float, flipped: int, effects: Sequence,
         else:
             members = set(agg)
             opened, dists = len(members), [abs(a - row) for a in members]
+        if 0 in dists:  # the row is an aggressor, which the op restores
+            damage, flipped = 0.0, 0
+            continue
+        theta = thresholds.theta_list(kind)
+        if theta is None:
+            continue
         for d in dists:
             if d <= MAX_DISTANCE:
                 damage += contribution(kind, dp, temp_c, eff.t_on, d, opened, profile) / theta[row]

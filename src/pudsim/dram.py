@@ -169,12 +169,6 @@ class SubarrayLayout:
         index = self._index
         return index[a] == index[b]
 
-    def __eq__(self, other):
-        return isinstance(other, SubarrayLayout) and self.extents == other.extents
-
-    def __hash__(self):
-        return hash(self.extents)
-
     def __repr__(self):
         return f"SubarrayLayout({list(self.extents)})"
 
@@ -231,9 +225,6 @@ class SimraGroupMap:
         if not self.layout.same_subarray(r1, r2):
             return None
         return self._of.get(r2)
-
-    def __eq__(self, other):
-        return isinstance(other, SimraGroupMap) and self.groups == other.groups
 
     def __repr__(self):
         return f"SimraGroupMap({len(self.groups)} groups)"
@@ -326,11 +317,15 @@ class Bank:
         self.layout = groups.layout
         self.groups = groups
         self.rng = rng or np.random.default_rng(0)
-        # whether each draw taken ahead from rng opens its row, in draw
-        # order; the next op reads from _next on
-        self._opens: list[bool] = []
+        # whether each draw taken ahead from rng opens its row, one byte
+        # (0 or 1) a draw, in draw order; the next op reads from _next on
+        self._opens = bytearray()
         self._next = 0
         self._block = DRAW_BLOCK
+        # (group, position in it) of each row the second ACT of a group op
+        # has addressed, (None, None) for an ungrouped row; filled as rows
+        # are addressed, so a bank that opens no group holds none
+        self._placed: dict[int, tuple] = {}
         self.data: dict[int, bytes] = {}
         self.open: Optional[_Activation] = None
         # whether a WR drove the open group since it opened
@@ -404,14 +399,20 @@ class Bank:
                    prev: tuple[int, float, float]) -> Optional[_Activation]:
         """The group op the pair opens, or None, diagnosed, for an ungrouped pair."""
         r1, gap1, _closed = prev
-        grp = self.groups.group(r1, row)
-        if grp is None:
+        placed = self._placed.get(row)
+        if placed is None:
+            grp = self.groups.group(row, row)
+            placed = self._placed[row] = (grp, None if grp is None else grp.index(row))
+        grp, at = placed
+        # as in `group`, a pair across subarrays opens no group; a pair on
+        # one row needs no check
+        if grp is None or (r1 != row and not self.layout.same_subarray(r1, row)):
             self.diagnostics.append(f"multi-activation gap on ungrouped pair ({r1}, {row})")
             return None
         rows = grp
         if gap1 <= PARTIAL_GAP_MAX:
             opens = self._draw_opens(len(grp))
-            opens[grp.index(row)] = True  # the directly addressed row always opens
+            opens[at] = 1  # the directly addressed row always opens
             # sorted, as grp; through a list, since a tuple grown from an
             # iterator is resized in place, which fragments memory: peak RSS
             # rose 2.6 MB over a 128-row stochastic `characterize`
@@ -419,9 +420,10 @@ class Bank:
         self._written = False
         return _new(_Activation, (rows, time, "simra", None))
 
-    def _draw_opens(self, n: int) -> list[bool]:
+    def _draw_opens(self, n: int) -> bytearray:
         """Whether each of the next `n` draws of `rng` opens its group
-        row: draw < P_ACT.  Draws come in blocks that double from
+        row (draw < P_ACT), a byte of 0 or 1 each, in a fresh bytearray
+        the op may change.  Draws come in blocks that double from
         DRAW_BLOCK to DRAW_BLOCK_MAX, so a short replay draws little
         ahead; one `rng.random(k * n)` gives the numbers of k draws of
         n, so every op sees the draws it would take alone."""
@@ -430,7 +432,8 @@ class Bank:
         if end > len(opens):
             block = self._block
             self._block = min(2 * block, DRAW_BLOCK_MAX)
-            fresh = (self.rng.random(block) < P_ACT).tolist()
+            # a bool array's bytes are its 0s and 1s
+            fresh = (self.rng.random(block) < P_ACT).tobytes()
             opens = self._opens = opens[start:] + fresh
             start, end = 0, n
         self._next = end

@@ -144,7 +144,10 @@ def find_hcfirst(
     minimum is reported.  Each search is exact: every probe of a repeat
     replays the same substream on a fresh bank, so a flip within n
     hammers implies one within n + 1, and bisection down to one hammer
-    finds the smallest count that flips.
+    finds the smallest count that flips.  Only a repeat that flips
+    below the best count so far can lower the minimum, so each later
+    repeat probes `best - 1` hammers and bisects below them if they flip;
+    after a best of 1, no repeat is searched.
     """
     if repeats < 1:
         raise ConfigError("search.repeats must be >= 1")
@@ -154,16 +157,19 @@ def find_hcfirst(
         return hc if hc is not None and hc <= cap else None
     best: Optional[int] = None
     for rep in range(repeats):
-        if not exp.probe(spec, victim, cap, rep):
+        hi = cap if best is None else best - 1
+        if hi < 1:
+            break
+        if not exp.probe(spec, victim, hi, rep):
             continue
-        lo, hi = 0, cap
+        lo = 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if exp.probe(spec, victim, mid, rep):
                 hi = mid
             else:
                 lo = mid
-        best = hi if best is None else min(best, hi)
+        best = hi
     return best
 
 

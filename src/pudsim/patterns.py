@@ -146,8 +146,10 @@ def keeps_order(stream: CommandStream, hammers: int) -> bool:
 # Trace text format: <time_ns> <CMD> <bank> [<row>] [<hex payload>]; the
 # model has one bank, bank 0
 
-# most commands one trace holds: `events_to_trace` builds the text in
-# memory, about 100 bytes a command, so 2**21 of them peak near 250 MB
+# most commands one trace holds.  `trace-gen` writes a trace line by
+# line, so this bounds the file, not memory: a command takes about 18
+# bytes at the default timings (37 MB for 2**21 commands), and at most
+# about 34 with the longest time stamps that keep order (71 MB).
 MAX_TRACE_EVENTS = 2**21
 
 
@@ -160,5 +162,7 @@ def format_event(e: CommandEvent) -> str:
     return " ".join(parts)
 
 
-def events_to_trace(events: Iterable[CommandEvent]) -> str:
-    return "\n".join(format_event(e) for e in events) + "\n"
+def trace_lines(events: Iterable[CommandEvent]) -> Iterator[str]:
+    """The trace text of `events`, one newline-ended line a command,
+    made as it is read."""
+    return (format_event(e) + "\n" for e in events)

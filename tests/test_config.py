@@ -135,7 +135,7 @@ def test_act_gap_past_the_multi_activation_window_rejected():
 def test_defaults_come_from_the_component_types():
     cfg = RunConfig()
     assert cfg.profile == DEFAULT_PROFILE
-    assert cfg.layout() == SubarrayLayout.uniform(1024, 256)
+    assert cfg.layout().extents == SubarrayLayout.uniform(1024, 256).extents
     assert cfg.timing() == TimingParams()
     assert cfg.repeats == REPEATS
     assert cfg.trr() == TrrConfig()

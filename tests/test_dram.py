@@ -18,6 +18,7 @@ from pudsim.config import RunConfig
 from pudsim.dram import (
     DEFAULT_FILL,
     DRAW_BLOCK,
+    DRAW_BLOCK_MAX,
     KIND_COMRA,
     KIND_RH,
     KIND_SIMRA,
@@ -592,37 +593,56 @@ def test_partial_group_opens_rows_of_scalar_draws(seed):
 
 @pytest.mark.parametrize("sizes", [(4,), (8,), (32,), (4, 8, 32)])
 def test_partial_ops_across_draw_blocks_open_rows_of_scalar_draws(sizes):
-    """Op after op, past the ends of several of the bank's draw blocks,
-    a partial op opens the rows that one scalar draw per group row, in
-    row order, picks from the bank's substream, whichever row it
-    addresses; an op outside the partial window opens its whole group
-    and takes no draw.  With groups of several sizes, ops straddle the
-    blocks' ends."""
+    """Op after op, past the last doubling of the bank's draw blocks and
+    through a second block of DRAW_BLOCK_MAX draws, a partial op opens
+    the rows that one scalar draw per group row, in row order, picks from
+    the bank's substream, whichever row it addresses; an op outside the
+    partial window opens its whole group and takes no draw.  With groups
+    of several sizes, ops straddle the blocks' ends.  Between them, pairs
+    on the second subarray's ungrouped rows (one row twice, or two rows)
+    and pairs whose first ACT lies in that subarray are diagnosed as
+    ungrouped pairs and take no draw."""
     grouped, starts = 0, []
     for n in itertools.cycle(sizes):
         if grouped + n > 128:
             break
         starts.append((grouped, n))
         grouped += n
-    layout = SubarrayLayout.uniform(128, 128)
+    layout = SubarrayLayout.uniform(256, 128)  # rows 128 on belong to no group
     groups = SimraGroupMap(layout, [range(a, a + n) for a, n in starts])
     b = Bank(TIMING, groups, rng=substream(len(sizes), "probe.0.7"))
     reference = substream(len(sizes), "probe.0.7")
     s = Seq(b)
-    draws, i = 0, 0
-    while draws <= (1 + 2 + 4) * DRAW_BLOCK:  # the first three blocks, as they double
+    # the draws of the blocks as they double up to DRAW_BLOCK_MAX
+    doubling, block = 0, DRAW_BLOCK
+    while block < DRAW_BLOCK_MAX:
+        doubling, block = doubling + block, 2 * block
+    doubling += DRAW_BLOCK_MAX
+    draws, i, ops, diagnosed = 0, 0, 0, 0
+    while draws <= doubling + DRAW_BLOCK_MAX:
         grp = groups.groups[i % len(groups.groups)]
         r2 = grp[3 * i % len(grp)]
-        if i % 5 == 4:
-            group_op(s, grp[-1], r2, gap=3.0)
-            want = grp
+        seen = len(s.effects)
+        if i % 7 == 6:
+            r1 = 128 + i % 127
+            pair = ((r1, r1), (r1, r1 + 1), (r1, r2))[i // 7 % 3]
+            group_op(s, *pair, gap=1.0)
+            diagnosed += 1
+            assert len(b.diagnostics) == diagnosed, f"op {i}"
+            assert b.diagnostics[-1] == f"multi-activation gap on ungrouped pair {pair}"
         else:
-            group_op(s, grp[-1], r2, gap=1.0)
-            want = tuple(r for r in grp if reference.random() < P_ACT or r == r2)
-            draws += len(grp)
-        ops = [e for e in s.drain() if isinstance(e, HammerEffect)]
-        assert len(ops) == i + 1 and ops[-1].aggressors == want, f"op {i}"
+            if i % 5 == 4:
+                group_op(s, grp[-1], r2, gap=3.0)
+                want = grp
+            else:
+                group_op(s, grp[-1], r2, gap=1.0)
+                want = tuple(r for r in grp if reference.random() < P_ACT or r == r2)
+                draws += len(grp)
+            ops += 1
+        new = [e for e in s.drain()[seen:] if e.kind == KIND_SIMRA]
+        assert [e.aggressors for e in new] == ([want] if i % 7 != 6 else []), f"op {i}"
         i += 1
+    assert len(b.diagnostics) == diagnosed and ops == i - diagnosed
 
 
 def test_partial_ops_over_unwritten_rows_keep_the_default_fill():

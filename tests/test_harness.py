@@ -135,9 +135,9 @@ def test_untouched_victim_reports_no_flip(experiment):
 def test_discovery_recovers_configured_ground_truth(experiment):
     bank = experiment.fresh_bank("re")
     layout = discover_subarrays(bank)
-    assert layout == experiment.layout
+    assert layout.extents == experiment.layout.extents
     groups = discover_simra_groups(bank, layout)
-    assert groups == experiment.groups
+    assert groups.groups == experiment.groups.groups
 
 
 def test_discovery_on_two_subarrays_of_eight_rows(profile):
@@ -145,8 +145,8 @@ def test_discovery_on_two_subarrays_of_eight_rows(profile):
     groups = SimraGroupMap.aligned_blocks(layout, 4)
     exp = Experiment(profile, groups, seed=1)
     bank = exp.fresh_bank()
-    assert discover_subarrays(bank) == layout
-    assert discover_simra_groups(bank, layout) == groups
+    assert discover_subarrays(bank).extents == layout.extents
+    assert discover_simra_groups(bank, layout).groups == groups.groups
 
 
 def test_discovery_preserves_stored_data(experiment):
@@ -166,8 +166,8 @@ def test_random_layouts_recovered_exactly(seed):
     exp = Experiment(prof, groups, seed=seed)
     bank = exp.fresh_bank()
     found_layout = discover_subarrays(bank)
-    assert found_layout == layout
-    assert discover_simra_groups(bank, found_layout) == groups
+    assert found_layout.extents == layout.extents
+    assert discover_simra_groups(bank, found_layout).groups == groups.groups
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -260,8 +260,8 @@ STOCHASTIC_HCFIRST = {
 }
 
 
-def golden_experiment(seed):
-    prof = ChipProfile(name="g", thresholds={RH: (6700.0, 14800.0), SIMRA: (100.0, 120.0)})
+def golden_experiment(seed, simra=(100.0, 120.0)):
+    prof = ChipProfile(name="g", thresholds={RH: (6700.0, 14800.0), SIMRA: simra})
     layout = SubarrayLayout.uniform(128, 128)
     return Experiment(prof, SimraGroupMap.aligned_blocks(layout, 32), seed=seed)
 
@@ -318,6 +318,70 @@ def test_stochastic_search_matches_hammer_by_hammer_oracle(seed):
     assert any(a != b for a, b in oracles.values()), oracles
 
 
+def reference_find_hcfirst(spec, victim, exp, repeats):
+    """The stochastic search with every repeat bisected from the full
+    budget, whatever an earlier repeat found: the minimum over repeats
+    of each one's smallest flipping count, or None."""
+    cap = default_cap(exp.timing)
+    best = None
+    for rep in range(repeats):
+        if not exp.probe(spec, victim, cap, rep):
+            continue
+        lo, hi = 0, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if exp.probe(spec, victim, mid, rep):
+                hi = mid
+            else:
+                lo = mid
+        best = hi if best is None else min(best, hi)
+    return best
+
+
+def spy_probes(monkeypatch):
+    """(rep, hammers) of each probe an Experiment makes from now on."""
+    seen = []
+    probe = Experiment.probe
+
+    def spy(exp, spec, victim, n, rep=0):
+        seen.append((rep, n))
+        return probe(exp, spec, victim, n, rep)
+
+    monkeypatch.setattr(Experiment, "probe", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed, simra", [(1, (100.0, 120.0)), (2, (100.0, 120.0)),
+                                         (1, (0.01, 0.02))], ids=["1", "2", "flips-at-once"])
+def test_later_repeats_probe_only_below_the_best_so_far(seed, simra, monkeypatch):
+    """A repeat after the first flip that does not beat the best count so
+    far makes one probe, of one hammer fewer than that count; one that
+    beats it probes no more than that count.  Once the best is one
+    hammer, as on a chip that flips at the first op, no repeat probes."""
+    exp = golden_experiment(seed, simra)
+    seen = spy_probes(monkeypatch)
+    outcomes = set()
+    for r2 in (31, 63, 95):
+        spec, victim = golden_spec(r2), r2 + 1
+        per_rep = [replay_oracle(exp, spec, victim, rep) for rep in range(5)]
+        seen.clear()
+        assert find_hcfirst(spec, victim, exp, 5) == min(per_rep)
+        best = per_rep[0]
+        for rep in range(1, 5):
+            probes = [n for r, n in seen if r == rep]
+            if best == 1:
+                assert probes == [], (rep, per_rep)
+                outcomes.add("skipped")
+            elif per_rep[rep] >= best:
+                assert probes == [best - 1], (rep, per_rep)
+                outcomes.add("kept")
+            else:
+                assert probes[0] == max(probes) == best - 1, (rep, per_rep)
+                best = per_rep[rep]
+                outcomes.add("beaten")
+    assert outcomes == ({"skipped"} if simra[0] < 1 else {"kept", "beaten"})
+
+
 @pytest.mark.parametrize("dp_aggr", [None, 0xFF])
 @pytest.mark.parametrize("temp_c", [50.0, 80.0])
 @pytest.mark.parametrize("n", [4, 8, 32])
@@ -325,7 +389,8 @@ def test_stochastic_search_matches_hammer_by_hammer_oracle(seed):
 def test_stochastic_search_matches_oracle_across_conditions(gap, n, temp_c, dp_aggr):
     """Over the partial window's gaps, group sizes, temperatures and data
     patterns, and for 1 to 3 repeats, the search finds the minimum of the
-    oracle's per-repeat counts.  Two groups of n rows are followed by
+    oracle's per-repeat counts; for 1 to 5 repeats it finds what a full
+    bisection of every repeat finds.  Two groups of n rows are followed by
     two ungrouped rows; the victims are the first row of the second
     group (hammering the first) and the rows at distance 1 and 2 above
     the second group.  A one-refresh-window budget of 16 REFs keeps the
@@ -340,8 +405,11 @@ def test_stochastic_search_matches_oracle_across_conditions(gap, n, temp_c, dp_a
         assert exp.is_stochastic(spec)
         per_rep = [replay_oracle(exp, spec, victim, rep, limit=256) for rep in range(3)]
         assert None not in per_rep
-        for repeats in (1, 2, 3):
-            assert find_hcfirst(spec, victim, exp, repeats) == min(per_rep[:repeats])
+        for repeats in range(1, 6):
+            found = find_hcfirst(spec, victim, exp, repeats)
+            assert found == reference_find_hcfirst(spec, victim, exp, repeats)
+            if repeats <= len(per_rep):
+                assert found == min(per_rep[:repeats])
 
 
 def test_victims_outside_the_bank_never_flip():
@@ -357,11 +425,14 @@ def test_victims_outside_the_bank_never_flip():
 
 
 # A whole stochastic `characterize`: 128 rows in one subarray, a 1.0 ns
-# gap, one repeat, on a chip whose SiMRA first-flip counts lie between
-# 100 and a mean of 120 (so every search is short).  The SHA-256 of its
-# `results.csv` per seed was recorded from the op-by-op replay before
-# the bank drew its partial activations in blocks; any change to the
-# replay path's draws, arithmetic or cells moves it.
+# gap, on a chip whose SiMRA first-flip counts lie between 100 and a
+# mean of 120 (so every search is short).  Per seed, the repeats and the
+# SHA-256 of the run's `results.csv`.  At one repeat, the digest was
+# recorded from the op-by-op replay before the bank drew its partial
+# activations in blocks.  At three (seed 2, where a later repeat lowers
+# a count), it was recorded while every repeat was still bisected from
+# the full budget.  Any change to the replay path's draws, arithmetic,
+# cells or choice of repeats moves it.
 _STOCHASTIC_CHIP = """\
 name = stochastic_chip
 vendor = test
@@ -370,8 +441,9 @@ threshold.comra = 5260 10610
 threshold.simra = 100 120
 """
 STOCHASTIC_RESULTS_SHA256 = {
-    0: "9c030f3243dd3beb85210b1035384d5d8c3ad399fa85f4bba18130ece89e61fd",
-    1: "a3e2ba174bc4be13cbcd7d11c75e8e516db5b5228c0b13fe3d80f8b53dec6005",
+    0: (1, "9c030f3243dd3beb85210b1035384d5d8c3ad399fa85f4bba18130ece89e61fd"),
+    1: (1, "a3e2ba174bc4be13cbcd7d11c75e8e516db5b5228c0b13fe3d80f8b53dec6005"),
+    2: (3, "3bf2f63a73ea2629c098c8123ede350bf007cdecb5f52d7ede3da5f51af81b9e"),
 }
 
 
@@ -381,11 +453,12 @@ def test_stochastic_characterize_writes_its_recorded_bytes(seed, tmp_path, monke
     (tmp_path / "profiles" / "stochastic_chip.profile").write_text(_STOCHASTIC_CHIP)
     monkeypatch.setenv("PUDSIM_PROFILE_DIR", str(tmp_path / "profiles"))
     cfg = tmp_path / "in.cfg"
+    repeats, want = STOCHASTIC_RESULTS_SHA256[seed]
     cfg.write_text("profile = stochastic_chip\ngeometry.rows = 128\nlayout.subarrays = 1\n"
-                   f"pattern.act_gap_ns = 1.0\nsearch.repeats = 1\nseed = {seed}\n")
+                   f"pattern.act_gap_ns = 1.0\nsearch.repeats = {repeats}\nseed = {seed}\n")
     out = tmp_path / "out"
     rc = main(["characterize", "--kinds", "rowhammer comra simra",
                "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-    assert digest == STOCHASTIC_RESULTS_SHA256[seed]
+    assert digest == want

@@ -12,7 +12,6 @@ from pudsim import (
     SimraGroupMap,
     SubarrayLayout,
     TimingParams,
-    events_to_trace,
 )
 from pudsim.dram import KIND_COMRA, KIND_SIMRA, CommandEvent, HammerEffect
 from pudsim.errors import ConfigError
@@ -24,6 +23,7 @@ from pudsim.patterns import (
     generate,
     keeps_order,
     repeated_events,
+    trace_lines,
 )
 
 TIMING = TimingParams()
@@ -159,7 +159,7 @@ def read_trace_line(line):
 def test_trace_round_trip():
     spec = PatternSpec(kind="comra", aggressors=(5, 6))
     events = repeated(gen_comra(spec, TIMING), 3)
-    text = events_to_trace(events)
+    text = "".join(trace_lines(events))
     assert [read_trace_line(line) for line in text.splitlines()] == events
 
 
@@ -171,5 +171,5 @@ def test_trace_round_trip_preserves_payload(payload):
         CommandEvent(2.0, "WR", 5, payload),
         CommandEvent(40.0, "PRE"),
     ]
-    text = events_to_trace(events)
+    text = "".join(trace_lines(events))
     assert [read_trace_line(line) for line in text.splitlines()] == events

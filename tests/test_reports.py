@@ -13,7 +13,7 @@ from pudsim.errors import ConfigError, ShapeError
 from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.keyval import finite
 from pudsim.dram import TimingParams
-from pudsim.patterns import PatternSpec, events_to_trace, gen_rowhammer, repeated_events
+from pudsim.patterns import PatternSpec, gen_rowhammer, repeated_events, trace_lines
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
 
 
@@ -123,8 +123,11 @@ def test_cli_trace_gen_round_trips(tmp_path):
     assert (out / "manifest.cfg").exists()
     # the default pattern hammers both neighbours of the middle row
     one = gen_rowhammer(PatternSpec(kind="rowhammer", aggressors=(255, 257)), TimingParams())
-    expected = events_to_trace(repeated_events(one, range(5)))
+    expected = "".join(trace_lines(repeated_events(one, range(5))))
     assert (out / "trace.txt").read_text() == expected
+    # no hammers, no lines
+    rc = main(["trace-gen", "--config", str(cfg), "--hammers", "0", "--out", str(tmp_path / "none")])
+    assert rc == 0 and (tmp_path / "none" / "trace.txt").read_text() == ""
 
 
 @pytest.mark.parametrize("extra, trace", [
