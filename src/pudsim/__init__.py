@@ -24,7 +24,7 @@ from .errors import (
     PudsimError,
     ShapeError,
 )
-from .harness import Experiment, find_hcfirst, run_sweep
+from .harness import Experiment, find_hcfirst, run_sweep, sweep_plan
 from .mitigation import PracConfig, PracState
 from .patterns import PatternSpec, trace_lines
 from .profiles import DEFAULT_PROFILE, available_profiles, load_profile
@@ -60,6 +60,7 @@ __all__ = [
     "load_profile",
     "run_sweep",
     "sample_thresholds",
+    "sweep_plan",
     "trace_lines",
     "__version__",
 ]

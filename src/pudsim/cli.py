@@ -22,7 +22,8 @@ from .config import RunConfig, dumps_config, load_config
 from .disturbance import COMRA, RH, SIMRA, ChipProfile
 from .dram import SimraGroupMap
 from .errors import ConfigError, PudsimError
-from .harness import Experiment, aggressors_for, default_cap, run_sweep, sweep_cell
+from .harness import (Experiment, aggressors_for, default_cap, run_sweep, sweep_cell,
+                      sweep_plan)
 from .patterns import (MAX_TRACE_EVENTS, PATTERN_KINDS, CommandStream, generate,
                        keeps_order, repeated_events, trace_lines)
 from .perf import default_variants, evaluate_mixes, make_mixes
@@ -146,17 +147,15 @@ def cmd_characterize(args) -> int:
     profile = load_profile(cfg.profile)
     _check_temp(cfg, profile, kinds)
     exp = _experiment(cfg, profile, cfg.groups())
-    template = cfg.pattern()
-    for kind in kinds:
-        try:
-            one = generate(replace(template, kind=kind), exp.timing)
-        except ConfigError:  # a copy's timing: the sweep records the kind as failed
-            continue
-        _check_order(cfg, one, kind, default_cap(exp.timing))
-    _write_manifest(cfg)
-    rows, failures = run_sweep(exp, kinds, template, cfg.repeats)
+    plan, failures = sweep_plan(exp, kinds, cfg.pattern())
     for f in failures:
         log.warning("sweep cell failed: %s", f)
+    if not plan:
+        raise ConfigError("--kinds leaves no pattern kind to search")
+    for kind, (one, _) in plan.items():
+        _check_order(cfg, one, kind, default_cap(exp.timing))
+    _write_manifest(cfg)
+    rows = run_sweep(exp, plan, cfg.repeats)
     paths = emit_report(rows, "characterize", cfg.out_dir)
     for p in paths:
         print(p)
@@ -195,6 +194,8 @@ def cmd_trr_eval(args) -> int:
         setup = make_simra_setup(groups, cfg.group_n)
     else:
         setup = make_rh_setup(groups.layout, pairs=1)
+    if setup.kind not in profile.thresholds:
+        raise ConfigError(f"profile {profile.name} has no thresholds for {setup.kind!r}")
     _check_temp(cfg, profile, [setup.kind])
     timing = cfg.timing()
     windows = args.windows if args.windows is not None else timing.refs_per_refw

@@ -15,7 +15,6 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -232,12 +231,6 @@ def victim_distances(kind: str, aggressors: Iterable[int]) -> tuple[tuple[int, i
     aggressor's neighbours come nearest first, below first.  Activations
     and copy cycles disturb per aggressor; a group op disturbs each
     victim once, at its distance to the nearest member."""
-    return _victim_distances(kind, tuple(aggressors))
-
-
-# memoized: an attack, and a PRAC back-off, repeat a few ops many times
-@lru_cache(maxsize=1024)
-def _victim_distances(kind: str, aggressors: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     agg = set(aggressors)
     if kind != SIMRA:
         return tuple([(a + o, d) for a in agg for o, d in _AROUND if a + o not in agg])
@@ -293,8 +286,6 @@ def _fit_sigma(lo: float, mean: float, n: int) -> float:
 def _sample_hc(lo: float, mean: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n per-row first-flip hammer counts with sample min == lo and sample
     mean == mean (exact, via affine correction of a lognormal draw)."""
-    if n == 1:
-        return np.full(1, mean)
     sigma = _fit_sigma(lo, mean, n)
     if sigma == 0.0:
         return np.full(n, mean)

@@ -169,9 +169,6 @@ class SubarrayLayout:
         index = self._index
         return index[a] == index[b]
 
-    def __repr__(self):
-        return f"SubarrayLayout({list(self.extents)})"
-
 
 class SimraGroupMap:
     """Ground-truth grouping of rows wired to activate together.
@@ -225,9 +222,6 @@ class SimraGroupMap:
         if not self.layout.same_subarray(r1, r2):
             return None
         return self._of.get(r2)
-
-    def __repr__(self):
-        return f"SimraGroupMap({len(self.groups)} groups)"
 
 
 class CommandEvent(namedtuple("CommandEvent", "time kind row payload")):
@@ -328,8 +322,6 @@ class Bank:
         self._placed: dict[int, tuple] = {}
         self.data: dict[int, bytes] = {}
         self.open: Optional[_Activation] = None
-        # whether a WR drove the open group since it opened
-        self._written = False
         self.last_pre: Optional[float] = None
         self.last_time: float = float("-inf")
         # last row closed nominally, waiting for context to resolve
@@ -417,7 +409,6 @@ class Bank:
             # iterator is resized in place, which fragments memory: peak RSS
             # rose 2.6 MB over a 128-row stochastic `characterize`
             rows = tuple([*compress(grp, opens)])
-        self._written = False
         return _new(_Activation, (rows, time, "simra", None))
 
     def _draw_opens(self, n: int) -> bytearray:
@@ -469,8 +460,8 @@ class Bank:
             self._pending = (rows[0], t_on, time)
         elif mode == "simra":
             data = self.data
-            # rows never written all read DEFAULT_FILL, their own majority
-            if data and not self._written and not data.keys().isdisjoint(rows):
+            # in a bank never written every row reads DEFAULT_FILL, their own majority
+            if data:
                 contents = [data.get(r, DEFAULT_FILL) for r in rows]
                 # the majority of identical rows is that row, at any tie bias
                 if contents.count(contents[0]) != len(contents):
@@ -494,7 +485,6 @@ class Bank:
             # the write drives every open row in the group
             for r in act.rows:
                 self.data[r] = payload
-            self._written = True
             return []
         if row not in act.rows:
             raise ProtocolError(f"WR to closed row {row}")

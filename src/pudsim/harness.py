@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .dram import PARTIAL_GAP_MAX, Bank, SimraGroupMap, TimingParams
 from .disturbance import (
+    SIMRA,
     T_REF_C,
     ChipProfile,
     DisturbanceState,
@@ -26,7 +27,7 @@ from .disturbance import (
     sample_thresholds,
 )
 from .errors import ConfigError
-from .patterns import PatternSpec, generate, repeated_events
+from .patterns import CommandStream, PatternSpec, generate, repeated_events
 from .rng import substream
 
 
@@ -147,7 +148,8 @@ def find_hcfirst(
     finds the smallest count that flips.  Only a repeat that flips
     below the best count so far can lower the minimum, so each later
     repeat probes `best - 1` hammers and bisects below them if they flip;
-    after a best of 1, no repeat is searched.
+    after a best of 1, no repeat is searched.  On a profile without
+    SiMRA thresholds no group op flips a bit, so nothing is probed.
     """
     if repeats < 1:
         raise ConfigError("search.repeats must be >= 1")
@@ -155,6 +157,8 @@ def find_hcfirst(
     if not exp.is_stochastic(spec):
         hc = hammers_to_flip(exp.hammer_damage(spec).get(victim, 0.0))
         return hc if hc is not None and hc <= cap else None
+    if SIMRA not in exp.thresholds.theta:
+        return None  # group ops cannot flip a bit of this profile's chip
     best: Optional[int] = None
     for rep in range(repeats):
         hi = cap if best is None else best - 1
@@ -262,30 +266,38 @@ def sweep_cell(exp: Experiment, spec: PatternSpec, victim: int, repeats: int) ->
     }
 
 
-def run_sweep(
+# what a sweep searches, by kind: its one-hammer stream and its victims,
+# each with the pattern placed to attack it
+SweepPlan = dict[str, tuple[CommandStream, list[tuple[int, PatternSpec]]]]
+
+
+def sweep_plan(
     exp: Experiment,
     kinds: Iterable[str],
     template: PatternSpec,
-    repeats: int = REPEATS,
     per_subarray: int = 3,
-) -> tuple[list[dict], list[str]]:
-    """`sweep_cell` on up to `per_subarray` victims per subarray for each
-    kind.  Every pattern parameter but the kind and the aggressors comes
-    from the template.
+) -> tuple[SweepPlan, list[str]]:
+    """What a sweep searches for each kind: the kind's one-hammer stream
+    and up to `per_subarray` victims per subarray, each with the
+    template placed to attack it.  Every pattern parameter but the kind
+    and the aggressors comes from the template.
 
-    Returns the result rows and the failures: a kind with no victim on
-    the chip, or a victim whose search fails, is recorded and skipped."""
-    rows: list[dict] = []
+    Returns the plan and the failures: a kind whose stream cannot be
+    generated, such as a copy at a gap that does not violate tRP, or
+    with no victim on the chip, is recorded and left out."""
+    plan: SweepPlan = {}
     failures: list[str] = []
     for kind in kinds:
         try:
-            victims = _victims_for(exp, replace(template, kind=kind), per_subarray)
+            spec = replace(template, kind=kind)
+            plan[kind] = generate(spec, exp.timing), _victims_for(exp, spec, per_subarray)
         except ConfigError as e:
             failures.append(f"{kind}: {e}")
-            continue
-        for victim, spec in victims:
-            try:
-                rows.append(sweep_cell(exp, spec, victim, repeats))
-            except ConfigError as e:
-                failures.append(f"{kind} victim {victim}: {e}")
-    return rows, failures
+    return plan, failures
+
+
+def run_sweep(exp: Experiment, plan: SweepPlan, repeats: int = REPEATS) -> list[dict]:
+    """The result rows of `sweep_cell` on every victim of a
+    `sweep_plan`, kind by kind."""
+    return [sweep_cell(exp, spec, victim, repeats)
+            for _, victims in plan.values() for victim, spec in victims]

@@ -193,19 +193,15 @@ class PracState:
             self.backoff_pending = True
         return raised
 
-    def _clear(self, row: int) -> None:
-        if self.counters.pop(row, 0) >= self.config.rdt:
-            self._at_rdt -= 1
-
     def rfm(self) -> tuple[int, ...]:
         """Service one RFM: refresh the rows a hammer of the hottest row
         (highest count, ties broken toward the higher row address)
         disturbs, as `victim_distances` orders them, and clear its
         counter.  Returns the refreshed victim rows.
 
-        Back-to-back RFMs, with no op or refresh between them, share one
-        order: the first heaps the counters by (count, row) and each
-        pops the hottest row left, the row a scan would find.
+        Back-to-back RFMs, with no op between them, share one order: the
+        first heaps the counters by (count, row) and each pops the
+        hottest row left, the row a scan would find.
         """
         if not self.counters:
             self.backoff_pending = False
@@ -217,16 +213,10 @@ class PracState:
             self._order = [-(count * rows + row) for row, count in self.counters.items()]
             heapq.heapify(self._order)
         target = -heapq.heappop(self._order) % self.rows
-        self._clear(target)
+        if self.counters.pop(target) >= self.config.rdt:
+            self._at_rdt -= 1
         self.backoff_pending = self._at_rdt > 0
         return rfm_victims(target, self.rows)
-
-    def on_refresh(self, rows: Iterable[int]) -> None:
-        """Periodic refresh clears the refreshed rows' counters."""
-        self._order = None
-        for r in rows:
-            self._clear(r)
-        self.backoff_pending = self._at_rdt > 0
 
 
 def secure_rdt(theta_eff_min: float, weights: dict[str, int]) -> int:

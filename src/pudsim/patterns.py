@@ -118,10 +118,9 @@ def generate(spec: PatternSpec, timing: TimingParams) -> CommandStream:
 def repeated_events(stream: CommandStream, hammers: Iterable[int]) -> Iterator[CommandEvent]:
     """The events of the given hammers (0-based, such as `range(n)`) of a
     repeated pattern, in order: hammer i is the one-hammer `stream` with
-    every time shifted by i times its end time."""
+    every time shifted by i times its end time.  The stream holds at
+    least one command, as every generator's does."""
     events = stream.events
-    if not events:
-        return iter(())
     times, kinds, rows, payloads = zip(*events)
     end = stream.end_time
     shifts = chain.from_iterable(repeat(i * end, len(events)) for i in hammers)

@@ -95,14 +95,13 @@ class Mix:
 def make_mixes(count: int, seed: int) -> list[Mix]:
     """Seeded random multiprogrammed mixes over the three trace families."""
     mixes = []
-    kinds = ("stream", "random", "rowlocal")
     for m in range(count):
         cores = []
         for c in range(4):
             h = stable_hash(seed, m, c)
             # always at least one row-reusing core so per-row activation
             # counts are exercised, not just streaming misses
-            kind = "random" if c == 0 else kinds[h % 3]
+            kind = "random" if c == 0 else CORE_KINDS[h % 3]
             gap = 20.0 + (h >> 8) % 180
             locality = 0.2 + ((h >> 16) % 60) / 100.0
             footprint = 8 + (h >> 24) % 25
@@ -232,39 +231,41 @@ def _pud_cycle(mitigation: Optional[PracConfig]) -> tuple[np.ndarray, int, int]:
     its repeat starts at, and the back-offs each repeat adds.  The steps
     from that one on repeat for good.
 
-    Every op opens the same rows and PRAC never reads the time, so the
-    counters before an op fix every step after it.  They are keyed before
-    the run's first op and before the first op after each back-off burst
-    (without PRAC, before every op), and the cycle closes at the first
-    key seen twice.  Every op raises its rows' counters and RFMs bound
-    them, so back-offs recur and every configuration repeats.
+    Without PRAC the cycle is one op, from the first step, with no
+    back-offs.  With it, every op opens the same rows and PRAC never
+    reads the time, so the counters before an op fix every step after
+    it.  They are keyed before the run's first op and before the first
+    op after each back-off burst, and the cycle closes at the first key
+    seen twice.  Every op raises its rows' counters and RFMs bound them,
+    so back-offs recur and every configuration repeats.
 
     After a burst, the ops before the one that raises the next back-off
     are counted in one step (`PracState.on_repeats`); that op is counted
     by `on_op`, and every op's service is the same."""
-    prac = _prac(mitigation)
-    rows: list[tuple[bool, float, int]] = []
-    seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
-    while True:
-        if prac is not None and prac.backoff_pending:
-            rows.append((True, _rfm_ns(prac.rfm()), prac.backoffs))
-            continue
-        if prac is None or not rows or rows[-1][0]:
-            key = () if prac is None else frozenset(prac.counters.items())
-            backoffs = 0 if prac is None else prac.backoffs
-            if key in seen:
-                first, before = seen[key]
-                steps = np.array(rows, dtype=float)
-                steps.flags.writeable = False
-                return steps, first, backoffs - before
-            seen[key] = len(rows), backoffs
-        service = _PUD_OP_NS + RANK_TURNAROUND
-        if prac is None:
-            rows.append((False, service, 0))
-            continue
-        quiet, before = prac.on_repeats(_PUD_OPS), prac.backoffs
-        service += sum(prac.on_op(kind, opened) for kind, opened in _PUD_OPS)
-        rows += [(False, service, before)] * quiet + [(False, service, prac.backoffs)]
+    service = _PUD_OP_NS + RANK_TURNAROUND
+    if mitigation is None:
+        rows, first, added = [(False, service, 0)], 0, 0
+    else:
+        prac = _prac(mitigation)
+        rows = []
+        seen: dict = {}  # counters before a keyed op -> (its step, back-offs so far)
+        while True:
+            if prac.backoff_pending:
+                rows.append((True, _rfm_ns(prac.rfm()), prac.backoffs))
+                continue
+            if not rows or rows[-1][0]:
+                key = frozenset(prac.counters.items())
+                if key in seen:
+                    first, before = seen[key]
+                    added = prac.backoffs - before
+                    break
+                seen[key] = len(rows), prac.backoffs
+            quiet, before = prac.on_repeats(_PUD_OPS), prac.backoffs
+            op = service + sum(prac.on_op(kind, opened) for kind, opened in _PUD_OPS)
+            rows += [(False, op, before)] * quiet + [(False, op, prac.backoffs)]
+    steps = np.array(rows, dtype=float)
+    steps.flags.writeable = False
+    return steps, first, added
 
 
 def _with_pud(conv: PerfResult, cycle: tuple[np.ndarray, int, int], period_ns: float,

@@ -31,7 +31,7 @@ from pudsim.dram import (
     SimraGroupMap,
     SubarrayLayout,
 )
-from pudsim.harness import NO_FLIP, Experiment, find_hcfirst, run_sweep
+from pudsim.harness import NO_FLIP, Experiment, find_hcfirst, run_sweep, sweep_plan
 from pudsim.mitigation import PracConfig, PracState, secure_rdt, weight
 from pudsim.patterns import PatternSpec
 from pudsim.perf import evaluate_mixes, make_mixes
@@ -330,7 +330,7 @@ def test_criterion_10a_temperature_trend():
     by_temp: dict[float, list[int]] = {}
     for temp in (50.0, 80.0):
         exp = Experiment(profile, groups, seed=3, temp_c=temp)
-        rows, _ = run_sweep(exp, ("simra",), template)
+        rows = run_sweep(exp, sweep_plan(exp, ("simra",), template)[0])
         by_temp[temp] = [int(r["hcfirst"]) for r in rows if r["hcfirst"] != NO_FLIP]
     ratio = (sum(by_temp[50.0]) / len(by_temp[50.0])) / (
         sum(by_temp[80.0]) / len(by_temp[80.0])

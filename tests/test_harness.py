@@ -27,7 +27,7 @@ from pudsim.disturbance import (
     accumulate,
     bits_flipped,
 )
-from pudsim.harness import RESULT_COLUMNS, default_cap, run_sweep
+from pudsim.harness import RESULT_COLUMNS, default_cap, run_sweep, sweep_plan
 from pudsim.patterns import generate, repeated_events
 from pudsim.reports import emit_report
 
@@ -179,7 +179,8 @@ TEMPLATE = PatternSpec(kind="simra", aggressors=(0, 0), n=32)
 
 def test_sweep_produces_schema_rows(worstcase, layout, groups):
     exp = Experiment(worstcase, groups, seed=1)
-    rows, failures = run_sweep(exp, ("rowhammer", "simra"), TEMPLATE, per_subarray=1)
+    plan, failures = sweep_plan(exp, ("rowhammer", "simra"), TEMPLATE, per_subarray=1)
+    rows = run_sweep(exp, plan)
     assert rows and not failures
     for row in rows:
         assert tuple(row.keys()) == tuple(RESULT_COLUMNS)
@@ -189,15 +190,15 @@ def test_sweep_produces_schema_rows(worstcase, layout, groups):
 
 def test_sweep_records_unknown_kinds_as_failures(worstcase, layout, groups):
     exp = Experiment(worstcase, groups, seed=1)
-    rows, failures = run_sweep(exp, ("rowhammer", "bogus"), TEMPLATE, per_subarray=1)
-    assert {r["kind"] for r in rows} == {"rowhammer"}
+    plan, failures = sweep_plan(exp, ("rowhammer", "bogus"), TEMPLATE, per_subarray=1)
+    assert {r["kind"] for r in run_sweep(exp, plan)} == {"rowhammer"}
     assert failures == ["bogus: unknown pattern kind 'bogus'"]
 
 
 def test_sweep_records_failures_instead_of_raising(worstcase, layout):
     exp = Experiment(worstcase, SimraGroupMap(layout, ()), seed=1)
-    rows, failures = run_sweep(exp, ("simra",), TEMPLATE)
-    assert failures and not rows
+    plan, failures = sweep_plan(exp, ("simra",), TEMPLATE)
+    assert failures and not plan and not run_sweep(exp, plan)
 
 
 def test_sweep_searches_the_template_under_the_experiment(
@@ -213,7 +214,7 @@ def test_sweep_searches_the_template_under_the_experiment(
     exp = Experiment(worstcase, groups, seed=1, temp_c=50.0, dp_aggr=0x55)
     template = PatternSpec(kind="rowhammer", aggressors=(1, 3), t_aggon=60.0,
                            pre_act_gap=5.0, act_gap=1.0, n=32)
-    rows, _ = run_sweep(exp, ("comra", "simra"), template, per_subarray=1)
+    rows = run_sweep(exp, sweep_plan(exp, ("comra", "simra"), template, per_subarray=1)[0])
     assert {s.kind for s, _ in seen} == {"comra", "simra"} and len(seen) == len(rows)
     for spec, used in seen:
         assert used is exp
@@ -225,7 +226,7 @@ def test_sweep_searches_the_template_under_the_experiment(
 
 def test_sweep_rows_write_results_csv(worstcase, layout, groups, tmp_path):
     exp = Experiment(worstcase, groups, seed=1)
-    rows, _ = run_sweep(exp, ("simra",), TEMPLATE, per_subarray=1)
+    rows = run_sweep(exp, sweep_plan(exp, ("simra",), TEMPLATE, per_subarray=1)[0])
     emit_report(rows, "characterize", tmp_path)
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert lines[0] == ",".join(RESULT_COLUMNS)
@@ -380,6 +381,18 @@ def test_later_repeats_probe_only_below_the_best_so_far(seed, simra, monkeypatch
                 best = per_rep[rep]
                 outcomes.add("beaten")
     assert outcomes == ({"skipped"} if simra[0] < 1 else {"kept", "beaten"})
+
+
+def test_stochastic_search_without_simra_thresholds_probes_nothing(monkeypatch):
+    """A profile that cannot express a group op has no first flip to find:
+    the stochastic search reports none without replaying an op."""
+    prof = ChipProfile(name="no-simra", thresholds={RH: (6700.0, 14800.0)})
+    layout = SubarrayLayout.uniform(128, 128)
+    exp = Experiment(prof, SimraGroupMap.aligned_blocks(layout, 32), seed=1)
+    seen = spy_probes(monkeypatch)
+    assert exp.is_stochastic(golden_spec(31))
+    assert [find_hcfirst(golden_spec(r2), r2 + 1, exp, 5) for r2 in (31, 63, 95)] == [None] * 3
+    assert seen == []
 
 
 @pytest.mark.parametrize("dp_aggr", [None, 0xFF])

@@ -139,30 +139,6 @@ def test_rfm_recomputes_pending_for_remaining_rows():
     assert not st_.backoff_pending
 
 
-def test_rfm_after_a_refresh_rescans():
-    # a refresh after one RFM of a burst or after two drops the burst's order
-    for burst in ((30,), (40, 30)):
-        st_ = make_prac(rdt=5)
-        for _ in range(5):
-            for row in (10, 20, *burst):
-                st_.on_op(RH, (row,))
-        for row in burst:
-            assert st_.rfm() == (row - 1, row + 1, row - 2, row + 2)
-        st_.on_refresh(range(16, 24))
-        assert st_.rfm() == (9, 11, 8, 12)
-        assert not st_.backoff_pending
-
-
-def test_refresh_clears_slice_counters():
-    st_ = make_prac(rdt=5)
-    for _ in range(5):
-        st_.on_op(RH, (10,))
-    assert st_.backoff_pending
-    st_.on_refresh(range(0, 16))
-    assert 10 not in st_.counters
-    assert not st_.backoff_pending
-
-
 def test_empty_op_rejected():
     with pytest.raises(ConfigError):
         make_prac().on_op(RH, ())
@@ -232,14 +208,6 @@ class ReferencePrac:
             if 0 <= v < self.rows
         )
 
-    def on_refresh(self, rows):
-        for r in rows:
-            self.counters.pop(r, None)
-        if self.backoff_pending:
-            self.backoff_pending = any(
-                c >= self.config.rdt for c in self.counters.values()
-            )
-
 
 _prac_step = st.one_of(
     st.tuples(st.just("op"), st.sampled_from([RH, COMRA, SIMRA]),
@@ -247,8 +215,6 @@ _prac_step = st.one_of(
     st.tuples(st.just("rfm")),
     # back-to-back RFMs: every one after the first pops the burst's order
     st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
-    st.tuples(st.just("ref"), st.integers(min_value=0, max_value=63),
-              st.integers(min_value=1, max_value=16)),
 )
 
 
@@ -264,15 +230,11 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
             assert (latency, fast.backoff_pending) == slow.on_op(step[1], step[2])
         elif step[0] == "rfm":
             assert fast.rfm() == slow.rfm()
-        elif step[0] == "burst":
+        else:
             for _ in range(step[1]):
                 assert fast.rfm() == slow.rfm()
                 assert fast.counters == slow.counters
                 assert fast.backoff_pending == slow.backoff_pending
-        else:
-            rows = range(step[1], min(64, step[1] + step[2]))
-            fast.on_refresh(rows)
-            slow.on_refresh(rows)
         assert fast.counters == slow.counters
         assert fast.backoff_pending == slow.backoff_pending
     assert fast.backoffs == slow.backoffs

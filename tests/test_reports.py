@@ -233,6 +233,13 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["mitigation-eval", "perf.mixes=1000000000000"],
      "perf.mixes x perf.periods must be at most 65536 (mix, period) pairs, "
      "got 1000000000000 x 5"),
+    (["characterize", "--kinds", "comra", "pattern.pre_act_gap_ns=20"],
+     "--kinds leaves no pattern kind to search"),
+    (["characterize", "--kinds", "simra", "geometry.rows=64", "layout.subarrays=2",
+      "groups.n=32"],
+     "--kinds leaves no pattern kind to search"),
+    (["trr-eval", "--technique", "simra", "profile=samsung_a_16gb"],
+     "profile samsung_a_16gb has no thresholds for 'simra'"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
@@ -249,6 +256,17 @@ def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith(message)
     assert not (tmp_path / "out" / "manifest.cfg").exists()
+
+
+def test_cli_characterize_drops_a_kind_once(tmp_path, caplog):
+    """A kind the sweep cannot search is dropped with one warning, not one
+    per victim, and the other kinds still run."""
+    cfg = _cfg_file(tmp_path, **{"pattern.pre_act_gap_ns": 20})
+    assert main(["characterize", "--kinds", "rowhammer comra", "--config", str(cfg)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["sweep cell failed: comra: copy gap must violate tRP"]
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        assert {r["kind"] for r in csv.DictReader(fh)} == {"rowhammer"}
 
 
 @pytest.mark.parametrize("extra, message", [
