@@ -17,6 +17,7 @@ import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from .config import RunConfig, dumps_config, load_config
 from .disturbance import COMRA, RH, SIMRA, ChipProfile
@@ -121,15 +122,23 @@ def _check_temp(cfg: RunConfig, profile: ChipProfile, kinds: list[str]) -> None:
                               f"temperature factor of profile {profile.name}") from None
 
 
-def _check_order(cfg: RunConfig, one: CommandStream, kind: str, hammers: int) -> None:
+def _check_order(cfg: RunConfig, one: CommandStream, kind: str,
+                 hammers: Optional[int]) -> None:
     """Refuse a pattern whose command times stop increasing within
     `hammers` hammers of `one`: `Bank.apply` would reject its replay, and
-    a trace would list two commands at one time."""
+    a trace would list two commands at one time.  `hammers` of None is
+    the first-flip search's budget, `default_cap`, which the message
+    names by the timing keys that set it."""
+    source = "--hammers"
+    if hammers is None:
+        hammers = default_cap(cfg.timing())
+        source = (f"timing.acts_per_refi = {cfg.acts_per_refi:g}, timing.t_refw = "
+                  f"{cfg.t_refw:g} and timing.t_refi = {cfg.t_refi:g}")
     if not keeps_order(one, hammers):
         raise ConfigError(
-            f"pattern.t_aggon_ns = {cfg.t_aggon_ns:g} puts two commands of {hammers} {kind} "
+            f"pattern.t_aggon_ns = {cfg.t_aggon_ns:g} puts two commands of {hammers:g} {kind} "
             f"hammers at one time (pattern.act_gap_ns = {cfg.act_gap_ns:g}, "
-            f"pattern.pre_act_gap_ns = {cfg.pre_act_gap_ns:g})")
+            f"pattern.pre_act_gap_ns = {cfg.pre_act_gap_ns:g}); the count comes from {source}")
 
 
 def cmd_characterize(args) -> int:
@@ -153,7 +162,7 @@ def cmd_characterize(args) -> int:
     if not plan:
         raise ConfigError("--kinds leaves no pattern kind to search")
     for kind, (one, _) in plan.items():
-        _check_order(cfg, one, kind, default_cap(exp.timing))
+        _check_order(cfg, one, kind, None)
     _write_manifest(cfg)
     rows = run_sweep(exp, plan, cfg.repeats)
     paths = emit_report(rows, "characterize", cfg.out_dir)
@@ -170,7 +179,7 @@ def cmd_attack(args) -> int:
     template = cfg.pattern()
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
     # a copy checks its timing here
-    _check_order(cfg, generate(spec, exp.timing), spec.kind, default_cap(exp.timing))
+    _check_order(cfg, generate(spec, exp.timing), spec.kind, None)
     _write_manifest(cfg)
     row = sweep_cell(exp, spec, args.victim, cfg.repeats)
     write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),

@@ -8,11 +8,11 @@ Two violation windows are modeled on top of nominal operation:
   destination row (same subarray only);
 * simultaneous multi-row activation: ACT-PRE-ACT with both gaps inside a
   few nanoseconds keeps the first row's wordline asserted, activating a
-  whole predefined group of rows at once.  Closing the group overwrites
-  every member with the bitwise majority of the group's contents.
+  whole predefined group of rows at once.
 
 Each of these sequences also disturbs neighboring rows; the bank emits
-`HammerEffect` records that the disturbance model consumes.  A violating
+`HammerEffect` records that the disturbance model consumes.  It models
+which rows an op opens and how long, not the data they hold.  A violating
 gap that fits neither window is served as a nominal activation and
 recorded in `Bank.diagnostics`.
 """
@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AddressError, ConfigError, ProtocolError, ShapeError
+from .errors import AddressError, ConfigError, ProtocolError
 
 # disturbance kinds, named alike by chip profiles and HammerEffect
 KIND_RH = "rh"
@@ -42,12 +42,10 @@ SIMRA_SIZES = (2, 4, 8, 16, 32)
 # 2**17 rows
 MAX_ROWS = 2**20
 
-COMMANDS = ("ACT", "PRE", "WR", "REF")
+COMMANDS = ("ACT", "PRE", "REF")
 
-# bytes each row stores
+# bytes in a row, whose bits `disturbance` flips
 ROW_BYTES = 8
-# contents of a row never written
-DEFAULT_FILL = bytes(ROW_BYTES)
 
 # Windows of the modeled timing violations.  A copy needs a PRE->ACT gap
 # below tRP; a group op needs both gaps at most SIMRA_GAP_MAX, and at most
@@ -55,8 +53,6 @@ DEFAULT_FILL = bytes(ROW_BYTES)
 SIMRA_GAP_MAX = 3.0
 PARTIAL_GAP_MAX = 1.5
 P_ACT = 1.0 / 2.28
-# a majority tie in a group overwrite resolves to this bit value
-TIE_BIAS = 0
 # partial-activation draws a bank takes from its generator at once: the
 # first block (at least the largest group, so one block covers an op),
 # and the size its doubling stops at
@@ -224,19 +220,19 @@ class SimraGroupMap:
         return self._of.get(r2)
 
 
-class CommandEvent(namedtuple("CommandEvent", "time kind row payload")):
+class CommandEvent(namedtuple("CommandEvent", "time kind row")):
     """One bus command to the bank, a checked tuple.  time is absolute
-    nanoseconds; row/payload are optional depending on the command kind."""
+    nanoseconds; row is the row an ACT opens, None for PRE and REF."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _make, _replace check too
 
-    def __new__(cls, time: float, kind: str, row: Optional[int] = None, payload=None):
+    def __new__(cls, time: float, kind: str, row: Optional[int] = None):
         if kind not in COMMANDS:
             raise ConfigError(f"unknown command kind {kind!r}")
-        if row is None and kind in ("ACT", "WR"):
-            raise ConfigError(f"{kind} requires a row")
-        return tuple.__new__(cls, (time, kind, row, payload))
+        if row is None and kind == "ACT":
+            raise ConfigError("ACT requires a row")
+        return tuple.__new__(cls, (time, kind, row))
 
 
 # builds a record from a tuple of its fields, skipping the record's own
@@ -267,21 +263,6 @@ class RefreshEffect(namedtuple("RefreshEffect", "rows time")):
     __slots__ = ()
 
 
-def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
-    """Bitwise majority of equally sized rows; ties go to tie_bias."""
-    if not contents:
-        raise ShapeError("majority of zero rows")
-    width = len(contents[0])
-    if any(len(c) != width for c in contents):
-        raise ShapeError("rows in a group must have equal size")
-    arr = np.frombuffer(b"".join(contents), dtype=np.uint8).reshape(len(contents), width)
-    bits = np.unpackbits(arr, axis=1)
-    counts = bits.sum(axis=0, dtype=np.int64)
-    # only an even group can tie
-    maj = counts * 2 >= len(contents) if tie_bias else counts * 2 > len(contents)
-    return np.packbits(maj.astype(np.uint8)).tobytes()
-
-
 class _Activation(namedtuple("_Activation", "rows opened mode src")):
     """The rows one ACT opened: a whole group for a group op.  mode is
     'nominal', 'copy' or 'simra'; src is the copy source of a copy."""
@@ -290,8 +271,8 @@ class _Activation(namedtuple("_Activation", "rows opened mode src")):
 
 
 class Bank:
-    """State machine for one bank: open rows, stored data, and the
-    classification of command sequences into nominal vs. violating ops.
+    """State machine for one bank: its open rows and the classification
+    of command sequences into nominal vs. violating ops.
 
     Classification of an incoming ACT looks one closed row back, so a
     nominal activation's disturbance is emitted only once the next
@@ -320,7 +301,6 @@ class Bank:
         # has addressed, (None, None) for an ungrouped row; filled as rows
         # are addressed, so a bank that opens no group holds none
         self._placed: dict[int, tuple] = {}
-        self.data: dict[int, bytes] = {}
         self.open: Optional[_Activation] = None
         self.last_pre: Optional[float] = None
         self.last_time: float = float("-inf")
@@ -329,25 +309,17 @@ class Bank:
         self._refs = 0  # REFs applied
         self.diagnostics: list[str] = []
 
-    # -- data access --------------------------------------------------------
-
-    def row_data(self, row: int) -> bytes:
-        self.layout.check_row(row)
-        return self.data.get(row, DEFAULT_FILL)
-
     # -- command application -------------------------------------------------
 
     def apply(self, cmd: CommandEvent) -> list:
         """Apply one command; returns the analog effects it produced."""
-        time, kind, row, payload = cmd
+        time, kind, row = cmd
         if time <= self.last_time:
             raise ProtocolError(f"command at {time} not after {self.last_time}")
         if kind == "ACT":
             effects = self._cmd_act(time, row)
         elif kind == "PRE":
             effects = self._cmd_pre(time)
-        elif kind == "WR":
-            effects = self._cmd_wr(row, payload)
         else:
             effects = self._cmd_ref(time)
         self.last_time = time
@@ -435,16 +407,15 @@ class Bank:
         """The copy into the destination, or None when it activates nominally."""
         src, src_t_on, _closed = prev
         if src_t_on + 1e-9 < self.timing.t_ras:
-            # source was not fully restored; no clean data to copy
+            # the source closed before a full restore: no clean value to copy
             self.diagnostics.append(
                 f"copy gap after short activation ({src_t_on:.3g} ns) of row {src}"
             )
             return None
         if not self.layout.same_subarray(src, row):
             # sense amplifiers are per subarray; the destination just
-            # activates normally and keeps its own data
+            # activates normally
             return None
-        self.data[row] = self.row_data(src)
         # the PRE's hammer of both rows restores the destination
         return _new(_Activation, ((row,), time, "copy", src))
 
@@ -459,37 +430,12 @@ class Bank:
             effects = self.flush() if self._pending is not None else []
             self._pending = (rows[0], t_on, time)
         elif mode == "simra":
-            data = self.data
-            # in a bank never written every row reads DEFAULT_FILL, their own majority
-            if data:
-                contents = [data.get(r, DEFAULT_FILL) for r in rows]
-                # the majority of identical rows is that row, at any tie bias
-                if contents.count(contents[0]) != len(contents):
-                    maj = majority_overwrite(contents, TIE_BIAS)
-                    for r in rows:
-                        data[r] = maj
             # one hammer of the whole group; `accumulate` restores its rows
             effects = [_new(HammerEffect, (KIND_SIMRA, rows, t_on, time))]
         else:  # copy
             effects = [_new(HammerEffect, (KIND_COMRA, (act.src, rows[0]), t_on, time))]
         self.open = None
         return effects
-
-    def _cmd_wr(self, row: int, payload) -> list:
-        act = self.open
-        if act is None:
-            raise ProtocolError("WR with no open row")
-        # a row holds ROW_BYTES bytes: a payload is cut or zero-padded to them
-        payload = bytes((payload or b"")[:ROW_BYTES]).ljust(ROW_BYTES, b"\0")
-        if act.mode == "simra":
-            # the write drives every open row in the group
-            for r in act.rows:
-                self.data[r] = payload
-            return []
-        if row not in act.rows:
-            raise ProtocolError(f"WR to closed row {row}")
-        self.data[row] = payload
-        return []
 
     def _cmd_ref(self, time: float) -> list:
         if self.open is not None:

@@ -121,12 +121,12 @@ def repeated_events(stream: CommandStream, hammers: Iterable[int]) -> Iterator[C
     every time shifted by i times its end time.  The stream holds at
     least one command, as every generator's does."""
     events = stream.events
-    times, kinds, rows, payloads = zip(*events)
+    times, kinds, rows = zip(*events)
     end = stream.end_time
     shifts = chain.from_iterable(repeat(i * end, len(events)) for i in hammers)
     # only the time changes, so the checks the stream's events passed hold
     return map(_new, repeat(CommandEvent), zip(
-        map(add, cycle(times), shifts), cycle(kinds), cycle(rows), cycle(payloads)))
+        map(add, cycle(times), shifts), cycle(kinds), cycle(rows)))
 
 
 def keeps_order(stream: CommandStream, hammers: int) -> bool:
@@ -142,8 +142,8 @@ def keeps_order(stream: CommandStream, hammers: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace text format: <time_ns> <CMD> <bank> [<row>] [<hex payload>]; the
-# model has one bank, bank 0
+# Trace text format: <time_ns> <CMD> <bank> [<row>]; the model has one
+# bank, bank 0
 
 # most commands one trace holds.  `trace-gen` writes a trace line by
 # line, so this bounds the file, not memory: a command takes about 18
@@ -156,8 +156,6 @@ def format_event(e: CommandEvent) -> str:
     parts = [f"{e.time:.3f}".rstrip("0").rstrip("."), e.kind, "0"]
     if e.row is not None:
         parts.append(str(e.row))
-    if e.payload is not None:
-        parts.append("0x" + e.payload.hex())
     return " ".join(parts)
 
 

@@ -5,19 +5,81 @@ the combined pattern of criterion 10c.
 Real DDR4 chips hide their subarrays and activation groups, so the
 paper discovers them with copy cycles and group writes; pudsim's chip
 takes both from its config, so only tests run this.  They drive a bank
-command by command and check that it reveals the layout it was built
-with.
+command by command, through a `DataBank` that keeps the bytes its rows
+hold, and check that it reveals the layout it was built with.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from pudsim.disturbance import hammers_to_flip
 from pudsim.dram import ROW_BYTES, Bank, CommandEvent, SimraGroupMap, SubarrayLayout, TimingParams
+from pudsim.errors import ProtocolError, ShapeError
 from pudsim.harness import Experiment, default_cap
 from pudsim.patterns import PatternSpec
 from pudsim.rng import substream
+
+
+# ---------------------------------------------------------------------------
+# Row data
+
+# what a row never written holds
+FILL = bytes(ROW_BYTES)
+
+
+def majority_overwrite(contents: Sequence[bytes], tie_bias: int = 0) -> bytes:
+    """Bitwise majority of equally sized rows; ties go to tie_bias."""
+    if not contents:
+        raise ShapeError("majority of zero rows")
+    width = len(contents[0])
+    if any(len(c) != width for c in contents):
+        raise ShapeError("rows in a group must have equal size")
+    arr = np.frombuffer(b"".join(contents), dtype=np.uint8).reshape(len(contents), width)
+    counts = np.unpackbits(arr, axis=1).sum(axis=0, dtype=np.int64)
+    # only an even group can tie
+    maj = counts * 2 >= len(contents) if tie_bias else counts * 2 > len(contents)
+    return np.packbits(maj.astype(np.uint8)).tobytes()
+
+
+class DataBank:
+    """A `Bank` that also keeps each row's ROW_BYTES bytes, FILL until
+    written: a copy stores its source's bytes in its destination, and a
+    group op, as it closes, the majority of its rows in each of them.
+    The bank sees no WR, and its attributes read through."""
+
+    def __init__(self, bank: Bank):
+        self.bank = bank
+        self.data: dict[int, bytes] = {}
+
+    def __getattr__(self, name):
+        return getattr(self.bank, name)
+
+    def row_data(self, row: int) -> bytes:
+        self.bank.layout.check_row(row)
+        return self.data.get(row, FILL)
+
+    def apply(self, cmd: CommandEvent) -> list:
+        closing = self.bank.open
+        effects = self.bank.apply(cmd)
+        act = self.bank.open
+        if cmd.kind == "ACT" and act.mode == "copy":
+            self.data[act.rows[0]] = self.row_data(act.src)
+        elif cmd.kind == "PRE" and closing is not None and closing.mode == "simra":
+            contents = [self.row_data(r) for r in closing.rows]
+            if len(set(contents)) > 1:  # else they are their own majority
+                self.data.update(dict.fromkeys(closing.rows, majority_overwrite(contents)))
+        return effects
+
+    def write(self, row: int, payload: bytes) -> None:
+        """WR `payload`, cut or zero-padded to ROW_BYTES bytes, to `row`,
+        or to every row of an open group."""
+        act = self.bank.open
+        if act is None or act.mode != "simra" and row not in act.rows:
+            raise ProtocolError(f"WR to closed row {row}" if act else "WR with no open row")
+        self.data.update(dict.fromkeys(act.rows, payload[:ROW_BYTES].ljust(ROW_BYTES, b"\0")))
 
 
 # ---------------------------------------------------------------------------
@@ -25,15 +87,15 @@ from pudsim.rng import substream
 
 
 class Sequencer:
-    """Thin cursor over a bank for scripted command sequences."""
+    """Thin cursor over a `DataBank` for scripted command sequences."""
 
-    def __init__(self, bank: Bank):
+    def __init__(self, bank: DataBank):
         self.bank = bank
         self.t = max(0.0, bank.last_time + 1.0)
 
-    def _do(self, kind: str, row=None, payload=None, dt: float = 0.0):
+    def _do(self, kind: str, row=None, dt: float = 0.0):
         self.t += dt
-        self.bank.apply(CommandEvent(self.t, kind, row, payload))
+        self.bank.apply(CommandEvent(self.t, kind, row))
 
     def act(self, row: int, gap: float):
         self._do("ACT", row, dt=gap)
@@ -42,7 +104,9 @@ class Sequencer:
         self._do("PRE", dt=after)
 
     def wr(self, row: int, payload: bytes, after: float = 1.0):
-        self._do("WR", row, payload, dt=after)
+        # a write takes bus time, but the bank classifies no WR
+        self.t += after
+        self.bank.write(row, payload)
 
 
 def _write_row(seq: Sequencer, row: int, payload: bytes, timing: TimingParams):
@@ -51,7 +115,7 @@ def _write_row(seq: Sequencer, row: int, payload: bytes, timing: TimingParams):
     seq.pre(after=timing.t_ras)
 
 
-def discover_subarrays(bank: Bank) -> SubarrayLayout:
+def discover_subarrays(bank: DataBank) -> SubarrayLayout:
     """Recover subarray boundaries by probing every adjacent row pair with
     a copy cycle: the copy lands only when both rows share sense amps."""
     timing = bank.timing
@@ -79,7 +143,7 @@ def discover_subarrays(bank: Bank) -> SubarrayLayout:
     return SubarrayLayout(extents)
 
 
-def discover_simra_groups(bank: Bank, layout: SubarrayLayout) -> SimraGroupMap:
+def discover_simra_groups(bank: DataBank, layout: SubarrayLayout) -> SimraGroupMap:
     """Recover the activation-group map: fire ACT-PRE-ACT at every row,
     write a marker through the open group, and read back which rows took
     it.  A lone marked row means the row belongs to no group."""

@@ -40,8 +40,10 @@ from pudsim.rng import substream
 from pudsim.trreval import TrrConfig, make_rh_setup, make_simra_setup, run_bypass
 
 from methodology import (
+    DataBank,
     discover_simra_groups,
     discover_subarrays,
+    majority_overwrite,
     random_layout_and_groups,
     run_combined,
 )
@@ -158,7 +160,7 @@ def test_criterion_04_reverse_engineering_oracle():
     ok = True
     for seed in range(100):
         layout, groups = random_layout_and_groups(512, seed=seed)
-        bank = Experiment(profile, groups, seed=seed).fresh_bank()
+        bank = DataBank(Experiment(profile, groups, seed=seed).fresh_bank())
         found = discover_subarrays(bank)
         ok &= (found.extents == layout.extents
                and discover_simra_groups(bank, found).groups == groups.groups)
@@ -168,8 +170,6 @@ def test_criterion_04_reverse_engineering_oracle():
 
 
 def test_criterion_05_majority_oracle():
-    from pudsim.dram import majority_overwrite
-
     rng = substream(13, "acceptance.majority")
     ok = True
     for _ in range(10_000):

@@ -16,7 +16,6 @@ from pudsim import (
 )
 from pudsim.config import RunConfig
 from pudsim.dram import (
-    DEFAULT_FILL,
     DRAW_BLOCK,
     DRAW_BLOCK_MAX,
     KIND_COMRA,
@@ -26,7 +25,6 @@ from pudsim.dram import (
     ROW_BYTES,
     HammerEffect,
     RefreshEffect,
-    majority_overwrite,
 )
 from pudsim.errors import (
     AddressError,
@@ -35,12 +33,19 @@ from pudsim.errors import (
     ShapeError,
 )
 from pudsim.harness import Experiment, _victims_for
-from pudsim.patterns import PatternSpec
+from pudsim.patterns import PatternSpec, generate, repeated_events
 from pudsim.profiles import DEFAULT_PROFILE, load_profile
 from pudsim.rng import substream
 from pudsim.trreval import make_simra_setup
 
-from methodology import discover_simra_groups
+from methodology import (
+    FILL,
+    DataBank,
+    discover_simra_groups,
+    discover_subarrays,
+    majority_overwrite,
+    random_layout_and_groups,
+)
 
 TIMING = TimingParams()
 
@@ -60,12 +65,16 @@ class Seq:
         self.t = 0.0
         self.effects = []
 
-    def cmd(self, kind, row=None, payload=None, dt=1.0):
+    def cmd(self, kind, row=None, dt=1.0):
         self.t += dt
-        ev = CommandEvent(time=self.t, kind=kind, row=row, payload=payload)
-        out = self.bank.apply(ev)
+        out = self.bank.apply(CommandEvent(time=self.t, kind=kind, row=row))
         self.effects.extend(out)
         return out
+
+    def write(self, row, payload, dt=1.0):
+        """A WR to a `DataBank`, which the bank itself never sees."""
+        self.t += dt
+        self.bank.write(row, payload)
 
     def act(self, row, gap=None):
         return self.cmd("ACT", row=row, dt=gap if gap is not None else 50.0)
@@ -124,7 +133,7 @@ def test_majority_tie_forced_by_bias():
 @given(st.binary(min_size=8, max_size=8), st.integers(min_value=1, max_value=32),
        st.sampled_from([0, 1]))
 def test_majority_of_identical_rows_is_that_row(row, n, bias):
-    # a group op skips the bit count when every member holds the same bytes
+    # a group op over rows that agree leaves them as they were
     assert majority_overwrite([row] * n, bias) == row
 
 
@@ -225,7 +234,7 @@ def test_aligned_blocks_by_hand():
 def test_discovery_recovers_a_stride_2_map():
     layout = SubarrayLayout.uniform(64, 32)
     truth = SimraGroupMap.aligned_blocks(layout, 4, 2)
-    found = discover_simra_groups(Bank(TIMING, truth), layout)
+    found = discover_simra_groups(DataBank(Bank(TIMING, truth)), layout)
     assert found.groups == truth.groups
     assert found.groups[:2] == ((0, 2, 4, 6), (8, 10, 12, 14))
 
@@ -338,7 +347,7 @@ def comra_hammers(effects):
 
 
 def test_copy_moves_data_within_subarray():
-    b = make_bank()
+    b = DataBank(make_bank())
     b.data[2] = b"\xa5" * 8
     b.data[3] = b"\x00" * 8
     s = Seq(b)
@@ -349,7 +358,7 @@ def test_copy_moves_data_within_subarray():
 
 
 def test_copy_is_idempotent():
-    b = make_bank()
+    b = DataBank(make_bank())
     b.data[2] = b"\xa5" * 8
     s = Seq(b)
     copy_cycle(s, 2, 3)
@@ -359,7 +368,7 @@ def test_copy_is_idempotent():
 
 
 def test_cross_subarray_copy_does_not_move_data():
-    b = make_bank(rows=64, sub_rows=32)
+    b = DataBank(make_bank(rows=64, sub_rows=32))
     b.data[31] = b"\xa5" * 8
     before = b.row_data(32)
     s = Seq(b)
@@ -369,7 +378,7 @@ def test_cross_subarray_copy_does_not_move_data():
 
 
 def test_short_source_open_time_fails_copy():
-    b = make_bank()
+    b = DataBank(make_bank())
     b.data[2] = b"\xa5" * 8
     before = b.row_data(3)
     s = Seq(b)
@@ -423,7 +432,7 @@ def test_group_gap_on_ungrouped_pair_is_a_diagnostic():
 
 
 def test_copy_after_short_activation_is_a_diagnostic():
-    b = make_bank()
+    b = DataBank(make_bank())
     b.data[2] = b"\xa5" * 8
     s = Seq(b)
     s.act(2, gap=50.0)
@@ -441,12 +450,12 @@ def group_op(s, r1, r2, gap=3.0, t_on=TIMING.t_ras, write=None):
     s.cmd("PRE", dt=gap)
     s.act(r2, gap=gap)
     if write is not None:
-        s.cmd("WR", row=r2, payload=write, dt=1.0)
+        s.write(r2, write)
     s.cmd("PRE", dt=t_on)
 
 
 def test_group_op_overwrites_members_with_majority():
-    b = make_bank(groups_n=4)
+    b = DataBank(make_bank(groups_n=4))
     for r, v in zip(range(4, 8), [b"\xff" * 8, b"\xff" * 8, b"\xff" * 8, b"\x00" * 8]):
         b.data[r] = v
     s = Seq(b)
@@ -460,7 +469,7 @@ def test_group_op_overwrites_members_with_majority():
 
 
 def test_group_op_is_destructive_on_minority_rows():
-    b = make_bank(groups_n=4)
+    b = DataBank(make_bank(groups_n=4))
     b.data[5] = b"\xa5" * 8  # minority content is lost
     s = Seq(b)
     group_op(s, 4, 6)
@@ -468,7 +477,7 @@ def test_group_op_is_destructive_on_minority_rows():
 
 
 def test_write_during_group_overwrites_all_open_rows():
-    b = make_bank(groups_n=4)
+    b = DataBank(make_bank(groups_n=4))
     s = Seq(b)
     group_op(s, 4, 6, write=b"\xc3" * 8)
     for r in range(4, 8):
@@ -476,7 +485,7 @@ def test_write_during_group_overwrites_all_open_rows():
 
 
 def test_group_needs_both_gaps_inside_window():
-    b = make_bank(groups_n=4)
+    b = DataBank(make_bank(groups_n=4))
     s = Seq(b)
     b.data[7] = b"\xff" * 8  # the minority of rows 4-7
     group_op(s, 4, 6, gap=4.0)  # just outside the 3 ns window
@@ -524,22 +533,22 @@ def test_lookups_of_a_pair_reject_its_first_row_outside_the_bank(a, b, bad):
 
 
 def test_write_with_no_open_row_is_a_protocol_error():
-    s = Seq(make_bank())
+    s = Seq(DataBank(make_bank()))
     s.act(2)
     s.pre()
     with pytest.raises(ProtocolError) as e:
-        s.cmd("WR", row=2, payload=b"\x01")
+        s.write(2, b"\x01")
     assert str(e.value) == "WR with no open row"
-    assert s.bank.row_data(2) == DEFAULT_FILL
+    assert s.bank.row_data(2) == FILL
 
 
 def test_write_to_a_closed_row_is_a_protocol_error():
-    s = Seq(make_bank())
+    s = Seq(DataBank(make_bank()))
     s.act(2)
     with pytest.raises(ProtocolError) as e:
-        s.cmd("WR", row=3, payload=b"\x01")
+        s.write(3, b"\x01")
     assert str(e.value) == "WR to closed row 3"
-    assert s.bank.row_data(3) == DEFAULT_FILL
+    assert s.bank.row_data(3) == FILL
 
 
 # -- refresh ------------------------------------------------------------------
@@ -646,12 +655,12 @@ def test_partial_ops_across_draw_blocks_open_rows_of_scalar_draws(sizes):
 
 
 def test_partial_ops_over_unwritten_rows_keep_the_default_fill():
-    b = make_bank(groups_n=8)
+    b = DataBank(make_bank(groups_n=8))
     s = Seq(b)
     for i in range(40):
         grp = b.groups.groups[i % len(b.groups.groups)]
         group_op(s, grp[-1], grp[i % 8], gap=1.0)
-    assert [b.row_data(r) for r in range(64)] == [DEFAULT_FILL] * 64
+    assert [b.row_data(r) for r in range(64)] == [FILL] * 64
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -660,7 +669,8 @@ def test_partial_op_over_a_written_row_writes_the_majority(seed):
     them with their bitwise majority, unwritten rows reading the default
     fill; the rows it leaves closed keep their contents."""
     layout = SubarrayLayout.uniform(64, 32)
-    b = Bank(TIMING, SimraGroupMap.aligned_blocks(layout, 8), rng=substream(seed, "probe.0.9"))
+    b = DataBank(Bank(TIMING, SimraGroupMap.aligned_blocks(layout, 8),
+                      rng=substream(seed, "probe.0.9")))
     reference = substream(seed, "probe.0.9")
     for r in (8, 9, 10, 12, 13, 15):  # rows 11 and 14 stay unwritten
         b.data[r] = bytes([r * 0x25 & 0xFF, r, 0xF0, 0x0F, r << 4 & 0xFF, 0, 0xFF, r])
@@ -679,8 +689,9 @@ def test_partial_op_over_a_written_row_writes_the_majority(seed):
 def test_rows_an_op_leaves_closed_do_not_reach_its_opened_rows(seed):
     """Writing the group rows a partial op leaves closed changes none of
     the rows it opens, even where they are most of the group."""
-    b = make_bank(groups_n=32)
-    b.rng = substream(seed, "probe.0.32")
+    bank = make_bank(groups_n=32)
+    bank.rng = substream(seed, "probe.0.32")
+    b = DataBank(bank)
     reference = substream(seed, "probe.0.32")
     opened = [r for r in range(32) if reference.random() < P_ACT or r == 31]
     closed = [r for r in range(32) if r not in opened]
@@ -690,7 +701,7 @@ def test_rows_an_op_leaves_closed_do_not_reach_its_opened_rows(seed):
     group_op(s, 0, 31, gap=1.0)
     (op,) = [e for e in s.drain() if isinstance(e, HammerEffect)]
     assert op.aggressors == tuple(opened)
-    assert [b.row_data(r) for r in opened] == [DEFAULT_FILL] * len(opened)
+    assert [b.row_data(r) for r in opened] == [FILL] * len(opened)
     assert [b.row_data(r) for r in closed] == [b"\xff" * ROW_BYTES] * len(closed)
 
 
@@ -713,25 +724,89 @@ def test_partial_group_ops_list_their_rows_ascending(n, stride):
             assert any(rows != grp for rows in ops)
 
 
+# -- the byte layer of a DataBank never changes classification ----------------
+
+
+class Recording(DataBank):
+    """A `DataBank` that logs each command it applies with the effects
+    the bank returned and the open rows and diagnostics it held after."""
+
+    def __init__(self, bank):
+        super().__init__(bank)
+        self.log = []
+
+    def apply(self, cmd):
+        effects = super().apply(cmd)
+        self.log.append((cmd, effects, self.bank.open, list(self.bank.diagnostics)))
+        return effects
+
+
+def assert_bare_bank_agrees(recorded, bare):
+    """A bare bank fed the commands `recorded` applied returns the same
+    effects and holds the same open rows and diagnostics after each, and
+    ends at the same time with the same deferred hammer."""
+    for cmd, effects, act, diagnostics in recorded.log:
+        assert (bare.apply(cmd), bare.open, bare.diagnostics) == (effects, act, diagnostics), cmd
+    assert (bare.flush(), bare.last_time) == (recorded.flush(), recorded.last_time)
+
+
+_STREAMS = {
+    "rowhammer": PatternSpec(kind="rowhammer", aggressors=(10, 12)),
+    "rowpress": PatternSpec(kind="rowpress", aggressors=(10, 12), t_aggon=7800.0),
+    "comra": PatternSpec(kind="comra", aggressors=(5, 6)),
+    "comra-across-subarrays": PatternSpec(kind="comra", aggressors=(31, 32)),
+    "simra": PatternSpec(kind="simra", aggressors=(9, 9), n=8),
+    "simra-partial": PatternSpec(kind="simra", aggressors=(15, 9), n=8, act_gap=1.0),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(_STREAMS))
+def test_data_bank_classifies_pattern_streams_as_a_bare_bank(name, seed):
+    """Fed 30 hammers of a pattern over rows of differing bytes, with a
+    write after some of its ACTs, a `DataBank` returns the effects a bare
+    bank on the same draws returns, command by command."""
+    def make():
+        groups = SimraGroupMap.aligned_blocks(SubarrayLayout.uniform(64, 32), 8)
+        return Bank(TIMING, groups, rng=substream(seed, "probe"))
+
+    rec = Recording(make())
+    rec.data.update({r: bytes([r * 37 & 0xFF]) * ROW_BYTES for r in range(0, 64, 3)})
+    for i, cmd in enumerate(repeated_events(generate(_STREAMS[name], TIMING), range(30))):
+        rec.apply(cmd)
+        if cmd.kind == "ACT" and i % 8 == 2:
+            rec.write(cmd.row, bytes([i & 0xFF]) * ROW_BYTES)
+    assert_bare_bank_agrees(rec, make())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_data_bank_classifies_the_discovery_sequences_as_a_bare_bank(seed):
+    """The copy cycles, group ops and writes that recover a layout reach
+    the bank as they would reach a bare bank."""
+    layout, groups = random_layout_and_groups(128, seed)
+    rec = Recording(Bank(TIMING, groups))
+    assert discover_simra_groups(rec, discover_subarrays(rec)).groups == groups.groups
+    assert_bare_bank_agrees(rec, Bank(TIMING, groups))
+
+
 def test_command_event_checks_kind_and_row_and_is_immutable():
     with pytest.raises(ConfigError, match="unknown command kind 'NOP'"):
         CommandEvent(1.0, "NOP")
-    for kind in ("ACT", "WR"):
-        with pytest.raises(ConfigError, match=f"{kind} requires a row"):
-            CommandEvent(1.0, kind)
-    ev = CommandEvent(1.0, "WR", 3, payload=b"\x01")
-    assert (ev.time, ev.kind, ev.row, ev.payload) == (1.0, "WR", 3, b"\x01")
+    with pytest.raises(ConfigError, match="ACT requires a row"):
+        CommandEvent(1.0, "ACT")
+    ev = CommandEvent(1.0, "ACT", 3)
+    assert (ev.time, ev.kind, ev.row) == (1.0, "ACT", 3)
     assert CommandEvent(2.0, "PRE").row is None
     with pytest.raises(AttributeError):
         ev.time = 2.0
     with pytest.raises(AttributeError):
         ev.extra = 1
     # the tuple's own constructors run the same checks
-    assert ev._replace(time=2.0) == CommandEvent(2.0, "WR", 3, b"\x01")
-    with pytest.raises(ConfigError, match="WR requires a row"):
+    assert ev._replace(time=2.0) == CommandEvent(2.0, "ACT", 3)
+    with pytest.raises(ConfigError, match="ACT requires a row"):
         ev._replace(row=None)
     with pytest.raises(ConfigError, match="unknown command kind 'NOP'"):
-        CommandEvent._make((1.0, "NOP", None, None))
+        CommandEvent._make((1.0, "NOP", None))
 
 
 def test_effect_records_are_immutable_keyword_built_tuples():

@@ -32,6 +32,7 @@ from pudsim.patterns import generate, repeated_events
 from pudsim.reports import emit_report
 
 from methodology import (
+    DataBank,
     discover_simra_groups,
     discover_subarrays,
     random_layout_and_groups,
@@ -133,7 +134,7 @@ def test_untouched_victim_reports_no_flip(experiment):
 
 
 def test_discovery_recovers_configured_ground_truth(experiment):
-    bank = experiment.fresh_bank("re")
+    bank = DataBank(experiment.fresh_bank("re"))
     layout = discover_subarrays(bank)
     assert layout.extents == experiment.layout.extents
     groups = discover_simra_groups(bank, layout)
@@ -144,13 +145,13 @@ def test_discovery_on_two_subarrays_of_eight_rows(profile):
     layout = SubarrayLayout.uniform(16, 8)
     groups = SimraGroupMap.aligned_blocks(layout, 4)
     exp = Experiment(profile, groups, seed=1)
-    bank = exp.fresh_bank()
+    bank = DataBank(exp.fresh_bank())
     assert discover_subarrays(bank).extents == layout.extents
     assert discover_simra_groups(bank, layout).groups == groups.groups
 
 
 def test_discovery_preserves_stored_data(experiment):
-    bank = experiment.fresh_bank()
+    bank = DataBank(experiment.fresh_bank())
     bank.data[5] = b"\xde\xad\xbe\xef\0\0\0\0"
     bank.data[300] = b"\x01\x02\x03\x04\0\0\0\0"
     discover_simra_groups(bank, discover_subarrays(bank))
@@ -164,7 +165,7 @@ def test_random_layouts_recovered_exactly(seed):
     layout, groups = random_layout_and_groups(256, seed)
     prof = ChipProfile(name="x", thresholds={RH: (10.0, 20.0)})
     exp = Experiment(prof, groups, seed=seed)
-    bank = exp.fresh_bank()
+    bank = DataBank(exp.fresh_bank())
     found_layout = discover_subarrays(bank)
     assert found_layout.extents == layout.extents
     assert discover_simra_groups(bank, found_layout).groups == groups.groups

@@ -159,7 +159,7 @@ def test_every_dataclass_field_is_read_or_allowed():
 # default of a function's parameters, and each command-line option.  The
 # defaults of a namedtuple class's `__new__` are its fields' defaults, so
 # they count once, with the fields, as a dataclass field's default does.
-SETTABLE_VALUES = 131
+SETTABLE_VALUES = 129
 
 
 def settable_values():
@@ -189,7 +189,7 @@ def test_settable_values_are_counted():
 # Statements of the package: each `ast.stmt` node of `src/pudsim/*.py`
 # except docstrings, so deleting a comment or reflowing lines leaves the
 # count where it was.
-SRC_STATEMENTS = 1773
+SRC_STATEMENTS = 1736
 
 
 def src_statements():

@@ -26,16 +26,19 @@ from pudsim.patterns import (
     trace_lines,
 )
 
+from methodology import DataBank
+
 TIMING = TimingParams()
 
 
 def apply_stream(events, rows=64, groups_n=None, sub_rows=32, data=None):
+    """A `DataBank` whose rows hold `data`, after the events, and the
+    effects they produced."""
     layout = SubarrayLayout.uniform(rows, sub_rows)
     groups = (SimraGroupMap.aligned_blocks(layout, groups_n) if groups_n
               else SimraGroupMap(layout, ()))
-    bank = Bank(TIMING, groups)
-    for row, payload in (data or {}).items():
-        bank.data[row] = payload
+    bank = DataBank(Bank(TIMING, groups))
+    bank.data.update(data or {})
     effects = []
     for e in events:
         effects.extend(bank.apply(e))
@@ -108,7 +111,7 @@ def test_shifted_events_are_checked_command_events(kind, i):
     shifted = list(repeated_events(one, [i]))
     assert len(shifted) == len(one.events)
     for got, e in zip(shifted, one.events):
-        want = CommandEvent(e.time + i * one.end_time, e.kind, e.row, e.payload)
+        want = CommandEvent(e.time + i * one.end_time, e.kind, e.row)
         assert type(got) is CommandEvent
         assert got._asdict() == want._asdict()
 
@@ -147,13 +150,10 @@ def test_generator_rejects_wrong_aggressor_count():
 
 
 def read_trace_line(line):
-    """The event one trace line describes: `<time> <CMD> <bank> [<row>]
-    [0x<payload>]`."""
-    time, kind, bank, *rest = line.split()
+    """The event one trace line describes: `<time> <CMD> <bank> [<row>]`."""
+    time, kind, bank, *row = line.split()
     assert bank == "0"
-    row = int(rest.pop(0)) if rest and not rest[0].startswith("0x") else None
-    payload = bytes.fromhex(rest[0][2:]) if rest else None
-    return CommandEvent(float(time), kind, row, payload)
+    return CommandEvent(float(time), kind, *map(int, row))
 
 
 def test_trace_round_trip():
@@ -162,14 +162,3 @@ def test_trace_round_trip():
     text = "".join(trace_lines(events))
     assert [read_trace_line(line) for line in text.splitlines()] == events
 
-
-@settings(max_examples=30)
-@given(st.binary(min_size=1, max_size=8))
-def test_trace_round_trip_preserves_payload(payload):
-    events = [
-        CommandEvent(1.0, "ACT", 5),
-        CommandEvent(2.0, "WR", 5, payload),
-        CommandEvent(40.0, "PRE"),
-    ]
-    text = "".join(trace_lines(events))
-    assert [read_trace_line(line) for line in text.splitlines()] == events

@@ -141,7 +141,17 @@ def test_cli_trace_gen_round_trips(tmp_path):
         "51.5 ACT 0 256", "52.5 PRE 0", "53.5 ACT 0 256", "89.5 PRE 0",
         "103 ACT 0 256", "104 PRE 0", "105 ACT 0 256", "141 PRE 0",
     ]),
-], ids=["rowhammer", "simra"])
+    ({"pattern.kind": "comra"}, [
+        "0 ACT 0 256", "36 PRE 0", "43.5 ACT 0 257", "79.5 PRE 0",
+        "93 ACT 0 256", "129 PRE 0", "136.5 ACT 0 257", "172.5 PRE 0",
+        "186 ACT 0 256", "222 PRE 0", "229.5 ACT 0 257", "265.5 PRE 0",
+    ]),
+    ({"pattern.kind": "rowpress", "pattern.t_aggon_ns": 7800}, [
+        "0 ACT 0 255", "7800 PRE 0", "7813.5 ACT 0 257", "15613.5 PRE 0",
+        "15627 ACT 0 255", "23427 PRE 0", "23440.5 ACT 0 257", "31240.5 PRE 0",
+        "31254 ACT 0 255", "39054 PRE 0", "39067.5 ACT 0 257", "46867.5 PRE 0",
+    ]),
+], ids=["rowhammer", "simra", "comra", "rowpress"])
 def test_cli_trace_gen_writes_the_pinned_trace(tmp_path, extra, trace):
     cfg = _cfg_file(tmp_path, **extra)
     assert main(["trace-gen", "--config", str(cfg), "--hammers", "3"]) == 0
@@ -240,6 +250,14 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
      "--kinds leaves no pattern kind to search"),
     (["trr-eval", "--technique", "simra", "profile=samsung_a_16gb"],
      "profile samsung_a_16gb has no thresholds for 'simra'"),
+    (["characterize", "timing.acts_per_refi=100000000000000000000"],
+     "pattern.t_aggon_ns = 36 puts two commands of 4.1025e+23 rowhammer hammers at one time "
+     "(pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5); the count comes from "
+     "timing.acts_per_refi = 1e+20, timing.t_refw = 6.4e+07 and timing.t_refi = 7800"),
+    (["attack", "--victim", "9", "timing.t_refw=1e300"],
+     "pattern.t_aggon_ns = 36 puts two commands of 1e+298 rowhammer hammers at one time "
+     "(pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5); the count comes from "
+     "timing.acts_per_refi = 156, timing.t_refw = 1e+300 and timing.t_refi = 7800"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
