@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: characterize, attack, trr-eval, mitigation-eval,
-trace-gen, report.  Every run writes a manifest (the fully resolved
-configuration, seeds included) next to its CSVs; rerunning from a
-manifest reproduces the outputs byte for byte.
+trace-gen, report.  A subcommand checks all of its input before anything
+is written, so bad input writes nothing.  Every subcommand but `report`
+then writes a manifest (the fully resolved configuration, seeds
+included) next to its outputs; rerunning from a manifest reproduces them
+byte for byte.  `report` only re-aggregates a results CSV and writes no
+manifest.
 
 Exit codes: 0 success, 1 configuration error or an OS error on a path
 (`--config`, `--out`, `--input`), 2 simulation diagnostic.
@@ -17,11 +20,11 @@ import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import RunConfig, dumps_config, load_config
 from .disturbance import COMRA, RH, SIMRA, ChipProfile
-from .dram import SimraGroupMap
+from .dram import SimraGroupMap, TimingParams
 from .errors import ConfigError, PudsimError
 from .harness import (Experiment, aggressors_for, default_cap, run_sweep, sweep_cell,
                       sweep_plan)
@@ -79,23 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
-
-
-def _write_manifest(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "manifest.cfg"
-    path.write_text(dumps_config(cfg), encoding="utf-8")
-    return path
-
-
 def _experiment(cfg: RunConfig, profile: ChipProfile, groups: SimraGroupMap) -> Experiment:
     """The config's chip on its group map, with its profile, under its conditions."""
     return Experiment(
@@ -127,22 +113,35 @@ def _check_order(cfg: RunConfig, one: CommandStream, kind: str,
     """Refuse a pattern whose command times stop increasing within
     `hammers` hammers of `one`: `Bank.apply` would reject its replay, and
     a trace would list two commands at one time.  `hammers` of None is
-    the first-flip search's budget, `default_cap`, which the message
-    names by the timing keys that set it."""
+    the first-flip search's budget, `default_cap`, set by the timing
+    keys; when the stream keeps order over the default timing's budget,
+    the message names those keys first."""
     source = "--hammers"
     if hammers is None:
         hammers = default_cap(cfg.timing())
         source = (f"timing.acts_per_refi = {cfg.acts_per_refi:g}, timing.t_refw = "
                   f"{cfg.t_refw:g} and timing.t_refi = {cfg.t_refi:g}")
-    if not keeps_order(one, hammers):
+    if keeps_order(one, hammers):
+        return
+    gaps = (f"pattern.act_gap_ns = {cfg.act_gap_ns:g}, "
+            f"pattern.pre_act_gap_ns = {cfg.pre_act_gap_ns:g}")
+    if source != "--hammers" and keeps_order(one, default_cap(TimingParams())):
         raise ConfigError(
-            f"pattern.t_aggon_ns = {cfg.t_aggon_ns:g} puts two commands of {hammers:g} {kind} "
-            f"hammers at one time (pattern.act_gap_ns = {cfg.act_gap_ns:g}, "
-            f"pattern.pre_act_gap_ns = {cfg.pre_act_gap_ns:g}); the count comes from {source}")
+            f"{source} set the search budget to {hammers:g} {kind} hammers, which puts two "
+            f"commands at one time (pattern.t_aggon_ns = {cfg.t_aggon_ns:g}, {gaps})")
+    raise ConfigError(
+        f"pattern.t_aggon_ns = {cfg.t_aggon_ns:g} puts two commands of {hammers:g} {kind} "
+        f"hammers at one time ({gaps}); the count comes from {source}")
 
 
-def cmd_characterize(args) -> int:
-    cfg = _load(args)
+# A subcommand's plan makes every check that can fail on its input and
+# writes nothing.  It returns the config the run's manifest records (None
+# for no manifest) and a call that does the work and returns the lines
+# to print.
+Plan = tuple[Optional[RunConfig], Callable[[], list]]
+
+
+def plan_characterize(cfg: RunConfig, args) -> Plan:
     kinds = args.kinds.split()
     if not kinds:
         raise ConfigError("--kinds names no pattern kind")
@@ -156,23 +155,18 @@ def cmd_characterize(args) -> int:
     profile = load_profile(cfg.profile)
     _check_temp(cfg, profile, kinds)
     exp = _experiment(cfg, profile, cfg.groups())
-    plan, failures = sweep_plan(exp, kinds, cfg.pattern())
+    sweep, failures = sweep_plan(exp, kinds, cfg.pattern())
     for f in failures:
         log.warning("sweep cell failed: %s", f)
-    if not plan:
+    if not sweep:
         raise ConfigError("--kinds leaves no pattern kind to search")
-    for kind, (one, _) in plan.items():
+    for kind, (one, _) in sweep.items():
         _check_order(cfg, one, kind, None)
-    _write_manifest(cfg)
-    rows = run_sweep(exp, plan, cfg.repeats)
-    paths = emit_report(rows, "characterize", cfg.out_dir)
-    for p in paths:
-        print(p)
-    return 0
+    return cfg, lambda: emit_report(run_sweep(exp, sweep, cfg.repeats), "characterize",
+                                    cfg.out_dir)
 
 
-def cmd_attack(args) -> int:
-    cfg = _load(args)
+def plan_attack(cfg: RunConfig, args) -> Plan:
     profile = load_profile(cfg.profile)
     _check_temp(cfg, profile, [cfg.pattern_kind])
     exp = _experiment(cfg, profile, cfg.groups())
@@ -180,17 +174,17 @@ def cmd_attack(args) -> int:
     spec = replace(template, aggressors=aggressors_for(exp, template, args.victim))
     # a copy checks its timing here
     _check_order(cfg, generate(spec, exp.timing), spec.kind, None)
-    _write_manifest(cfg)
-    row = sweep_cell(exp, spec, args.victim, cfg.repeats)
-    write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),
-              [{"victim": row["row"], **{k: row[k] for k in ("pattern", "hcfirst", "seed")}}])
-    print(f"{cfg.pattern_kind} victim={args.victim} aggressors={spec.aggressors}: "
-          f"HC_first={row['hcfirst']}")
-    return 0
+
+    def run() -> list:
+        row = sweep_cell(exp, spec, args.victim, cfg.repeats)
+        write_csv(Path(cfg.out_dir) / "attack.csv", ("pattern", "victim", "hcfirst", "seed"),
+                  [{"victim": row["row"], **{k: row[k] for k in ("pattern", "hcfirst", "seed")}}])
+        return [f"{cfg.pattern_kind} victim={args.victim} aggressors={spec.aggressors}: "
+                f"HC_first={row['hcfirst']}"]
+    return cfg, run
 
 
-def cmd_trr_eval(args) -> int:
-    cfg = _load(args)
+def plan_trr_eval(cfg: RunConfig, args) -> Plan:
     if args.windows is not None and args.windows < 1:
         raise ConfigError(f"--windows must be >= 1, got {args.windows}")
     if args.seeds < 1:
@@ -219,93 +213,90 @@ def cmd_trr_eval(args) -> int:
                 if args.windows is not None
                 else f"timing.t_refw // timing.t_refi gives {windows:.3g} refresh windows, "
                      f"more than the {most} {what}")
-    _write_manifest(cfg)
-    off, on = [], []
-    for s in range(args.seeds):
-        exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
-        for trr, rows in ((None, off), (cfg.trr(), on)):
-            res = run_bypass(exp, setup, trr, windows, t_on)
-            rows.append({"technique": setup.kind, "trr": int(trr is not None),
-                         "seed": exp.seed, "bitflips": res.bitflips,
-                         "trr_refreshes": res.trr_refreshes})
-    # all TRR-off rows first, then all TRR-on rows
-    paths = emit_report(off + on, "trr-eval", cfg.out_dir)
-    for p in paths:
-        print(p)
-    return 0
+
+    def run() -> list:
+        off, on = [], []
+        for s in range(args.seeds):
+            exp = _experiment(replace(cfg, seed=cfg.seed + s), profile, groups)
+            for trr, rows in ((None, off), (cfg.trr(), on)):
+                res = run_bypass(exp, setup, trr, windows, t_on)
+                rows.append({"technique": setup.kind, "trr": int(trr is not None),
+                             "seed": exp.seed, "bitflips": res.bitflips,
+                             "trr_refreshes": res.trr_refreshes})
+        # all TRR-off rows first, then all TRR-on rows
+        return emit_report(off + on, "trr-eval", cfg.out_dir)
+    return cfg, run
 
 
-def cmd_mitigation_eval(args) -> int:
-    cfg = _load(args)
+def plan_mitigation_eval(cfg: RunConfig, args) -> Plan:
     if args.period is not None:
         try:
             cfg = replace(cfg, perf_periods=args.period)
         except ConfigError as e:
             raise ConfigError(str(e).replace("perf.periods", "--period")) from None
     variants = default_variants()
-    if args.variant:
+    if args.variant is not None:
         if args.variant not in variants:
             raise ConfigError(
                 f"unknown variant {args.variant!r}; expected one of {sorted(variants)}"
             )
         # the baseline is needed for the overhead, the rest is not
         variants = {k: v for k, v in variants.items() if k in ("none", args.variant)}
-    _write_manifest(cfg)
-    mixes = make_mixes(cfg.perf_mixes, cfg.seed)
-    periods = cfg.periods()
-    rows = evaluate_mixes(mixes, periods=periods, variants=variants,
-                          target_reqs=cfg.perf_target_reqs)
-    if args.variant:
-        rows = [r for r in rows if r["mitigation"] == args.variant]
-    paths = emit_report(rows, "perf", cfg.out_dir)
-    # one line per period: each variant's mean overhead over the mixes
-    shown = [args.variant] if args.variant else [k for k in variants if k != "none"]
-    for period in periods:
-        means = []
-        for name in shown:
-            pct = [r["overhead_pct"] for r in rows
-                   if r["mitigation"] == name and r["period_ns"] == period]
-            means.append(f"{name} {statistics.fmean(pct):.2f}%")
-        print(f"period {period:g} ns: mean overhead {'  '.join(means)}")
-    for p in paths:
-        print(p)
-    return 0
+
+    def run() -> list:
+        mixes = make_mixes(cfg.perf_mixes, cfg.seed)
+        periods = cfg.periods()
+        rows = evaluate_mixes(mixes, periods=periods, variants=variants,
+                              target_reqs=cfg.perf_target_reqs)
+        if args.variant is not None:
+            rows = [r for r in rows if r["mitigation"] == args.variant]
+        paths = emit_report(rows, "perf", cfg.out_dir)
+        # one line per period: each variant's mean overhead over the mixes
+        shown = ([args.variant] if args.variant is not None
+                 else [k for k in variants if k != "none"])
+        lines = []
+        for period in periods:
+            means = []
+            for name in shown:
+                pct = [r["overhead_pct"] for r in rows
+                       if r["mitigation"] == name and r["period_ns"] == period]
+                means.append(f"{name} {statistics.fmean(pct):.2f}%")
+            lines.append(f"period {period:g} ns: mean overhead {'  '.join(means)}")
+        return lines + paths
+    return cfg, run
 
 
-def cmd_trace_gen(args) -> int:
-    cfg = _load(args)
+def plan_trace_gen(cfg: RunConfig, args) -> Plan:
     if args.hammers < 0:
-        raise ConfigError("hammers must be >= 0")
+        raise ConfigError(f"--hammers must be >= 0, got {args.hammers}")
     one = generate(cfg.pattern(), cfg.timing())
     most = MAX_TRACE_EVENTS // len(one.events)
     if args.hammers > most:
         raise ConfigError(f"--hammers must be at most {most}, got {args.hammers}: a trace "
                           f"holds at most {MAX_TRACE_EVENTS} commands")
     _check_order(cfg, one, cfg.pattern_kind, args.hammers)
-    _write_manifest(cfg)
-    path = Path(cfg.out_dir) / "trace.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(trace_lines(repeated_events(one, range(args.hammers))))
-    print(path)
-    return 0
+
+    def run() -> list:
+        path = Path(cfg.out_dir) / "trace.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(trace_lines(repeated_events(one, range(args.hammers))))
+        return [path]
+    return cfg, run
 
 
-def cmd_report(args) -> int:
-    cfg = _load(args)
+def plan_report(cfg: RunConfig, args) -> Plan:
     rows = read_results(args.input, args.kind)
-    paths = emit_report(rows, args.kind, cfg.out_dir)
-    for p in paths:
-        print(p)
-    return 0
+    # a report runs no simulation, so no manifest describes it
+    return None, lambda: emit_report(rows, args.kind, cfg.out_dir)
 
 
-_COMMANDS = {
-    "characterize": cmd_characterize,
-    "attack": cmd_attack,
-    "trr-eval": cmd_trr_eval,
-    "mitigation-eval": cmd_mitigation_eval,
-    "trace-gen": cmd_trace_gen,
-    "report": cmd_report,
+_PLANS = {
+    "characterize": plan_characterize,
+    "attack": plan_attack,
+    "trr-eval": plan_trr_eval,
+    "mitigation-eval": plan_mitigation_eval,
+    "trace-gen": plan_trace_gen,
+    "report": plan_report,
 }
 
 
@@ -318,7 +309,20 @@ def main(argv=None) -> int:
     try:
         if args.jobs != 1:
             raise ConfigError("--jobs must be 1: every subcommand runs in one process")
-        return _COMMANDS[args.command](args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+        recorded, run = _PLANS[args.command](cfg, args)
+        # every check has passed: only now is anything written
+        if recorded is not None:
+            out = Path(recorded.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "manifest.cfg").write_text(dumps_config(recorded), encoding="utf-8")
+        for line in run():
+            print(line)
+        return 0
     except (ConfigError, OSError) as e:
         log.error("%s", e)
         return 1

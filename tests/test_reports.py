@@ -196,7 +196,7 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
 @pytest.mark.parametrize("args, message", [
     (["trr-eval", "--seeds", "0"], "--seeds must be >= 1, got 0"),
     (["characterize", "--kinds", ""], "--kinds names no pattern kind"),
-    (["trace-gen", "--hammers", "-3"], "hammers must be >= 0"),
+    (["trace-gen", "--hammers", "-3"], "--hammers must be >= 0, got -3"),
     (["attack", "--victim", "99999"], "victim 99999 outside bank of 512 rows"),
     (["mitigation-eval", "--variant", "bogus"], "unknown variant 'bogus'"),
     (["mitigation-eval", "--period", "0"], "--period must be positive, got 0"),
@@ -251,13 +251,14 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
     (["trr-eval", "--technique", "simra", "profile=samsung_a_16gb"],
      "profile samsung_a_16gb has no thresholds for 'simra'"),
     (["characterize", "timing.acts_per_refi=100000000000000000000"],
-     "pattern.t_aggon_ns = 36 puts two commands of 4.1025e+23 rowhammer hammers at one time "
-     "(pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5); the count comes from "
-     "timing.acts_per_refi = 1e+20, timing.t_refw = 6.4e+07 and timing.t_refi = 7800"),
+     "timing.acts_per_refi = 1e+20, timing.t_refw = 6.4e+07 and timing.t_refi = 7800 set the "
+     "search budget to 4.1025e+23 rowhammer hammers, which puts two commands at one time "
+     "(pattern.t_aggon_ns = 36, pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5)"),
     (["attack", "--victim", "9", "timing.t_refw=1e300"],
-     "pattern.t_aggon_ns = 36 puts two commands of 1e+298 rowhammer hammers at one time "
-     "(pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5); the count comes from "
-     "timing.acts_per_refi = 156, timing.t_refw = 1e+300 and timing.t_refi = 7800"),
+     "timing.acts_per_refi = 156, timing.t_refw = 1e+300 and timing.t_refi = 7800 set the "
+     "search budget to 1e+298 rowhammer hammers, which puts two commands at one time "
+     "(pattern.t_aggon_ns = 36, pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5)"),
+    (["mitigation-eval", "--variant", ""], "unknown variant ''"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
