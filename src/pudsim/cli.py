@@ -286,6 +286,8 @@ def plan_trace_gen(cfg: RunConfig, args) -> Plan:
 
 def plan_report(cfg: RunConfig, args) -> Plan:
     rows = read_results(args.input, args.kind)
+    if not rows:
+        raise ConfigError(f"--input {args.input}: no result rows to report")
     # a report runs no simulation, so no manifest describes it
     return None, lambda: emit_report(rows, args.kind, cfg.out_dir)
 

@@ -74,23 +74,26 @@ class Experiment:
 
     # -- replay ------------------------------------------------------------
 
-    def _replay(self, spec: PatternSpec, label: str, n: int, fold) -> None:
-        """Replay `n` hammers of the pattern op by op on a fresh bank
-        drawing from substream `label`, handing each command's effects,
-        then the bank's flush, to `fold(effects)`; stops after a hammer
-        whose last fold returned true."""
+    def _replay(self, spec: PatternSpec, label: str, n: int, fold) -> int:
+        """Replay up to `n` hammers of the pattern op by op on a fresh
+        bank drawing from substream `label`, handing each command's
+        effects, then the bank's flush, to `fold(effects)`.  Stops after
+        the first hammer whose last fold returned true and returns the
+        number of hammers replayed: that hammer's, or `n` if none was."""
         bank = self.fresh_bank(label)
         one = generate(spec, self.timing)
         done = False
         applied = map(bank.apply, repeated_events(one, range(n)))
-        # the effect lists of one hammer's commands at a time
-        for hammer in zip(*[applied] * len(one.events)):
+        # the effect lists of one hammer's commands at a time; `n` ends
+        # as the count of hammers replayed
+        for n, hammer in enumerate(zip(*[applied] * len(one.events)), 1):
             for effects in hammer:
                 if effects:
                     done = fold(effects)
             if done:
                 break
         fold(bank.flush())
+        return n
 
     def hammer_damage(self, spec: PatternSpec) -> dict[int, float]:
         """Damage fraction one hammer of the pattern deposits per victim,
@@ -112,14 +115,18 @@ class Experiment:
     def is_stochastic(self, spec: PatternSpec) -> bool:
         return spec.kind == "simra" and spec.act_gap <= PARTIAL_GAP_MAX
 
-    def probe(self, spec: PatternSpec, victim: int, n: int, rep: int = 0) -> bool:
-        """Does `n` hammers flip the victim at least once?  Replayed op by
-        op on a fresh bank drawing from the repeat's substream, since a
-        stochastic pattern's op strength varies per draw, and folded into
-        the victim's damage alone (`accumulate_row`).  A victim outside
-        the bank never flips, as `accumulate` skips it."""
+    def probe(self, spec: PatternSpec, victim: int, n: int, rep: int = 0) -> int:
+        """Do `n` hammers flip the victim at least once?  The count of
+        hammers after which it had flipped, at most `n`, or 0 if it did
+        not.  Replayed op by op on a fresh bank drawing from the repeat's
+        substream, since a stochastic pattern's op strength varies per
+        draw, folded into the victim's damage alone (`accumulate_row`),
+        and stopped at the hammer that flips it.  A count below `n` is
+        not always the smallest that flips: a replay of fewer hammers
+        ends in a flush that may deposit the last damage.  A victim
+        outside the bank never flips, as `accumulate` skips it."""
         if not 0 <= victim < self.layout.rows:
-            return False
+            return 0
         damage, flipped = 0.0, 0
         thresholds, profile, temp_c, dp = self.thresholds, self.profile, self.temp_c, self.dp_aggr
 
@@ -129,8 +136,8 @@ class Experiment:
                                              thresholds, profile, temp_c, dp)
             return flipped > 0
 
-        self._replay(spec, f"probe.{rep}.{victim}", n, fold)
-        return flipped > 0
+        hammers = self._replay(spec, f"probe.{rep}.{victim}", n, fold)
+        return hammers if flipped else 0
 
 
 def find_hcfirst(
@@ -144,12 +151,16 @@ def find_hcfirst(
     searched `repeats` times, each on its own RNG substream, and the
     minimum is reported.  Each search is exact: every probe of a repeat
     replays the same substream on a fresh bank, so a flip within n
-    hammers implies one within n + 1, and bisection down to one hammer
-    finds the smallest count that flips.  Only a repeat that flips
-    below the best count so far can lower the minimum, so each later
-    repeat probes `best - 1` hammers and bisects below them if they flip;
-    after a best of 1, no repeat is searched.  On a profile without
-    SiMRA thresholds no group op flips a bit, so nothing is probed.
+    hammers implies one within n + 1.  A probe of the whole budget stops
+    at the hammer that flips the victim, `hi`; a replay of fewer hammers
+    flips only if its final flush deposits the last damage, so if
+    `hi - 1` hammers do not flip, `hi` is the smallest count that flips,
+    and if they do, bisection below `hi - 1` finds it.  Only a repeat
+    that flips below the best count so far can lower the minimum, so
+    each later repeat probes `best - 1` hammers and searches below the
+    count that flips, if any; after a best of 1, no repeat is searched.
+    On a profile without SiMRA thresholds no group op flips a bit, so
+    nothing is probed.
     """
     if repeats < 1:
         raise ConfigError("search.repeats must be >= 1")
@@ -164,9 +175,13 @@ def find_hcfirst(
         hi = cap if best is None else best - 1
         if hi < 1:
             break
-        if not exp.probe(spec, victim, hi, rep):
+        hi = exp.probe(spec, victim, hi, rep)
+        if not hi:
             continue
-        lo = 0
+        # the hammer that flipped; bisect only if one fewer flips too
+        lo = hi - 1
+        if lo and exp.probe(spec, victim, lo, rep):
+            lo, hi = 0, lo
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if exp.probe(spec, victim, mid, rep):

@@ -134,8 +134,6 @@ def emit_report(results: list[dict], kind: str, out_dir: str | Path) -> list[Pat
     """Write the CSVs for one report kind; returns the paths written."""
     if kind not in REPORT_KINDS:
         raise ConfigError(f"unknown report kind {kind!r}; expected {REPORT_KINDS}")
-    if not results:
-        raise ConfigError("emit_report: no result rows to aggregate")
     out = Path(out_dir)
     if kind == "characterize":
         paths = [write_csv(out / "results.csv", RESULT_COLUMNS, results)]

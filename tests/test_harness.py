@@ -340,6 +340,13 @@ def reference_find_hcfirst(spec, victim, exp, repeats):
     return best
 
 
+# the golden chip at two seeds, and one whose every SiMRA cell flips at
+# the first op
+GOLDEN_CHIPS = pytest.mark.parametrize(
+    "seed, simra", [(1, (100.0, 120.0)), (2, (100.0, 120.0)), (1, (0.01, 0.02))],
+    ids=["1", "2", "flips-at-once"])
+
+
 def spy_probes(monkeypatch):
     """(rep, hammers) of each probe an Experiment makes from now on."""
     seen = []
@@ -353,8 +360,7 @@ def spy_probes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("seed, simra", [(1, (100.0, 120.0)), (2, (100.0, 120.0)),
-                                         (1, (0.01, 0.02))], ids=["1", "2", "flips-at-once"])
+@GOLDEN_CHIPS
 def test_later_repeats_probe_only_below_the_best_so_far(seed, simra, monkeypatch):
     """A repeat after the first flip that does not beat the best count so
     far makes one probe, of one hammer fewer than that count; one that
@@ -378,10 +384,46 @@ def test_later_repeats_probe_only_below_the_best_so_far(seed, simra, monkeypatch
                 assert probes == [best - 1], (rep, per_rep)
                 outcomes.add("kept")
             else:
-                assert probes[0] == max(probes) == best - 1, (rep, per_rep)
+                assert probes == [best - 1, per_rep[rep] - 1], (rep, per_rep)
                 best = per_rep[rep]
                 outcomes.add("beaten")
     assert outcomes == ({"skipped"} if simra[0] < 1 else {"kept", "beaten"})
+
+
+@GOLDEN_CHIPS
+def test_a_flipping_repeat_probes_the_budget_then_one_hammer_fewer(seed, simra, monkeypatch):
+    """One repeat that flips costs two probes: the whole budget, which
+    stops at the hammer that flips, and one hammer fewer, which does not
+    flip.  A first flip at one hammer needs no second probe."""
+    exp = golden_experiment(seed, simra)
+    cap = default_cap(exp.timing)
+    seen = spy_probes(monkeypatch)
+    for r2 in (31, 63, 95):
+        spec, victim = golden_spec(r2), r2 + 1
+        hc = replay_oracle(exp, spec, victim, 0)
+        seen.clear()
+        assert find_hcfirst(spec, victim, exp, 1) == hc
+        assert seen == ([(0, cap)] if hc == 1 else [(0, cap), (0, hc - 1)]), hc
+
+
+@pytest.mark.parametrize("late", [1, 2, 7, 10_000])
+@pytest.mark.parametrize("first", [(1, 1, 1), (2, 9, 5), (150, 130, 140), (5000, 3, 5000)])
+def test_search_bisects_when_one_hammer_fewer_still_flips(first, late, monkeypatch):
+    """A replay of fewer hammers can flip through its final flush alone,
+    so the hammer a probe stops at may lie above the smallest count that
+    flips.  Here repeat `rep` flips for every count from `first[rep]`, but
+    a probe stops only `late` hammers past it (or at its end): the
+    search still finds the minimum over 1 to 3 repeats exactly."""
+    exp = golden_experiment(1)
+    cap = default_cap(exp.timing)
+    assert max(first) < cap
+
+    def probe(exp, spec, victim, n, rep=0):
+        return min(n, first[rep] + late) if n >= first[rep] else 0
+
+    monkeypatch.setattr(Experiment, "probe", probe)
+    for repeats in (1, 2, 3):
+        assert find_hcfirst(golden_spec(31), 32, exp, repeats) == min(first[:repeats])
 
 
 def test_stochastic_search_without_simra_thresholds_probes_nothing(monkeypatch):

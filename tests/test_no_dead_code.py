@@ -189,7 +189,7 @@ def test_settable_values_are_counted():
 # Statements of the package: each `ast.stmt` node of `src/pudsim/*.py`
 # except docstrings, so deleting a comment or reflowing lines leaves the
 # count where it was.
-SRC_STATEMENTS = 1724
+SRC_STATEMENTS = 1728
 
 
 def src_statements():

@@ -14,6 +14,7 @@ from pudsim.harness import NO_FLIP, RESULT_COLUMNS
 from pudsim.keyval import finite
 from pudsim.dram import TimingParams
 from pudsim.patterns import PatternSpec, gen_rowhammer, repeated_events, trace_lines
+from pudsim.perf import PERF_COLUMNS
 from pudsim.reports import TRR_COLUMNS, emit_report, write_csv
 
 
@@ -51,8 +52,8 @@ def test_write_csv_rejects_extra_columns(tmp_path):
 def test_emit_report_validates_kind_and_rows(tmp_path):
     with pytest.raises(ConfigError):
         emit_report([{"a": 1}], "nope", tmp_path)
-    with pytest.raises(ConfigError):
-        emit_report([], "perf", tmp_path)
+    with pytest.raises(ShapeError):
+        emit_report([{"a": 1}], "perf", tmp_path)
 
 
 def test_characterize_report_shapes(tmp_path):
@@ -399,6 +400,13 @@ def _bad_report_input(tmp_path, kind, data, caplog):
 def test_cli_report_rejects_a_csv_without_its_columns(tmp_path, caplog, kind):
     msg = _bad_report_input(tmp_path, kind, b"seed\n0\n", caplog)
     assert f"not a {kind} results file: missing columns" in msg
+
+
+@pytest.mark.parametrize("kind, columns", [("characterize", RESULT_COLUMNS),
+                                           ("trr-eval", TRR_COLUMNS), ("perf", PERF_COLUMNS)])
+def test_cli_report_rejects_a_csv_without_rows(tmp_path, caplog, kind, columns):
+    msg = _bad_report_input(tmp_path, kind, (",".join(columns) + "\n").encode(), caplog)
+    assert msg == f"--input {tmp_path / 'in.csv'}: no result rows to report"
 
 
 def test_cli_report_rejects_a_count_that_is_not_a_number(tmp_path, caplog):
