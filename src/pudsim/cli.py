@@ -33,6 +33,7 @@ from .patterns import (MAX_TRACE_EVENTS, PATTERN_KINDS, CommandStream, generate,
 from .perf import default_variants, evaluate_mixes, make_mixes
 from .profiles import load_profile
 from .reports import REPORT_KINDS, emit_report, read_results, write_csv
+from .rng import MAX_SEED
 from .trreval import make_rh_setup, make_simra_setup, max_windows, run_bypass
 
 log = logging.getLogger("pudsim")
@@ -189,6 +190,8 @@ def plan_trr_eval(cfg: RunConfig, args) -> Plan:
         raise ConfigError(f"--windows must be >= 1, got {args.windows}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if cfg.seed + args.seeds - 1 > MAX_SEED:
+        raise ConfigError(f"--seeds {args.seeds} from seed {cfg.seed} runs past seed {MAX_SEED}")
     profile = load_profile(cfg.profile)
     t_on = cfg.pattern().t_on(cfg.timing())
     # every seed shares the group map, and the chip must hold the setup

@@ -21,6 +21,7 @@ from .disturbance import T_REF_C
 from .patterns import PATTERN_KINDS, PatternSpec
 from .perf import MAX_MIX_PERIODS, MAX_TARGET_REQS
 from .profiles import DEFAULT_PROFILE
+from .rng import MAX_SEED
 from .trreval import TrrConfig
 
 log = logging.getLogger(__name__)
@@ -62,8 +63,8 @@ class RunConfig:
     def __post_init__(self):
         if self.group_n not in SIMRA_SIZES:
             raise ConfigError(f"groups.n must be one of {SIMRA_SIZES}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be from 0 to {MAX_SEED}, got {self.seed}")
         if not 0x00 <= self.dp_aggr <= 0xFF:
             raise ConfigError(f"pattern.dp_aggr must be one byte, 0x00 to 0xFF, got {self.dp_aggr}")
         if self.pattern_kind not in PATTERN_KINDS:

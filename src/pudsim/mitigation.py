@@ -68,6 +68,11 @@ def rfm_victims(target: int, rows: int) -> tuple[int, ...]:
     return tuple(v for v, _ in victim_distances(RH, (target,)) if 0 <= v < rows)
 
 
+# distinct ops whose checked rows a `PracState` keeps; past that it
+# forgets them all, so that a scatter stream cannot grow them without limit
+OPENED_MEMO_SIZE = 1024
+
+
 class PracState:
     """One bank's PRAC counters and back-off state.
 
@@ -77,6 +82,11 @@ class PracState:
     whose every back-off is served before the next (`on_activations`),
     and whole repeats of a fixed set of ops up to the repeat that would
     raise a back-off (`on_repeats`).
+
+    An op and an RFM cost in proportion to the rows they touch, not to
+    the number of live counters: the rows at or above the back-off
+    threshold are kept as a set, and an op's checked rows are kept for
+    the next op that repeats it.
     """
 
     def __init__(self, config: PracConfig, rows: int, t_rc: float = TimingParams().t_rc):
@@ -84,16 +94,30 @@ class PracState:
         self.rows = rows
         self.t_rc = t_rc
         self.counters: dict[int, int] = {}
-        self._at_rdt = 0  # counters at or above the back-off threshold
-        # a heap of the counters' -(count * rows + row), the hottest row on
-        # top, for an RFM burst; None once stale
+        self._hot: set[int] = set()  # rows whose counter is at or above rdt
+        # a heap of -(count * rows + row), the hottest row on top, for an
+        # RFM burst: of the hot rows, or of every counter once none is hot;
+        # None once stale
         self._order: Optional[list[int]] = None
+        self._checked: dict[tuple, Collection[int]] = {}  # op's rows -> `_opened`
         self.backoff_pending = False
         self.backoffs = 0
 
     def _opened(self, opened: Iterable[int]) -> Collection[int]:
         """The distinct rows an op opens, every one checked to lie in the
-        bank before any is counted."""
+        bank before any is counted.  An op given as a tuple is checked
+        once: the next op with an equal tuple reuses its rows."""
+        if type(opened) is not tuple:
+            return self._check(opened)
+        rows = self._checked.get(opened)
+        if rows is None:
+            if len(self._checked) >= OPENED_MEMO_SIZE:
+                self._checked.clear()
+            rows = self._checked[opened] = self._check(opened)
+        return rows
+
+    def _check(self, opened: Iterable[int]) -> Collection[int]:
+        """`_opened` without the kept rows."""
         rows = tuple(opened)
         if len(rows) == 1:
             lo = hi = rows[0]
@@ -121,15 +145,15 @@ class PracState:
         w = cfg.increment(kind)
         rows = self._opened(opened)
         self._order = None
-        counters = self.counters
+        counters, hot = self.counters, self._hot
         rdt = cfg.rdt
         lo = rdt - w  # a counter from here up to rdt - 1 reaches rdt
         for r in rows:
             old = counters.get(r, 0)
             counters[r] = old + w
             if lo <= old < rdt:
-                self._at_rdt += 1
-        if self._at_rdt and not self.backoff_pending:
+                hot.add(r)
+        if hot and not self.backoff_pending:
             self.backoff_pending = True
             self.backoffs += 1
         return self.t_rc * len(rows) if cfg.mode == "ao" else self.t_rc
@@ -173,7 +197,7 @@ class PracState:
         rows = np.asarray(rows, dtype=np.int64)
         outside = np.flatnonzero((rows < 0) | (rows >= self.rows))
         if outside.size:
-            self._opened((int(rows[outside[0]]),))  # raises on_op's error
+            self._check((int(rows[outside[0]]),))  # raises on_op's error
         w = self.config.increment(RH)
         k = -(-self.config.rdt // w)  # activations per back-off of a row
         # each activation's index among its row's, from 1
@@ -189,7 +213,7 @@ class PracState:
         self.counters = {r: c % k * w for r, c in zip(seen.tolist(), counts.tolist()) if c % k}
         if len(raised) and raised[-1] == len(rows) - 1:
             self.counters[int(rows[-1])] = k * w
-            self._at_rdt = 1
+            self._hot = {int(rows[-1])}
             self.backoff_pending = True
         return raised
 
@@ -199,23 +223,27 @@ class PracState:
         disturbs, as `victim_distances` orders them, and clear its
         counter.  Returns the refreshed victim rows.
 
-        Back-to-back RFMs, with no op between them, share one order: the
-        first heaps the counters by (count, row) and each pops the
-        hottest row left, the row a scan would find.
+        Back-to-back RFMs, with no op between them, share one order, and
+        each pops the hottest row left, the row a scan would find.  The
+        first heaps only the rows at or above the threshold, which outrank
+        every other counter; an RFM after those are used up heaps every
+        counter left.
         """
-        if not self.counters:
+        counters = self.counters
+        if not counters:
             self.backoff_pending = False
             return ()
-        if self._order is None:
+        order = self._order
+        if not order:
             # count * rows + row orders as the pair (count, row), since every
             # counted row lies in the bank, and ints compare faster than pairs
             rows = self.rows
-            self._order = [-(count * rows + row) for row, count in self.counters.items()]
-            heapq.heapify(self._order)
-        target = -heapq.heappop(self._order) % self.rows
-        if self.counters.pop(target) >= self.config.rdt:
-            self._at_rdt -= 1
-        self.backoff_pending = self._at_rdt > 0
+            order = self._order = [-(counters[r] * rows + r) for r in self._hot or counters]
+            heapq.heapify(order)
+        target = -heapq.heappop(order) % self.rows
+        del counters[target]
+        self._hot.discard(target)
+        self.backoff_pending = bool(self._hot)
         return rfm_victims(target, self.rows)
 
 

@@ -24,6 +24,9 @@ def substream(root_seed: int, label: str) -> np.random.Generator:
 
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+# the largest root seed: `stable_hash` reads only a seed's low 64 bits, so
+# a larger one would repeat a smaller one's draws
+MAX_SEED = _MASK
 _SEED_KEY = 0x9E3779B97F4A7C15
 _PART_MUL = 0xBF58476D1CE4E5B9
 _MIX_MUL = 0x94D049BB133111EB

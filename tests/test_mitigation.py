@@ -209,9 +209,11 @@ class ReferencePrac:
         )
 
 
+_opened = st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40)
 _prac_step = st.one_of(
+    # a tuple of rows is kept checked for the next op that repeats it
     st.tuples(st.just("op"), st.sampled_from([RH, COMRA, SIMRA]),
-              st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40)),
+              st.one_of(_opened, _opened.map(tuple))),
     st.tuples(st.just("rfm")),
     # back-to-back RFMs: every one after the first pops the burst's order
     st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
@@ -240,6 +242,30 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
     assert fast.backoffs == slow.backoffs
 
 
+def test_prac_burst_past_the_hot_rows_and_a_repeated_op_match_the_reference():
+    """One group op lifts several counters to the threshold at once, its
+    burst serves more RFMs than there are rows at the threshold, so that
+    the later ones heap every counter left, and a later op repeats the
+    same tuple of rows."""
+    cfg = PracConfig(rdt=400)
+    fast, slow = PracState(cfg, rows=64), ReferencePrac(cfg, rows=64)
+    group = (11, 9, 8, 10, 9)  # a repeat of it must count row 9 once
+    for kind, opened in [(RH, (3,)), (COMRA, (20, 21)), (SIMRA, group), (SIMRA, group)]:
+        assert (fast.on_op(kind, opened), fast.backoff_pending) == slow.on_op(kind, opened)
+    assert fast.backoff_pending and fast.backoffs == 1
+    targets = [11, 10, 9, 8, 21, 20, 3]
+    for i, target in enumerate(targets):
+        assert fast.rfm() == slow.rfm() == rfm_victims(target, 64)
+        assert fast.counters == slow.counters
+        assert fast.backoff_pending == slow.backoff_pending == (i < 3)
+    assert fast.rfm() == slow.rfm() == ()
+    for _ in range(2):
+        assert (fast.on_op(SIMRA, group), fast.backoff_pending) == slow.on_op(SIMRA, group)
+    assert fast.counters == slow.counters == {r: 400 for r in group}
+    assert (fast.backoffs, fast.backoff_pending) == (slow.backoffs, slow.backoff_pending) == (2, True)
+    assert fast.rfm() == slow.rfm() == rfm_victims(11, 64)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0, 1, 2, 30, 62, 63]), max_size=200),
        st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=7),
@@ -262,12 +288,35 @@ def test_bulk_activations_match_op_by_op_counting(rows, rdt, w, weighted):
     assert bulk.on_activations(rows).tolist() == raised
     assert bulk.counters == step.counters
     assert (bulk.backoffs, bulk.backoff_pending) == (step.backoffs, step.backoff_pending)
-    # an RFM, then more ops, after the bulk count go as after op-by-op counting
+    # the back-off the last activation raised, one more RFM, then more
+    # ops, after the bulk count go as after op-by-op counting
+    while step.backoff_pending:
+        assert bulk.rfm() == step.rfm() == rfm_victims(rows[-1], 64)
+        assert bulk.counters == step.counters
+        assert bulk.backoff_pending == step.backoff_pending
+    assert not bulk.backoff_pending
     assert bulk.rfm() == step.rfm() and bulk.counters == step.counters
     for r in rows:
         bulk.on_op(RH, (r,))
         step.on_op(RH, (r,))
         assert (bulk.backoffs, bulk.backoff_pending) == (step.backoffs, step.backoff_pending)
+
+
+def test_bulk_activations_leave_their_last_row_at_the_threshold():
+    """A row the bulk count leaves at the threshold, with its back-off
+    pending, still outranks the rows a later op brings there: the burst
+    serves both, as after op-by-op counting."""
+    cfg = PracConfig(rdt=3, weighted=False)
+    bulk, step = PracState(cfg, rows=64), PracState(cfg, rows=64)
+    bulk.on_activations([5, 5, 7, 7, 5])
+    for r in [5, 5, 7, 7, 5]:
+        step.on_op(RH, (r,))
+    for prac in (bulk, step):
+        prac.on_op(RH, (7,))
+        assert prac.counters == {5: 3, 7: 3}
+        assert (prac.backoffs, prac.backoff_pending) == (1, True)
+        assert prac.rfm() == rfm_victims(7, 64) and prac.backoff_pending
+        assert prac.rfm() == rfm_victims(5, 64) and not prac.backoff_pending
 
 
 def test_bulk_activations_need_fresh_counters_and_in_bank_rows():

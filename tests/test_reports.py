@@ -260,6 +260,10 @@ def test_cli_attack_victim_out_of_range_is_a_config_error(tmp_path, caplog, vict
      "search budget to 1e+298 rowhammer hammers, which puts two commands at one time "
      "(pattern.t_aggon_ns = 36, pattern.act_gap_ns = 3, pattern.pre_act_gap_ns = 7.5)"),
     (["mitigation-eval", "--variant", ""], "unknown variant ''"),
+    (["mitigation-eval", f"seed={2**64}"],
+     f"seed must be from 0 to {2**64 - 1}, got {2**64}"),
+    (["trr-eval", f"seed={2**64 - 2}", "--seeds", "3"],
+     f"--seeds 3 from seed {2**64 - 2} runs past seed {2**64 - 1}"),
 ])
 def test_cli_bad_argument_leaves_no_manifest(tmp_path, caplog, monkeypatch, args, message):
     """A bad subcommand argument ends the run before anything is written,
