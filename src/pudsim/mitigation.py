@@ -105,30 +105,26 @@ class PracState:
 
     def _opened(self, opened: Iterable[int]) -> Collection[int]:
         """The distinct rows an op opens, every one checked to lie in the
-        bank before any is counted.  An op given as a tuple is checked
-        once: the next op with an equal tuple reuses its rows."""
-        if type(opened) is not tuple:
-            return self._check(opened)
-        rows = self._checked.get(opened)
-        if rows is None:
-            if len(self._checked) >= OPENED_MEMO_SIZE:
-                self._checked.clear()
-            rows = self._checked[opened] = self._check(opened)
-        return rows
-
-    def _check(self, opened: Iterable[int]) -> Collection[int]:
-        """`_opened` without the kept rows."""
-        rows = tuple(opened)
-        if len(rows) == 1:
-            lo = hi = rows[0]
+        bank before any is counted.  An op is checked once: the next op
+        that opens an equal sequence of rows reuses its distinct rows."""
+        key = tuple(opened)
+        rows = self._checked.get(key)
+        if rows is not None:
+            return rows
+        if len(key) == 1:
+            rows = key
+            lo = hi = key[0]
         else:
-            rows = set(rows)
+            rows = set(key)
             if not rows:
                 raise ConfigError("an operation must open at least one row")
             lo, hi = min(rows), max(rows)
         if lo < 0 or hi >= self.rows:
             bad = min(r for r in rows if not 0 <= r < self.rows)
             raise ConfigError(f"row {bad} outside [0, {self.rows})")
+        if len(self._checked) >= OPENED_MEMO_SIZE:
+            self._checked.clear()
+        self._checked[key] = rows
         return rows
 
     def on_op(self, kind: str, opened: Iterable[int]) -> float:
@@ -197,7 +193,7 @@ class PracState:
         rows = np.asarray(rows, dtype=np.int64)
         outside = np.flatnonzero((rows < 0) | (rows >= self.rows))
         if outside.size:
-            self._check((int(rows[outside[0]]),))  # raises on_op's error
+            self._opened((int(rows[outside[0]]),))  # raises on_op's error
         w = self.config.increment(RH)
         k = -(-self.config.rdt // w)  # activations per back-off of a row
         # each activation's index among its row's, from 1

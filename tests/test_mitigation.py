@@ -164,9 +164,11 @@ def test_out_of_range_row_rejected():
     st_ = make_prac()
     with pytest.raises(ConfigError):
         st_.on_op(RH, (999,))
-    # every row is checked before any is counted
-    with pytest.raises(ConfigError, match="row 300 outside"):
-        st_.on_op(SIMRA, (999, 5, 300))
+    # every row is checked before any is counted, and an op refused once
+    # is refused again: nothing of it is kept
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="row 300 outside"):
+            st_.on_op(SIMRA, (999, 5, 300))
     assert st_.counters == {}
 
 
@@ -211,7 +213,8 @@ class ReferencePrac:
 
 _opened = st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40)
 _prac_step = st.one_of(
-    # a tuple of rows is kept checked for the next op that repeats it
+    # an op's rows, as a list or a tuple, are kept checked for the next
+    # op that repeats them
     st.tuples(st.just("op"), st.sampled_from([RH, COMRA, SIMRA]),
               st.one_of(_opened, _opened.map(tuple))),
     st.tuples(st.just("rfm")),
@@ -245,8 +248,8 @@ def test_prac_matches_scanning_reference(steps, mode, rdt, weighted):
 def test_prac_burst_past_the_hot_rows_and_a_repeated_op_match_the_reference():
     """One group op lifts several counters to the threshold at once, its
     burst serves more RFMs than there are rows at the threshold, so that
-    the later ones heap every counter left, and a later op repeats the
-    same tuple of rows."""
+    the later ones heap every counter left, and later ops repeat the same
+    rows, as a tuple and then as a list."""
     cfg = PracConfig(rdt=400)
     fast, slow = PracState(cfg, rows=64), ReferencePrac(cfg, rows=64)
     group = (11, 9, 8, 10, 9)  # a repeat of it must count row 9 once
@@ -259,8 +262,8 @@ def test_prac_burst_past_the_hot_rows_and_a_repeated_op_match_the_reference():
         assert fast.counters == slow.counters
         assert fast.backoff_pending == slow.backoff_pending == (i < 3)
     assert fast.rfm() == slow.rfm() == ()
-    for _ in range(2):
-        assert (fast.on_op(SIMRA, group), fast.backoff_pending) == slow.on_op(SIMRA, group)
+    for opened in (group, list(group)):
+        assert (fast.on_op(SIMRA, opened), fast.backoff_pending) == slow.on_op(SIMRA, opened)
     assert fast.counters == slow.counters == {r: 400 for r in group}
     assert (fast.backoffs, fast.backoff_pending) == (slow.backoffs, slow.backoff_pending) == (2, True)
     assert fast.rfm() == slow.rfm() == rfm_victims(11, 64)
