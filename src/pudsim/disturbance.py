@@ -101,9 +101,6 @@ class ChipProfile:
             SIMRA: {0x00: 1.0, 0xFF: 0.6, 0x55: 1.0 / 57.8, 0xAA: 1.0 / 57.8},
         }
     )
-    region_mult: dict[str, float] = field(
-        default_factory=lambda: {r: 1.0 for r in REGIONS}
-    )
 
     def __post_init__(self):
         for kind, (lo, mean) in self.thresholds.items():
@@ -118,11 +115,9 @@ class ChipProfile:
                 raise ConfigError(f"t_on.{kind}: anchors must be non-decreasing")
             if any(m <= 0 for m in ms) or any(t <= 0 for t in ts):
                 raise ConfigError(f"t_on.{kind}: anchors must be positive")
-        positive = {f"temp_step.{k}": m for k, m in self.temp_step.items()}
-        positive.update({f"region_mult.{r}": m for r, m in self.region_mult.items()})
-        for key, m in positive.items():
+        for kind, m in self.temp_step.items():
             if m <= 0:
-                raise ConfigError(f"{key} must be positive, got {m:g}")
+                raise ConfigError(f"temp_step.{kind} must be positive, got {m:g}")
         for kind, table in self.dp_mult.items():
             if any(m < 0 for m in table.values()):
                 raise ConfigError(f"dp_mult.{kind} must not be negative")
@@ -325,19 +320,8 @@ class ThresholdSet:
         return rows
 
 
-def _region_mults(profile: ChipProfile, layout: SubarrayLayout) -> np.ndarray:
-    """Per-row region multiplier; bins as `classify_region`."""
-    per_bin = np.array([profile.region_mult[r] for r in REGIONS], dtype=np.float64)
-    mults = np.empty(layout.rows, dtype=np.float64)
-    for start, count in layout.extents:
-        bins = np.minimum(4, np.arange(count) * 5 // count)
-        mults[start : start + count] = per_bin[bins]
-    return mults
-
-
 def sample_thresholds(profile: ChipProfile, layout: SubarrayLayout, seed: int) -> ThresholdSet:
     rows = layout.rows
-    mults = _region_mults(profile, layout)
     theta: dict[str, np.ndarray] = {}
     for kind in KINDS:
         if kind not in profile.thresholds:
@@ -346,7 +330,7 @@ def sample_thresholds(profile: ChipProfile, layout: SubarrayLayout, seed: int) -
         rng = substream(seed, f"theta.{kind}")
         hc = _sample_hc(lo, mean, rows, rng)
         t = hc * profile.units_per_hammer(kind)
-        theta[kind] = np.maximum(t * mults, 1e-9)
+        theta[kind] = np.maximum(t, 1e-9)
     hashes = stable_hash_each(seed, np.arange(rows))
     weak = (hashes % np.uint64(ROW_BITS)).astype(np.int64)
     return ThresholdSet(theta=theta, weak_bit=weak, seed=seed)

@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 
 from . import keyval
-from .disturbance import KINDS, REGIONS, ChipProfile
+from .disturbance import KINDS, ChipProfile
 from .errors import ConfigError
 
 PROFILE_DIR_ENV = "PUDSIM_PROFILE_DIR"
@@ -52,9 +52,14 @@ def _parse_dp_table(text: str, key: str) -> dict[int, float]:
     for token in text.split():
         b, _, m = token.partition(":")
         try:
-            table[int(b, 0) & 0xFF] = keyval.finite(m)
+            byte, mult = int(b, 0), keyval.finite(m)
         except ValueError as e:
             raise ConfigError(f"{key}: bad entry {token!r}: {e}") from None
+        if not 0 <= byte <= 0xFF:
+            raise ConfigError(f"{key}: bad entry {token!r}: byte outside 0x00-0xFF")
+        if byte in table:
+            raise ConfigError(f"{key}: bad entry {token!r}: byte {byte:#04x} named twice")
+        table[byte] = mult
     return table
 
 
@@ -64,7 +69,6 @@ PROFILE_KEYS = frozenset(
     ["name", "vendor"]
     + [f"{table}.{kind}" for table in ("threshold", "temp_step", "t_on", "dp_mult")
        for kind in KINDS]
-    + [f"region_mult.{r}" for r in REGIONS]
 )
 
 
@@ -88,8 +92,6 @@ def profile_from_values(values: dict[str, str]) -> ChipProfile:
             t_on_anchors[kind] = _parse_anchor_list(values[f"t_on.{kind}"], f"t_on.{kind}")
         if f"dp_mult.{kind}" in values:
             dp_mult[kind].update(_parse_dp_table(values[f"dp_mult.{kind}"], f"dp_mult.{kind}"))
-    region_mult = {r: _number(values.get(f"region_mult.{r}", "1"), f"region_mult.{r}")
-                   for r in REGIONS}
     return ChipProfile(
         name=values["name"],
         vendor=values.get("vendor", ""),
@@ -97,7 +99,6 @@ def profile_from_values(values: dict[str, str]) -> ChipProfile:
         temp_step=temp_step,
         t_on_anchors=t_on_anchors,
         dp_mult=dp_mult,
-        region_mult=region_mult,
     )
 
 

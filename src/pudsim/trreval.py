@@ -77,12 +77,15 @@ def make_rh_setup(layout: SubarrayLayout, pairs: int) -> BypassSetup:
 def make_simra_setup(groups: SimraGroupMap, n: int) -> BypassSetup:
     """The first `_SIMRA_GROUPS` groups of size n; the bus row is each
     group's middle row, so a bus-watching sampler never lands next to the
-    real victims."""
+    real victims.  An error names the config keys that set n and the map."""
     if n < 3:
-        raise ConfigError(f"a SiMRA group of {n} rows has no interior row to put on the bus")
+        raise ConfigError(f"groups.n = {n}: a SiMRA group of {n} rows has no interior row "
+                          "to put on the bus")
     picks = [grp for grp in groups.groups if len(grp) == n][:_SIMRA_GROUPS]
     if len(picks) < _SIMRA_GROUPS:
-        raise ConfigError(f"only {len(picks)} groups of size {n} available")
+        raise ConfigError(f"groups.n = {n}: only {len(picks)} groups of {n} rows fit, and the "
+                          f"SiMRA bypass needs {_SIMRA_GROUPS}; geometry.rows, layout.subarrays "
+                          "and groups.stride set how many fit")
     return BypassSetup(SIMRA, dict(sorted((grp[n // 2], grp) for grp in picks)))
 
 

@@ -1,7 +1,6 @@
 """Threshold calibration, contribution scaling, and damage accrual."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,19 +165,9 @@ def test_sampling_is_deterministic_per_seed(profile, layout):
     assert np.array_equal(a.weak_bit, b.weak_bit)
 
 
-def test_region_multiplier_scales_thresholds():
-    layout = SubarrayLayout.uniform(100, 100)
-    prof = flat_profile(rh=1000.0)
-    prof.region_mult["End"] = 0.5
-    ts = sample_thresholds(prof, layout, seed=0)
-    hc = ts.theta[RH] / prof.units_per_hammer(RH)
-    assert np.allclose(hc[:20], 1000.0)
-    assert np.allclose(hc[80:], 500.0)
-
-
 def reference_sample_thresholds(profile, layout, seed):
-    """The per-row loop that `sample_thresholds` replaced: one region
-    lookup and one `stable_hash` per row."""
+    """The per-row loop that `sample_thresholds` replaced: one
+    `stable_hash` per row."""
     rows = layout.rows
     theta = {}
     for kind in KINDS:
@@ -186,12 +175,7 @@ def reference_sample_thresholds(profile, layout, seed):
             continue
         lo, mean = profile.thresholds[kind]
         hc = _sample_hc(lo, mean, rows, substream(seed, f"theta.{kind}"))
-        t = hc * profile.units_per_hammer(kind)
-        mults = np.array([
-            profile.region_mult[classify_region(r, layout.extent(r))]
-            for r in range(rows)
-        ])
-        theta[kind] = np.maximum(t * mults, 1e-9)
+        theta[kind] = np.maximum(hc * profile.units_per_hammer(kind), 1e-9)
     weak = np.array([stable_hash(seed, r) % 64 for r in range(rows)],
                     dtype=np.int64)
     return theta, weak
@@ -209,9 +193,7 @@ _REFERENCE_LAYOUTS = {
 @pytest.mark.parametrize("layout_id", sorted(_REFERENCE_LAYOUTS))
 def test_sample_thresholds_matches_reference_loop(name, layout_id):
     layout = _REFERENCE_LAYOUTS[layout_id]
-    # distinct multipliers, so a row binned into the wrong region shows
-    mults = dict(zip(REGIONS, (0.5, 0.75, 1.0, 1.5, 2.0)))
-    prof = replace(load_profile(name), region_mult=mults)
+    prof = load_profile(name)
     for seed in (0, 5, 2**63, 2**63 + 12345, 2**64 - 1):
         got = sample_thresholds(prof, layout, seed)
         theta, weak = reference_sample_thresholds(prof, layout, seed)

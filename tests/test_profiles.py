@@ -8,12 +8,12 @@ import pytest
 from pudsim import keyval
 from pudsim.cli import main
 from pudsim.disturbance import RH
+from pudsim.errors import ConfigError
 from pudsim.profiles import _SHIPPED, PROFILE_KEYS, profile_from_values
 
 # key families that no shipped profile sets, and why the format keeps them
 ALLOWED_UNSET = {
     "dp_mult": "the paper's data-pattern axis: a chip's per-pattern multipliers",
-    "region_mult": "the paper's spatial-variation axis across a subarray",
 }
 
 
@@ -37,10 +37,22 @@ def test_partial_dp_table_merges_over_the_built_in_one():
     assert prof.dp_factor(RH, 0xFF) == 0.8
 
 
+@pytest.mark.parametrize("table, token", [
+    ("0x155:1.2", "0x155:1.2"),  # past one byte, not aliased to 0x55
+    ("-1:3", "-1:3"),  # below 0x00, not aliased to 0xFF
+    ("0x55:1 0x55:2", "0x55:2"),  # named twice, the last no longer wins
+])
+def test_dp_table_takes_each_byte_once_and_in_range(table, token):
+    with pytest.raises(ConfigError) as err:
+        profile_from_values({"name": "x", "threshold.rh": "100 200", "dp_mult.rh": table})
+    message = str(err.value)
+    assert message.startswith("dp_mult.rh") and repr(token) in message
+
+
 _GOOD = "name = bad_chip\nvendor = test\nthreshold.rh = 6700 14800\n"
 
-# the model constants a profile could set before they were fixed, and
-# keys that share a prefix with accepted ones
+# the model constants a profile could set before they were fixed, keys
+# that share a prefix with accepted ones, and the retired region multiplier
 _REJECTED_KEYS = [
     "base.rh = 2.0",
     "flip_direction.simra = 1to0",
@@ -49,6 +61,7 @@ _REJECTED_KEYS = [
     "bit_escalation = 1.1",
     "temp_step.simr = 9.0",
     "region_mult.end = 0.1",
+    "region_mult.End = 0.5",
 ]
 
 _SUBCOMMANDS = [
@@ -94,7 +107,8 @@ def test_unknown_profile_name_ends_the_run(tmp_path, caplog, args):
     assert message.startswith("no profile named 'nope'")
 
 
-# one bad number per line, for every key family; the error names the line's key
+# one bad number or entry per line, for every key family; the error names
+# the line's key
 _BAD_NUMBERS = [
     *(line.format(v) for v in ("nan", "inf") for line in (
         "threshold.rh = {} 14800",
@@ -103,16 +117,16 @@ _BAD_NUMBERS = [
         "t_on.rh = {}:1",
         "dp_mult.rh = 0x55:{}",
         "temp_step.rh = {}",
-        "region_mult.Middle = {}",
     )),
     "temp_step.rh = -1",
     "temp_step.rh = 0",
-    "region_mult.Middle = -1",
-    "region_mult.Middle = 0",
     "dp_mult.rh = 0x55:-1",
     "threshold.rh = 0 14800",
     "t_on.rh = 36:2 144:1",
     "t_on.rh = 0:1",
+    "dp_mult.rh = 0x155:1.2",
+    "dp_mult.rh = -1:3",
+    "dp_mult.rh = 0x55:1 0x55:2",
 ]
 
 

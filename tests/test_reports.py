@@ -318,10 +318,18 @@ def test_cli_mitigation_eval_bad_perf_key_leaves_no_manifest(tmp_path, caplog, e
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"groups.n": 2},"a SiMRA group of 2 rows has no interior row to put on the bus"),
-    ({"geometry.rows": 16, "groups.n": 32}, "only 0 groups of size 32 available"),
-    ({"geometry.rows": 64, "groups.n": 32}, "only 2 groups of size 32 available"),
-], ids=["pairs", "16-rows", "64-rows-2-subarrays"])
+    ({"groups.n": 2},
+     "groups.n = 2: a SiMRA group of 2 rows has no interior row to put on the bus"),
+    ({"geometry.rows": 16, "groups.n": 32},
+     "groups.n = 32: only 0 groups of 32 rows fit, and the SiMRA bypass needs 4; "
+     "geometry.rows, layout.subarrays and groups.stride set how many fit"),
+    ({"geometry.rows": 64, "groups.n": 32},
+     "groups.n = 32: only 2 groups of 32 rows fit, and the SiMRA bypass needs 4; "
+     "geometry.rows, layout.subarrays and groups.stride set how many fit"),
+    ({"groups.stride": 100},
+     "groups.n = 8: only 0 groups of 8 rows fit, and the SiMRA bypass needs 4; "
+     "geometry.rows, layout.subarrays and groups.stride set how many fit"),
+], ids=["pairs", "16-rows", "64-rows-2-subarrays", "stride-100"])
 def test_cli_trr_eval_simra_setup_the_chip_cannot_hold_leaves_no_manifest(
         tmp_path, caplog, extra, message):
     """The SiMRA bypass needs four groups with an interior bus row; a
