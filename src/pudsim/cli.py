@@ -203,6 +203,9 @@ def plan_trr_eval(cfg: RunConfig, args) -> Plan:
     if setup.kind not in profile.thresholds:
         raise ConfigError(f"profile {profile.name} has no thresholds for {setup.kind!r}")
     _check_temp(cfg, profile, [setup.kind])
+    # the run scores one kind, so each seed samples that kind's thresholds
+    # alone; a kind draws from its own substream, so they are unchanged
+    profile = replace(profile, thresholds={setup.kind: profile.thresholds[setup.kind]})
     timing = cfg.timing()
     windows = args.windows if args.windows is not None else timing.refs_per_refw
     # the sampler counts the ACTs before each window's REF in int64, and

@@ -76,7 +76,8 @@ class RunConfig:
             )
         if self.repeats < 1:
             raise ConfigError("search.repeats must be >= 1")
-        # before the layout, which allocates per row
+        # before anything that allocates per row (the layout below builds its
+        # row index only on a row lookup, and a config makes none)
         if self.rows > MAX_ROWS:
             raise ConfigError(f"geometry.rows must be at most {MAX_ROWS}, got {self.rows}")
         # delegate range checks to the component types

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
@@ -37,9 +38,10 @@ KIND_SIMRA = "simra"
 SIMRA_SIZES = (2, 4, 8, 16, 32)
 
 # most rows a bank may have: the model keeps a few values per row (its
-# subarray, thresholds and weak bit, damage), and the default
-# `characterize` peaks near 300 MB at this size; a DDR4 bank has at most
-# 2**17 rows
+# thresholds and weak bit, its damage, and, from their first lookup, its
+# subarray and group); at this size the default `characterize` peaks at
+# 279 MB and `trr-eval --technique simra --seeds 1` at 127 MB; a DDR4
+# bank has at most 2**17 rows
 MAX_ROWS = 2**20
 
 COMMANDS = ("ACT", "PRE", "REF")
@@ -114,17 +116,23 @@ class SubarrayLayout:
     def __init__(self, extents: Sequence[tuple[int, int]]):
         ext = sorted((int(s), int(c)) for s, c in extents)
         pos = 0
-        index: list[int] = []  # subarray of each row
-        for i, (start, count) in enumerate(ext):
+        for start, count in ext:
             if start != pos:
                 raise ConfigError("subarray extents must tile the row space without gaps")
             if count < 2:
                 raise ConfigError("subarray extents must hold at least 2 rows")
             pos = start + count
-            index += [i] * count
         self.extents: tuple[tuple[int, int], ...] = tuple(ext)
         self.rows = pos
-        self._index = index
+
+    @cached_property
+    def _index(self) -> list[int]:
+        """The subarray of each row, built on the first lookup: a layout
+        that only checks a config costs O(subarrays)."""
+        index: list[int] = []
+        for i, (_, count) in enumerate(self.extents):
+            index += [i] * count
+        return index
 
     @classmethod
     def uniform(cls, rows: int, subarray_rows: int) -> "SubarrayLayout":
@@ -176,13 +184,8 @@ class SimraGroupMap:
     """
 
     def __init__(self, layout: SubarrayLayout, groups: Iterable[Iterable[int]]):
-        self._index_groups(layout, sorted(tuple(sorted({int(r) for r in g})) for g in groups))
-
-    def _index_groups(self, layout: SubarrayLayout, groups: Iterable[tuple[int, ...]]) -> None:
-        """Check and index `groups`: tuples of distinct ascending rows,
-        listed by first row."""
         self.layout = layout
-        self.groups = tuple(groups)
+        self.groups = tuple(sorted(tuple(sorted({int(r) for r in g})) for g in groups))
         subarray_of = layout.subarray_of
         for grp in self.groups:
             if len(grp) not in SIMRA_SIZES:
@@ -190,9 +193,14 @@ class SimraGroupMap:
             # extents are contiguous, so the end rows decide
             if subarray_of(grp[0]) != subarray_of(grp[-1]):
                 raise ConfigError("a group may not cross subarray boundaries")
-        self._of = {r: grp for grp in self.groups for r in grp}
+        # builds the row index, one entry a row
         if len(self._of) != sum(map(len, self.groups)):
             raise ConfigError("a row may belong to only one group")
+
+    @cached_property
+    def _of(self) -> dict[int, tuple[int, ...]]:
+        """The group of each grouped row, built on the first lookup."""
+        return {r: grp for grp in self.groups for r in grp}
 
     @classmethod
     def aligned_blocks(cls, layout: SubarrayLayout, n: int, stride: int = 1) -> "SimraGroupMap":
@@ -203,13 +211,15 @@ class SimraGroupMap:
         if stride < 1:
             raise ConfigError("stride must be >= 1")
         span = n * stride
-        # the blocks come sorted and distinct, as `__init__` would leave them
+        # the blocks come sorted and distinct, n rows each inside one
+        # subarray: `__init__`'s checks hold by construction, so they are skipped
         groups = cls.__new__(cls)
-        groups._index_groups(layout, [
+        groups.layout = layout
+        groups.groups = tuple(
             tuple(range(base, base + span, stride))
             for start, count in layout.extents
             for base in range(start, start + count - span + 1, span)
-        ])
+        )
         return groups
 
     def group(self, r1: int, r2: int) -> Optional[tuple[int, ...]]:

@@ -170,11 +170,15 @@ def run_bypass(
         reset(w[caught], aggr + 1)
 
     seg_v, seg_end = np.concatenate(seg_v), np.concatenate(seg_end)
+    # every victim's segment ends, in order, one victim after another
+    order = np.lexsort((seg_end, seg_v))
+    seg_end = seg_end[order]
+    first = np.searchsorted(seg_v[order], np.arange(len(vic) + 1)).tolist()
     per_victim: dict[int, int] = {}
     for i, v in enumerate(vic.tolist()):
         # doses per segment (start, end]: its aggressor windows (w % 4 ==
         # 0), the reset window's included, as its dose lands before the REF
-        c = np.diff(np.sort(seg_end[seg_v == i]) // 4, prepend=-1)
+        c = np.diff(seg_end[first[i]:first[i + 1]] // 4, prepend=-1)
         # damage after c doses, added up in the order the windows add it
         damage = np.cumsum(np.full(c.max(), dose_units[v] / float(theta[v])))[c[c > 0] - 1]
         per_victim[v] = sum(bits_flipped(f) for f in damage[damage >= FLIP_AT].tolist())

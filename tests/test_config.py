@@ -1,6 +1,7 @@
 """Key/value parsing and run configuration round trips."""
 
 import logging
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -154,6 +155,19 @@ def test_defaults_come_from_the_component_types():
 def test_component_types_check_the_ranges(text, match):
     with pytest.raises(ConfigError, match=match):
         loads_config(text)
+
+
+def test_a_config_checks_its_layout_without_a_per_row_index():
+    """Every RunConfig checks its layout, and the CLI builds a few a call;
+    at the largest bank the check must stay O(subarrays), not O(rows)."""
+    RunConfig(rows=2**20, subarrays=1024)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        RunConfig(rows=2**20, subarrays=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_t_rc_follows_t_ras():

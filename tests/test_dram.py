@@ -23,6 +23,7 @@ from pudsim.dram import (
     KIND_SIMRA,
     P_ACT,
     ROW_BYTES,
+    SIMRA_SIZES,
     HammerEffect,
     RefreshEffect,
 )
@@ -237,6 +238,57 @@ def test_discovery_recovers_a_stride_2_map():
     found = discover_simra_groups(DataBank(Bank(TIMING, truth)), layout)
     assert found.groups == truth.groups
     assert found.groups[:2] == ((0, 2, 4, 6), (8, 10, 12, 14))
+
+
+# uneven layouts: a folded tail (193 rows end in an extent of 65), a
+# short tail (203 rows end in one of 11), and extents of 2 and 3 rows
+_UNEVEN = (
+    SubarrayLayout.uniform(193, 64).extents,
+    SubarrayLayout.uniform(203, 64).extents,
+    ((0, 70), (70, 130), (200, 6)),
+    ((0, 2), (2, 3), (5, 64), (69, 2)),
+)
+
+
+@pytest.mark.parametrize("first", ["subarray_of", "same_subarray", "extent"])
+@pytest.mark.parametrize("extents", _UNEVEN)
+def test_layout_lookups_match_a_per_row_list(extents, first):
+    """A layout builds its row index on its first lookup, whichever
+    lookup that is; every lookup must then agree with a per-row list."""
+    layout = SubarrayLayout(extents)
+    want = [i for i, (_, count) in enumerate(extents) for _ in range(count)]
+    rows = range(layout.rows)
+    checks = {
+        "subarray_of": lambda: [layout.subarray_of(r) for r in rows] == want,
+        "same_subarray": lambda: all(layout.same_subarray(a, b) == (want[a] == want[b])
+                                     for a in rows for b in rows),
+        "extent": lambda: [layout.extent(r) for r in rows] == [extents[i] for i in want],
+    }
+    for name in [first, *(n for n in checks if n != first)]:
+        assert checks[name](), name
+    for bad in (-1, layout.rows):
+        with pytest.raises(AddressError):
+            layout.subarray_of(bad)
+        with pytest.raises(AddressError):
+            layout.same_subarray(0, bad)
+
+
+@pytest.mark.parametrize("n", SIMRA_SIZES)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_aligned_blocks_equal_the_checked_constructor(n, stride):
+    """`aligned_blocks` skips the checks of `SimraGroupMap(layout, groups)`,
+    which its blocks pass by construction; both maps must answer every
+    pair alike, before and after the first lookup builds the index."""
+    for extents in _UNEVEN:
+        layout = SubarrayLayout(extents)
+        fast = SimraGroupMap.aligned_blocks(layout, n, stride)
+        checked = SimraGroupMap(layout, fast.groups)
+        assert checked.groups == fast.groups
+        for _ in range(2):
+            for r in range(layout.rows):
+                assert fast.group(r, r) == checked.group(r, r), r
+                if r + 1 < layout.rows:
+                    assert fast.group(r, r + 1) == checked.group(r, r + 1), r
 
 
 # -- readers of the group map ----------------------------------------------------

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pudsim import Experiment, SimraGroupMap, SubarrayLayout
+from pudsim import Experiment, SimraGroupMap, SubarrayLayout, cli
+from pudsim.config import RunConfig
 from pudsim.disturbance import (
     FLIP_AT, RH, SIMRA, DisturbanceState, accumulate, bits_flipped,
 )
 from pudsim.dram import CommandEvent, RefreshEffect, TimingParams
+from pudsim.profiles import load_profile
 from pudsim.rng import substream
 from pudsim.trreval import (
     BypassResult, BypassSetup, TrrConfig, _window_doses, make_rh_setup, make_simra_setup, run_bypass,
@@ -235,6 +237,38 @@ def test_simra_setup_uses_interior_bus_rows(chip):
     setup = make_simra_setup(chip.groups, n=32)
     for bus_row, members in setup.opened.items():
         assert members[0] < bus_row < members[-1]
+
+
+@pytest.mark.parametrize("name", ["skhynix_a_8gb", "worstcase"])
+@pytest.mark.parametrize("technique", ["rh", "simra"])
+def test_trr_eval_chip_keeps_one_kind_as_the_full_profile_draws_it(
+        tmp_path, monkeypatch, name, technique):
+    """`trr-eval` samples thresholds for the kind it scores alone.  Each
+    kind draws from its own substream, so that kind's thresholds and
+    every result, TRR off and on, equal those of the full profile."""
+    calls = []
+
+    def record(exp, setup, trr, windows, t_on):
+        res = run_bypass(exp, setup, trr, windows, t_on)
+        calls.append((exp, setup, trr, windows, t_on, res))
+        return res
+
+    monkeypatch.setattr(cli, "run_bypass", record)
+    # aggressors held open 1 us, so that row hammering flips on every profile
+    cfg = RunConfig(profile=name, t_aggon_ns=1000.0, out_dir=str(tmp_path))
+    args = cli._build_parser().parse_args(["trr-eval", "--technique", technique, "--seeds", "2"])
+    cli.plan_trr_eval(cfg, args)[1]()
+    assert [(exp.seed, trr is not None) for exp, _, trr, *_ in calls] == [
+        (0, False), (0, True), (1, False), (1, True)]
+    full = load_profile(name)
+    for exp, setup, trr, windows, t_on, res in calls:
+        assert list(exp.thresholds.theta) == [setup.kind]
+        whole = Experiment(full, exp.groups, timing=exp.timing, seed=exp.seed,
+                           temp_c=exp.temp_c, dp_aggr=exp.dp_aggr)
+        assert (exp.thresholds.theta[setup.kind].tobytes()
+                == whole.thresholds.theta[setup.kind].tobytes())
+        assert run_bypass(whole, setup, trr, windows, t_on) == res
+    assert sum(res.bitflips for *_, res in calls) > 0
 
 
 # -- reset segments against the window loop --------------------------------
