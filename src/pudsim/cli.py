@@ -209,10 +209,12 @@ def plan_trr_eval(cfg: RunConfig, args) -> Plan:
     timing = cfg.timing()
     windows = args.windows if args.windows is not None else timing.refs_per_refw
     # the sampler counts the ACTs before each window's REF in int64, and
-    # `run_bypass` keeps a few int64 values a window
+    # `run_bypass` keeps a few int64 values a window and a few for each
+    # time a REF resets a victim
     for most, what in (
             ((2**63 - 1) // cfg.acts_per_refi - 1, "the TRR sampler counts at timing.acts_per_refi"),
-            (max_windows(timing, cfg.rows), f"a bank of {cfg.rows} rows holds in memory")):
+            (max_windows(timing, cfg.rows, setup),
+             f"a bank of {cfg.rows} rows holds in memory")):
         if windows > most:
             raise ConfigError(
                 f"--windows must be at most {most}, got {windows}, the most {what}"

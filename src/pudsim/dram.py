@@ -100,14 +100,22 @@ class TimingParams:
         ceil(rows / refs_per_refw), so the REFs of a tREFW cover every row."""
         return -(-rows // self.refs_per_refw)
 
-    def ref_rows(self, k, rows: int) -> list:
-        """The rows REF number `k` (0-based; an int, or an array of REF
-        numbers) refreshes in a bank of `rows` rows, one entry per row.
-        Each REF takes the next `rows_per_ref(rows)` rows, wrapping
+    def ref_rows(self, k: int, rows: int) -> list:
+        """The rows REF number `k` (0-based) refreshes in a bank of `rows`
+        rows.  Each REF takes the next `rows_per_ref(rows)` rows, wrapping
         around."""
         per_ref = self.rows_per_ref(rows)
         start = k * per_ref % rows
         return [(start + i) % rows for i in range(per_ref)]
+
+    def row_refs(self, row: int, rows: int, refs: int) -> np.ndarray:
+        """The REFs among the first `refs` that refresh `row` of a bank of
+        `rows` rows, in order: `ref_rows` inverted.  REF k refreshes rows
+        k·p to k·p + p - 1 around the bank (p = `rows_per_ref(rows)`, at
+        most `rows`), so `row` falls to REF (row + m·rows) // p for
+        m = 0, 1, ..."""
+        per_ref = self.rows_per_ref(rows)
+        return (row + rows * np.arange(-((row - refs * per_ref) // rows))) // per_ref
 
 
 class SubarrayLayout:

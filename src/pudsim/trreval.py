@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, deposits
+from .disturbance import FLIP_AT, RH, SIMRA, bits_flipped, deposits, victim_distances
 from .dram import SimraGroupMap, SubarrayLayout, TimingParams
 from .errors import ConfigError
 from .harness import Experiment
@@ -110,15 +110,21 @@ def _window_doses(exp: Experiment, setup: BypassSetup, t_on: float) -> dict[int,
     return dose
 
 
-# most int64 values `run_bypass` keeps for a run's refresh windows: one a
-# window for each row a REF refreshes, and about eight more a window (REF
-# numbers, TRR draws, segment ends); 2**24 of them take 128 MB
+# most int64 values `run_bypass` keeps for a run's refresh windows: up to
+# eight a window (window numbers, TRR draws), and four for each time a REF
+# resets a victim (its segment ends, sorted); 2**24 of them take 128 MB
 MAX_WINDOW_VALUES = 2**24
 
 
-def max_windows(timing: TimingParams, rows: int) -> int:
-    """Most refresh windows `run_bypass` advances on a bank of `rows` rows."""
-    return MAX_WINDOW_VALUES // (timing.rows_per_ref(rows) + 8)
+def max_windows(timing: TimingParams, rows: int, setup: BypassSetup) -> int:
+    """Most refresh windows `run_bypass` advances for `setup` on a bank
+    of `rows` rows."""
+    # every victim, and a few rows more (past the bank's edges, or
+    # restored); periodic refresh resets each about once every
+    # rows / rows_per_ref windows, TRR up to once a window
+    victims = {v for opened in setup.opened.values()
+               for v, _ in victim_distances(setup.kind, opened)}
+    return MAX_WINDOW_VALUES // (8 + -(-4 * len(victims) * timing.rows_per_ref(rows) // rows))
 
 
 def run_bypass(
@@ -135,52 +141,49 @@ def run_bypass(
     Aggressors are held open `t_on` ns at the experiment's temperature
     and hold its data pattern; the TRR sampler draws from the
     experiment's seed."""
-    rows, kind = exp.layout.rows, setup.kind
+    rows, kind, timing = exp.layout.rows, setup.kind, exp.timing
     theta = exp.thresholds.theta.get(kind)
     if theta is None:
         raise ConfigError(f"profile has no thresholds for {kind!r}")
     dose_units = _window_doses(exp, setup, t_on)
-    vic = np.array(sorted(dose_units), dtype=np.int64)
-    # each victim's segments end at its reset windows and at the last window
-    seg_v, seg_end = [np.arange(len(vic))], [np.full(len(vic), windows - 1)]
-
-    def reset(at, row):
-        """The REFs closing windows `at` reset `row`; keep the victims."""
-        hit = np.isin(row, vic)
-        seg_v.append(np.searchsorted(vic, row[hit]))
-        seg_end.append(at[hit])
-
-    w = np.arange(max(windows, 0))
-    # REF w's periodic refresh slice
-    for row in exp.timing.ref_rows(w, rows):
-        reset(w, row)
+    # each victim's segments end at the last window and at the REFs that
+    # reset it: its periodic refreshes and the TRR samples that catch an
+    # aggressor beside it
+    ends = {v: [[windows - 1], timing.row_refs(v, rows, windows)] for v in sorted(dose_units)}
     trr_refreshes = 0
     if trr is not None:
         # one sample per REF: an offset back from the newest ACT
         rng = substream(exp.seed, "trr.sampler")
-        acts = exp.timing.acts_per_refi
+        acts = timing.acts_per_refi
+        w = np.arange(max(windows, 0))
         back, j = np.divmod(rng.integers(np.minimum(trr.sampler_size, acts * (w + 1))), acts)
         caught = (w - back) % 4 == 0  # the sampler caught an attack address
-        pos = (acts - 1) - j[caught]  # position within that aggressor window
-        # round-robin schedule: op p went to aggressor p % n
-        op_idx = pos // (2 if kind == SIMRA else 1)
-        aggr = np.array(list(setup.opened))[op_idx % len(setup.opened)]
-        trr_refreshes = len(aggr)
-        reset(w[caught], aggr - 1)
-        reset(w[caught], aggr + 1)
+        at = w[caught]
+        trr_refreshes = len(at)
+        # the op at that position within its aggressor window went, in the
+        # round-robin schedule, to aggressor op % n
+        aggr = ((acts - 1) - j[caught]) // (2 if kind == SIMRA else 1) % len(setup.opened)
+        for i, a in enumerate(setup.opened):
+            for v in (a - 1, a + 1):
+                if v in ends:
+                    ends[v].append(at[aggr == i])
 
-    seg_v, seg_end = np.concatenate(seg_v), np.concatenate(seg_end)
-    # every victim's segment ends, in order, one victim after another
-    order = np.lexsort((seg_end, seg_v))
-    seg_end = seg_end[order]
-    first = np.searchsorted(seg_v[order], np.arange(len(vic) + 1)).tolist()
+    # a segment (start, end] takes one dose in each of its aggressor
+    # windows (w % 4 == 0), the reset window's included, as that dose lands
+    # before the REF.  Victim i keys its ends by their dose counts plus i * q
+    # (q aggressor windows in the run), so one sort orders every victim's
+    # ends, and successive keys differ by a segment's doses
+    q = (windows + 3) // 4
+    key = np.sort(np.concatenate([[-1]] + [np.concatenate(e) // 4 + i * q
+                                           for i, e in enumerate(ends.values())]))
+    c = np.diff(key)
+    key, c = key[1:][c > 0], c[c > 0]
+    first = np.searchsorted(key, np.arange(len(ends) + 1) * q).tolist()
     per_victim: dict[int, int] = {}
-    for i, v in enumerate(vic.tolist()):
-        # doses per segment (start, end]: its aggressor windows (w % 4 ==
-        # 0), the reset window's included, as its dose lands before the REF
-        c = np.diff(seg_end[first[i]:first[i + 1]] // 4, prepend=-1)
-        # damage after c doses, added up in the order the windows add it
-        damage = np.cumsum(np.full(c.max(), dose_units[v] / float(theta[v])))[c[c > 0] - 1]
+    for v, a, b in zip(ends, first, first[1:]):
+        n = c[a:b]
+        # damage after n doses, added up in the order the windows add it
+        damage = np.cumsum(np.full(n.max(initial=0), dose_units[v] / float(theta[v])))[n - 1]
         per_victim[v] = sum(bits_flipped(f) for f in damage[damage >= FLIP_AT].tolist())
     return BypassResult(
         windows=windows,

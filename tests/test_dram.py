@@ -616,17 +616,38 @@ def test_ref_slices_cover_all_rows_once_per_window():
     assert sorted(set(seen)) == list(range(64))
 
 
-def test_bank_refs_follow_the_window_array_rule():
-    """REF k of the bank refreshes what `ref_rows` gives for k in an array
-    of REF numbers, as `run_bypass` reads it, wrap-around included."""
-    timing = TimingParams(t_refw=10 * TIMING.t_refi)  # 7 rows a REF, 64 rows
-    b = Bank(timing, SimraGroupMap(SubarrayLayout.uniform(64, 32), ()))
+# (timing, rows): 1, 2, 3, 7 and 16 rows a REF, where 20,000 and 64 rows
+# wrap around mid-REF, and one REF for every row at t_refw = t_refi
+REF_RULES = {
+    "1": (TIMING, 64),
+    "2": (TIMING, 16384),
+    "3": (TIMING, 20000),
+    "7": (TimingParams(t_refw=10 * TIMING.t_refi), 64),
+    "16": (TIMING, 2**17),
+    "all": (TimingParams(t_refw=TIMING.t_refi), 20000),
+}
+
+
+@pytest.mark.parametrize("timing, rows", REF_RULES.values(), ids=REF_RULES.keys())
+def test_row_refs_invert_ref_rows_and_the_bank(timing, rows):
+    """Over three laps of the bank and one REF more, `row_refs` gives each
+    row the REFs whose `ref_rows` hold it, which are the REFs at which a
+    `Bank` refreshes it."""
+    per_ref = timing.rows_per_ref(rows)
+    refs = 3 * -(-rows // per_ref) + 1
+    b = Bank(timing, SimraGroupMap(SubarrayLayout.uniform(rows, min(rows, 1024)), ()))
     s = Seq(b)
-    per_window = timing.ref_rows(np.arange(25), 64)
-    for k in range(25):
+    by_rule, by_bank = [[] for _ in range(rows)], [[] for _ in range(rows)]
+    for k in range(refs):
+        for r in timing.ref_rows(k, rows):
+            by_rule[r].append(k)
         (eff,) = s.cmd("REF", dt=timing.t_refi)
-        assert eff.rows == tuple(int(rows[k]) for rows in per_window)
-        assert eff.rows == tuple((7 * k + i) % 64 for i in range(7))
+        assert eff.rows == tuple((k * per_ref + i) % rows for i in range(per_ref))
+        for r in eff.rows:
+            by_bank[r].append(k)
+    assert by_bank == by_rule
+    assert [timing.row_refs(v, rows, refs).tolist() for v in range(rows)] == by_rule
+    assert timing.row_refs(rows - 1, rows, 0).tolist() == []
 
 
 def test_ref_requires_precharged_bank():

@@ -1,5 +1,6 @@
 """Window-level bypass evaluator pinned to a bus-event reference."""
 
+import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -15,7 +16,8 @@ from pudsim.dram import CommandEvent, RefreshEffect, TimingParams
 from pudsim.profiles import load_profile
 from pudsim.rng import substream
 from pudsim.trreval import (
-    BypassResult, BypassSetup, TrrConfig, _window_doses, make_rh_setup, make_simra_setup, run_bypass,
+    MAX_WINDOW_VALUES, BypassResult, BypassSetup, TrrConfig, _window_doses, make_rh_setup,
+    make_simra_setup, max_windows, run_bypass,
 )
 
 # decoy rows, far from every victim of the setups below
@@ -397,6 +399,56 @@ def test_other_timings_match_the_window_loop_over_a_trefw(profile, timing):
     for setup in grid_setups(exp):
         for trr in SAMPLERS:
             assert_matches_reference(exp, setup, trr, timing.refs_per_refw)
+
+
+def test_ddr4_bank_matches_the_window_loop_over_a_trefw(profile):
+    """At 2^17 rows, a DDR4 bank's size, each REF refreshes 16 rows:
+    both techniques, TRR off and on, over one tREFW."""
+    exp = grid_chip(weak(profile), 2**17)
+    assert exp.timing.rows_per_ref(exp.layout.rows) == 16
+    for setup in (make_rh_setup(exp.layout, 4), make_simra_setup(exp.groups, n=32)):
+        off, on = (assert_matches_reference(exp, setup, trr, exp.timing.refs_per_refw)
+                   for trr in (None, TrrConfig()))
+        assert off.bitflips > 0 and on.trr_refreshes > 0
+
+
+def test_a_large_bank_keeps_no_per_row_reset_arrays(profile):
+    """At 2^20 rows a REF refreshes 128 rows.  Over 123,361 windows a run
+    keeps a few values a window and a few for each reset of a victim; a
+    value for every row each REF refreshes would take 123 MB."""
+    layout = SubarrayLayout.uniform(2**20, 1024)
+    groups = SimraGroupMap.aligned_blocks(layout, 32)
+    exp = Experiment(replace(profile, thresholds={SIMRA: profile.thresholds[SIMRA]}), groups)
+    setup = make_simra_setup(groups, n=32)
+    tracemalloc.start()
+    try:
+        res = run_bypass(exp, setup, TrrConfig(), 123361, exp.timing.t_ras)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.bitflips > 0 and res.trr_refreshes > 0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("t_refw", [TimingParams().t_refw, TimingParams().t_refi],
+                         ids=["8205-refs", "one-ref"])
+@pytest.mark.parametrize("technique, stride", [("rh", 1), ("simra", 1), ("simra", 3)])
+def test_max_windows_covers_what_a_run_holds(profile, technique, stride, t_refw):
+    """With TRR on, a run keeps at most `MAX_WINDOW_VALUES` int64 values
+    for each `max_windows` windows, also where each REF refreshes every
+    row and reaches every victim, and where group rows are spread out."""
+    layout = SubarrayLayout.uniform(1024, 1024)
+    groups = SimraGroupMap.aligned_blocks(layout, 32, stride)
+    exp = Experiment(profile, groups, timing=TimingParams(t_refw=t_refw), seed=3)
+    setup = make_rh_setup(layout, 4) if technique == "rh" else make_simra_setup(groups, n=32)
+    windows = 40001
+    tracemalloc.start()
+    try:
+        run_bypass(exp, setup, TrrConfig(), windows, T_ON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * MAX_WINDOW_VALUES * windows / max_windows(exp.timing, 1024, setup)
 
 
 def test_other_conditions_match_the_window_loop(profile):
